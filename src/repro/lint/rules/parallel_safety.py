@@ -18,12 +18,14 @@ rather than fork).
     (:data:`DENIED_FIELD_ATOMS`): mutable containers (``list``, ``dict``,
     ``set``, ``bytearray``), ``Callable``, ``Any``, RNG and lock objects.
     They must also avoid the packed-batch atoms
-    (:data:`DENIED_BATCH_ATOMS`): a :class:`~repro.vec.PackedBlock` or
-    :class:`~repro.vec.BatchSyncEvaluator` must never be shipped across the
-    pool — shards carry the ``vectorized`` flag and rebuild the block and
-    evaluator locally from the spec, which is what keeps sharded reports
-    byte-identical to the serial run and keeps arbitrary-precision lane
-    masks (and the evaluator's memo caches) out of the pickle payload.
+    (:data:`DENIED_BATCH_ATOMS`): a :class:`~repro.vec.PackedBlock`, a
+    :class:`~repro.vec.BatchSyncEvaluator` or its interned
+    :class:`~repro.vec.LaneStates` must never be shipped across the pool —
+    shards carry the ``vectorized`` flag and rebuild the block, the
+    evaluator and its transition and oracle-mask caches locally from the
+    spec, which is what keeps sharded reports byte-identical to the serial
+    run and keeps arbitrary-precision lane masks and cache contents out of
+    the pickle payload.
     Compound annotations (``tuple[...]``, unions, string forward
     references) are unfolded and every atom checked.
 """
@@ -63,9 +65,10 @@ DENIED_FIELD_ATOMS = frozenset(
 )
 
 #: Packed-batch atoms an envelope field must not ship across the pool.
-#: Both types pickle, but by design each shard rebuilds them locally from
-#: the spec — the envelope carries only the ``vectorized`` flag.
-DENIED_BATCH_ATOMS = frozenset({"PackedBlock", "BatchSyncEvaluator"})
+#: All three types pickle, but by design each shard rebuilds them (and the
+#: evaluator's caches) locally from the spec — the envelope carries only the
+#: ``vectorized`` flag.
+DENIED_BATCH_ATOMS = frozenset({"PackedBlock", "BatchSyncEvaluator", "LaneStates"})
 
 
 def _is_envelope(klass: ast.ClassDef) -> bool:
@@ -144,8 +147,8 @@ def _envelope_findings(module: ModuleFile) -> Iterator[tuple[str, int, str]]:
                     f"envelope field {node.name}.{statement.target.id} ships "
                     f"a packed batch ({', '.join(batch)}) across the pool; "
                     "shards carry the `vectorized` flag and rebuild the "
-                    "block/evaluator locally, keeping lane masks and memo "
-                    "caches out of the pickle payload",
+                    "block, evaluator and caches locally, keeping lane masks "
+                    "and cache contents out of the pickle payload",
                 )
 
 

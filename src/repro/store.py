@@ -5,7 +5,9 @@ interruption at cell 190 of 200 is the difference between "re-run the night"
 and "resume after breakfast".  :class:`ResultStore` persists execution
 records as **append-only JSON Lines**: one self-describing JSON object per
 line, written and flushed as each result completes, so a killed process
-loses at most the record being written.
+loses at most the record being written.  The torn trailing line such a kill
+can leave is skipped on read, and cut off before the next append, so a
+resumed writer never appends onto the fragment.
 
 Five record kinds are stored:
 
@@ -204,8 +206,43 @@ class ResultStore:
     def _append_handle(self):
         if self._handle is None or self._handle.closed:
             self._path.parent.mkdir(parents=True, exist_ok=True)
+            self._end_on_record_boundary()
             self._handle = self._path.open("a", encoding="utf-8")
         return self._handle
+
+    def _end_on_record_boundary(self) -> None:
+        """Make the file end with a newline before the first append.
+
+        A writer killed mid-record leaves an unterminated last line.  If it
+        parses, only its newline was lost, and that is restored; otherwise
+        the torn fragment is cut off.  Either way the next record starts a
+        line of its own.  This assumes no other writer is mid-record on the
+        same file.
+        """
+        try:
+            handle = self._path.open("rb+")
+        except FileNotFoundError:
+            return
+        with handle:
+            end = handle.seek(0, os.SEEK_END)
+            start = end  # becomes the offset of the last line
+            while start > 0:
+                step = min(start, 1 << 16)
+                handle.seek(start - step)
+                newline = handle.read(step).rfind(b"\n")
+                if newline != -1:
+                    start -= step - newline - 1
+                    break
+                start -= step
+            if start == end:
+                return  # empty, or already ends with a newline
+            handle.seek(start)
+            try:
+                json.loads(handle.read())
+            except ValueError:
+                handle.truncate(start)
+            else:
+                handle.write(b"\n")
 
     def _write_lines(self, records: Iterable[dict[str, Any]]) -> int:
         written = 0
@@ -280,19 +317,23 @@ class ResultStore:
 
         A tenant-namespaced store only yields its own tenant's records;
         *all_tenants* lifts the filter (for offline aggregation across a
-        shared file).
+        shared file).  An unparsable last line with no terminating newline
+        is the record a killed writer was writing, and is skipped; any other
+        unparsable line raises :class:`~repro.exceptions.StoreError`.
         """
         if not self._path.exists():
             return
         try:
             with self._path.open("r", encoding="utf-8") as handle:
-                for line_number, line in enumerate(handle, start=1):
-                    line = line.strip()
+                for line_number, raw in enumerate(handle, start=1):
+                    line = raw.strip()
                     if not line:
                         continue
                     try:
                         record = json.loads(line)
                     except json.JSONDecodeError as error:
+                        if not raw.endswith("\n"):
+                            return  # the torn trailing record
                         raise StoreError(
                             f"{self._path}:{line_number}: malformed JSON record "
                             f"({error.msg})"

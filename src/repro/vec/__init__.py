@@ -3,16 +3,18 @@
 ``repro.vec`` packs blocks of input vectors into per-(position, value) lane
 masks (:class:`PackedBlock`) and executes whole ``schedule × block`` batches
 through the synchronous round model in one call
-(:class:`BatchSyncEvaluator`).  The scalar object runtime in
+(:class:`BatchSyncEvaluator`, whose round driver caches transitions over
+interned :class:`LaneStates`).  The scalar object runtime in
 :mod:`repro.sync.runtime` remains the untouched reference implementation;
 everything here is an optimisation with a mandatory decode-back path.
 """
 
-from .evaluator import BatchSyncEvaluator
+from .evaluator import BatchSyncEvaluator, LaneStates
 from .packed import PackedBlock, count_exceeds, exact_counts, max_value_masks
 
 __all__ = [
     "BatchSyncEvaluator",
+    "LaneStates",
     "PackedBlock",
     "count_exceeds",
     "exact_counts",

@@ -3,9 +3,38 @@
 :class:`BatchSyncEvaluator` re-implements the synchronous round runtime of
 :mod:`repro.sync.runtime` over :class:`~repro.vec.packed.PackedBlock` lane
 masks: every per-process variable of the reference algorithms becomes a small
-``{value: lane mask}`` dictionary, and one round of *all* packed input vectors
+``{value: lane mask}`` table, and one round of *all* packed input vectors
 under one crash schedule is a handful of big-integer AND/OR operations instead
 of ``lanes × n`` Python method calls.
+
+One round driver, two transitions
+---------------------------------
+A single round driver executes both modelled algorithms.  The state of one
+process across every lane of the block — its lane state — is an immutable
+tuple, interned to a small integer id by :class:`LaneStates`.  Each mode
+supplies only
+
+* an **initial lane state** per process, and
+* a pure **transition** ``(round, recv mask, own state, per sender: (state,
+  send mask), or None when cut) → (decisions, decided mask, next state)``.
+
+Per round and receiver the driver builds that key from state ids and masks
+and looks it up in the evaluator's **transition cache**; the mode's
+transition runs only on a miss.  The reference algorithms reduce what they
+hear with ``max``/``min``, so a check reaches few distinct states and the
+cache hits almost always.  Condition mode's round 1 — the view
+classification of lines 5–9, which depends only on which proposals a
+receiver heard — is simply the round-1 case of the same cache.
+
+A second cache holds the **oracle masks** of a schedule, keyed on their
+complete input: the per-process crashed masks, the per-process ids of the
+transitions that decided, and the schedule's round-1 and initial crash
+counts.  The decision tables are rebuilt only on a miss.
+
+Both caches are plain dictionaries owned by the evaluator, with no size cap:
+they live and die with it.  The checker builds one evaluator per schedule
+slice, so each pool shard rebuilds its own caches; none is ever shipped in a
+shard envelope (the ``envelope-fields`` lint rule denies it).
 
 The evaluator is an *optimisation*, never an authority:
 
@@ -14,6 +43,7 @@ The evaluator is an *optimisation*, never an authority:
   the engine, algorithm, frontier or oracle set falls outside the modelled
   fast path — the checker then silently falls back to the scalar loop, which
   also reproduces any validation error the reference path would raise;
+* the round-bound watchdog runs on every schedule, cached or not;
 * every counterexample the checker reports is decoded back into the object
   runtime (a scalar re-execution of the flagged lane), so replay stays
   byte-identical, and a flagged lane the reference runtime does *not*
@@ -28,7 +58,7 @@ fault-injection mutants (subclasses) always take the reference path.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ..core.values import BOTTOM
 from ..core.vectors import InputVector, View
@@ -40,7 +70,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..check.oracles import CheckContext
     from ..sync.adversary import CrashSchedule
 
-__all__ = ["BatchSyncEvaluator"]
+__all__ = ["BatchSyncEvaluator", "LaneStates"]
 
 #: The oracles the evaluator can translate into lane masks.  A request naming
 #: any other oracle falls back to the scalar checker.
@@ -55,12 +85,59 @@ _SUPPORTED_ORACLES = frozenset(
     }
 )
 
+#: A frozen ``{value: lane mask}`` table: ``((value, lanes), ...)`` by value.
+Table = tuple[tuple[Any, int], ...]
 
-def _any_mask(masks: dict[Any, int]) -> int:
+
+def _union(pairs: Iterable[tuple[Any, int]]) -> int:
     combined = 0
-    for mask in masks.values():
+    for _, mask in pairs:
         combined |= mask
     return combined
+
+
+def _freeze(table: dict[Any, int]) -> Table:
+    return tuple(sorted(table.items()))
+
+
+def _merge_into(
+    target: dict[Any, int], pairs: Iterable[tuple[Any, int]], mask: int
+) -> None:
+    """OR the lanes of every ``(value, lanes)`` pair selected by *mask* into *target*."""
+    for value, lanes in pairs:
+        hit = lanes & mask
+        if hit:
+            target[value] = target.get(value, 0) | hit
+
+
+class LaneStates:
+    """Interned lane states: every distinct state gets one small integer id.
+
+    A lane state is one process's variables across every lane of the block,
+    frozen into a hashable tuple of masks and :data:`Table` values.  Equal
+    states share an id, so the transition keys of the round driver hash a
+    few integers instead of nested tables.
+    """
+
+    __slots__ = ("_contents", "_ids")
+
+    def __init__(self) -> None:
+        self._contents: list[tuple] = []
+        self._ids: dict[tuple, int] = {}
+
+    def __len__(self) -> int:
+        return len(self._contents)
+
+    def __getitem__(self, state_id: int) -> tuple:
+        return self._contents[state_id]
+
+    def intern(self, state: tuple) -> int:
+        """The id of *state*, allocated the first time it is seen."""
+        state_id = self._ids.get(state)
+        if state_id is None:
+            state_id = self._ids[state] = len(self._contents)
+            self._contents.append(state)
+        return state_id
 
 
 class BatchSyncEvaluator:
@@ -100,18 +177,28 @@ class BatchSyncEvaluator:
                     proposed[value] = proposed.get(value, 0) | lanes
         self._proposed = proposed
 
+        self._states = LaneStates()
+        #: ``(round, recv, own id, senders) -> (transition id, decided, next id)``.
+        self._transitions: dict[tuple, tuple[int, int, int]] = {}
+        #: Transition id -> ``(round, {value: lanes} decisions, decided mask)``.
+        self._decisions: list[tuple[int, dict[Any, int], int]] = []
+        #: ``(crashed, deciders, round-1 crashes, initial crashes) -> masks``.
+        self._oracle_cache: dict[tuple, tuple[tuple[int, int], ...]] = {}
+
         algorithm = engine.algorithm
         self._last = algorithm.last_round()
         if mode == "condition":
             self._x = algorithm.x
             self._cond = engine.condition or algorithm.condition
             self._cr = algorithm.condition_decision_round()
-            #: frozenset(round-1 positions heard) -> (v_cond, v_tmf, v_out)
-            #: lane-mask classification, shared by every receiver and schedule
-            #: with the same round-1 view shape.
-            self._round1_memo: dict[frozenset[int], tuple[dict, dict, dict]] = {}
+            # Every process starts with (v_cond, v_tmf, v_out) = (⊥, ⊥, ⊥);
+            # its proposal is what round 1 floods, read from the block.
+            self._initial = (self._states.intern(((), (), ())),) * self._n
         else:
             self._k = algorithm.k
+            self._initial = tuple(
+                self._states.intern(self._early_initial(pid)) for pid in range(self._n)
+            )
 
     # ------------------------------------------------------------------
     # Construction
@@ -171,222 +258,179 @@ class BatchSyncEvaluator:
     # ------------------------------------------------------------------
     def check_schedule(
         self, schedule: "CrashSchedule"
-    ) -> list[tuple[int, int]]:
-        """``[(applies, violations), ...]`` lane masks, one per oracle."""
-        if self._mode == "condition":
-            outcome = self._simulate_condition(schedule)
-        else:
-            outcome = self._simulate_early(schedule)
-        return self._oracle_masks(schedule, outcome)
-
-    # ------------------------------------------------------------------
-    # Shared round machinery
-    # ------------------------------------------------------------------
-    def _deliveries(
-        self,
-        events: dict[int, Any],
-        send: list[int],
-        receiver: int,
-        gate: int,
-    ) -> list[int]:
-        """Per-sender lane masks of the messages *receiver* gets, ANDed with *gate*.
-
-        A sender with a crash event this round delivers only to the event's
-        receiver set; in every lane where it still sends, the event applies
-        (an already-crashed sender does not send at all), so the restriction
-        is lane-uniform.
-        """
-        masks = []
-        for sender in range(self._n):
-            mask = send[sender]
-            if mask:
-                event = events.get(sender)
-                if event is not None and receiver not in event.delivered_to:
-                    mask = 0
-                else:
-                    mask &= gate
-            masks.append(mask)
+    ) -> tuple[tuple[int, int], ...]:
+        """``((applies, violations), ...)`` lane masks, one per oracle."""
+        crashed, deciders = self._run(schedule)
+        key = (
+            tuple(crashed),
+            tuple(deciders),
+            schedule.round_one_crash_count(),
+            schedule.initial_crash_count(),
+        )
+        masks = self._oracle_cache.get(key)
+        if masks is None:
+            masks = self._oracle_cache[key] = self._oracle_masks(*key)
         return masks
 
-    def _watchdog(self, crashed: list[int], halted: list[int]) -> None:
-        leftover = 0
-        for pid in range(self._n):
-            leftover |= self._full & ~(crashed[pid] | halted[pid])
-        if leftover:
-            raise SimulationError(
-                f"{self._engine.algorithm.name} exceeded its round bound "
-                f"({self._last} rounds) with processes still running in "
-                f"{leftover.bit_count()} packed lane(s)"
-            )
-
-    @staticmethod
-    def _record_decisions(
-        decided_value: dict[Any, int],
-        decided_round: dict[int, int],
-        values: dict[Any, int],
-        round_number: int,
-        lanes: int,
-    ) -> None:
-        for value, mask in values.items():
-            if mask:
-                decided_value[value] = decided_value.get(value, 0) | mask
-        decided_round[round_number] = decided_round.get(round_number, 0) | lanes
-
     # ------------------------------------------------------------------
-    # Condition-based k-set agreement (Figure 2)
+    # The round driver
     # ------------------------------------------------------------------
-    def _simulate_condition(self, schedule: "CrashSchedule"):
+    def _run(self, schedule: "CrashSchedule") -> tuple[list[int], list[tuple[int, ...]]]:
+        """Every round of *schedule*: per-process crashed lanes and the ids
+        of the transitions in which each process decided."""
         n, full = self._n, self._full
+        transitions = self._transitions
+        #: round -> {crashing process: the receivers it still reaches}
+        cuts_by_round: dict[int, dict[int, frozenset[int]]] = {}
+        for event in schedule:
+            cuts_by_round.setdefault(event.round_number, {})[
+                event.process_id
+            ] = event.delivered_to
+        state = list(self._initial)
         crashed = [0] * n
         halted = [0] * n
-        # One {value: lanes} dict per state component; absent lanes carry ⊥.
-        vcond: list[dict[Any, int]] = [{} for _ in range(n)]
-        vtmf: list[dict[Any, int]] = [{} for _ in range(n)]
-        vout: list[dict[Any, int]] = [{} for _ in range(n)]
-        decided_value: list[dict[Any, int]] = [{} for _ in range(n)]
-        decided_round: list[dict[int, int]] = [{} for _ in range(n)]
+        deciders: list[tuple[int, ...]] = [()] * n
 
         round_number = 0
-        while round_number < self._last:
-            send = [full & ~(crashed[pid] | halted[pid]) for pid in range(n)]
+        while True:
+            send = [full & ~(down | done) for down, done in zip(crashed, halted)]
             active = 0
             for mask in send:
                 active |= mask
             if not active:
                 break
+            if round_number == self._last:
+                # The watchdog: processes still running after the last round.
+                raise self._overrun(active)
             round_number += 1
-            events = {
-                event.process_id: event
-                for event in schedule.crashes_in_round(round_number)
-            }
-            for pid in events:
-                crashed[pid] |= active & ~crashed[pid]
+            messages = [(sid, mask) if mask else None for sid, mask in zip(state, send)]
+            heard_by_all = tuple(messages)
+            cuts = cuts_by_round.get(round_number)
+            if cuts:
+                for pid in cuts:
+                    crashed[pid] |= active
 
-            if round_number == 1:
-                # Round 1 is lane-uniform: nobody has crashed or halted yet,
-                # so every receiver's view shape depends only on the schedule.
-                for receiver in range(n):
-                    if receiver in events:
-                        continue
-                    heard = frozenset(
-                        sender
-                        for sender in range(n)
-                        if sender not in events
-                        or receiver in events[sender].delivered_to
-                    )
-                    vc, vt, vo = self._round1_states(heard)
-                    vcond[receiver] = dict(vc)
-                    vtmf[receiver] = dict(vt)
-                    vout[receiver] = dict(vo)
-                continue
-
-            staged = []
+            successors = state[:]
             for receiver in range(n):
                 recv = send[receiver] & ~crashed[receiver]
                 if not recv:
                     continue
-                # Line 14: a state sent with a non-⊥ v_cond decides it before
-                # reading anything (the state itself stays unchanged).
-                line14 = recv & _any_mask(vcond[receiver])
-                decisions: dict[Any, int] = {}
-                if line14:
-                    for value, mask in vcond[receiver].items():
-                        hit = mask & line14
-                        if hit:
-                            decisions[value] = decisions.get(value, 0) | hit
-                update = recv & ~line14
-                merged = None
-                deadline = 0
-                if update:
-                    deliver = self._deliveries(events, send, receiver, update)
-                    merged = []
-                    for component in (vcond, vtmf, vout):
-                        contrib: dict[Any, int] = {}
-                        for sender in range(n):
-                            mask = deliver[sender]
-                            if not mask:
-                                continue
-                            for value, lanes in component[sender].items():
-                                hit = lanes & mask
-                                if hit:
-                                    contrib[value] = contrib.get(value, 0) | hit
-                        for value, lanes in component[receiver].items():
-                            hit = lanes & update  # a process hears itself
-                            if hit:
-                                contrib[value] = contrib.get(value, 0) | hit
-                        new_component: dict[Any, int] = {}
-                        keep = full & ~update
-                        for value, lanes in component[receiver].items():
-                            kept = lanes & keep
-                            if kept:
-                                new_component[value] = kept
-                        remaining = update
-                        for value in sorted(contrib, reverse=True):
-                            hit = contrib[value] & remaining
-                            if hit:
-                                new_component[value] = (
-                                    new_component.get(value, 0) | hit
-                                )
-                                remaining &= ~hit
-                        merged.append(new_component)
-
-                    new_vcond, new_vtmf, new_vout = merged
-                    if round_number == self._last:
-                        deadline = update
-                    elif round_number == self._cr:
-                        tmf_any = 0
-                        out_any = 0
-                        for value, lanes in new_vtmf.items():
-                            tmf_any |= lanes
-                        for value, lanes in new_vout.items():
-                            out_any |= lanes
-                        deadline = update & tmf_any & ~out_any
-                    if deadline:
-                        remaining = deadline
-                        for new_component in merged:
-                            if not remaining:
-                                break
-                            for value, lanes in new_component.items():
-                                hit = lanes & remaining
-                                if hit:
-                                    decisions[value] = decisions.get(value, 0) | hit
-                                    remaining &= ~hit
-                        if remaining:
-                            # All three components ⊥: the else-branch of
-                            # lines 18–22 decides v_out = ⊥.
-                            decisions[BOTTOM] = decisions.get(BOTTOM, 0) | remaining
-                decided = line14 | deadline
+                senders = heard_by_all
+                if cuts:
+                    # A crashing sender reaches only its event's receivers;
+                    # where it still sends at all, the cut is the same in
+                    # every lane.
+                    for pid, reached in cuts.items():
+                        if receiver not in reached and messages[pid] is not None:
+                            if senders is heard_by_all:
+                                senders = messages[:]
+                            senders[pid] = None
+                    if senders is not heard_by_all:
+                        senders = tuple(senders)
+                key = (round_number, recv, state[receiver], senders)
+                step = transitions.get(key)
+                if step is None:
+                    step = transitions[key] = self._transition(*key)
+                transition_id, decided, successors[receiver] = step
                 if decided:
-                    self._record_decisions(
-                        decided_value[receiver],
-                        decided_round[receiver],
-                        decisions,
-                        round_number,
-                        decided,
-                    )
                     halted[receiver] |= decided
-                if merged is not None:
-                    staged.append((receiver, merged))
-            for receiver, merged in staged:
-                vcond[receiver], vtmf[receiver], vout[receiver] = merged
+                    deciders[receiver] += (transition_id,)
+            state = successors
+        return crashed, deciders
 
-        self._watchdog(crashed, halted)
-        return crashed, decided_value, decided_round
+    def _transition(
+        self,
+        round_number: int,
+        recv: int,
+        own: int,
+        senders: tuple[tuple[int, int] | None, ...],
+    ) -> tuple[int, int, int]:
+        """A transition-cache miss: run the mode's transition on the states."""
+        states = self._states
+        messages = [
+            None if sender is None else (states[sender[0]], sender[1])
+            for sender in senders
+        ]
+        step = self._condition_step if self._mode == "condition" else self._early_step
+        decisions, decided, successor = step(round_number, recv, states[own], messages)
+        transition_id = len(self._decisions)
+        self._decisions.append((round_number, decisions, decided))
+        return transition_id, decided, states.intern(successor)
 
-    def _round1_states(
-        self, heard: frozenset[int]
-    ) -> tuple[dict[Any, int], dict[Any, int], dict[Any, int]]:
-        cached = self._round1_memo.get(heard)
-        if cached is None:
-            cached = self._round1_memo[heard] = self._classify_round1(heard)
-        return cached
+    def _overrun(self, leftover: int) -> SimulationError:
+        return SimulationError(
+            f"{self._engine.algorithm.name} exceeded its round bound "
+            f"({self._last} rounds) with processes still running in "
+            f"{leftover.bit_count()} packed lane(s)"
+        )
+
+    # ------------------------------------------------------------------
+    # Condition-based k-set agreement (Figure 2)
+    # ------------------------------------------------------------------
+    def _condition_step(self, round_number: int, recv: int, own: tuple, messages: list):
+        """One receiver's round; the state is ``(v_cond, v_tmf, v_out)`` tables."""
+        if round_number == 1:
+            # Round 1 floods proposals, and nobody has crashed or halted yet:
+            # the receiver's view shape is the set of senders it heard.
+            heard = [pid for pid, message in enumerate(messages) if message is not None]
+            return {}, 0, tuple(_freeze(table) for table in self._classify_round1(heard))
+
+        full = self._full
+        # Line 14: a state sent with a non-⊥ v_cond decides it before reading
+        # anything (the state itself stays unchanged).
+        line14 = recv & _union(own[0])
+        decisions: dict[Any, int] = {}
+        if line14:
+            _merge_into(decisions, own[0], line14)
+        update = recv & ~line14
+        if not update:
+            return decisions, line14, own
+
+        deliver = [0 if message is None else message[1] & update for message in messages]
+        keep = full & ~update
+        merged = []
+        for index, own_table in enumerate(own):
+            contrib: dict[Any, int] = {}
+            for message, mask in zip(messages, deliver):
+                if mask:
+                    _merge_into(contrib, message[0][index], mask)
+            _merge_into(contrib, own_table, update)  # a process hears itself
+            table: dict[Any, int] = {}
+            _merge_into(table, own_table, keep)
+            remaining = update
+            for value in sorted(contrib, reverse=True):
+                hit = contrib[value] & remaining
+                if hit:
+                    table[value] = table.get(value, 0) | hit
+                    remaining &= ~hit
+            merged.append(table)
+
+        deadline = 0
+        if round_number == self._last:
+            deadline = update
+        elif round_number == self._cr:
+            deadline = update & _union(merged[1].items()) & ~_union(merged[2].items())
+        if deadline:
+            remaining = deadline
+            for table in merged:
+                if not remaining:
+                    break
+                for value, lanes in table.items():
+                    hit = lanes & remaining
+                    if hit:
+                        decisions[value] = decisions.get(value, 0) | hit
+                        remaining &= ~hit
+            if remaining:
+                # All three components ⊥: the else-branch of lines 18–22
+                # decides v_out = ⊥.
+                decisions[BOTTOM] = decisions.get(BOTTOM, 0) | remaining
+        return decisions, line14 | deadline, tuple(_freeze(table) for table in merged)
 
     def _classify_round1(
-        self, heard: frozenset[int]
+        self, positions: list[int]
     ) -> tuple[dict[Any, int], dict[Any, int], dict[Any, int]]:
-        """Classify every lane's round-1 view with positions *heard* (lines 5–9)."""
+        """Classify every lane's round-1 view with *positions* heard (lines 5–9)."""
         block, full, n = self._block, self._full, self._n
-        positions = sorted(heard)
         bottoms = n - len(positions)
         if bottoms > self._x:
             # Too many failures to tell: v_tmf <- max(V_i).
@@ -420,151 +464,96 @@ class BatchSyncEvaluator:
     # ------------------------------------------------------------------
     # Early-deciding FloodMin (Section 8)
     # ------------------------------------------------------------------
-    def _simulate_early(self, schedule: "CrashSchedule"):
-        n, full = self._n, self._full
-        block, k = self._block, self._k
-        crashed = [0] * n
-        halted = [0] * n
-        estimate: list[dict[int, int]] = []
-        for pid in range(n):
-            column = block.cols[pid]
-            estimate.append(
-                {
-                    value: column[value - 1]
-                    for value in range(1, block.m + 1)
-                    if column[value - 1]
-                }
-            )
-        early = [0] * n
-        previous_heard: list[dict[int, int]] = [{n: full} for _ in range(n)]
-        decided_value: list[dict[Any, int]] = [{} for _ in range(n)]
-        decided_round: list[dict[int, int]] = [{} for _ in range(n)]
+    def _early_initial(self, pid: int) -> tuple:
+        """``(estimate, early, previous heard)``: the proposal column, no flag,
+        and every process presumed alive before round 1."""
+        column = self._block.cols[pid]
+        estimate = tuple(
+            (value, column[value - 1])
+            for value in range(1, self._block.m + 1)
+            if column[value - 1]
+        )
+        return estimate, 0, ((self._n, self._full),)
 
-        round_number = 0
-        while round_number < self._last:
-            send = [full & ~(crashed[pid] | halted[pid]) for pid in range(n)]
-            active = 0
-            for mask in send:
-                active |= mask
-            if not active:
-                break
-            round_number += 1
-            events = {
-                event.process_id: event
-                for event in schedule.crashes_in_round(round_number)
-            }
-            for pid in events:
-                crashed[pid] |= active & ~crashed[pid]
+    def _early_step(self, round_number: int, recv: int, own: tuple, messages: list):
+        """One receiver's round; the state is ``(estimate, early, previous heard)``."""
+        estimate, early, previous_heard = own
+        # A flag raised before this round's send decides the (pre-reduce)
+        # estimate immediately.
+        flagged = recv & early
+        decisions: dict[Any, int] = {}
+        if flagged:
+            _merge_into(decisions, estimate, flagged)
+        update = recv & ~flagged
+        if not update:
+            return decisions, flagged, own
 
-            staged = []
-            for receiver in range(n):
-                recv = send[receiver] & ~crashed[receiver]
-                if not recv:
-                    continue
-                # A flag raised before this round's send decides the (pre-
-                # reduce) estimate immediately.
-                flagged = recv & early[receiver]
-                decisions: dict[Any, int] = {}
-                if flagged:
-                    for value, lanes in estimate[receiver].items():
-                        hit = lanes & flagged
-                        if hit:
-                            decisions[value] = decisions.get(value, 0) | hit
-                update = recv & ~flagged
-                new_state = None
-                deadline = 0
-                if update:
-                    deliver = self._deliveries(events, send, receiver, update)
-                    inherited = 0
-                    contrib: dict[int, int] = {}
-                    for sender in range(n):
-                        mask = deliver[sender]
-                        if not mask:
-                            continue
-                        inherited |= early[sender] & mask
-                        for value, lanes in estimate[sender].items():
-                            hit = lanes & mask
-                            if hit:
-                                contrib[value] = contrib.get(value, 0) | hit
-                    for value, lanes in estimate[receiver].items():
-                        hit = lanes & update  # min() includes the own estimate
-                        if hit:
-                            contrib[value] = contrib.get(value, 0) | hit
-                    new_estimate: dict[int, int] = {}
-                    keep = full & ~update
-                    for value, lanes in estimate[receiver].items():
-                        kept = lanes & keep
-                        if kept:
-                            new_estimate[value] = kept
-                    remaining = update
-                    for value in sorted(contrib):
-                        hit = contrib[value] & remaining
-                        if hit:
-                            new_estimate[value] = new_estimate.get(value, 0) | hit
-                            remaining &= ~hit
+        deliver = [0 if message is None else message[1] & update for message in messages]
+        inherited = 0
+        contrib: dict[Any, int] = {}
+        for message, mask in zip(messages, deliver):
+            if mask:
+                sender_estimate, sender_early, _ = message[0]
+                inherited |= sender_early & mask
+                _merge_into(contrib, sender_estimate, mask)
+        _merge_into(contrib, estimate, update)  # min() includes the own estimate
+        keep = self._full & ~update
+        new_estimate: dict[Any, int] = {}
+        _merge_into(new_estimate, estimate, keep)
+        remaining = update
+        for value in sorted(contrib):
+            hit = contrib[value] & remaining
+            if hit:
+                new_estimate[value] = new_estimate.get(value, 0) | hit
+                remaining &= ~hit
 
-                    # heard = len(messages): how many senders delivered.
-                    heard = exact_counts(deliver, update)
-                    few_new = 0
-                    for prior, prior_lanes in previous_heard[receiver].items():
-                        gated = prior_lanes & update
-                        if not gated:
-                            continue
-                        for count, count_lanes in enumerate(heard):
-                            if prior - count < k:
-                                few_new |= gated & count_lanes
-                    raised = (inherited | few_new) & update
-                    new_early = early[receiver] | raised
-                    new_previous: dict[int, int] = {}
-                    for prior, prior_lanes in previous_heard[receiver].items():
-                        kept = prior_lanes & keep
-                        if kept:
-                            new_previous[prior] = new_previous.get(prior, 0) | kept
-                    for count, count_lanes in enumerate(heard):
-                        if count_lanes:
-                            new_previous[count] = (
-                                new_previous.get(count, 0) | count_lanes
-                            )
-                    if round_number == self._last:
-                        deadline = update
-                        for value, lanes in new_estimate.items():
-                            hit = lanes & deadline
-                            if hit:
-                                decisions[value] = decisions.get(value, 0) | hit
-                    new_state = (new_estimate, new_early, new_previous)
-                decided = flagged | deadline
-                if decided:
-                    self._record_decisions(
-                        decided_value[receiver],
-                        decided_round[receiver],
-                        decisions,
-                        round_number,
-                        decided,
-                    )
-                    halted[receiver] |= decided
-                if new_state is not None:
-                    staged.append((receiver, new_state))
-            for receiver, (new_estimate, new_early, new_previous) in staged:
-                estimate[receiver] = new_estimate
-                early[receiver] = new_early
-                previous_heard[receiver] = new_previous
+        # heard = len(messages): how many senders delivered.
+        heard = exact_counts(deliver, update)
+        few_new = 0
+        for prior, prior_lanes in previous_heard:
+            gated = prior_lanes & update
+            if not gated:
+                continue
+            for count, count_lanes in enumerate(heard):
+                if prior - count < self._k:
+                    few_new |= gated & count_lanes
+        raised = (inherited | few_new) & update
+        new_previous: dict[int, int] = {}
+        _merge_into(new_previous, previous_heard, keep)
+        _merge_into(new_previous, enumerate(heard), update)
 
-        self._watchdog(crashed, halted)
-        return crashed, decided_value, decided_round
+        deadline = 0
+        if round_number == self._last:
+            deadline = update
+            _merge_into(decisions, new_estimate.items(), deadline)
+        successor = (_freeze(new_estimate), early | raised, _freeze(new_previous))
+        return decisions, flagged | deadline, successor
 
     # ------------------------------------------------------------------
     # Oracle masks
     # ------------------------------------------------------------------
     def _oracle_masks(
         self,
-        schedule: "CrashSchedule",
-        outcome: tuple[list[int], list[dict[Any, int]], list[dict[int, int]]],
-    ) -> list[tuple[int, int]]:
-        crashed, decided_value, decided_round = outcome
+        crashed: tuple[int, ...],
+        deciders: tuple[tuple[int, ...], ...],
+        round_one_crashes: int,
+        initial_crashes: int,
+    ) -> tuple[tuple[int, int], ...]:
         n, full = self._n, self._full
         context = self._context
         in_mask = self._in_mask
         correct = [full & ~crashed[pid] for pid in range(n)]
+        decided_value: list[dict[Any, int]] = []
+        decided_round: list[dict[int, int]] = []
+        for transition_ids in deciders:
+            values: dict[Any, int] = {}
+            rounds: dict[int, int] = {}
+            for transition_id in transition_ids:
+                round_number, decisions, decided = self._decisions[transition_id]
+                _merge_into(values, decisions.items(), full)
+                rounds[round_number] = rounds.get(round_number, 0) | decided
+            decided_value.append(values)
+            decided_round.append(rounds)
 
         late_cache: dict[int, int] = {}
 
@@ -595,8 +584,7 @@ class BatchSyncEvaluator:
             elif name == "agreement":
                 distinct: dict[Any, int] = {}
                 for pid in range(n):
-                    for value, lanes in decided_value[pid].items():
-                        distinct[value] = distinct.get(value, 0) | lanes
+                    _merge_into(distinct, decided_value[pid].items(), full)
                 violations = count_exceeds(
                     list(distinct.values()), context.degree, full
                 )
@@ -604,7 +592,7 @@ class BatchSyncEvaluator:
             elif name == "termination":
                 violations = 0
                 for pid in range(n):
-                    decided_any = _any_mask(decided_value[pid])
+                    decided_any = _union(decided_value[pid].items())
                     violations |= correct[pid] & ~decided_any
                 masks.append((full, violations & full))
             elif name == "round-bound-in-condition":
@@ -612,10 +600,7 @@ class BatchSyncEvaluator:
                 violations = 0
                 if applies:
                     bound = context.in_bound
-                    if (
-                        context.theorem10
-                        and schedule.round_one_crash_count() <= context.spec.x
-                    ):
+                    if context.theorem10 and round_one_crashes <= context.spec.x:
                         bound = min(bound, 2)
                     violations = applies & late(bound)
                 masks.append((applies, violations))
@@ -627,7 +612,7 @@ class BatchSyncEvaluator:
                     if (
                         context.theorem10
                         and in_mask is not None
-                        and schedule.initial_crash_count() > context.spec.x
+                        and initial_crashes > context.spec.x
                     ):
                         bound = min(bound, context.in_bound)
                     violations = applies & late(bound)
@@ -644,4 +629,4 @@ class BatchSyncEvaluator:
                     masks.append((full, violations))
             else:  # pragma: no cover - build() refuses unknown oracles
                 raise SimulationError(f"no batch translation for oracle {name!r}")
-        return masks
+        return tuple(masks)

@@ -582,6 +582,26 @@ class TestEnvelopeFields:
         assert "PackedBlock" in findings[0].message
         assert "vectorized" in findings[0].message
 
+    def test_fires_on_interned_lane_states_envelope_field(self, tmp_path):
+        report = lint_snippet(
+            tmp_path,
+            """
+            from dataclasses import dataclass
+
+            from repro.vec import LaneStates
+
+            @dataclass(frozen=True)
+            class CheckShard:
+                start: int
+                states: tuple[LaneStates, ...]
+            """,
+            "envelope-fields",
+        )
+        findings = fired(report, "envelope-fields")
+        assert len(findings) == 1
+        assert "LaneStates" in findings[0].message
+        assert "vectorized" in findings[0].message
+
     def test_clean_on_vectorized_flag_envelope(self, tmp_path):
         report = lint_snippet(
             tmp_path,

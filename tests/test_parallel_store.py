@@ -346,6 +346,45 @@ class TestResultStore:
         assert len(store) == 0
 
 
+class TestTornTrailingRecord:
+    """A writer killed mid-record leaves a torn last line: reads skip it, and
+    the next append starts on a fresh line instead of extending the fragment."""
+
+    def test_truncation_at_every_offset_of_the_last_record(self, tmp_path):
+        results = Engine(SPEC, "condition-kset").run_batch(_vectors(3))
+        path = tmp_path / "runs.jsonl"
+        with ResultStore(path) as store:
+            store.extend(results)
+        data = path.read_bytes()
+        last_start = data.rindex(b"\n", 0, len(data) - 1) + 1
+        for cut in range(last_start, len(data)):
+            path.write_bytes(data[:cut])
+            # Only the cut that drops nothing but the newline keeps the record.
+            kept = results if cut == len(data) - 1 else results[:2]
+            store = ResultStore(path)
+            assert store.resume_index() == len(kept), cut
+            assert _records(store.load_results()) == _records(kept), cut
+            store.append(results[0])
+            store.close()
+            assert path.read_bytes().endswith(b"\n")
+            reread = ResultStore(path).load_results()
+            assert _records(reread) == _records([*kept, results[0]]), cut
+
+    def test_interior_corruption_still_raises(self, tmp_path):
+        results = Engine(SPEC, "condition-kset").run_batch(_vectors(2))
+        path = tmp_path / "runs.jsonl"
+        with ResultStore(path) as store:
+            store.extend(results)
+        first, second = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(first[: len(first) // 2] + b"\n" + second)
+        with pytest.raises(StoreError, match=":1: malformed JSON"):
+            ResultStore(path).resume_index()
+        # A torn line that kept its newline is corruption too, even when last.
+        path.write_bytes(first + second[: len(second) // 2] + b"\n")
+        with pytest.raises(StoreError, match=":2: malformed JSON"):
+            ResultStore(path).resume_index()
+
+
 class TestResultStoreConcurrency:
     """Regression: concurrent appends must never interleave or drop lines.
 

@@ -14,12 +14,15 @@ exhaustive check and nothing else:
   :class:`~repro.check.CheckReport` records, serial and sharded, for both
   supported algorithms — including when violations exist (bounds tightened
   by monkeypatching so the correct algorithms actually fail), where the
-  counterexample order and truncation must match exactly.
+  counterexample order and truncation must match exactly; and on random
+  contiguous slices of the schedule stream of drawn specs (Hypothesis),
+  which start the evaluator's caches mid-stream as a pool shard does.
 
 The guard tests pin the refusal surface: anything the batch model cannot
 mirror faithfully (mutant subclasses, trace recording, foreign oracles)
 falls back to the scalar path, and ``vectorized=False`` is rejected on
-backends that have no batch evaluator to disable.
+backends that have no batch evaluator to disable.  The cache tests pin
+that the round driver's caches stay small and belong to one evaluator.
 """
 
 from __future__ import annotations
@@ -27,14 +30,14 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from strategies import vector_batches, vectors
 
 from repro.algorithms.early_deciding_kset import EarlyDecidingKSetAgreement
 from repro.api import AgreementSpec, Engine, RunConfig
-from repro.check import MUTANT_HASTY_FLOODMIN, register_mutants
+from repro.check import MUTANT_HASTY_FLOODMIN, check_slice, register_mutants
 from repro.check.frontier import input_frontier, packed_frontier
 from repro.check.oracles import CheckContext, default_oracle_names
 from repro.core.conditions import ExplicitCondition, MaxLegalCondition
@@ -46,7 +49,8 @@ from repro.core.families import (
 )
 from repro.core.values import BOTTOM
 from repro.core.vectors import InputVector, View
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, ReproError
+from repro.sync.adversary import count_schedules, enumerate_schedules
 from repro.vec import BatchSyncEvaluator, PackedBlock
 
 #: The complete two-fault cell: 2,731 schedules × 16 vectors (domain 2 is
@@ -227,6 +231,88 @@ class TestViolationParity:
 
 
 # ----------------------------------------------------------------------
+# Checker: parity on random slices of the schedule stream
+# ----------------------------------------------------------------------
+#: Condition families whose default parameters fit every drawn spec.
+_FAMILIES = ("max-legal", "min-legal", "frequency-gap", "hamming-ball", "all-vectors")
+
+
+@st.composite
+def _schedule_slices(draw):
+    """A valid spec, a packed algorithm and a contiguous schedule slice.
+
+    The evaluator's caches carry lane states and oracle masks from one
+    schedule to the next, so a slice that starts mid-stream (as every pool
+    shard but the first does) must still agree with the scalar loop.
+    ``stop=None`` marks a slice that runs to the end of the stream.
+    """
+    algorithm = draw(st.sampled_from(["condition-kset", "early-deciding"]))
+    condition = draw(st.sampled_from(_FAMILIES))
+    n = draw(st.integers(2, 5))
+    t = draw(st.integers(1, n - 1))
+    d = draw(st.integers(0, t - 1))
+    k = draw(st.integers(1, t))
+    # The plurality recognizer of frequency-gap has degree 1.
+    ell = 1 if condition == "frequency-gap" else draw(st.integers(1, min(k, t - d)))
+    spec = AgreementSpec(
+        n=n, t=t, k=k, d=d, ell=ell, domain=draw(st.integers(2, 3)), condition=condition
+    )
+    rounds = spec.outside_condition_bound()
+    count = count_schedules(n, t, rounds)
+    start = draw(st.integers(0, min(count - 1, 3000)))
+    stop = start + draw(st.integers(1, 150))
+    return algorithm, spec, rounds, start, None if stop >= count else stop
+
+
+def _slice_records(engine, rounds, start, stop, vectors, vectorized):
+    """``check_slice``'s outcome as records, or the error it raised (a
+    condition with default parameters may fail to decode some view)."""
+    try:
+        enumerated, executions, tallies, counterexamples = check_slice(
+            engine, rounds, start, stop, vectors, default_oracle_names(), 4,
+            vectorized=vectorized,
+        )
+    except ReproError as error:
+        return repr(error)
+    return (
+        enumerated,
+        executions,
+        [tally.to_record() for tally in tallies],
+        [counterexample.to_record() for counterexample in counterexamples],
+    )
+
+
+@given(_schedule_slices())
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_random_schedule_slices_match_reference(case):
+    algorithm, spec, rounds, start, stop = case
+    engine = Engine(spec, algorithm)
+    vectors = input_frontier(spec, engine.condition)
+    assert _build(engine) is not None  # the packed path really runs
+    arguments = (engine, rounds, start, stop, vectors)
+    assert _slice_records(*arguments, True) == _slice_records(*arguments, False)
+
+    # Tightened bounds make violations, so the decode-back path runs too.
+    original = EarlyDecidingKSetAgreement.early_bound
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(AgreementSpec, "in_condition_bound", lambda self: 1)
+        patch.setattr(
+            EarlyDecidingKSetAgreement,
+            "early_bound",
+            lambda self, failures: max(1, original(self, failures) - 1),
+        )
+        tightened = _slice_records(*arguments, True)
+        assert tightened == _slice_records(*arguments, False)
+    in_condition = algorithm == "condition-kset" and any(
+        map(engine.condition.contains, vectors)
+    )
+    if in_condition and not isinstance(tightened, str):
+        # The tightened bound applies to every in-condition execution, and
+        # Figure 2 decides no earlier than round 2.
+        assert tightened[3], "the tightened bound produced no counterexample"
+
+
+# ----------------------------------------------------------------------
 # Guards: the refusal surface of the batch evaluator
 # ----------------------------------------------------------------------
 def _build(engine, vectors_override=None, oracles_override=None):
@@ -271,6 +357,36 @@ class TestBatchGuards:
         engine = Engine(small_spec(), "condition-kset")
         with pytest.raises(InvalidParameterError):
             engine.check(backend="async", vectorized=False)
+
+
+class TestRoundCaches:
+    """The round driver's caches: few entries, all hits on a second pass,
+    and nothing shared between evaluators."""
+
+    @pytest.mark.parametrize(
+        "algorithm, sizes",
+        [("condition-kset", (40, 120, 407)), ("early-deciding", (26, 137, 407))],
+    )
+    def test_full_space_reaches_few_states(self, algorithm, sizes):
+        engine = Engine(N4T2, algorithm)
+        evaluator = _build(engine)
+        schedules = list(enumerate_schedules(4, 2, N4T2.outside_condition_bound()))
+        masks = [evaluator.check_schedule(schedule) for schedule in schedules]
+
+        def cache_sizes(evaluator):
+            return (
+                len(evaluator._states),
+                len(evaluator._transitions),
+                len(evaluator._oracle_cache),
+            )
+
+        # 2,731 schedules: equal lane states share one id, so the caches
+        # hold a few hundred entries.
+        assert cache_sizes(evaluator) == sizes
+        assert [evaluator.check_schedule(schedule) for schedule in schedules] == masks
+        assert cache_sizes(evaluator) == sizes
+        fresh = _build(engine)
+        assert cache_sizes(fresh)[1:] == (0, 0)
 
 
 class TestCliFlag:
