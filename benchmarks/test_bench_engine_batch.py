@@ -19,9 +19,9 @@ backend/caching PRs.
 from __future__ import annotations
 
 import os
-import time
 
 import snapshot
+from timing import best_of_alternating
 from repro.api import AgreementSpec, Engine
 from repro.algorithms import ConditionBasedKSetAgreement
 from repro.core import MaxLegalCondition
@@ -74,21 +74,12 @@ def _engine_batch(paired):
     return [(r.decisions, r.duration, r.in_condition) for r in results]
 
 
-def _best_of(function, argument, rounds=TIMING_ROUNDS):
-    best = float("inf")
-    value = None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        value = function(argument)
-        best = min(best, time.perf_counter() - start)
-    return best, value
-
-
 def test_engine_batch_beats_naive_loop(capsys):
     paired = _workload()
 
-    naive_seconds, naive_outcomes = _best_of(_naive_loop, paired)
-    batch_seconds, batch_outcomes = _best_of(_engine_batch, paired)
+    (naive_seconds, naive_outcomes), (batch_seconds, batch_outcomes) = best_of_alternating(
+        (lambda: _naive_loop(paired), lambda: _engine_batch(paired)), TIMING_ROUNDS
+    )
 
     # Same decisions, same durations, same membership annotations.
     assert batch_outcomes == naive_outcomes

@@ -13,7 +13,7 @@ Two properties are asserted:
 
 * **parity** — the parallel report is byte-identical to the serial one
   (``to_record()`` compares equal), the correctness contract of
-  :func:`repro.parallel.execute_net_check`;
+  :func:`repro.parallel.execute_check`;
 * **throughput** — on a machine with at least 4 usable cores, 4 workers must
   reach at least 2× the serial checked-executions/second.  On smaller
   machines the speed-up assertion is skipped, exactly like the other
@@ -66,8 +66,9 @@ def test_net_check_parallel_matches_and_beats_serial(capsys):
     )
     assert serial_report.passed
     # The enumerated fault space must match its closed form.
-    assert serial_report.fault_count == count_faults(
-        ADVERSARY, SPEC.n, serial_report.rounds, serial_report.max_faults
+    space = serial_report.space
+    assert serial_report.adversary_count == count_faults(
+        ADVERSARY, SPEC.n, space.rounds, space.max_faults
     )
 
     executions = serial_report.executions
@@ -75,7 +76,7 @@ def test_net_check_parallel_matches_and_beats_serial(capsys):
     speedup = serial_seconds / parallel_seconds
     with capsys.disabled():
         print(
-            f"\n[net-check] {serial_report.fault_count} {ADVERSARY} faults x "
+            f"\n[net-check] {serial_report.adversary_count} {ADVERSARY} faults x "
             f"{serial_report.vector_count} vectors = {executions} executions: "
             f"serial {executions / serial_seconds:,.0f} exec/s, {WORKERS} workers "
             f"{executions / parallel_seconds:,.0f} exec/s, speed-up ×{speedup:.2f} "
@@ -85,7 +86,7 @@ def test_net_check_parallel_matches_and_beats_serial(capsys):
         "net_check",
         {
             "adversary": ADVERSARY,
-            "faults": serial_report.fault_count,
+            "faults": serial_report.adversary_count,
             "executions": executions,
             "serial_exec_per_s": round(executions / serial_seconds, 1),
             "parallel_exec_per_s": round(executions / parallel_seconds, 1),

@@ -27,6 +27,7 @@ import time
 import pytest
 
 import snapshot
+from timing import best_of_alternating
 from repro.api import AgreementSpec, RunConfig
 from repro.serve import EngineCache, ReproServer, ServeClient
 from repro.workloads import vector_in_max_condition
@@ -43,16 +44,6 @@ def _vectors(count: int = BATCH):
         vector_in_max_condition(SPEC.n, SPEC.domain, SPEC.x, SPEC.ell, seed)
         for seed in range(count)
     ]
-
-
-def _best_of(runner, rounds: int = TIMING_ROUNDS):
-    best = float("inf")
-    value = None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        value = runner()
-        best = min(best, time.perf_counter() - start)
-    return best, value
 
 
 @pytest.mark.bench
@@ -81,8 +72,9 @@ def test_warm_cache_beats_cold_start(capsys):
             )
 
     warm()  # prime: first call populates the memo and builds the substrate
-    cold_seconds, cold_results = _best_of(cold)
-    warm_seconds, warm_results = _best_of(warm)
+    (cold_seconds, cold_results), (warm_seconds, warm_results) = best_of_alternating(
+        (cold, warm), TIMING_ROUNDS
+    )
 
     # Warm serving changes wall-clock only, never a result byte.
     assert [r.fingerprint for r in warm_results] == [

@@ -62,11 +62,12 @@ def main() -> None:
     report = Engine(tiny, "floodmin").check(
         backend="net", adversary="send-omission"
     )
-    expected = count_faults("send-omission", tiny.n, report.rounds, report.max_faults)
+    space = report.space
+    expected = count_faults("send-omission", tiny.n, space.rounds, space.max_faults)
     print("--- exhaustive send-omission check ---")
     print(report.render())
     assert report.passed, "FloodMin must survive every send-omission fault"
-    assert report.fault_count == expected, "enumeration drifted from closed form"
+    assert report.adversary_count == expected, "enumeration drifted from closed form"
 
 
 if __name__ == "__main__":

@@ -800,8 +800,9 @@ def experiment_exhaustive_check() -> ExperimentOutput:
         # Cross-validate the closed form against the generator directly on
         # the smaller spaces (run_check already asserts it internally).
         if report.schedule_count <= 500:
-            generated = sum(1 for _ in enumerate_schedules(n, t, report.rounds))
-            counts_match &= generated == count_schedules(n, t, report.rounds)
+            rounds = report.space.rounds
+            generated = sum(1 for _ in enumerate_schedules(n, t, rounds))
+            counts_match &= generated == count_schedules(n, t, rounds)
         oracle_families_checked.update(
             tally.oracle for tally in report.tallies if tally.checked > 0
         )
@@ -919,7 +920,7 @@ def experiment_async_adversaries(seed: int = 37) -> ExperimentOutput:
     output.rows.append(
         {
             "adversary": "enumerated",
-            "crashes": f"<= {report.max_crashes}",
+            "crashes": f"<= {report.space.max_crashes}",
             "f": "-",
             "terminated": "-",
             "steps": report.executions,
@@ -934,7 +935,9 @@ def experiment_async_adversaries(seed: int = 37) -> ExperimentOutput:
         (
             "the enumerated adversary count matches the closed form",
             report.adversary_count
-            == count_async_adversaries(check_spec.n, report.depth, report.max_crashes),
+            == count_async_adversaries(
+                check_spec.n, report.space.depth, report.space.max_crashes
+            ),
         )
     )
     return output
@@ -1021,8 +1024,8 @@ def experiment_net_failure_models(seed: int = 41) -> ExperimentOutput:
     output.rows.append(
         {
             "family": "enumerated send-omission",
-            "faults": f"<= {report.max_faults}",
-            "rounds": report.rounds,
+            "faults": f"<= {report.space.max_faults}",
+            "rounds": report.space.rounds,
             "last decision": "-",
             "distinct decisions": "-",
             "terminated": "-",
@@ -1035,9 +1038,12 @@ def experiment_net_failure_models(seed: int = 41) -> ExperimentOutput:
     output.checks.append(
         (
             "the enumerated fault count matches the closed form",
-            report.fault_count
+            report.adversary_count
             == count_faults(
-                "send-omission", check_spec.n, report.rounds, report.max_faults
+                "send-omission",
+                check_spec.n,
+                report.space.rounds,
+                report.space.max_faults,
             ),
         )
     )

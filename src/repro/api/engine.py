@@ -766,50 +766,54 @@ class Engine:
     ):
         """Verify the bound algorithm over **every** adversary of its model.
 
-        Model checking, not sampling — on all three backends:
+        Model checking, not sampling — one checker
+        (:func:`repro.check.run_check`) over the adversary space of each of
+        the three backends:
 
-        * ``backend="sync"`` (the default): the complete Section 6.2 schedule
-          space for ``(spec.n, spec.t)`` with crash rounds in ``[1, rounds]``
-          (default: the unconditional deadline ``⌊t/k⌋ + 1`` — later crashes
-          are unobservable) is enumerated through
-          :func:`repro.sync.adversary.enumerate_schedules`, cross-validated
-          against the closed-form count on every run.  Returns a
-          :class:`repro.check.CheckReport`.
-        * ``backend="async"``: the bounded-interleaving space — every
-          scheduling prefix of ``{0..n-1}^depth`` (default ``depth = n``),
-          crossed with every crash assignment of at most *max_crashes*
-          processes (default ``spec.x``) to crash points in ``[0, depth]``
-          — is enumerated through
-          :func:`repro.asynchronous.enumerate_interleavings`,
-          cross-validated against its closed form, and evaluated by the
+        * ``backend="sync"`` (the default, :class:`repro.check.SyncSpace`):
+          the complete Section 6.2 schedule space for ``(spec.n, spec.t)``
+          with crash rounds in ``[1, rounds]`` (default: the unconditional
+          deadline ``⌊t/k⌋ + 1`` — later crashes are unobservable),
+          enumerated through :func:`repro.sync.adversary.enumerate_schedules`
+          and evaluated by the round-bound oracles of
+          :mod:`repro.check.oracles`.
+        * ``backend="async"`` (:class:`repro.check.AsyncSpace`): the
+          bounded-interleaving space — every scheduling prefix of
+          ``{0..n-1}^depth`` (default ``depth = n``), crossed with every
+          crash assignment of at most *max_crashes* processes (default
+          ``spec.x``) to crash points in ``[0, depth]`` — evaluated by the
           asynchronous oracles (validity, l-agreement, in-condition
-          termination within budget, the per-process step budget).  Returns
-          an :class:`repro.check.AsyncCheckReport`.
-        * ``backend="net"``: the complete fault space of one message-level
-          failure model — *adversary* names the family
-          (:data:`repro.net.NET_ADVERSARIES`; required) and *max_faults*
-          bounds the fault count (default ``spec.t``): every static omission
-          assignment of at most *max_faults* victims, or every set of at
-          most *max_faults* dropped / delayed / corrupted channels over
-          ``rounds`` rounds (default: the algorithm's round bound) — is
-          enumerated through :func:`repro.net.enumerate_faults`,
-          cross-validated against :func:`repro.net.count_faults`, and
-          evaluated by the applicability-gated net oracles (validity and
-          agreement claim nothing under ``byzantine-corrupt``; termination
-          always applies).  Returns a :class:`repro.check.NetCheckReport`.
+          termination within budget, the per-process step budget).
+        * ``backend="net"`` (:class:`repro.check.NetSpace`): the complete
+          fault space of one message-level failure model — *adversary*
+          names the family (:data:`repro.net.NET_ADVERSARIES`; default
+          ``send-omission``) and *max_faults* bounds the fault count
+          (default ``spec.t``): every static omission assignment of at most
+          *max_faults* victims, or every set of at most *max_faults*
+          dropped / delayed / corrupted channels over ``rounds`` rounds
+          (default: the algorithm's round bound) — enumerated through
+          :func:`repro.net.enumerate_faults` and evaluated by the
+          applicability-gated net oracles (validity and agreement claim
+          nothing under ``byzantine-corrupt``; termination always applies).
 
         *rounds* is sync/net-only; *depth* / *max_crashes* are async-only;
-        *adversary* / *max_faults* are net-only.
+        *adversary* / *max_faults* are net-only.  Every bound must be an
+        ``int`` (not a ``bool``), as must *max_counterexamples*,
+        *max_vectors* and *all_vectors_limit*.
 
-        Either way each adversary is executed against a deterministic input
-        frontier (*vectors* if given; otherwise all ``m^n`` vectors when
-        ``m^n <= all_vectors_limit``, else a structured frontier of at most
-        *max_vectors* boundary / just-outside / sampled vectors), the report
-        carries replayable counterexample records (at most
-        *max_counterexamples*; violations are always counted in full),
-        *workers* (default: the config's ``workers``) shards the adversary
-        space across the process pool with a **byte-identical** report, and
-        *store* persists the counterexamples as JSONL records.
+        Either way the space's closed form is cross-validated against its
+        generator on every run, each adversary is executed against a
+        deterministic input frontier (*vectors* if given; otherwise all
+        ``m^n`` vectors when ``m^n <= all_vectors_limit``, else a structured
+        frontier of at most *max_vectors* boundary / just-outside / sampled
+        vectors), *oracles* selects a subset of the space's oracle registry
+        (each at most once; default all), the returned
+        :class:`repro.check.CheckReport` carries replayable counterexample
+        records (at most *max_counterexamples*; violations are always
+        counted in full), *workers* (default: the config's ``workers``)
+        shards the adversary space across the process pool with a
+        **byte-identical** report, and *store* persists the counterexamples
+        as JSONL records.
 
         *vectorized* (sync-only, default ``True``) routes the execution
         through the packed batch evaluator of :mod:`repro.vec` whenever the
@@ -817,6 +821,8 @@ class Engine:
         to the reference object runtime otherwise; ``vectorized=False``
         forces the reference path.  Either way the report is byte-identical.
         """
+        from ..check import AsyncSpace, NetSpace, SyncSpace, run_check
+
         backend = backend or "sync"
         if backend not in ("sync", "async", "net"):
             raise BackendError(
@@ -832,57 +838,25 @@ class Engine:
                 "adversary and max_faults select the message-level fault "
                 f"space; the {backend} check does not take them"
             )
-        if backend == "net":
-            if depth is not None or max_crashes is not None:
-                raise InvalidParameterError(
-                    "depth and max_crashes bound the asynchronous interleaving "
-                    "space; the net check takes adversary=, max_faults= and rounds="
-                )
-            from ..check.net_checker import run_net_check
-
-            return run_net_check(
-                self,
-                adversary=adversary,
-                rounds=rounds,
-                max_faults=max_faults,
-                vectors=vectors,
-                oracles=oracles,
-                workers=workers,
-                store=store,
-                max_counterexamples=max_counterexamples,
-                max_vectors=max_vectors,
-                all_vectors_limit=all_vectors_limit,
-            )
-        if backend == "async":
-            if rounds is not None:
-                raise InvalidParameterError(
-                    "rounds bounds the synchronous schedule space; the "
-                    "asynchronous check takes depth= and max_crashes="
-                )
-            from ..check.async_checker import run_async_check
-
-            return run_async_check(
-                self,
-                depth=depth,
-                max_crashes=max_crashes,
-                vectors=vectors,
-                oracles=oracles,
-                workers=workers,
-                store=store,
-                max_counterexamples=max_counterexamples,
-                max_vectors=max_vectors,
-                all_vectors_limit=all_vectors_limit,
-            )
-        if depth is not None or max_crashes is not None:
+        if backend != "async" and (depth is not None or max_crashes is not None):
             raise InvalidParameterError(
                 "depth and max_crashes bound the asynchronous interleaving "
-                "space; the synchronous check takes rounds="
+                f"space; the {backend} check does not take them"
             )
-        from ..check.checker import run_check
-
+        if backend == "async" and rounds is not None:
+            raise InvalidParameterError(
+                "rounds bounds the synchronous schedule space; the "
+                "asynchronous check takes depth= and max_crashes="
+            )
+        if backend == "net":
+            space = NetSpace(adversary, rounds, max_faults)
+        elif backend == "async":
+            space = AsyncSpace(depth, max_crashes)
+        else:
+            space = SyncSpace(rounds)
         return run_check(
             self,
-            rounds=rounds,
+            space,
             vectors=vectors,
             oracles=oracles,
             workers=workers,

@@ -9,31 +9,41 @@ spot-checked.
 
 The pieces:
 
-* :func:`repro.sync.adversary.enumerate_schedules` /
-  :func:`~repro.sync.adversary.count_schedules` — the schedule space and its
-  closed-form size (cross-validated on every run);
-* :mod:`repro.check.oracles` — the property oracles (validity, agreement,
-  termination, the Theorem 10 round bounds in/out of the condition, the
-  Section 8 early-deciding bound), each with an applicability predicate;
+* :mod:`repro.check.checker` — the one checker: :func:`run_check` (the
+  engine behind :meth:`repro.api.Engine.check`, sharded over workers with
+  byte-identical reports), its :func:`check_slice` loop, the
+  :class:`CheckReport`, and :func:`differential_check` (two algorithms on
+  identical executions, decisions diffed);
+* three adversary spaces, one per backend, each a small frozen
+  :class:`CheckSpace` that supplies its closed-form count and point stream,
+  its oracles, and how one point executes:
+
+  - :class:`SyncSpace` — every crash schedule of the Section 6.2 model
+    (:func:`repro.sync.adversary.enumerate_schedules`), with a packed batch
+    hook through :mod:`repro.vec`;
+  - :class:`AsyncSpace` (:mod:`repro.check.async_checker`) — every bounded
+    interleaving prefix × every crash assignment of the shared-memory model;
+  - :class:`NetSpace` (:mod:`repro.check.net_checker`) — every fault
+    assignment of a net failure-model family (omission sets, lost-message
+    subsets, delay/corruption maps);
+* the property oracles, one :class:`PropertyOracle` type in three
+  registries: :mod:`repro.check.oracles` (validity, agreement, termination,
+  the Theorem 10 round bounds in/out of the condition, the Section 8
+  early-deciding bound), :mod:`repro.check.async_oracles` (validity,
+  ``l``-agreement, in-condition termination within budget, the per-process
+  step budget) and :mod:`repro.check.net_oracles` (applicability-gated, so
+  crash-only theorems are reported ``n/a`` under ``byzantine-corrupt``);
 * :mod:`repro.check.frontier` — the deterministic input frontier: all
   vectors when the domain is tiny, boundary / just-outside / sampled
   vectors otherwise;
-* :mod:`repro.check.checker` — :func:`run_check` (the engine behind
-  :meth:`repro.api.Engine.check`, sharded over workers with byte-identical
-  reports) and :func:`differential_check` (two algorithms on identical
-  executions, decisions diffed);
 * :mod:`repro.check.mutants` — deliberately broken algorithms proving the
-  checker can fail;
-* :mod:`repro.check.async_checker` / :mod:`repro.check.async_oracles` — the
-  asynchronous counterpart: every bounded interleaving prefix × every crash
-  assignment of the shared-memory model (closed form cross-validated),
-  evaluated by the Section 4 property oracles (validity, ``l``-agreement,
-  in-condition termination within budget, the per-process step budget);
-* :mod:`repro.check.net_checker` / :mod:`repro.check.net_oracles` — the
-  message-passing counterpart: every fault assignment of a net failure-model
-  family (omission sets, lost-message subsets, delay/corruption maps — closed
-  forms cross-validated), evaluated by applicability-gated oracles so
-  crash-only theorems are reported ``n/a`` under ``byzantine-corrupt``.
+  checker can fail.
+
+Every space's closed form is cross-validated against its generator on every
+run, and every counterexample — :class:`Counterexample`,
+:class:`AsyncCounterexample` or :class:`NetCounterexample` — replays through
+a fresh engine and reloads from a store with
+:meth:`repro.store.ResultStore.load_counterexamples`.
 
 Entry points::
 
@@ -52,12 +62,10 @@ Entry points::
 """
 
 from .async_checker import (
-    AsyncCheckReport,
     AsyncCounterexample,
-    check_async_slice,
+    AsyncSpace,
     count_async_adversaries,
     enumerate_async_adversaries,
-    run_async_check,
 )
 from .async_oracles import (
     ASYNC_ORACLES,
@@ -66,10 +74,12 @@ from .async_oracles import (
 )
 from .checker import (
     CheckReport,
+    CheckSpace,
     Counterexample,
     DecisionDiff,
     DifferentialReport,
     OracleTally,
+    SyncSpace,
     check_slice,
     differential_check,
     run_check,
@@ -86,22 +96,18 @@ from .mutants import (
     SilentFloodMin,
     register_mutants,
 )
-from .net_checker import (
-    NetCheckReport,
-    NetCounterexample,
-    check_net_slice,
-    run_net_check,
-)
+from .net_checker import NetCounterexample, NetSpace
 from .net_oracles import NET_ORACLES, NetCheckContext, default_net_oracle_names
 from .oracles import ORACLES, CheckContext, PropertyOracle, default_oracle_names
 
 __all__ = [
     "ASYNC_ORACLES",
     "AsyncCheckContext",
-    "AsyncCheckReport",
     "AsyncCounterexample",
+    "AsyncSpace",
     "CheckContext",
     "CheckReport",
+    "CheckSpace",
     "Counterexample",
     "DecisionDiff",
     "DifferentialReport",
@@ -114,14 +120,13 @@ __all__ = [
     "MUTANT_SILENT_FLOODMIN",
     "NET_ORACLES",
     "NetCheckContext",
-    "NetCheckReport",
     "NetCounterexample",
+    "NetSpace",
     "ORACLES",
     "OracleTally",
     "PropertyOracle",
     "SilentFloodMin",
-    "check_async_slice",
-    "check_net_slice",
+    "SyncSpace",
     "check_slice",
     "count_async_adversaries",
     "default_async_oracle_names",
@@ -132,7 +137,5 @@ __all__ = [
     "input_frontier",
     "packed_frontier",
     "register_mutants",
-    "run_async_check",
     "run_check",
-    "run_net_check",
 ]

@@ -1,8 +1,8 @@
-"""The asynchronous model checker: every bounded interleaving × every crash.
+"""The asynchronous adversary space: every bounded interleaving × every crash.
 
-The synchronous checker enumerates crash schedules; its asynchronous
-counterpart enumerates **adversaries** of the shared-memory model.  One
-adversary is a pair:
+The synchronous space enumerates crash schedules; its asynchronous
+counterpart :class:`AsyncSpace` enumerates **adversaries** of the
+shared-memory model.  One adversary is a pair:
 
 * a *crash assignment* — a faulty set of at most ``max_crashes`` processes,
   each with a crash point in ``[0, depth]`` (``0`` = initial crash, ``s >= 1``
@@ -16,14 +16,11 @@ adversary is a pair:
 The space is finite and its closed form —
 ``Σ_f C(n,f)·(depth+1)^f × n^depth`` — is cross-validated against the
 generator on every run, mirroring the
-:func:`~repro.sync.adversary.count_schedules` contract.  Each adversary is
-executed against the deterministic input frontier and evaluated by the
-asynchronous property oracles of :mod:`repro.check.async_oracles`; the
-outcome is an :class:`AsyncCheckReport` with replayable
-:class:`AsyncCounterexample` records.  ``workers > 1`` shards contiguous
-adversary-index ranges across the process pool of :mod:`repro.parallel` and
-merges outcomes in shard order, making the parallel report **byte-identical**
-to the serial one.
+:func:`~repro.sync.adversary.count_schedules` contract.
+:func:`repro.check.checker.run_check` executes each adversary against the
+deterministic input frontier and evaluates the asynchronous property oracles
+of :mod:`repro.check.async_oracles`; violations become replayable
+:class:`AsyncCounterexample` records.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, ClassVar, Iterator, Mapping
 
 from ..api.result import RunResult
 from ..api.spec import AgreementSpec, RunConfig
@@ -42,27 +39,21 @@ from ..asynchronous.adversary import (
     enumerate_interleavings,
 )
 from ..core.vectors import InputVector
-from ..exceptions import (
-    BackendError,
-    InvalidParameterError,
-    SimulationError,
-)
-from ..sync.adversary import CrashSchedule
-from .checker import DEFAULT_MAX_COUNTEREXAMPLES, OracleTally
-from .frontier import DEFAULT_ALL_VECTORS_LIMIT, DEFAULT_MAX_VECTORS, input_frontier
+from ..exceptions import InvalidParameterError
 from .async_oracles import ASYNC_ORACLES, AsyncCheckContext
+from .checker import FAILURE_FREE, CheckSpace, require_int
+# Importable from every checker module: perfbench's traced run wraps it there.
+from .frontier import input_frontier  # noqa: F401
+from .oracles import PropertyOracle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.engine import Engine
-    from ..store import ResultStore
 
 __all__ = [
     "AsyncCounterexample",
-    "AsyncCheckReport",
+    "AsyncSpace",
     "count_async_adversaries",
     "enumerate_async_adversaries",
-    "check_async_slice",
-    "run_async_check",
 ]
 
 
@@ -200,286 +191,95 @@ class AsyncCounterexample:
         )
 
 
-@dataclass
-class AsyncCheckReport:
-    """The structured outcome of one bounded-interleaving verification run."""
+#: One point of the asynchronous space: the crash points and the adversary
+#: replaying the interleaving prefix.
+AsyncPoint = tuple[dict[int, int], EnumeratedAdversary]
 
-    spec: AgreementSpec
-    algorithm: str
-    #: Length of the adversarial scheduling prefix (``n^depth`` interleavings).
-    depth: int
-    #: Largest faulty-set size enumerated.
-    max_crashes: int
-    #: Size of the enumerated adversary space (= ``count_async_adversaries``).
-    adversary_count: int
-    #: Size of the input frontier.
-    vector_count: int
-    #: Executions performed (= ``adversary_count × vector_count``).
-    executions: int
-    #: Per-oracle tallies, in oracle registry order.
-    tallies: list[OracleTally] = field(default_factory=list)
-    #: The first violations found, in execution order (capped).
-    counterexamples: list[AsyncCounterexample] = field(default_factory=list)
-    #: ``True`` when more violations were counted than counterexamples kept.
-    truncated: bool = False
 
-    @property
-    def passed(self) -> bool:
-        """Did every applicable oracle hold on every execution?"""
-        return self.violation_count == 0
+@dataclass(frozen=True)
+class AsyncSpace(CheckSpace):
+    """Every bounded interleaving prefix × every crash assignment.
 
-    @property
-    def violation_count(self) -> int:
-        """Total violations counted across all oracles."""
-        return sum(tally.violations for tally in self.tallies)
+    *depth* is the length of the adversarial scheduling prefix (default
+    ``spec.n``) and *max_crashes* the largest faulty set (default
+    ``spec.x``); both spaces are exponential, so this is a tiny-system tool
+    exactly like its synchronous sibling.
+    """
 
-    def __bool__(self) -> bool:
-        return self.passed
+    depth: int | None = None
+    max_crashes: int | None = None
 
-    def tally(self, oracle: str) -> OracleTally:
-        """The tally of one oracle by name."""
-        for entry in self.tallies:
-            if entry.oracle == oracle:
-                return entry
-        raise InvalidParameterError(
-            f"no tally for oracle {oracle!r}; checked oracles: "
-            f"{', '.join(t.oracle for t in self.tallies)}"
+    backend: ClassVar[str] = "async"
+    oracles: ClassVar[Mapping[str, PropertyOracle]] = ASYNC_ORACLES
+
+    def __post_init__(self) -> None:
+        if self.depth is not None:
+            require_int("depth", self.depth)
+        if self.max_crashes is not None:
+            require_int("max_crashes", self.max_crashes)
+
+    def resolve(self, engine: "Engine") -> "AsyncSpace":
+        self._require_backend(engine, "the bounded-interleaving check")
+        spec = engine.spec
+        return AsyncSpace(
+            spec.n if self.depth is None else self.depth,
+            spec.x if self.max_crashes is None else self.max_crashes,
         )
 
-    def to_record(self) -> dict[str, Any]:
-        """The JSON-serializable record; byte-identical serial vs parallel."""
-        import dataclasses
+    def count(self, spec: AgreementSpec) -> int:
+        return count_async_adversaries(spec.n, self.depth, self.max_crashes)
 
+    def points(self, spec: AgreementSpec, start: int, stop: int | None) -> Iterator[AsyncPoint]:
+        stream = islice(
+            enumerate_async_adversaries(spec.n, self.depth, self.max_crashes),
+            start,
+            stop,
+        )
+        for crash_steps, prefix in stream:
+            yield crash_steps, EnumeratedAdversary(prefix)
+
+    def context(self, engine: "Engine") -> AsyncCheckContext:
+        return AsyncCheckContext.from_engine(engine)
+
+    def execute(self, engine: "Engine", vector: InputVector, point: AsyncPoint) -> RunResult:
+        crash_steps, adversary = point
+        return engine._execute(
+            vector,
+            FAILURE_FREE,
+            0,
+            "async",
+            None,
+            async_adversary=adversary,
+            crash_steps=crash_steps,
+        )
+
+    def counterexample(self, engine, oracle, detail, vector, point, result) -> AsyncCounterexample:
+        crash_steps, adversary = point
+        return AsyncCounterexample(
+            oracle=oracle,
+            algorithm=engine.algorithm_name,
+            detail=detail,
+            spec=engine.spec,
+            vector=vector,
+            prefix=adversary.prefix,
+            crash_steps=dict(crash_steps),
+            decisions=dict(result.decisions),
+            duration=result.duration,
+            fingerprint=result.fingerprint,
+        )
+
+    def header(self, count: int) -> dict[str, Any]:
         return {
-            "spec": dataclasses.asdict(self.spec),
-            "algorithm": self.algorithm,
             "backend": "async",
             "depth": self.depth,
             "max_crashes": self.max_crashes,
-            "adversary_count": self.adversary_count,
-            "vector_count": self.vector_count,
-            "executions": self.executions,
-            "tallies": [tally.to_record() for tally in self.tallies],
-            "counterexamples": [ce.to_record() for ce in self.counterexamples],
-            "truncated": self.truncated,
+            "adversary_count": count,
         }
 
-    def render(self) -> str:
-        """Readable report for the CLI."""
-        lines = [
-            f"spec             : {self.spec.describe()}",
-            f"algorithm        : {self.algorithm} [async]",
-            f"adversary space  : {self.adversary_count} adversaries "
+    def render_lines(self, algorithm: str, count: int) -> list[str]:
+        return [
+            f"algorithm        : {algorithm} [async]",
+            f"adversary space  : {count} adversaries "
             f"(interleaving depth {self.depth}, <= {self.max_crashes} crashes, "
             f"closed form cross-validated)",
-            f"input frontier   : {self.vector_count} vectors",
-            f"executions       : {self.executions}",
-            "oracles          :",
         ]
-        for tally in self.tallies:
-            verdict = (
-                "n/a    "
-                if tally.checked == 0
-                else ("PASS   " if tally.violations == 0 else "FAIL   ")
-            )
-            lines.append(
-                f"  {verdict}{tally.oracle:<32} checked={tally.checked} "
-                f"violations={tally.violations}"
-            )
-        if self.counterexamples:
-            shown = self.counterexamples[:5]
-            lines.append(f"counterexamples  : {self.violation_count} violation(s)")
-            lines.extend(f"  {ce.summary()}" for ce in shown)
-            remaining = self.violation_count - len(shown)
-            if remaining > 0:
-                lines.append(f"  ... and {remaining} more")
-        lines.append(f"verdict          : {'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(lines)
-
-
-def check_async_slice(
-    engine: "Engine",
-    depth: int,
-    max_crashes: int,
-    start: int,
-    stop: int | None,
-    vectors: Sequence[InputVector],
-    oracle_names: Sequence[str],
-    max_counterexamples: int,
-) -> tuple[int, int, list[OracleTally], list[AsyncCounterexample]]:
-    """Check one contiguous slice ``[start, stop)`` of the adversary stream.
-
-    Shared verbatim by the serial path (one slice covering everything) and
-    the worker side of :func:`repro.parallel.execute_async_check`, which is
-    what guarantees identical tallies and counterexample order whatever the
-    worker count.  ``stop=None`` reads the stream to exhaustion so the slice
-    covering the tail detects an over-producing generator too.
-    """
-    spec = engine.spec
-    context = AsyncCheckContext.from_engine(engine)
-    oracles = [ASYNC_ORACLES[name] for name in oracle_names]
-    tallies = {name: OracleTally(name) for name in oracle_names}
-    counterexamples: list[AsyncCounterexample] = []
-    enumerated = 0
-    executions = 0
-    failure_free = CrashSchedule()
-    stream = islice(
-        enumerate_async_adversaries(spec.n, depth, max_crashes), start, stop
-    )
-    for crash_steps, prefix in stream:
-        enumerated += 1
-        adversary = EnumeratedAdversary(prefix)
-        for vector in vectors:
-            result = engine._execute(
-                vector,
-                failure_free,
-                0,
-                "async",
-                None,
-                async_adversary=adversary,
-                crash_steps=crash_steps,
-            )
-            executions += 1
-            for oracle in oracles:
-                if not oracle.applies(context, result):
-                    continue
-                tally = tallies[oracle.name]
-                tally.checked += 1
-                detail = oracle.check(context, result)
-                if detail is None:
-                    continue
-                tally.violations += 1
-                if len(counterexamples) < max_counterexamples:
-                    counterexamples.append(
-                        AsyncCounterexample(
-                            oracle=oracle.name,
-                            algorithm=engine.algorithm_name,
-                            detail=detail,
-                            spec=spec,
-                            vector=vector,
-                            prefix=prefix,
-                            crash_steps=dict(crash_steps),
-                            decisions=dict(result.decisions),
-                            duration=result.duration,
-                            fingerprint=result.fingerprint,
-                        )
-                    )
-    return enumerated, executions, [tallies[name] for name in oracle_names], counterexamples
-
-
-def _resolve_async_oracles(oracles: Iterable[str] | None) -> tuple[str, ...]:
-    if oracles is None:
-        return tuple(ASYNC_ORACLES)
-    names = tuple(oracles)
-    for name in names:
-        if name not in ASYNC_ORACLES:
-            raise InvalidParameterError(
-                f"unknown async property oracle {name!r}; registered oracles: "
-                f"{', '.join(ASYNC_ORACLES)}"
-            )
-    return names
-
-
-def run_async_check(
-    engine: "Engine",
-    *,
-    depth: int | None = None,
-    max_crashes: int | None = None,
-    vectors: Iterable[InputVector | Sequence[Any]] | None = None,
-    oracles: Iterable[str] | None = None,
-    workers: int | None = None,
-    store: "ResultStore | None" = None,
-    max_counterexamples: int = DEFAULT_MAX_COUNTEREXAMPLES,
-    max_vectors: int = DEFAULT_MAX_VECTORS,
-    all_vectors_limit: int = DEFAULT_ALL_VECTORS_LIMIT,
-) -> AsyncCheckReport:
-    """Verify the engine's algorithm over the bounded-interleaving space.
-
-    See :meth:`repro.api.Engine.check` (``backend="async"``) for the
-    parameter contract.  *depth* defaults to ``spec.n`` and *max_crashes* to
-    ``spec.x``; both spaces are exponential, so this is a tiny-system tool
-    exactly like its synchronous sibling.
-    """
-    if "async" not in engine.backends():
-        raise BackendError(
-            f"the bounded-interleaving check drives the asynchronous backend, "
-            f"which algorithm {engine.algorithm_name!r} does not support"
-        )
-    spec = engine.spec
-    if depth is None:
-        depth = spec.n
-    if max_crashes is None:
-        max_crashes = spec.x
-    if max_counterexamples < 0:
-        raise InvalidParameterError(
-            f"max_counterexamples must be >= 0, got {max_counterexamples}"
-        )
-    worker_count = engine._resolve_workers(workers)
-    oracle_names = _resolve_async_oracles(oracles)
-    if vectors is not None:
-        frontier = tuple(engine._normalise_vector(vector) for vector in vectors)
-    else:
-        frontier = input_frontier(
-            spec,
-            engine.condition,
-            max_vectors=max_vectors,
-            all_vectors_limit=all_vectors_limit,
-        )
-    if not frontier:
-        raise InvalidParameterError("the input frontier is empty: nothing to check")
-    expected = count_async_adversaries(spec.n, depth, max_crashes)
-
-    if worker_count == 1:
-        enumerated, executions, tallies, counterexamples = check_async_slice(
-            engine, depth, max_crashes, 0, None, frontier, oracle_names,
-            max_counterexamples,
-        )
-    else:
-        if engine._entry is None:
-            raise InvalidParameterError(
-                "parallel checking needs an engine built from a registry key; "
-                f"this engine wraps the pre-built instance "
-                f"{engine.algorithm_name!r}, which workers cannot rebuild"
-            )
-        from ..parallel import execute_async_check
-
-        enumerated = 0
-        executions = 0
-        tallies = [OracleTally(name) for name in oracle_names]
-        counterexamples = []
-        for outcome in execute_async_check(
-            engine, depth, max_crashes, expected, frontier, oracle_names,
-            worker_count, max_counterexamples,
-        ):
-            enumerated += outcome.enumerated
-            executions += outcome.executions
-            for merged, partial in zip(tallies, outcome.tallies):
-                merged.checked += partial.checked
-                merged.violations += partial.violations
-            counterexamples.extend(outcome.counterexamples)
-        counterexamples = counterexamples[:max_counterexamples]
-
-    # The generator/closed-form cross-validation runs on *every* check.
-    if enumerated != expected:
-        raise SimulationError(
-            f"adversary enumeration produced {enumerated} adversaries but the "
-            f"closed form predicts {expected} for n={spec.n}, depth={depth}, "
-            f"max_crashes={max_crashes}"
-        )
-
-    report = AsyncCheckReport(
-        spec=spec,
-        algorithm=engine.algorithm_name,
-        depth=depth,
-        max_crashes=max_crashes,
-        adversary_count=expected,
-        vector_count=len(frontier),
-        executions=executions,
-        tallies=tallies,
-        counterexamples=counterexamples,
-        truncated=sum(t.violations for t in tallies) > len(counterexamples),
-    )
-    if store is not None:
-        for counterexample in report.counterexamples:
-            store.append_async_counterexample(counterexample)
-    return report

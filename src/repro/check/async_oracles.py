@@ -36,10 +36,12 @@ name                               claim (and when it applies)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ..api.spec import AgreementSpec
 from ..asynchronous.scheduler import AsyncExecutionResult
+# Validity and agreement read no rounds: the synchronous predicates serve.
+from .oracles import PropertyOracle, _always, _check_agreement, _check_validity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.engine import Engine
@@ -75,29 +77,6 @@ class AsyncCheckContext:
             x=spec.x,
             max_steps_per_process=engine.config.max_steps_per_process,
         )
-
-
-def _always(context: AsyncCheckContext, result: "RunResult") -> bool:
-    return True
-
-
-def _check_validity(context: AsyncCheckContext, result: "RunResult") -> str | None:
-    proposed = set(result.input_vector.entries)
-    for process_id, value in sorted(result.decisions.items()):
-        if value not in proposed:
-            return f"process {process_id} decided {value!r}, which was never proposed"
-    return None
-
-
-def _check_agreement(context: AsyncCheckContext, result: "RunResult") -> str | None:
-    decided = result.decided_values()
-    if len(decided) > context.degree:
-        return (
-            f"{len(decided)} distinct values decided "
-            f"({sorted(map(repr, decided))}), but the agreement degree is "
-            f"{context.degree}"
-        )
-    return None
 
 
 def _applies_termination(context: AsyncCheckContext, result: "RunResult") -> bool:
@@ -137,39 +116,29 @@ def _check_step_budget(context: AsyncCheckContext, result: "RunResult") -> str |
     return None
 
 
-@dataclass(frozen=True)
-class AsyncPropertyOracle:
-    """One checkable asynchronous claim (mirrors the sync ``PropertyOracle``)."""
-
-    name: str
-    summary: str
-    applies: Callable[[AsyncCheckContext, "RunResult"], bool]
-    check: Callable[[AsyncCheckContext, "RunResult"], str | None]
-
-
 #: The asynchronous oracle registry, in evaluation (and report) order.
-ASYNC_ORACLES: dict[str, AsyncPropertyOracle] = {
+ASYNC_ORACLES: dict[str, PropertyOracle] = {
     oracle.name: oracle
     for oracle in (
-        AsyncPropertyOracle(
+        PropertyOracle(
             "async-validity",
             "every decided value was proposed",
             _always,
             _check_validity,
         ),
-        AsyncPropertyOracle(
+        PropertyOracle(
             "async-agreement",
             "at most l distinct values are decided",
             _always,
             _check_agreement,
         ),
-        AsyncPropertyOracle(
+        PropertyOracle(
             "async-termination-in-condition",
             "in-condition inputs with <= x crashes terminate within the budget",
             _applies_termination,
             _check_termination,
         ),
-        AsyncPropertyOracle(
+        PropertyOracle(
             "async-step-budget",
             "no process exceeds its step budget or steps past its crash point",
             _applies_step_budget,

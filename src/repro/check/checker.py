@@ -1,18 +1,27 @@
-"""The model checker: every property oracle × every schedule × the frontier.
+"""The model checker: every property oracle × every adversary × the frontier.
 
-:func:`run_check` is the engine behind :meth:`repro.api.Engine.check`.  For a
-bound ``(spec, algorithm)`` it enumerates the **complete** crash-schedule
-space of the Section 6.2 failure model (cross-validated against the
-closed-form :func:`~repro.sync.adversary.count_schedules` on every run),
-executes the structured input frontier under each schedule, and evaluates
-the registered property oracles on every execution.  The outcome is a
+:func:`run_check` is the engine behind :meth:`repro.api.Engine.check` on all
+three backends.  For a bound ``(spec, algorithm)`` it enumerates the
+**complete** adversary space (cross-validated against its closed form on
+every run), executes the structured input frontier under each adversary, and
+evaluates the space's property oracles on every execution.  The outcome is a
 :class:`CheckReport`: per-oracle checked/violation tallies plus replayable
-:class:`Counterexample` records for the first violations found.
+counterexample records for the first violations found.
 
-Determinism is the load-bearing property: schedules are enumerated in a
-fixed order, the frontier is a fixed tuple, and oracles run in registry
-order — so the report is a pure function of its inputs.  ``workers > 1``
-shards contiguous schedule-index ranges across the process pool of
+The backends differ only in their space, a small frozen :class:`CheckSpace`:
+:class:`SyncSpace` (here: every crash schedule of the Section 6.2 failure
+model), :class:`~repro.check.net_checker.NetSpace` (every fault assignment of
+one message-level failure model) and
+:class:`~repro.check.async_checker.AsyncSpace` (every bounded interleaving ×
+crash assignment of the shared-memory model).  Everything else exists once:
+the slice loop :func:`check_slice`, :func:`run_check` itself, the shard
+envelope of :mod:`repro.parallel`, the report and the store's counterexample
+writer and reader.
+
+Determinism is the load-bearing property: points are enumerated in a fixed
+order, the frontier is a fixed tuple, and oracles run in registry order — so
+the report is a pure function of its inputs.  ``workers > 1`` shards
+contiguous point-index ranges across the process pool of
 :mod:`repro.parallel` and merges the shard outcomes in index order, which
 makes the parallel report **byte-identical** to the serial one
 (``report.to_record()`` compares equal).
@@ -27,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Mapping, Sequence
 
 from ..api.result import RunResult
 from ..api.spec import AgreementSpec, RunConfig
@@ -39,7 +48,7 @@ from ..exceptions import (
 )
 from ..sync.adversary import CrashSchedule, count_schedules, enumerate_schedules
 from .frontier import DEFAULT_ALL_VECTORS_LIMIT, DEFAULT_MAX_VECTORS, input_frontier
-from .oracles import ORACLES, CheckContext
+from .oracles import ORACLES, CheckContext, PropertyOracle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.engine import Engine
@@ -48,6 +57,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "OracleTally",
     "Counterexample",
+    "CheckSpace",
+    "SyncSpace",
     "CheckReport",
     "DecisionDiff",
     "DifferentialReport",
@@ -59,6 +70,18 @@ __all__ = [
 #: Default cap on the counterexamples a report materializes (violations are
 #: always *counted* in full; only the stored records are capped).
 DEFAULT_MAX_COUNTEREXAMPLES = 25
+
+#: The crash schedule of the net and async executions: their adversary is
+#: the fault assignment or the interleaving, never a crash round.
+FAILURE_FREE = CrashSchedule()
+
+
+def require_int(name: str, value: Any, minimum: int | None = None) -> None:
+    """Reject a check parameter that is not an ``int`` (a ``bool`` is not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidParameterError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass
@@ -141,26 +164,154 @@ class Counterexample:
         )
 
 
+class CheckSpace:
+    """One backend's adversary space: what :func:`run_check` enumerates.
+
+    Each space is a frozen dataclass of its bounds (``None`` for a default)
+    whose constructor validates them; it is picklable, so it rides in the
+    shard envelope of :mod:`repro.parallel`.  It supplies:
+
+    * ``resolve(engine)`` — the space with every default filled in, after
+      refusing an engine that lacks the backend;
+    * ``count(spec)`` / ``points(spec, start, stop)`` — the closed-form size
+      and the slice ``[start, stop)`` of the deterministic point stream;
+    * ``oracles`` / ``context(engine)`` — the oracle registry, read by name
+      at check time, and the context its oracles take;
+    * ``execute(engine, vector, point)`` and ``counterexample(engine,
+      oracle, detail, vector, point, result)`` — one execution, and the
+      replayable record of a violation found in it;
+    * ``header(count)`` / ``render_lines(algorithm, count)`` — the space's
+      part of the report record and of the rendered report;
+    * :meth:`batch` — the optional packed hook.
+    """
+
+    #: The execution backend whose adversaries the space enumerates.
+    backend: ClassVar[str]
+    #: The oracle registry, in evaluation (and report) order.
+    oracles: ClassVar[Mapping[str, PropertyOracle]]
+    #: Column width of the oracle names in the rendered report.
+    name_width: ClassVar[int] = 32
+
+    def _require_backend(self, engine: "Engine", check: str) -> None:
+        if self.backend not in engine.backends():
+            raise BackendError(
+                f"{check} drives the {self.backend} backend, which algorithm "
+                f"{engine.algorithm_name!r} does not support"
+            )
+
+    def batch(
+        self,
+        engine: "Engine",
+        context: Any,
+        vectors: Sequence[InputVector],
+        oracle_names: Sequence[str],
+    ) -> Callable[[Any], tuple[tuple[int, int], ...]] | None:
+        """The packed hook: ``point -> ((applies, violations), ...)`` lane
+        masks (one per oracle, lane ``i`` = ``vectors[i]``), or ``None`` when
+        no packed evaluator covers this engine, frontier and oracle set."""
+        return None
+
+
+@dataclass(frozen=True)
+class SyncSpace(CheckSpace):
+    """Every crash schedule whose crashes fall in rounds ``[1, rounds]``.
+
+    *rounds* defaults to the unconditional deadline ``⌊t/k⌋ + 1``: later
+    crashes are unobservable.
+    """
+
+    rounds: int | None = None
+
+    backend: ClassVar[str] = "sync"
+    oracles: ClassVar[Mapping[str, PropertyOracle]] = ORACLES
+    name_width: ClassVar[int] = 26
+
+    def __post_init__(self) -> None:
+        if self.rounds is not None:
+            require_int("rounds", self.rounds, 1)
+
+    def resolve(self, engine: "Engine") -> "SyncSpace":
+        self._require_backend(engine, "exhaustive checking")
+        if self.rounds is None:
+            return SyncSpace(engine.spec.outside_condition_bound())
+        return self
+
+    def count(self, spec: AgreementSpec) -> int:
+        return count_schedules(spec.n, spec.t, self.rounds)
+
+    def points(self, spec: AgreementSpec, start: int, stop: int | None) -> Iterable[CrashSchedule]:
+        return islice(enumerate_schedules(spec.n, spec.t, self.rounds), start, stop)
+
+    def context(self, engine: "Engine") -> CheckContext:
+        return CheckContext.from_engine(engine)
+
+    def execute(self, engine: "Engine", vector: InputVector, schedule: CrashSchedule) -> RunResult:
+        return engine._execute(vector, schedule, 0, "sync", None)
+
+    def counterexample(self, engine, oracle, detail, vector, schedule, result) -> Counterexample:
+        return Counterexample(
+            oracle=oracle,
+            algorithm=engine.algorithm_name,
+            detail=detail,
+            spec=engine.spec,
+            vector=vector,
+            schedule=schedule,
+            decisions=dict(result.decisions),
+            duration=result.duration,
+        )
+
+    def header(self, count: int) -> dict[str, Any]:
+        return {"rounds": self.rounds, "schedule_count": count}
+
+    def render_lines(self, algorithm: str, count: int) -> list[str]:
+        return [
+            f"algorithm        : {algorithm}",
+            f"schedule space   : {count} schedules "
+            f"(crash rounds 1..{self.rounds}, closed form cross-validated)",
+        ]
+
+    def batch(self, engine, context, vectors, oracle_names):
+        """The :class:`~repro.vec.evaluator.BatchSyncEvaluator` of this slice,
+        one call per schedule, or ``None`` when it refuses the engine."""
+        from ..vec.evaluator import BatchSyncEvaluator
+
+        evaluator = BatchSyncEvaluator.build(engine, context, vectors, oracle_names)
+        if evaluator is None:
+            return None
+
+        def masks(schedule: CrashSchedule) -> tuple[tuple[int, int], ...]:
+            engine._validate_once(schedule)
+            return evaluator.check_schedule(schedule)
+
+        return masks
+
+
 @dataclass
 class CheckReport:
     """The structured outcome of one exhaustive verification run."""
 
     spec: AgreementSpec
     algorithm: str
-    #: Crash rounds covered: every schedule crashes within ``[1, rounds]``.
-    rounds: int
-    #: Size of the enumerated schedule space (= ``count_schedules``).
-    schedule_count: int
+    #: The adversary space checked, every default resolved.
+    space: CheckSpace
+    #: Size of the enumerated space (= the space's closed-form count).
+    adversary_count: int
     #: Size of the input frontier.
     vector_count: int
-    #: Executions performed (= ``schedule_count × vector_count``).
+    #: Executions performed (= ``adversary_count × vector_count``).
     executions: int
     #: Per-oracle tallies, in oracle registry order.
     tallies: list[OracleTally] = field(default_factory=list)
-    #: The first violations found, in execution order (capped).
-    counterexamples: list[Counterexample] = field(default_factory=list)
+    #: The first violations found, in execution order (capped), as the
+    #: space's counterexample type.
+    counterexamples: list[Any] = field(default_factory=list)
     #: ``True`` when more violations were counted than counterexamples kept.
     truncated: bool = False
+
+    @property
+    def schedule_count(self) -> int:
+        """The size of a :class:`SyncSpace`: its crash schedules."""
+        return self.adversary_count
 
     @property
     def passed(self) -> bool:
@@ -192,8 +343,7 @@ class CheckReport:
         return {
             "spec": dataclasses.asdict(self.spec),
             "algorithm": self.algorithm,
-            "rounds": self.rounds,
-            "schedule_count": self.schedule_count,
+            **self.space.header(self.adversary_count),
             "vector_count": self.vector_count,
             "executions": self.executions,
             "tallies": [tally.to_record() for tally in self.tallies],
@@ -205,13 +355,12 @@ class CheckReport:
         """Readable report for the CLI."""
         lines = [
             f"spec             : {self.spec.describe()}",
-            f"algorithm        : {self.algorithm}",
-            f"schedule space   : {self.schedule_count} schedules "
-            f"(crash rounds 1..{self.rounds}, closed form cross-validated)",
+            *self.space.render_lines(self.algorithm, self.adversary_count),
             f"input frontier   : {self.vector_count} vectors",
             f"executions       : {self.executions}",
             "oracles          :",
         ]
+        width = self.space.name_width
         for tally in self.tallies:
             verdict = (
                 "n/a    "
@@ -219,7 +368,7 @@ class CheckReport:
                 else ("PASS   " if tally.violations == 0 else "FAIL   ")
             )
             lines.append(
-                f"  {verdict}{tally.oracle:<26} checked={tally.checked} "
+                f"  {verdict}{tally.oracle:<{width}} checked={tally.checked} "
                 f"violations={tally.violations}"
             )
         if self.counterexamples:
@@ -235,7 +384,7 @@ class CheckReport:
 
 def check_slice(
     engine: "Engine",
-    rounds: int,
+    space: CheckSpace,
     start: int,
     stop: int | None,
     vectors: Sequence[InputVector],
@@ -243,54 +392,54 @@ def check_slice(
     max_counterexamples: int,
     *,
     vectorized: bool = False,
-) -> tuple[int, int, list[OracleTally], list[Counterexample]]:
-    """Check one contiguous slice ``[start, stop)`` of the schedule stream.
+) -> tuple[int, int, list[OracleTally], list[Any]]:
+    """Check one contiguous slice ``[start, stop)`` of *space*'s point stream.
 
     Shared verbatim by the serial path (one slice covering everything) and
     the worker side of :func:`repro.parallel.execute_check` (one slice per
     shard), which is what guarantees identical tallies and counterexample
     order whatever the worker count.  Returns ``(enumerated, executions,
-    tallies, counterexamples)`` — *enumerated* counts the schedules actually
+    tallies, counterexamples)`` — *enumerated* counts the points actually
     generated for the slice, so the caller can cross-validate the generator
     against the closed form.  ``stop=None`` reads the stream to exhaustion:
     the slice that covers the tail must use it so that a generator producing
-    *more* schedules than the closed form predicts is detected too (a capped
+    *more* points than the closed form predicts is detected too (a capped
     slice could only catch under-production).
 
-    With *vectorized* the slice routes through the packed batch evaluator of
-    :mod:`repro.vec` when it covers this engine/frontier/oracle combination
-    (and falls back to the scalar loop below otherwise).  Counterexamples are
-    always decoded back through the reference object runtime, so the returned
-    tuple is identical either way.
-    """
-    spec = engine.spec
-    context = CheckContext.from_engine(engine)
-    if vectorized:
-        from ..vec.evaluator import BatchSyncEvaluator
+    With *vectorized* the slice routes through the space's packed batch hook
+    when it covers this engine/frontier/oracle combination (and falls back
+    to the scalar loop below otherwise).  Counterexamples are always decoded
+    back through the reference object runtime, so the returned tuple is
+    identical either way.
 
-        evaluator = BatchSyncEvaluator.build(engine, context, vectors, oracle_names)
-        if evaluator is not None:
+    *space* may leave bounds at their defaults: it is resolved against
+    *engine* first, which also refuses an engine without its backend.
+    """
+    space = space.resolve(engine)
+    context = space.context(engine)
+    if vectorized:
+        masks = space.batch(engine, context, vectors, oracle_names)
+        if masks is not None:
             return _check_slice_batch(
                 engine,
+                space,
                 context,
-                evaluator,
-                rounds,
+                masks,
                 start,
                 stop,
                 vectors,
                 oracle_names,
                 max_counterexamples,
             )
-    oracles = [ORACLES[name] for name in oracle_names]
+    oracles = [space.oracles[name] for name in oracle_names]
     tallies = {name: OracleTally(name) for name in oracle_names}
-    counterexamples: list[Counterexample] = []
+    counterexamples: list[Any] = []
     enumerated = 0
     executions = 0
-    stream = islice(enumerate_schedules(spec.n, spec.t, rounds), start, stop)
-    for schedule in stream:
+    for point in space.points(engine.spec, start, stop):
         enumerated += 1
         for vector in vectors:
-            result = engine._execute(vector, schedule, 0, "sync", None)
+            result = space.execute(engine, vector, point)
             executions += 1
             for oracle in oracles:
                 if not oracle.applies(context, result):
@@ -303,15 +452,8 @@ def check_slice(
                 tally.violations += 1
                 if len(counterexamples) < max_counterexamples:
                     counterexamples.append(
-                        Counterexample(
-                            oracle=oracle.name,
-                            algorithm=engine.algorithm_name,
-                            detail=detail,
-                            spec=spec,
-                            vector=vector,
-                            schedule=schedule,
-                            decisions=dict(result.decisions),
-                            duration=result.duration,
+                        space.counterexample(
+                            engine, oracle.name, detail, vector, point, result
                         )
                     )
     return enumerated, executions, [tallies[name] for name in oracle_names], counterexamples
@@ -319,41 +461,37 @@ def check_slice(
 
 def _check_slice_batch(
     engine: "Engine",
-    context: CheckContext,
-    evaluator,
-    rounds: int,
+    space: CheckSpace,
+    context: Any,
+    masks: Callable[[Any], tuple[tuple[int, int], ...]],
     start: int,
     stop: int | None,
     vectors: Sequence[InputVector],
     oracle_names: Sequence[str],
     max_counterexamples: int,
-) -> tuple[int, int, list[OracleTally], list[Counterexample]]:
+) -> tuple[int, int, list[OracleTally], list[Any]]:
     """The packed twin of the scalar slice loop.
 
-    One :meth:`~repro.vec.evaluator.BatchSyncEvaluator.check_schedule` call
-    covers every frontier vector under one schedule; tallies are bit counts
-    of the returned lane masks.  Violating lanes — and only those — are
-    re-executed through the reference object runtime to produce the exact
-    scalar counterexample records, in the scalar order (schedule, then lane
-    = frontier position, then oracle).  A flagged lane the reference oracle
-    does not confirm is a batch/reference drift and raises
+    One *masks* call covers every frontier vector under one point; tallies
+    are bit counts of the returned lane masks.  Violating lanes — and only
+    those — are re-executed through the reference object runtime to produce
+    the exact scalar counterexample records, in the scalar order (point,
+    then lane = frontier position, then oracle).  A flagged lane the
+    reference oracle does not confirm is a batch/reference drift and raises
     :class:`~repro.exceptions.SimulationError` rather than emitting an
     unverified report.
     """
-    spec = engine.spec
-    oracles = [ORACLES[name] for name in oracle_names]
+    oracles = [space.oracles[name] for name in oracle_names]
     tallies = {name: OracleTally(name) for name in oracle_names}
-    counterexamples: list[Counterexample] = []
+    counterexamples: list[Any] = []
     enumerated = 0
     executions = 0
-    stream = islice(enumerate_schedules(spec.n, spec.t, rounds), start, stop)
-    for schedule in stream:
+    for point in space.points(engine.spec, start, stop):
         enumerated += 1
-        engine._validate_once(schedule)
-        masks = evaluator.check_schedule(schedule)
+        lanes = masks(point)
         executions += len(vectors)
         union = 0
-        for name, (applies, violations) in zip(oracle_names, masks):
+        for name, (applies, violations) in zip(oracle_names, lanes):
             tally = tallies[name]
             tally.checked += applies.bit_count()
             tally.violations += violations.bit_count()
@@ -363,10 +501,9 @@ def _check_slice_batch(
             while remaining and len(counterexamples) < max_counterexamples:
                 low = remaining & -remaining
                 remaining ^= low
-                lane = low.bit_length() - 1
-                vector = vectors[lane]
-                result = engine._execute(vector, schedule, 0, "sync", None)
-                for oracle, (applies, violations) in zip(oracles, masks):
+                vector = vectors[low.bit_length() - 1]
+                result = space.execute(engine, vector, point)
+                for oracle, (applies, violations) in zip(oracles, lanes):
                     if not violations & low:
                         continue
                     detail = (
@@ -377,36 +514,36 @@ def _check_slice_batch(
                     if detail is None:
                         raise SimulationError(
                             f"batch evaluator flagged {oracle.name!r} on vector "
-                            f"{list(vector.entries)} under "
-                            f"{list(schedule.canonical())}, but the reference "
-                            "runtime does not reproduce the violation"
+                            f"{list(vector.entries)} under {point!r}, but the "
+                            "reference runtime does not reproduce the violation"
                         )
                     if len(counterexamples) < max_counterexamples:
                         counterexamples.append(
-                            Counterexample(
-                                oracle=oracle.name,
-                                algorithm=engine.algorithm_name,
-                                detail=detail,
-                                spec=spec,
-                                vector=vector,
-                                schedule=schedule,
-                                decisions=dict(result.decisions),
-                                duration=result.duration,
+                            space.counterexample(
+                                engine, oracle.name, detail, vector, point, result
                             )
                         )
     return enumerated, executions, [tallies[name] for name in oracle_names], counterexamples
 
 
-def _resolve_oracles(oracles: Iterable[str] | None) -> tuple[str, ...]:
+def _resolve_oracles(space: CheckSpace, oracles: Iterable[str] | None) -> tuple[str, ...]:
     if oracles is None:
-        return tuple(ORACLES)
+        return tuple(space.oracles)
     names = tuple(oracles)
+    if not names:
+        raise InvalidParameterError("the oracle selection is empty: nothing to check")
     for name in names:
-        if name not in ORACLES:
+        if not isinstance(name, str) or name not in space.oracles:
             raise InvalidParameterError(
-                f"unknown property oracle {name!r}; registered oracles: "
-                f"{', '.join(ORACLES)}"
+                f"unknown {space.backend} property oracle {name!r}; registered "
+                f"oracles: {', '.join(space.oracles)}"
             )
+    twice = sorted({name for name in names if names.count(name) > 1})
+    if twice:
+        raise InvalidParameterError(
+            f"the oracle selection names {', '.join(map(repr, twice))} more than "
+            "once; each oracle is tallied once"
+        )
     return names
 
 
@@ -426,18 +563,10 @@ def _resolve_frontier(
     )
 
 
-def _require_sync(engine: "Engine") -> None:
-    if "sync" not in engine.backends():
-        raise BackendError(
-            f"exhaustive checking drives the synchronous backend, which "
-            f"algorithm {engine.algorithm_name!r} does not support"
-        )
-
-
 def run_check(
     engine: "Engine",
+    space: CheckSpace,
     *,
-    rounds: int | None = None,
     vectors: Iterable[InputVector | Sequence[Any]] | None = None,
     oracles: Iterable[str] | None = None,
     workers: int | None = None,
@@ -447,30 +576,28 @@ def run_check(
     all_vectors_limit: int = DEFAULT_ALL_VECTORS_LIMIT,
     vectorized: bool = True,
 ) -> CheckReport:
-    """Verify the engine's algorithm over the complete schedule space.
+    """Verify the engine's algorithm over every adversary of *space*.
 
-    See :meth:`repro.api.Engine.check` for the parameter contract.
+    See :meth:`repro.api.Engine.check` for the parameter contract.  This is
+    the one validation path of the CLI, the library and ``/check``: the
+    space's constructor has checked its bounds, :meth:`CheckSpace.resolve`
+    fills in its defaults, and the parameters below are checked here.
     """
-    _require_sync(engine)
-    if rounds is None:
-        rounds = engine.spec.outside_condition_bound()
-    if rounds < 1:
-        raise InvalidParameterError(f"rounds must be >= 1, got {rounds}")
-    if max_counterexamples < 0:
-        raise InvalidParameterError(
-            f"max_counterexamples must be >= 0, got {max_counterexamples}"
-        )
+    space = space.resolve(engine)
+    require_int("max_counterexamples", max_counterexamples, 0)
+    require_int("max_vectors", max_vectors)
+    require_int("all_vectors_limit", all_vectors_limit)
     worker_count = engine._resolve_workers(workers)
-    oracle_names = _resolve_oracles(oracles)
+    oracle_names = _resolve_oracles(space, oracles)
     frontier = _resolve_frontier(engine, vectors, max_vectors, all_vectors_limit)
     if not frontier:
         raise InvalidParameterError("the input frontier is empty: nothing to check")
     spec = engine.spec
-    expected = count_schedules(spec.n, spec.t, rounds)
+    expected = space.count(spec)
 
     if worker_count == 1:
         enumerated, executions, tallies, counterexamples = check_slice(
-            engine, rounds, 0, None, frontier, oracle_names, max_counterexamples,
+            engine, space, 0, None, frontier, oracle_names, max_counterexamples,
             vectorized=vectorized,
         )
     else:
@@ -487,7 +614,7 @@ def run_check(
         tallies = [OracleTally(name) for name in oracle_names]
         counterexamples = []
         for outcome in execute_check(
-            engine, rounds, expected, frontier, oracle_names, worker_count,
+            engine, space, expected, frontier, oracle_names, worker_count,
             max_counterexamples, vectorized=vectorized,
         ):
             enumerated += outcome.enumerated
@@ -502,16 +629,15 @@ def run_check(
     # drift between the two would silently void the "exhaustive" claim.
     if enumerated != expected:
         raise SimulationError(
-            f"schedule enumeration produced {enumerated} schedules but the "
-            f"closed form predicts {expected} for n={spec.n}, t={spec.t}, "
-            f"rounds={rounds}"
+            f"enumerating {space!r} produced {enumerated} adversaries but the "
+            f"closed form predicts {expected} for n={spec.n}, t={spec.t}"
         )
 
     report = CheckReport(
         spec=spec,
         algorithm=engine.algorithm_name,
-        rounds=rounds,
-        schedule_count=expected,
+        space=space,
+        adversary_count=expected,
         vector_count=len(frontier),
         executions=executions,
         tallies=tallies,
@@ -631,12 +757,7 @@ def differential_check(
 
     engine_a = Engine(spec, algorithm_a, config)
     engine_b = Engine(spec, algorithm_b, config)
-    _require_sync(engine_a)
-    _require_sync(engine_b)
-    if rounds is None:
-        rounds = spec.outside_condition_bound()
-    if rounds < 1:
-        raise InvalidParameterError(f"rounds must be >= 1, got {rounds}")
+    space = SyncSpace(rounds).resolve(engine_a).resolve(engine_b)
     if vectors is not None:
         frontier = tuple(engine_a._normalise_vector(vector) for vector in vectors)
     else:
@@ -647,11 +768,10 @@ def differential_check(
     if not frontier:
         raise InvalidParameterError("the input frontier is empty: nothing to check")
 
-    expected = count_schedules(spec.n, spec.t, rounds)
     executions = 0
     mismatches = 0
     examples: list[DecisionDiff] = []
-    for schedule in enumerate_schedules(spec.n, spec.t, rounds):
+    for schedule in space.points(spec, 0, None):
         for vector in frontier:
             result_a = engine_a._execute(vector, schedule, 0, "sync", None)
             result_b = engine_b._execute(vector, schedule, 0, "sync", None)
@@ -671,8 +791,8 @@ def differential_check(
         spec=spec,
         algorithm_a=algorithm_a,
         algorithm_b=algorithm_b,
-        rounds=rounds,
-        schedule_count=expected,
+        rounds=space.rounds,
+        schedule_count=space.count(spec),
         vector_count=len(frontier),
         executions=executions,
         mismatches=mismatches,

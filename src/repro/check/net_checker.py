@@ -1,63 +1,52 @@
-"""The message-passing model checker: every fault assignment of one family.
+"""The message-passing adversary space: every fault assignment of one family.
 
-The synchronous checker enumerates crash schedules and the asynchronous one
-bounded interleavings; this one enumerates the **fault space of a message-level
-failure model**.  One adversary is a fully specified fault assignment of the
-chosen family — a static omission assignment (which senders omit to which
-receivers), a set of lost channels, a delay map, or a corruption map — drawn
-from the deterministic stream of :func:`repro.net.enumerate_faults` and
-cross-validated against the closed form of :func:`repro.net.count_faults` on
-**every** run, mirroring the
+The synchronous space enumerates crash schedules and the asynchronous one
+bounded interleavings; :class:`NetSpace` enumerates the **fault space of a
+message-level failure model**.  One adversary is a fully specified fault
+assignment of the chosen family — a static omission assignment (which senders
+omit to which receivers), a set of lost channels, a delay map, or a
+corruption map — drawn from the deterministic stream of
+:func:`repro.net.enumerate_faults` and cross-validated against the closed
+form of :func:`repro.net.count_faults` on **every** run, mirroring the
 :func:`~repro.sync.adversary.count_schedules` contract.
 
-Each fault assignment is executed against the deterministic input frontier
-and evaluated by the applicability-gated oracles of
-:mod:`repro.check.net_oracles` — crash-model claims (validity, agreement)
-are not evaluated under ``byzantine-corrupt``, so the checker never asserts
-a theorem the paper does not make.  The outcome is a :class:`NetCheckReport`
-with replayable :class:`NetCounterexample` records that carry the exact
-fault assignment (as a JSON record inverted by
-:func:`repro.net.adversary_from_record`).  ``workers > 1`` shards contiguous
-fault-index ranges across the process pool of :mod:`repro.parallel` and
-merges outcomes in shard order, making the parallel report **byte-identical**
-to the serial one.
+:func:`repro.check.checker.run_check` executes each fault assignment against
+the deterministic input frontier and evaluates the applicability-gated
+oracles of :mod:`repro.check.net_oracles` — crash-model claims (validity,
+agreement) are not evaluated under ``byzantine-corrupt``, so the checker
+never asserts a theorem the paper does not make.  Violations become
+replayable :class:`NetCounterexample` records that carry the exact fault
+assignment (as a JSON record inverted by
+:func:`repro.net.adversary_from_record`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, ClassVar, Iterable, Mapping
 
 from ..api.result import RunResult
 from ..api.spec import AgreementSpec, RunConfig
 from ..core.vectors import InputVector
-from ..exceptions import (
-    BackendError,
-    InvalidParameterError,
-    SimulationError,
-)
+from ..exceptions import InvalidParameterError
 from ..net.adversary import (
     NET_ADVERSARIES,
+    NetAdversary,
     adversary_from_record,
     count_faults,
     enumerate_faults,
 )
-from ..sync.adversary import CrashSchedule
-from .checker import DEFAULT_MAX_COUNTEREXAMPLES, OracleTally
-from .frontier import DEFAULT_ALL_VECTORS_LIMIT, DEFAULT_MAX_VECTORS, input_frontier
+from .checker import FAILURE_FREE, CheckSpace, require_int
+# Importable from every checker module: perfbench's traced run wraps it there.
+from .frontier import input_frontier  # noqa: F401
 from .net_oracles import NET_ORACLES, NetCheckContext
+from .oracles import PropertyOracle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.engine import Engine
-    from ..store import ResultStore
 
-__all__ = [
-    "NetCounterexample",
-    "NetCheckReport",
-    "check_net_slice",
-    "run_net_check",
-]
+__all__ = ["NetCounterexample", "NetSpace"]
 
 #: The family checked when ``Engine.check(backend="net")`` names none: static
 #: send omission is the closest message-level analogue of the crash model.
@@ -146,302 +135,94 @@ class NetCounterexample:
         )
 
 
-@dataclass
-class NetCheckReport:
-    """The structured outcome of one fault-space verification run."""
+@dataclass(frozen=True)
+class NetSpace(CheckSpace):
+    """Every fault assignment of one message-level failure model.
 
-    spec: AgreementSpec
-    algorithm: str
-    #: Failure-model family that was enumerated.
-    adversary: str
-    #: Rounds the channel-granular fault models range over.
-    rounds: int
-    #: Largest fault count enumerated (victims or channels, per family).
-    max_faults: int
-    #: Size of the enumerated fault space (= ``count_faults``).
-    fault_count: int
-    #: Size of the input frontier.
-    vector_count: int
-    #: Executions performed (= ``fault_count × vector_count``).
-    executions: int
-    #: Per-oracle tallies, in oracle registry order.
-    tallies: list[OracleTally] = field(default_factory=list)
-    #: The first violations found, in execution order (capped).
-    counterexamples: list[NetCounterexample] = field(default_factory=list)
-    #: ``True`` when more violations were counted than counterexamples kept.
-    truncated: bool = False
+    *adversary* names the family (:data:`repro.net.NET_ADVERSARIES`, default
+    ``send-omission``), *rounds* the rounds the channel-granular families
+    range over (default: the algorithm's own round bound) and *max_faults*
+    the largest fault count, victims or channels per family (default
+    ``spec.t``).  The spaces grow combinatorially in all three, so this is a
+    tiny-system tool exactly like its sync and async siblings.
+    """
 
-    @property
-    def passed(self) -> bool:
-        """Did every applicable oracle hold on every execution?"""
-        return self.violation_count == 0
+    adversary: str | None = None
+    rounds: int | None = None
+    max_faults: int | None = None
 
-    @property
-    def violation_count(self) -> int:
-        """Total violations counted across all oracles."""
-        return sum(tally.violations for tally in self.tallies)
+    backend: ClassVar[str] = "net"
+    oracles: ClassVar[Mapping[str, PropertyOracle]] = NET_ORACLES
 
-    def __bool__(self) -> bool:
-        return self.passed
+    def __post_init__(self) -> None:
+        if self.adversary is not None and (
+            not isinstance(self.adversary, str) or self.adversary not in NET_ADVERSARIES
+        ):
+            raise InvalidParameterError(
+                f"unknown net adversary {self.adversary!r}; registered failure "
+                f"models: {', '.join(sorted(NET_ADVERSARIES))}"
+            )
+        if self.rounds is not None:
+            require_int("rounds", self.rounds, 1)
+        if self.max_faults is not None:
+            require_int("max_faults", self.max_faults, 0)
 
-    def tally(self, oracle: str) -> OracleTally:
-        """The tally of one oracle by name."""
-        for entry in self.tallies:
-            if entry.oracle == oracle:
-                return entry
-        raise InvalidParameterError(
-            f"no tally for oracle {oracle!r}; checked oracles: "
-            f"{', '.join(t.oracle for t in self.tallies)}"
+    def resolve(self, engine: "Engine") -> "NetSpace":
+        self._require_backend(engine, "the fault-space check")
+        spec = engine.spec
+        return NetSpace(
+            DEFAULT_NET_ADVERSARY if self.adversary is None else self.adversary,
+            (
+                engine.algorithm.max_rounds(spec.n, spec.t)
+                if self.rounds is None
+                else self.rounds
+            ),
+            spec.t if self.max_faults is None else self.max_faults,
         )
 
-    def to_record(self) -> dict[str, Any]:
-        """The JSON-serializable record; byte-identical serial vs parallel."""
-        import dataclasses
+    def count(self, spec: AgreementSpec) -> int:
+        return count_faults(self.adversary, spec.n, self.rounds, self.max_faults)
 
+    def points(self, spec: AgreementSpec, start: int, stop: int | None) -> Iterable[NetAdversary]:
+        return islice(
+            enumerate_faults(self.adversary, spec.n, self.rounds, self.max_faults),
+            start,
+            stop,
+        )
+
+    def context(self, engine: "Engine") -> NetCheckContext:
+        return NetCheckContext.from_engine(engine, self.adversary)
+
+    def execute(self, engine: "Engine", vector: InputVector, faults: NetAdversary) -> RunResult:
+        return engine._execute(vector, FAILURE_FREE, 0, "net", None, net_adversary=faults)
+
+    def counterexample(self, engine, oracle, detail, vector, faults, result) -> NetCounterexample:
+        return NetCounterexample(
+            oracle=oracle,
+            algorithm=engine.algorithm_name,
+            detail=detail,
+            spec=engine.spec,
+            vector=vector,
+            adversary=self.adversary,
+            faults=faults.fault_record(),
+            decisions=dict(result.decisions),
+            duration=result.duration,
+            fingerprint=result.fingerprint,
+        )
+
+    def header(self, count: int) -> dict[str, Any]:
         return {
-            "spec": dataclasses.asdict(self.spec),
-            "algorithm": self.algorithm,
             "backend": "net",
             "adversary": self.adversary,
             "rounds": self.rounds,
             "max_faults": self.max_faults,
-            "fault_count": self.fault_count,
-            "vector_count": self.vector_count,
-            "executions": self.executions,
-            "tallies": [tally.to_record() for tally in self.tallies],
-            "counterexamples": [ce.to_record() for ce in self.counterexamples],
-            "truncated": self.truncated,
+            "fault_count": count,
         }
 
-    def render(self) -> str:
-        """Readable report for the CLI."""
-        lines = [
-            f"spec             : {self.spec.describe()}",
-            f"algorithm        : {self.algorithm} [net]",
-            f"fault space      : {self.fault_count} {self.adversary} assignments "
+    def render_lines(self, algorithm: str, count: int) -> list[str]:
+        return [
+            f"algorithm        : {algorithm} [net]",
+            f"fault space      : {count} {self.adversary} assignments "
             f"(rounds {self.rounds}, <= {self.max_faults} faults, "
             f"closed form cross-validated)",
-            f"input frontier   : {self.vector_count} vectors",
-            f"executions       : {self.executions}",
-            "oracles          :",
         ]
-        for tally in self.tallies:
-            verdict = (
-                "n/a    "
-                if tally.checked == 0
-                else ("PASS   " if tally.violations == 0 else "FAIL   ")
-            )
-            lines.append(
-                f"  {verdict}{tally.oracle:<32} checked={tally.checked} "
-                f"violations={tally.violations}"
-            )
-        if self.counterexamples:
-            shown = self.counterexamples[:5]
-            lines.append(f"counterexamples  : {self.violation_count} violation(s)")
-            lines.extend(f"  {ce.summary()}" for ce in shown)
-            remaining = self.violation_count - len(shown)
-            if remaining > 0:
-                lines.append(f"  ... and {remaining} more")
-        lines.append(f"verdict          : {'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(lines)
-
-
-def check_net_slice(
-    engine: "Engine",
-    adversary: str,
-    rounds: int,
-    max_faults: int,
-    start: int,
-    stop: int | None,
-    vectors: Sequence[InputVector],
-    oracle_names: Sequence[str],
-    max_counterexamples: int,
-) -> tuple[int, int, list[OracleTally], list[NetCounterexample]]:
-    """Check one contiguous slice ``[start, stop)`` of the fault stream.
-
-    Shared verbatim by the serial path (one slice covering everything) and
-    the worker side of :func:`repro.parallel.execute_net_check`, which is
-    what guarantees identical tallies and counterexample order whatever the
-    worker count.  ``stop=None`` reads the stream to exhaustion so the slice
-    covering the tail detects an over-producing generator too.
-    """
-    spec = engine.spec
-    context = NetCheckContext.from_engine(engine, adversary)
-    oracles = [NET_ORACLES[name] for name in oracle_names]
-    tallies = {name: OracleTally(name) for name in oracle_names}
-    counterexamples: list[NetCounterexample] = []
-    enumerated = 0
-    executions = 0
-    failure_free = CrashSchedule()
-    stream = islice(
-        enumerate_faults(adversary, spec.n, rounds, max_faults), start, stop
-    )
-    for fault_adversary in stream:
-        enumerated += 1
-        for vector in vectors:
-            result = engine._execute(
-                vector,
-                failure_free,
-                0,
-                "net",
-                None,
-                net_adversary=fault_adversary,
-            )
-            executions += 1
-            for oracle in oracles:
-                if not oracle.applies(context, result):
-                    continue
-                tally = tallies[oracle.name]
-                tally.checked += 1
-                detail = oracle.check(context, result)
-                if detail is None:
-                    continue
-                tally.violations += 1
-                if len(counterexamples) < max_counterexamples:
-                    counterexamples.append(
-                        NetCounterexample(
-                            oracle=oracle.name,
-                            algorithm=engine.algorithm_name,
-                            detail=detail,
-                            spec=spec,
-                            vector=vector,
-                            adversary=adversary,
-                            faults=fault_adversary.fault_record(),
-                            decisions=dict(result.decisions),
-                            duration=result.duration,
-                            fingerprint=result.fingerprint,
-                        )
-                    )
-    return enumerated, executions, [tallies[name] for name in oracle_names], counterexamples
-
-
-def _resolve_net_oracles(oracles: Iterable[str] | None) -> tuple[str, ...]:
-    if oracles is None:
-        return tuple(NET_ORACLES)
-    names = tuple(oracles)
-    for name in names:
-        if name not in NET_ORACLES:
-            raise InvalidParameterError(
-                f"unknown net property oracle {name!r}; registered oracles: "
-                f"{', '.join(NET_ORACLES)}"
-            )
-    return names
-
-
-def run_net_check(
-    engine: "Engine",
-    *,
-    adversary: str | None = None,
-    rounds: int | None = None,
-    max_faults: int | None = None,
-    vectors: Iterable[InputVector | Sequence[Any]] | None = None,
-    oracles: Iterable[str] | None = None,
-    workers: int | None = None,
-    store: "ResultStore | None" = None,
-    max_counterexamples: int = DEFAULT_MAX_COUNTEREXAMPLES,
-    max_vectors: int = DEFAULT_MAX_VECTORS,
-    all_vectors_limit: int = DEFAULT_ALL_VECTORS_LIMIT,
-) -> NetCheckReport:
-    """Verify the engine's algorithm over one family's complete fault space.
-
-    See :meth:`repro.api.Engine.check` (``backend="net"``) for the parameter
-    contract.  *adversary* defaults to ``"send-omission"``, *rounds* to the
-    algorithm's own round bound and *max_faults* to ``spec.t``; the
-    channel-granular spaces grow combinatorially in all three, so this is a
-    tiny-system tool exactly like its sync and async siblings.
-    """
-    if "net" not in engine.backends():
-        raise BackendError(
-            f"the fault-space check drives the net backend, which algorithm "
-            f"{engine.algorithm_name!r} does not support"
-        )
-    spec = engine.spec
-    if adversary is None:
-        adversary = DEFAULT_NET_ADVERSARY
-    if adversary not in NET_ADVERSARIES:
-        raise InvalidParameterError(
-            f"unknown net adversary {adversary!r}; registered failure models: "
-            f"{', '.join(sorted(NET_ADVERSARIES))}"
-        )
-    if rounds is None:
-        rounds = engine.algorithm.max_rounds(spec.n, spec.t)
-    if rounds < 1:
-        raise InvalidParameterError(f"rounds must be >= 1, got {rounds}")
-    if max_faults is None:
-        max_faults = spec.t
-    if max_faults < 0:
-        raise InvalidParameterError(f"max_faults must be >= 0, got {max_faults}")
-    if max_counterexamples < 0:
-        raise InvalidParameterError(
-            f"max_counterexamples must be >= 0, got {max_counterexamples}"
-        )
-    worker_count = engine._resolve_workers(workers)
-    oracle_names = _resolve_net_oracles(oracles)
-    if vectors is not None:
-        frontier = tuple(engine._normalise_vector(vector) for vector in vectors)
-    else:
-        frontier = input_frontier(
-            spec,
-            engine.condition,
-            max_vectors=max_vectors,
-            all_vectors_limit=all_vectors_limit,
-        )
-    if not frontier:
-        raise InvalidParameterError("the input frontier is empty: nothing to check")
-    expected = count_faults(adversary, spec.n, rounds, max_faults)
-
-    if worker_count == 1:
-        enumerated, executions, tallies, counterexamples = check_net_slice(
-            engine, adversary, rounds, max_faults, 0, None, frontier,
-            oracle_names, max_counterexamples,
-        )
-    else:
-        if engine._entry is None:
-            raise InvalidParameterError(
-                "parallel checking needs an engine built from a registry key; "
-                f"this engine wraps the pre-built instance "
-                f"{engine.algorithm_name!r}, which workers cannot rebuild"
-            )
-        from ..parallel import execute_net_check
-
-        enumerated = 0
-        executions = 0
-        tallies = [OracleTally(name) for name in oracle_names]
-        counterexamples = []
-        for outcome in execute_net_check(
-            engine, adversary, rounds, max_faults, expected, frontier,
-            oracle_names, worker_count, max_counterexamples,
-        ):
-            enumerated += outcome.enumerated
-            executions += outcome.executions
-            for merged, partial in zip(tallies, outcome.tallies):
-                merged.checked += partial.checked
-                merged.violations += partial.violations
-            counterexamples.extend(outcome.counterexamples)
-        counterexamples = counterexamples[:max_counterexamples]
-
-    # The generator/closed-form cross-validation runs on *every* check.
-    if enumerated != expected:
-        raise SimulationError(
-            f"fault enumeration produced {enumerated} assignments but the "
-            f"closed form predicts {expected} for family={adversary!r}, "
-            f"n={spec.n}, rounds={rounds}, max_faults={max_faults}"
-        )
-
-    report = NetCheckReport(
-        spec=spec,
-        algorithm=engine.algorithm_name,
-        adversary=adversary,
-        rounds=rounds,
-        max_faults=max_faults,
-        fault_count=expected,
-        vector_count=len(frontier),
-        executions=executions,
-        tallies=tallies,
-        counterexamples=counterexamples,
-        truncated=sum(t.violations for t in tallies) > len(counterexamples),
-    )
-    if store is not None:
-        for counterexample in report.counterexamples:
-            store.append_net_counterexample(counterexample)
-    return report

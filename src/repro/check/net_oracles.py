@@ -38,9 +38,10 @@ omission guarantees quantify over correct processes only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ..api.spec import AgreementSpec
+from .oracles import PropertyOracle, _always
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.engine import Engine
@@ -78,10 +79,6 @@ def _applies_benign(context: NetCheckContext, result: "RunResult") -> bool:
     # The crash-model theorems transfer to the benign (omission/loss/delay)
     # models but claim nothing under value corruption.
     return context.family != "byzantine-corrupt"
-
-
-def _always(context: NetCheckContext, result: "RunResult") -> bool:
-    return True
 
 
 def _check_validity(context: NetCheckContext, result: "RunResult") -> str | None:
@@ -123,35 +120,25 @@ def _check_termination(context: NetCheckContext, result: "RunResult") -> str | N
     return None
 
 
-@dataclass(frozen=True)
-class NetPropertyOracle:
-    """One checkable message-passing claim (mirrors the sync ``PropertyOracle``)."""
-
-    name: str
-    summary: str
-    applies: Callable[[NetCheckContext, "RunResult"], bool]
-    check: Callable[[NetCheckContext, "RunResult"], str | None]
-
-
 #: The net oracle registry, in evaluation (and report) order.
-NET_ORACLES: dict[str, NetPropertyOracle] = {
+NET_ORACLES: dict[str, PropertyOracle] = {
     oracle.name: oracle
     for oracle in (
-        NetPropertyOracle(
+        PropertyOracle(
             "net-validity",
             "every value a non-faulty process decides was proposed "
             "(benign families only)",
             _applies_benign,
             _check_validity,
         ),
-        NetPropertyOracle(
+        PropertyOracle(
             "net-agreement",
             "non-faulty processes decide at most k distinct values "
             "(benign families only)",
             _applies_benign,
             _check_agreement,
         ),
-        NetPropertyOracle(
+        PropertyOracle(
             "net-termination",
             "every non-faulty process decides within the round bound",
             _always,

@@ -1,8 +1,8 @@
 """Property oracles: one predicate per claim the paper makes about executions.
 
-Each oracle inspects one normalized :class:`~repro.api.RunResult` (the model
-checker only drives the synchronous backend, so decision times are rounds)
-and either passes or produces a human-readable violation detail.  Oracles
+Each oracle inspects one normalized :class:`~repro.api.RunResult` (these are
+the oracles of the synchronous space, so decision times are rounds) and
+either passes or produces a human-readable violation detail.  Oracles
 carry an *applicability* predicate so the same oracle set can be evaluated
 over every algorithm and every execution: an oracle that does not apply to a
 run is simply not counted for it.
@@ -43,7 +43,7 @@ generic bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..api.spec import AgreementSpec
 
@@ -96,12 +96,19 @@ class CheckContext:
 
 @dataclass(frozen=True)
 class PropertyOracle:
-    """One checkable claim: an applicability predicate and a violation finder."""
+    """One checkable claim: an applicability predicate and a violation finder.
+
+    The one oracle type of all three checkers; each backend's registry
+    passes its own context (:class:`CheckContext`,
+    :class:`~repro.check.net_oracles.NetCheckContext` or
+    :class:`~repro.check.async_oracles.AsyncCheckContext`) as the first
+    argument.
+    """
 
     name: str
     summary: str
-    applies: Callable[[CheckContext, "RunResult"], bool]
-    check: Callable[[CheckContext, "RunResult"], str | None]
+    applies: Callable[[Any, "RunResult"], bool]
+    check: Callable[[Any, "RunResult"], str | None]
 
 
 def _always(context: CheckContext, result: "RunResult") -> bool:

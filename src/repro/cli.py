@@ -867,7 +867,12 @@ def _command_check(arguments) -> int:
 
     store = None
     if arguments.store is not None:
-        from .store import ResultStore
+        from .store import (
+            ASYNC_COUNTEREXAMPLE_KIND,
+            COUNTEREXAMPLE_KIND,
+            NET_COUNTEREXAMPLE_KIND,
+            ResultStore,
+        )
 
         store = ResultStore(arguments.store)
     engine = Engine(spec, arguments.algorithm, RunConfig(workers=arguments.workers))
@@ -888,9 +893,9 @@ def _command_check(arguments) -> int:
     if store is not None:
         counts = store.counts()
         kind = {
-            "async": "async-counterexample",
-            "net": "net-counterexample",
-        }.get(arguments.backend, "counterexample")
+            "async": ASYNC_COUNTEREXAMPLE_KIND,
+            "net": NET_COUNTEREXAMPLE_KIND,
+        }.get(arguments.backend, COUNTEREXAMPLE_KIND)
         print(
             f"store            : {store.path} "
             f"({counts.get(kind, 0)} {kind} records)"

@@ -10,9 +10,11 @@ the work of :meth:`repro.api.Engine.run_batch` / :meth:`~repro.api.Engine.sweep`
   the frozen :class:`~repro.api.AgreementSpec`, the algorithm's registry key,
   the frozen :class:`~repro.api.RunConfig` and the staged
   ``(vector, schedule, seed)`` triples; a sweep cell carries the grid
-  overrides and its index; a check shard carries a contiguous index range
-  into the deterministic schedule enumeration (the worker re-derives the
-  schedules).  Workers rebuild the engine from the envelope and
+  overrides and its index; a check shard carries the frozen adversary
+  space of :mod:`repro.check` (sync schedules, net fault assignments or
+  async interleavings) and a contiguous index range into its deterministic
+  point stream (the worker re-derives the points).  Workers rebuild the
+  engine from the envelope and
   cache it per ``(spec, algorithm, config)`` for the life of the worker
   process, so consecutive chunks of one batch share a warm
   :class:`~repro.api.engine.MemoizedCondition`.
@@ -47,26 +49,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (engine imports us lazily)
     from .api.engine import Engine, SweepCell
     from .api.result import RunResult
     from .api.spec import AgreementSpec, RunConfig
-    from .check.async_checker import AsyncCounterexample
-    from .check.checker import Counterexample, OracleTally
-    from .check.net_checker import NetCounterexample
+    from .check.checker import CheckSpace, OracleTally
     from .store import ResultStore
 
 __all__ = [
-    "AsyncCheckShard",
-    "AsyncCheckOutcome",
     "BatchChunk",
     "CellTask",
     "CheckShard",
     "ChunkOutcome",
     "CheckOutcome",
-    "NetCheckShard",
-    "NetCheckOutcome",
     "execute_batch",
     "execute_sweep",
     "execute_check",
-    "execute_async_check",
-    "execute_net_check",
 ]
 
 #: Outstanding tasks kept in flight per worker: enough to hide scheduling
@@ -126,18 +120,22 @@ class ChunkOutcome:
 
 @dataclass(frozen=True)
 class CheckShard:
-    """One contiguous slice of the exhaustive check's schedule space.
+    """One contiguous slice of an exhaustive check's adversary space.
 
-    ``[start, stop)`` indexes into the deterministic stream of
-    :func:`repro.sync.adversary.enumerate_schedules`; the worker re-derives
-    the schedules from the indices (schedules are cheap to enumerate, so
-    shipping indices beats shipping thousands of pickled schedule objects).
+    ``[start, stop)`` indexes into the deterministic point stream of
+    *space* (:class:`~repro.check.SyncSpace`,
+    :class:`~repro.check.NetSpace` or :class:`~repro.check.AsyncSpace`);
+    the worker re-derives the points from the indices (points are cheap to
+    enumerate, so shipping indices beats shipping thousands of pickled
+    schedules or adversaries).
     """
 
     spec: "AgreementSpec"
     algorithm: str
     config: "RunConfig"
-    rounds: int
+    #: The resolved space: its bounds travel, its oracles are looked up by
+    #: name in the worker.
+    space: "CheckSpace"
     start: int
     #: ``None`` on the final shard: it reads the stream to exhaustion so an
     #: over-producing generator is caught by the closed-form cross-check.
@@ -146,8 +144,8 @@ class CheckShard:
     oracle_names: tuple[str, ...]
     max_counterexamples: int
     index: int
-    #: Route the slice through the packed batch evaluator (the worker falls
-    #: back to the scalar loop whenever the evaluator declines the engine).
+    #: Route the slice through the space's packed batch hook (the worker
+    #: falls back to the scalar loop whenever the hook declines the engine).
     vectorized: bool = False
 
 
@@ -159,82 +157,8 @@ class CheckOutcome:
     enumerated: int
     executions: int
     tallies: list["OracleTally"]
-    counterexamples: list["Counterexample"]
-    stats: dict[str, tuple[int, int]]
-
-
-@dataclass(frozen=True)
-class AsyncCheckShard:
-    """One contiguous slice of the bounded-interleaving adversary space.
-
-    ``[start, stop)`` indexes into the deterministic stream of
-    :func:`repro.check.async_checker.enumerate_async_adversaries`; the
-    worker re-derives the adversaries from the indices, exactly like the
-    synchronous :class:`CheckShard` re-derives its schedules.
-    """
-
-    spec: "AgreementSpec"
-    algorithm: str
-    config: "RunConfig"
-    depth: int
-    max_crashes: int
-    start: int
-    #: ``None`` on the final shard: it reads the stream to exhaustion so an
-    #: over-producing generator is caught by the closed-form cross-check.
-    stop: int | None
-    vectors: tuple[InputVector, ...]
-    oracle_names: tuple[str, ...]
-    max_counterexamples: int
-    index: int
-
-
-@dataclass
-class AsyncCheckOutcome:
-    """What a worker sends back for one async check shard."""
-
-    index: int
-    enumerated: int
-    executions: int
-    tallies: list["OracleTally"]
-    counterexamples: list["AsyncCounterexample"]
-    stats: dict[str, tuple[int, int]]
-
-
-@dataclass(frozen=True)
-class NetCheckShard:
-    """One contiguous slice of a message-level failure model's fault space.
-
-    ``[start, stop)`` indexes into the deterministic stream of
-    :func:`repro.net.enumerate_faults`; the worker re-derives the fault
-    assignments from the indices, exactly like the other check shards
-    re-derive their adversaries.
-    """
-
-    spec: "AgreementSpec"
-    algorithm: str
-    config: "RunConfig"
-    adversary: str
-    rounds: int
-    max_faults: int
-    start: int
-    #: ``None`` on the final shard: it reads the stream to exhaustion so an
-    #: over-producing generator is caught by the closed-form cross-check.
-    stop: int | None
-    vectors: tuple[InputVector, ...]
-    oracle_names: tuple[str, ...]
-    max_counterexamples: int
-    index: int
-
-
-@dataclass
-class NetCheckOutcome:
-    """What a worker sends back for one net check shard."""
-
-    index: int
-    enumerated: int
-    executions: int
-    tallies: list["OracleTally"]
-    counterexamples: list["NetCounterexample"]
+    #: The space's counterexample records, in execution order.
+    counterexamples: list[Any]
     stats: dict[str, tuple[int, int]]
 
 
@@ -261,6 +185,16 @@ def _stats_snapshot(engine: "Engine") -> dict[str, tuple[int, int]]:
     return {name: (stats.hits, stats.misses) for name, stats in engine.cache_stats().items()}
 
 
+def _stats_delta(
+    engine: "Engine", before: dict[str, tuple[int, int]]
+) -> dict[str, tuple[int, int]]:
+    """The cache hits and misses *engine* made since the *before* snapshot."""
+    return {
+        name: (hits - before[name][0], misses - before[name][1])
+        for name, (hits, misses) in _stats_snapshot(engine).items()
+    }
+
+
 def _execute_chunk(chunk: BatchChunk) -> ChunkOutcome:
     """Run one staged chunk in the worker and report results + stat deltas."""
     engine = _worker_engine(chunk.spec, chunk.algorithm, chunk.config)
@@ -274,12 +208,7 @@ def _execute_chunk(chunk: BatchChunk) -> ChunkOutcome:
         )
         for vector, schedule, seed in chunk.runs
     ]
-    after = _stats_snapshot(engine)
-    deltas = {
-        name: (hits - before[name][0], misses - before[name][1])
-        for name, (hits, misses) in after.items()
-    }
-    return ChunkOutcome(chunk.index, results, deltas)
+    return ChunkOutcome(chunk.index, results, _stats_delta(engine, before))
 
 
 def _execute_cell(task: CellTask) -> "SweepCell":
@@ -299,7 +228,7 @@ def _execute_cell(task: CellTask) -> "SweepCell":
 
 
 def _execute_check_shard(shard: CheckShard) -> CheckOutcome:
-    """Check one schedule slice in the worker (same code path as serial)."""
+    """Check one slice of the space in the worker (same code path as serial)."""
     from .api.registry import ALGORITHMS
     from .check.checker import check_slice
 
@@ -314,7 +243,7 @@ def _execute_check_shard(shard: CheckShard) -> CheckOutcome:
     before = _stats_snapshot(engine)
     enumerated, executions, tallies, counterexamples = check_slice(
         engine,
-        shard.rounds,
+        shard.space,
         shard.start,
         shard.stop,
         shard.vectors,
@@ -322,78 +251,9 @@ def _execute_check_shard(shard: CheckShard) -> CheckOutcome:
         shard.max_counterexamples,
         vectorized=shard.vectorized,
     )
-    after = _stats_snapshot(engine)
-    deltas = {
-        name: (hits - before[name][0], misses - before[name][1])
-        for name, (hits, misses) in after.items()
-    }
-    return CheckOutcome(shard.index, enumerated, executions, tallies, counterexamples, deltas)
-
-
-def _execute_async_check_shard(shard: AsyncCheckShard) -> AsyncCheckOutcome:
-    """Check one async adversary slice in the worker (same code path as serial)."""
-    from .api.registry import ALGORITHMS
-    from .check.async_checker import check_async_slice
-
-    if shard.algorithm not in ALGORITHMS:
-        # Mutants are registered at runtime (never at import); re-run the
-        # idempotent registration in spawned/forkserver workers.
-        from .check.mutants import register_mutants
-
-        register_mutants()
-    engine = _worker_engine(shard.spec, shard.algorithm, shard.config)
-    before = _stats_snapshot(engine)
-    enumerated, executions, tallies, counterexamples = check_async_slice(
-        engine,
-        shard.depth,
-        shard.max_crashes,
-        shard.start,
-        shard.stop,
-        shard.vectors,
-        shard.oracle_names,
-        shard.max_counterexamples,
-    )
-    after = _stats_snapshot(engine)
-    deltas = {
-        name: (hits - before[name][0], misses - before[name][1])
-        for name, (hits, misses) in after.items()
-    }
-    return AsyncCheckOutcome(
-        shard.index, enumerated, executions, tallies, counterexamples, deltas
-    )
-
-
-def _execute_net_check_shard(shard: NetCheckShard) -> NetCheckOutcome:
-    """Check one fault-space slice in the worker (same code path as serial)."""
-    from .api.registry import ALGORITHMS
-    from .check.net_checker import check_net_slice
-
-    if shard.algorithm not in ALGORITHMS:
-        # Mutants are registered at runtime (never at import); re-run the
-        # idempotent registration in spawned/forkserver workers.
-        from .check.mutants import register_mutants
-
-        register_mutants()
-    engine = _worker_engine(shard.spec, shard.algorithm, shard.config)
-    before = _stats_snapshot(engine)
-    enumerated, executions, tallies, counterexamples = check_net_slice(
-        engine,
-        shard.adversary,
-        shard.rounds,
-        shard.max_faults,
-        shard.start,
-        shard.stop,
-        shard.vectors,
-        shard.oracle_names,
-        shard.max_counterexamples,
-    )
-    after = _stats_snapshot(engine)
-    deltas = {
-        name: (hits - before[name][0], misses - before[name][1])
-        for name, (hits, misses) in after.items()
-    }
-    return NetCheckOutcome(
-        shard.index, enumerated, executions, tallies, counterexamples, deltas
+    return CheckOutcome(
+        shard.index, enumerated, executions, tallies, counterexamples,
+        _stats_delta(engine, before),
     )
 
 
@@ -504,8 +364,8 @@ def execute_sweep(
 
 def execute_check(
     engine: "Engine",
-    rounds: int,
-    schedule_count: int,
+    space: "CheckSpace",
+    adversary_count: int,
     vectors: tuple[InputVector, ...],
     oracle_names: tuple[str, ...],
     workers: int,
@@ -513,9 +373,9 @@ def execute_check(
     *,
     vectorized: bool = False,
 ) -> Iterator[CheckOutcome]:
-    """Shard the exhaustive check's schedule space across a process pool.
+    """Shard an exhaustive check's adversary space across a process pool.
 
-    The space ``[0, schedule_count)`` is cut into
+    The space ``[0, adversary_count)`` is cut into
     ``workers × SUBMIT_WINDOW_PER_WORKER`` contiguous index ranges and
     outcomes are yielded **in shard order**, so the caller's merge reproduces
     the serial evaluation order exactly — tallies sum, counterexample lists
@@ -525,17 +385,17 @@ def execute_check(
     handed over.
     """
     shard_target = max(1, workers * SUBMIT_WINDOW_PER_WORKER)
-    shard_size = max(1, -(-schedule_count // shard_target))
-    starts = list(range(0, schedule_count, shard_size))
+    shard_size = max(1, -(-adversary_count // shard_target))
+    starts = list(range(0, adversary_count, shard_size))
     shards = [
         CheckShard(
             spec=engine.spec,
             algorithm=engine.algorithm_name,
             config=engine.config,
-            rounds=rounds,
+            space=space,
             start=start,
             # The last shard reads to exhaustion (stop=None) so that a
-            # generator producing more schedules than the closed form
+            # generator producing more points than the closed form
             # predicts is detected, not silently truncated.
             stop=None if start == starts[-1] else start + shard_size,
             vectors=vectors,
@@ -548,95 +408,5 @@ def execute_check(
     ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for outcome in pool.map(_execute_check_shard, shards):
-            engine._absorb_worker_stats(outcome.stats)
-            yield outcome
-
-
-def execute_async_check(
-    engine: "Engine",
-    depth: int,
-    max_crashes: int,
-    adversary_count: int,
-    vectors: tuple[InputVector, ...],
-    oracle_names: tuple[str, ...],
-    workers: int,
-    max_counterexamples: int,
-) -> Iterator[AsyncCheckOutcome]:
-    """Shard the bounded-interleaving adversary space across a process pool.
-
-    Same contract as :func:`execute_check`, over the asynchronous space:
-    ``[0, adversary_count)`` is cut into contiguous index ranges, outcomes
-    are yielded **in shard order**, the final shard reads to exhaustion so an
-    over-producing generator is detected, and worker cache-stat deltas are
-    merged into *engine* before each outcome is handed over — which is what
-    makes the merged report byte-identical to the serial one.
-    """
-    shard_target = max(1, workers * SUBMIT_WINDOW_PER_WORKER)
-    shard_size = max(1, -(-adversary_count // shard_target))
-    starts = list(range(0, adversary_count, shard_size))
-    shards = [
-        AsyncCheckShard(
-            spec=engine.spec,
-            algorithm=engine.algorithm_name,
-            config=engine.config,
-            depth=depth,
-            max_crashes=max_crashes,
-            start=start,
-            stop=None if start == starts[-1] else start + shard_size,
-            vectors=vectors,
-            oracle_names=oracle_names,
-            max_counterexamples=max_counterexamples,
-            index=index,
-        )
-        for index, start in enumerate(starts)
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for outcome in pool.map(_execute_async_check_shard, shards):
-            engine._absorb_worker_stats(outcome.stats)
-            yield outcome
-
-
-def execute_net_check(
-    engine: "Engine",
-    adversary: str,
-    rounds: int,
-    max_faults: int,
-    fault_count: int,
-    vectors: tuple[InputVector, ...],
-    oracle_names: tuple[str, ...],
-    workers: int,
-    max_counterexamples: int,
-) -> Iterator[NetCheckOutcome]:
-    """Shard a message-level fault space across a process pool.
-
-    Same contract as :func:`execute_check`, over the net backend's space:
-    ``[0, fault_count)`` indexes :func:`repro.net.enumerate_faults`, outcomes
-    are yielded **in shard order**, the final shard reads to exhaustion so an
-    over-producing generator is detected, and worker cache-stat deltas are
-    merged into *engine* before each outcome is handed over — which is what
-    makes the merged report byte-identical to the serial one.
-    """
-    shard_target = max(1, workers * SUBMIT_WINDOW_PER_WORKER)
-    shard_size = max(1, -(-fault_count // shard_target))
-    starts = list(range(0, fault_count, shard_size))
-    shards = [
-        NetCheckShard(
-            spec=engine.spec,
-            algorithm=engine.algorithm_name,
-            config=engine.config,
-            adversary=adversary,
-            rounds=rounds,
-            max_faults=max_faults,
-            start=start,
-            stop=None if start == starts[-1] else start + shard_size,
-            vectors=vectors,
-            oracle_names=oracle_names,
-            max_counterexamples=max_counterexamples,
-            index=index,
-        )
-        for index, start in enumerate(starts)
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for outcome in pool.map(_execute_net_check_shard, shards):
             engine._absorb_worker_stats(outcome.stats)
             yield outcome

@@ -1,4 +1,4 @@
-"""The spec-keyed engine cache: bounded LRU of warm :class:`~repro.api.Engine`\ s.
+"""The spec-keyed engine cache: bounded LRU of warm :class:`~repro.api.Engine` instances.
 
 PR 5 taught one engine to keep a warm per-spec
 :class:`~repro.asynchronous.executor.AsyncExecutor` (shared memory + process

@@ -17,24 +17,19 @@ Five record kinds are stored:
   ``None``);
 * ``"cell"`` — one :class:`~repro.api.engine.SweepCell`: its grid overrides,
   its derived spec (as field values) and its batch of run records;
-* ``"counterexample"`` — one :class:`~repro.check.Counterexample` found by
-  the exhaustive model checker (``Engine.check(..., store=...)``): the spec,
-  algorithm, input vector, crash schedule and violation detail, replayable
-  through :meth:`~repro.check.Counterexample.replay` after reloading with
-  :meth:`ResultStore.load_counterexamples`.  A counterexample record is the
-  durable form of a found bug — the workflow is to commit the store file as
-  a regression fixture and replay it in a test;
-* ``"async-counterexample"`` — the asynchronous sibling: one
-  :class:`~repro.check.AsyncCounterexample` found by the bounded-interleaving
-  checker (``Engine.check(backend="async", store=...)``), carrying the
-  interleaving prefix and crash points, reloadable with
-  :meth:`ResultStore.load_async_counterexamples` and replayable the same way;
-* ``"net-counterexample"`` — the message-passing sibling: one
-  :class:`~repro.check.NetCounterexample` found by the fault-space checker
-  (``Engine.check(backend="net", store=...)``), carrying the exact fault
-  assignment (which channels dropped / delayed / corrupted what), reloadable
-  with :meth:`ResultStore.load_net_counterexamples` and replayable the same
-  way.
+* ``"counterexample"`` / ``"net-counterexample"`` /
+  ``"async-counterexample"`` — one violation found by the exhaustive model
+  checker (``Engine.check(..., store=...)``) over the sync, net or async
+  adversary space: a :class:`~repro.check.Counterexample` (crash schedule),
+  :class:`~repro.check.NetCounterexample` (the exact fault assignment: which
+  channels dropped / delayed / corrupted what) or
+  :class:`~repro.check.AsyncCounterexample` (interleaving prefix and crash
+  points).  :meth:`ResultStore.append_counterexample` writes any of them
+  under its kind, and :meth:`ResultStore.load_counterexamples` reloads every
+  kind as the class that wrote it, each replayable through its
+  ``replay()``.  A counterexample record is the durable form of a found bug
+  — the workflow is to commit the store file as a regression fixture and
+  replay it in a test.
 
 The engine integrates the store directly — ``run_batch(..., store=...)`` /
 ``iter_batch(..., store=...)`` append every result as it is produced and
@@ -77,6 +72,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .check.async_checker import AsyncCounterexample
     from .check.checker import Counterexample
     from .check.net_checker import NetCounterexample
+
+    AnyCounterexample = Counterexample | NetCounterexample | AsyncCounterexample
 
 __all__ = [
     "ResultStore",
@@ -291,25 +288,25 @@ class ResultStore:
         }
         self._write_lines([record])
 
-    def append_counterexample(self, counterexample: "Counterexample") -> None:
-        """Persist one model-checker counterexample (flushed immediately)."""
-        record = counterexample.to_record()
-        record["kind"] = COUNTEREXAMPLE_KIND
-        self._write_lines([record])
+    def append_counterexample(self, counterexample: "AnyCounterexample") -> None:
+        """Persist one model-checker counterexample of any backend (flushed
+        immediately), under the record kind of its class."""
+        from .check import AsyncCounterexample, Counterexample, NetCounterexample
 
-    def append_async_counterexample(
-        self, counterexample: "AsyncCounterexample"
-    ) -> None:
-        """Persist one bounded-interleaving counterexample (flushed immediately)."""
-        record = counterexample.to_record()
-        record["kind"] = ASYNC_COUNTEREXAMPLE_KIND
-        self._write_lines([record])
-
-    def append_net_counterexample(self, counterexample: "NetCounterexample") -> None:
-        """Persist one message-level fault counterexample (flushed immediately)."""
-        record = counterexample.to_record()
-        record["kind"] = NET_COUNTEREXAMPLE_KIND
-        self._write_lines([record])
+        for klass, kind in (
+            (Counterexample, COUNTEREXAMPLE_KIND),
+            (NetCounterexample, NET_COUNTEREXAMPLE_KIND),
+            (AsyncCounterexample, ASYNC_COUNTEREXAMPLE_KIND),
+        ):
+            if isinstance(counterexample, klass):
+                record = counterexample.to_record()
+                record["kind"] = kind
+                self._write_lines([record])
+                return
+        raise StoreError(
+            f"cannot store {type(counterexample).__name__!r}: not a "
+            "model-checker counterexample"
+        )
 
     # -- reading -----------------------------------------------------------
     def iter_records(self, all_tenants: bool = False) -> Iterator[dict[str, Any]]:
@@ -401,53 +398,26 @@ class ResultStore:
                 raise StoreError(f"malformed cell record: {error!r}") from error
         return cells
 
-    def load_counterexamples(self) -> list["Counterexample"]:
-        """Rebuild every ``"counterexample"`` record (replayable violations)."""
-        from .check.checker import Counterexample
+    def load_counterexamples(self) -> list["AnyCounterexample"]:
+        """Rebuild every counterexample record, of all three kinds, in write
+        order; each comes back as the class that wrote it and replays."""
+        from .check import AsyncCounterexample, Counterexample, NetCounterexample
         from .exceptions import ReproError
 
-        counterexamples: list[Counterexample] = []
+        classes = {
+            COUNTEREXAMPLE_KIND: Counterexample,
+            NET_COUNTEREXAMPLE_KIND: NetCounterexample,
+            ASYNC_COUNTEREXAMPLE_KIND: AsyncCounterexample,
+        }
+        counterexamples: list["AnyCounterexample"] = []
         for record in self.iter_records():
-            if record["kind"] != COUNTEREXAMPLE_KIND:
+            kind = record["kind"]
+            if kind not in classes:
                 continue
             try:
-                counterexamples.append(Counterexample.from_record(record))
+                counterexamples.append(classes[kind].from_record(record))
             except (KeyError, TypeError, ReproError) as error:
-                raise StoreError(f"malformed counterexample record: {error!r}") from error
-        return counterexamples
-
-    def load_async_counterexamples(self) -> list["AsyncCounterexample"]:
-        """Rebuild every ``"async-counterexample"`` record (replayable violations)."""
-        from .check.async_checker import AsyncCounterexample
-        from .exceptions import ReproError
-
-        counterexamples: list[AsyncCounterexample] = []
-        for record in self.iter_records():
-            if record["kind"] != ASYNC_COUNTEREXAMPLE_KIND:
-                continue
-            try:
-                counterexamples.append(AsyncCounterexample.from_record(record))
-            except (KeyError, TypeError, ReproError) as error:
-                raise StoreError(
-                    f"malformed async counterexample record: {error!r}"
-                ) from error
-        return counterexamples
-
-    def load_net_counterexamples(self) -> list["NetCounterexample"]:
-        """Rebuild every ``"net-counterexample"`` record (replayable violations)."""
-        from .check.net_checker import NetCounterexample
-        from .exceptions import ReproError
-
-        counterexamples: list[NetCounterexample] = []
-        for record in self.iter_records():
-            if record["kind"] != NET_COUNTEREXAMPLE_KIND:
-                continue
-            try:
-                counterexamples.append(NetCounterexample.from_record(record))
-            except (KeyError, TypeError, ReproError) as error:
-                raise StoreError(
-                    f"malformed net counterexample record: {error!r}"
-                ) from error
+                raise StoreError(f"malformed {kind} record: {error!r}") from error
         return counterexamples
 
     def resume_index(self) -> int:

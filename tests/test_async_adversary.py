@@ -490,7 +490,7 @@ class TestAsyncCheck:
         assert replayed.fingerprint == counterexample.fingerprint
         assert replayed.distinct_decision_count() > spec.ell
         # The stored record reloads into an equal, replayable counterexample.
-        reloaded = store.load_async_counterexamples()
+        reloaded = store.load_counterexamples()
         assert [ce.to_record() for ce in reloaded] == [
             ce.to_record() for ce in report.counterexamples
         ]

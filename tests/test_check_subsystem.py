@@ -24,6 +24,8 @@ from repro.api import AgreementSpec, Engine, RunConfig
 from repro.check import (
     MUTANT_HASTY_FLOODMIN,
     Counterexample,
+    SyncSpace,
+    check_slice,
     default_oracle_names,
     differential_check,
     input_frontier,
@@ -31,7 +33,7 @@ from repro.check import (
     run_check,
 )
 from repro.core.vectors import InputVector
-from repro.exceptions import BackendError, InvalidParameterError
+from repro.exceptions import BackendError, InvalidParameterError, StoreError
 from repro.store import ResultStore
 from repro.workloads import exhaustive_scenario
 
@@ -116,7 +118,7 @@ class TestEngineCheck:
         engine = Engine(small_spec())
         report = engine.check(vectors=[[1, 1, 1], [2, 2, 2]], rounds=1)
         assert report.vector_count == 2
-        assert report.rounds == 1
+        assert report.space.rounds == 1
         assert report.schedule_count == 1 + 3 * 4
         with pytest.raises(InvalidParameterError):
             engine.check(rounds=0)
@@ -125,6 +127,19 @@ class TestEngineCheck:
         engine = Engine(small_spec(k=1), "async-condition")
         with pytest.raises(BackendError):
             engine.check()
+
+    def test_check_slice_resolves_its_space(self):
+        engine = Engine(small_spec())
+        vectors = input_frontier(engine.spec, engine.condition)
+        names = default_oracle_names()
+        rounds = engine.spec.outside_condition_bound()
+        resolved = check_slice(engine, SyncSpace(rounds), 0, None, vectors, names, 5)
+        assert check_slice(engine, SyncSpace(), 0, None, vectors, names, 5) == resolved
+        with pytest.raises(BackendError):
+            check_slice(
+                Engine(small_spec(k=1), "async-condition"), SyncSpace(), 0, None,
+                vectors, names, 5,
+            )
 
     def test_early_deciding_oracle_is_exercised(self):
         engine = Engine(AgreementSpec(n=3, t=1, k=1, domain=2), "early-deciding")
@@ -140,6 +155,65 @@ class TestEngineCheck:
         report = Engine(small_spec()).check()
         payload = json.dumps(report.to_record(), sort_keys=True)
         assert '"schedule_count": 37' in payload
+
+
+# ----------------------------------------------------------------------
+# One validation path for the check parameters, on every backend
+# ----------------------------------------------------------------------
+#: A checkable engine per backend.
+BACKEND_ENGINES = {
+    "sync": (small_spec(), "condition-kset"),
+    "async": (small_spec(d=0), "condition-kset"),
+    "net": (AgreementSpec(n=3, t=1, k=1, domain=2), "floodmin"),
+}
+
+
+class TestCheckParameterValidation:
+    @pytest.mark.parametrize(
+        "backend, options",
+        [
+            ("sync", {"rounds": "2"}),
+            ("sync", {"rounds": True}),
+            ("sync", {"max_counterexamples": "5"}),
+            ("sync", {"max_vectors": True}),
+            ("sync", {"all_vectors_limit": 100.0}),
+            ("async", {"depth": "2"}),
+            ("async", {"max_crashes": True}),
+            ("async", {"max_counterexamples": 2.5}),
+            ("net", {"max_faults": "1"}),
+            ("net", {"rounds": True}),
+            ("net", {"max_vectors": "12"}),
+        ],
+    )
+    def test_bounds_must_be_integers(self, backend, options):
+        spec, algorithm = BACKEND_ENGINES[backend]
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            Engine(spec, algorithm).check(backend=backend, **options)
+
+    @pytest.mark.parametrize("backend", sorted(BACKEND_ENGINES))
+    def test_oracle_selection_must_be_nonempty_and_distinct(self, backend):
+        spec, algorithm = BACKEND_ENGINES[backend]
+        engine = Engine(spec, algorithm)
+        first = engine.check(backend=backend, vectors=[[1, 1, 1]]).tallies[0].oracle
+        with pytest.raises(InvalidParameterError, match="empty"):
+            engine.check(backend=backend, oracles=[])
+        with pytest.raises(InvalidParameterError, match="more than once"):
+            engine.check(backend=backend, oracles=[first, first])
+
+    def test_ranges_are_unchanged(self):
+        spec, algorithm = BACKEND_ENGINES["net"]
+        engine = Engine(spec, algorithm)
+        assert engine.check(backend="net", max_faults=0).passed
+        with pytest.raises(InvalidParameterError, match=">= 0"):
+            engine.check(backend="net", max_faults=-1)
+        with pytest.raises(InvalidParameterError, match=">= 1"):
+            engine.check(backend="net", rounds=0)
+        with pytest.raises(InvalidParameterError, match="max_crashes"):
+            Engine(*BACKEND_ENGINES["async"]).check(backend="async", max_crashes=3)
+        with pytest.raises(InvalidParameterError, match="depth must be >= 0"):
+            Engine(*BACKEND_ENGINES["async"]).check(backend="async", depth=-1)
+        with pytest.raises(InvalidParameterError, match="max_crashes"):
+            Engine(*BACKEND_ENGINES["async"]).check(backend="async", max_crashes=-1)
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +320,7 @@ class TestWorkerParity:
 
         engine = Engine.for_algorithm(FloodMinKSetAgreement(t=1, k=1), n=3)
         with pytest.raises(InvalidParameterError):
-            run_check(engine, workers=2)
+            run_check(engine, SyncSpace(), workers=2)
 
     def test_cross_validation_detects_generator_drift(self, monkeypatch):
         """If the closed form and the generator ever disagree — in either
@@ -322,6 +396,55 @@ class TestMutantDetection:
         # The reloaded record is still replayable: the violation reproduces.
         replayed = loaded[0].replay()
         assert replayed.distinct_decision_count() > loaded[0].spec.k
+
+    def test_one_store_reloads_every_counterexample_kind(self, tmp_path):
+        from repro.check import (
+            MUTANT_ECHOLESS_FLOODMIN,
+            MUTANT_HASTY_ASYNC,
+            AsyncCounterexample,
+            NetCounterexample,
+        )
+
+        store = ResultStore(tmp_path / "mixed.jsonl")
+        reports = [
+            Engine(small_spec(), MUTANT_HASTY_FLOODMIN).check(
+                store=store, max_counterexamples=1
+            ),
+            Engine(AgreementSpec(n=3, t=1, k=1, domain=3), MUTANT_ECHOLESS_FLOODMIN).check(
+                backend="net", store=store, max_counterexamples=1
+            ),
+            Engine(small_spec(d=0, domain=3), MUTANT_HASTY_ASYNC).check(
+                backend="async", depth=4, max_crashes=0, vectors=[[3, 1, 1]],
+                store=store, max_counterexamples=1,
+            ),
+        ]
+        assert store.counts() == {
+            "counterexample": 1, "net-counterexample": 1, "async-counterexample": 1
+        }
+        loaded = store.load_counterexamples()
+        assert [type(ce) for ce in loaded] == [
+            Counterexample, NetCounterexample, AsyncCounterexample
+        ]
+        for counterexample, report in zip(loaded, reports):
+            assert counterexample.to_record() == report.counterexamples[0].to_record()
+            replayed = counterexample.replay()
+            assert replayed.decisions == counterexample.decisions
+            assert replayed.distinct_decision_count() > counterexample.spec.k
+
+    def test_store_refuses_what_is_not_a_counterexample(self, tmp_path):
+        store = ResultStore(tmp_path / "ce.jsonl")
+        with pytest.raises(StoreError, match="not a model-checker counterexample"):
+            store.append_counterexample(small_spec())
+        assert store.counts() == {}
+
+        class Narrated(Counterexample):
+            pass
+
+        report = Engine(small_spec(), MUTANT_HASTY_FLOODMIN).check(max_counterexamples=1)
+        original = report.counterexamples[0]
+        store.append_counterexample(Narrated(**vars(original)))
+        assert store.counts() == {"counterexample": 1}
+        assert store.load_counterexamples()[0].to_record() == original.to_record()
 
     def test_known_counterexample_regression(self):
         """The first counterexample the checker ever found, pinned forever.

@@ -350,24 +350,25 @@ class TestNetCheck:
     def test_floodmin_passes_send_omission_exhaustively(self):
         report = Engine(TINY, "floodmin").check(backend="net", adversary="send-omission")
         assert report.passed
-        assert report.adversary == "send-omission"
-        assert report.fault_count == count_faults(
-            "send-omission", TINY.n, report.rounds, report.max_faults
+        space = report.space
+        assert space.adversary == "send-omission"
+        assert report.adversary_count == count_faults(
+            "send-omission", TINY.n, space.rounds, space.max_faults
         )
-        assert report.executions == report.fault_count * report.vector_count
+        assert report.executions == report.adversary_count * report.vector_count
         for name in default_net_oracle_names():
             tally = report.tally(name)
             assert tally.violations == 0
 
     def test_acceptance_grid_n4_t2(self):
         # The ISSUE's acceptance bar: exhaustive n <= 4, t <= 2 with the
-        # closed form cross-validated (run_net_check raises on mismatch).
+        # closed form cross-validated (run_check raises on mismatch).
         spec = AgreementSpec(n=4, t=2, k=2, domain=2)
         report = Engine(spec, "floodmin").check(backend="net", adversary="send-omission")
         assert report.passed
-        assert report.max_faults == 2
-        assert report.fault_count == count_faults(
-            "send-omission", 4, report.rounds, 2
+        assert report.space.max_faults == 2
+        assert report.adversary_count == count_faults(
+            "send-omission", 4, report.space.rounds, 2
         )
 
     def test_serial_and_parallel_reports_are_byte_identical(self):
@@ -503,7 +504,7 @@ class TestNetMutants:
         report = Engine(TINY, MUTANT_ECHOLESS_FLOODMIN).check(
             backend="net", adversary="send-omission", store=store
         )
-        loaded = store.load_net_counterexamples()
+        loaded = store.load_counterexamples()
         assert len(loaded) == len(report.counterexamples)
         rebuilt = NetCounterexample.from_record(report.counterexamples[0].to_record())
         assert rebuilt.replay().fingerprint == report.counterexamples[0].fingerprint

@@ -531,6 +531,29 @@ class TestServerEndToEnd:
         for record in alpha_store.iter_records():
             assert record["tenant"] == "alpha"
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"rounds": "2"},
+            {"rounds": True},
+            {"max_counterexamples": "5"},
+            {"max_vectors": "12"},
+            {"all_vectors_limit": 100.0},
+            {"backend": "async", "depth": "2"},
+            {"backend": "async", "max_crashes": True},
+            {"backend": "net", "algorithm": "floodmin", "max_faults": "1"},
+        ],
+    )
+    def test_malformed_check_parameters_are_400s(self, client, fields):
+        payload = {"spec": {"n": 3, "t": 1, "k": 1, "d": 1, "domain": 2}, **fields}
+        connection, response = client._open("POST", "/check", payload)
+        try:
+            status, body = response.status, json.loads(response.read())
+        finally:
+            connection.close()
+        assert (status, body["code"]) == (400, "bad-request"), body
+        assert "must be an integer" in body["error"]
+
     def test_bad_requests_are_400s_not_crashes(self, client):
         with pytest.raises(ServeError, match="spec"):
             client.run({"n": 4}, [1, 2, 3, 4])  # t is missing

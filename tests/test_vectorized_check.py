@@ -37,7 +37,7 @@ from strategies import vector_batches, vectors
 
 from repro.algorithms.early_deciding_kset import EarlyDecidingKSetAgreement
 from repro.api import AgreementSpec, Engine, RunConfig
-from repro.check import MUTANT_HASTY_FLOODMIN, check_slice, register_mutants
+from repro.check import MUTANT_HASTY_FLOODMIN, SyncSpace, check_slice, register_mutants
 from repro.check.frontier import input_frontier, packed_frontier
 from repro.check.oracles import CheckContext, default_oracle_names
 from repro.core.conditions import ExplicitCondition, MaxLegalCondition
@@ -269,7 +269,7 @@ def _slice_records(engine, rounds, start, stop, vectors, vectorized):
     condition with default parameters may fail to decode some view)."""
     try:
         enumerated, executions, tallies, counterexamples = check_slice(
-            engine, rounds, start, stop, vectors, default_oracle_names(), 4,
+            engine, SyncSpace(rounds), start, stop, vectors, default_oracle_names(), 4,
             vectorized=vectorized,
         )
     except ReproError as error:
