@@ -65,12 +65,42 @@ from ..sync.process import SynchronousAlgorithm
 from ..sync.runtime import SynchronousSystem
 from .registry import ALGORITHMS, SCHEDULES, AlgorithmEntry
 from .result import RunResult
-from .spec import AgreementSpec, RunConfig
+from .spec import BACKENDS, AgreementSpec, RunConfig, require_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports us)
     from ..store import ResultStore
 
-__all__ = ["Engine", "MemoizedCondition", "CacheStats", "SweepCell"]
+__all__ = [
+    "BACKEND_KNOBS", "Engine", "MemoizedCondition", "CacheStats", "RunKnobs", "SweepCell"
+]
+
+#: The per-call run knobs each backend takes (the README's run-knob table).
+#: A knob left at ``None`` keeps the config's default and is never refused;
+#: any other knob a backend does not take is.
+BACKEND_KNOBS: dict[str, tuple[str, ...]] = {
+    "sync": (),
+    "net": ("net_adversary",),
+    "async": ("max_steps", "async_adversary", "crash_steps"),
+}
+
+
+@dataclass(frozen=True)
+class RunKnobs:
+    """The per-call knobs of one execution path, checked once.
+
+    :meth:`Engine._run_knobs` builds it from a ``run``, batch or ``sweep``
+    call after applying :data:`BACKEND_KNOBS` and the range checks, so
+    holding one means the knobs were checked; the run path and the pool
+    envelopes of :mod:`repro.parallel` carry it and nothing else about
+    knobs.  ``None`` keeps the config's default.
+    """
+
+    backend: str
+    max_steps: int | None = None
+    async_adversary: "AsyncAdversary | str | None" = None
+    #: Crash points as sorted ``(pid, steps)`` pairs.
+    crash_steps: tuple[tuple[int, int], ...] | None = None
+    net_adversary: "NetAdversary | str | None" = None
 
 
 @dataclass
@@ -421,10 +451,11 @@ class Engine:
         *schedule* may be an explicit :class:`CrashSchedule`, a schedule
         registry name, or ``None`` (the config's default schedule name).
         *seed* feeds the named schedule factory and, on the asynchronous
-        backend, the interleaving.  *max_steps* overrides the per-process
-        step budget and is async-only (the synchronous backend is bounded by
-        the algorithm's own round bound); passing it with ``backend="sync"``
-        raises, as do the other async-only knobs below.
+        backend, the interleaving.  Which backend takes which of the
+        remaining knobs is :data:`BACKEND_KNOBS` (the README's run-knob
+        table); a knob the backend does not take raises
+        :class:`InvalidParameterError`.  *max_steps* overrides the
+        per-process step budget of the asynchronous backend.
 
         On the message-passing backend (``backend="net"``) the adversary is a
         *failure model* over individual messages: *net_adversary* is a
@@ -434,9 +465,8 @@ class Engine:
         default (``"fault-free"``).  *seed* feeds the seeded failure models,
         so one ``(vector, net_adversary, seed)`` triple is fully
         deterministic — the result's ``fingerprint`` digests the realized
-        fault matrix.  The net backend takes no crash schedule (pass ``None``
-        or an empty schedule) and rejects the async-only knobs; conversely
-        *net_adversary* raises on the other two backends.
+        fault matrix.  The net backend takes no crash schedule either (pass
+        ``None`` or an empty schedule).
 
         On the asynchronous backend the schedule's crash events project onto
         crash *points*: a process crashing in round ``r`` takes ``r - 1``
@@ -453,20 +483,17 @@ class Engine:
         runs typically exhaust their step budget and come back with
         ``terminated=False``.
         """
-        input_vector = self._normalise_vector(vector)
-        backend = backend or self._config.backend
-        seed = self._config.seed if seed is None else seed
-        crash_schedule = self._resolve_schedule(schedule, seed)
-        return self._execute(
-            input_vector,
-            crash_schedule,
-            seed,
-            backend,
-            max_steps,
-            async_adversary=async_adversary,
-            crash_steps=crash_steps,
-            net_adversary=net_adversary,
+        knobs = self._run_knobs(
+            backend, max_steps=max_steps, async_adversary=async_adversary,
+            crash_steps=crash_steps, net_adversary=net_adversary,
         )
+        if seed is None:
+            seed = self._config.seed
+        else:
+            require_int("seed", seed)
+        input_vector = self._normalise_vector(vector)
+        crash_schedule = self._resolve_schedule(schedule, seed)
+        return self._execute(input_vector, crash_schedule, seed, knobs)
 
     # -- batched runs --------------------------------------------------------
     def run_batch(
@@ -522,13 +549,13 @@ class Engine:
         :class:`repro.store.ResultStore` as it is produced, so an
         interrupted batch keeps what it already computed.
 
-        *async_adversary* and *crash_steps* apply to every run of the batch
-        (asynchronous backend only, same contract as :meth:`run`);
-        *net_adversary* picks the failure model of every run on the
-        message-passing backend (each run still re-seeds it with its own
-        derived seed, so runs stay independent).  Parallel batches require
-        either adversary as a registry name, since strategy instances do not
-        travel to workers.
+        *async_adversary*, *crash_steps* and *net_adversary* apply to every
+        run of the batch, same contract as :meth:`run`; which backend takes
+        which is :data:`BACKEND_KNOBS`, checked once per call (a seeded
+        failure model is still re-seeded per run with that run's seed, so
+        runs stay independent).  Parallel batches require either adversary
+        as a registry name, since strategy instances do not travel to
+        workers.
 
         Work shared across the batch: condition membership, the predicate
         ``P`` and view decoding (memoized for the engine's lifetime), the
@@ -575,41 +602,20 @@ class Engine:
         chunks are still executing.  Consuming lazily bounds memory on large
         sweeps and lets callers aggregate or persist on the fly.
         """
-        backend = backend or self._config.backend
         chunk = self._resolve_chunk_size(chunk_size)
         worker_count = self._resolve_workers(workers)
-
+        knobs = self._run_knobs(
+            backend, async_adversary=async_adversary, crash_steps=crash_steps,
+            net_adversary=net_adversary, portable=worker_count > 1,
+        )
         if schedules is None or isinstance(schedules, (str, CrashSchedule)):
             pairing = itertools.repeat(schedules)
         else:
-            try:
-                paired_count = len(schedules)  # type: ignore[arg-type]
-                vector_count = len(vectors)  # type: ignore[arg-type]
-            except TypeError:
-                pass  # one side is a lazy stream: pair at runtime
-            else:
-                if paired_count != vector_count:
-                    raise InvalidParameterError(
-                        f"run_batch got {vector_count} vectors but "
-                        f"{paired_count} schedules"
-                    )
-            pairing = iter(schedules)
-
+            pairing = self._paired(schedules, vectors, "schedules")
         if seeds is None:
             seed_stream: Iterator[int] = itertools.count(self._config.seed)
         else:
-            try:
-                seed_count = len(seeds)  # type: ignore[arg-type]
-                vector_count = len(vectors)  # type: ignore[arg-type]
-            except TypeError:
-                pass  # one side is a lazy stream: pair at runtime
-            else:
-                if seed_count != vector_count:
-                    raise InvalidParameterError(
-                        f"run_batch got {vector_count} vectors but "
-                        f"{seed_count} explicit seeds"
-                    )
-            seed_stream = iter(seeds)
+            seed_stream = self._paired(seeds, vectors, "explicit seeds")
 
         if worker_count > 1 and self._entry is None:
             raise InvalidParameterError(
@@ -617,59 +623,38 @@ class Engine:
                 f"this engine wraps the pre-built instance "
                 f"{self._algorithm_name!r}, which workers cannot rebuild"
             )
-        if worker_count > 1 and isinstance(async_adversary, AsyncAdversary):
-            raise InvalidParameterError(
-                "parallel batches need the async adversary as a registry name "
-                f"(got the instance {async_adversary.name!r}); strategy objects "
-                "do not travel to workers"
-            )
-        if worker_count > 1 and isinstance(net_adversary, NetAdversary):
-            raise InvalidParameterError(
-                "parallel batches need the net adversary as a registry name "
-                f"(got a {type(net_adversary).__name__} instance); failure-model "
-                "objects do not travel to workers"
-            )
 
         staged_chunks = self._staged_chunks(iter(vectors), pairing, chunk, seed_stream)
         if worker_count == 1:
-            return self._iter_serial(
-                staged_chunks, backend, store, async_adversary, crash_steps,
-                net_adversary,
-            )
+            return self._iter_serial(staged_chunks, knobs, store)
         from ..parallel import execute_batch
 
-        return execute_batch(
-            self,
-            staged_chunks,
-            backend,
-            worker_count,
-            store=store,
-            async_adversary=async_adversary,
-            crash_steps=crash_steps,
-            net_adversary=net_adversary,
-        )
+        return execute_batch(self, staged_chunks, knobs, worker_count, store=store)
+
+    @staticmethod
+    def _paired(stream: Iterable[Any], vectors: Iterable[Any], what: str) -> Iterator[Any]:
+        """*stream* as an iterator, once a sized pairing with *vectors* is
+        checked for equal lengths (a lazy side pairs at runtime)."""
+        try:
+            count, vector_count = len(stream), len(vectors)  # type: ignore[arg-type]
+        except TypeError:
+            pass
+        else:
+            if count != vector_count:
+                raise InvalidParameterError(
+                    f"run_batch got {vector_count} vectors but {count} {what}"
+                )
+        return iter(stream)
 
     def _iter_serial(
         self,
         staged_chunks: Iterator[list[tuple[InputVector, CrashSchedule, int]]],
-        backend: str,
-        store: "ResultStore | None",
-        async_adversary: "AsyncAdversary | str | None" = None,
-        crash_steps: Mapping[int, int] | None = None,
-        net_adversary: "NetAdversary | str | None" = None,
+        knobs: RunKnobs,
+        store: "ResultStore | None" = None,
     ) -> Iterator[RunResult]:
         for staged in staged_chunks:
             for normalised, crash_schedule, seed in staged:
-                result = self._execute(
-                    normalised,
-                    crash_schedule,
-                    seed,
-                    backend,
-                    None,
-                    async_adversary=async_adversary,
-                    crash_steps=crash_steps,
-                    net_adversary=net_adversary,
-                )
+                result = self._execute(normalised, crash_schedule, seed, knobs)
                 if store is not None:
                     store.append(result)
                 yield result
@@ -702,10 +687,7 @@ class Engine:
                         f"run_batch ran out of explicit seeds after {index} runs "
                         "with vectors remaining"
                     )
-                if not isinstance(seed, int):
-                    raise InvalidParameterError(
-                        f"explicit seeds must be integers, got {seed!r}"
-                    )
+                require_int("an explicit seed", seed)
                 crash_schedule = self._resolve_schedule(schedule, seed)
                 self._validate_once(crash_schedule)
                 staged.append((self._normalise_vector(vector), crash_schedule, seed))
@@ -715,20 +697,70 @@ class Engine:
     def _resolve_chunk_size(self, chunk_size: int | None) -> int:
         if chunk_size is None:
             return self._config.chunk_size
-        if not isinstance(chunk_size, int) or chunk_size < 1:
-            raise InvalidParameterError(
-                f"chunk_size must be an integer >= 1, got {chunk_size!r}"
-            )
+        require_int("chunk_size", chunk_size, 1)
         return chunk_size
 
     def _resolve_workers(self, workers: int | None) -> int:
         if workers is None:
             return self._config.workers
-        if not isinstance(workers, int) or workers < 1:
-            raise InvalidParameterError(
-                f"workers must be an integer >= 1, got {workers!r}"
-            )
+        require_int("workers", workers, 1)
         return workers
+
+    def _run_knobs(
+        self, backend: str | None, *, portable: bool = False, **knobs: Any
+    ) -> RunKnobs:
+        """Check one call's knobs (the :class:`RunKnobs` fields) against
+        :data:`BACKEND_KNOBS`, once.
+
+        *backend* ``None`` is the config's backend.  A *portable* call (a
+        parallel batch, any sweep) needs its adversaries as registry names:
+        strategy and failure-model objects do not travel to workers.
+        """
+        backend = backend or self._config.backend
+        if backend not in BACKENDS:
+            raise BackendError(
+                f"unknown backend {backend!r}; expected 'sync', 'async' or 'net'"
+            )
+        if backend not in self.backends():
+            raise BackendError(
+                f"algorithm {self._algorithm_name!r} does not run on the {backend!r} "
+                f"backend (supported: {', '.join(self.backends())})"
+            )
+        given = {name: value for name, value in knobs.items() if value is not None}
+        taken = BACKEND_KNOBS[backend]
+        refused = [name for name in given if name not in taken]
+        if refused:
+            raise InvalidParameterError(
+                f"the {backend} backend does not take {', '.join(refused)}; "
+                f"it takes {', '.join(taken) or 'no run knobs'}"
+            )
+        for name, kind in (("async_adversary", AsyncAdversary), ("net_adversary", NetAdversary)):
+            value = given.get(name)
+            if value is None or isinstance(value, str):
+                continue
+            if not isinstance(value, kind):
+                raise InvalidParameterError(
+                    f"{name} must be a registry name or a {kind.__name__}, got {value!r}"
+                )
+            if portable:
+                raise InvalidParameterError(
+                    f"{name} must be a registry name here, got a "
+                    f"{type(value).__name__}: adversary objects do not travel "
+                    "to worker processes"
+                )
+        if "max_steps" in given:
+            require_int("max_steps", given["max_steps"], 1)
+        if "crash_steps" in given:
+            crash_steps = given["crash_steps"]
+            if not isinstance(crash_steps, Mapping):
+                raise InvalidParameterError(
+                    f"crash_steps must map process ids to steps, got {crash_steps!r}"
+                )
+            for pid, steps in crash_steps.items():
+                require_int("a crash_steps process id", pid, 0)
+                require_int(f"the crash step of process {pid}", steps, 0)
+            given["crash_steps"] = tuple(sorted(crash_steps.items()))
+        return RunKnobs(backend, **given)
 
     def _absorb_worker_stats(self, deltas: Mapping[str, tuple[int, int]]) -> None:
         """Merge per-worker cache hit/miss deltas into this engine's counters.
@@ -796,10 +828,11 @@ class Engine:
           applicability-gated net oracles (validity and agreement claim
           nothing under ``byzantine-corrupt``; termination always applies).
 
-        *rounds* is sync/net-only; *depth* / *max_crashes* are async-only;
-        *adversary* / *max_faults* are net-only.  Every bound must be an
-        ``int`` (not a ``bool``), as must *max_counterexamples*,
-        *max_vectors* and *all_vectors_limit*.
+        A backend takes exactly the bounds that are fields of its space
+        (*rounds* on sync and net, *depth* / *max_crashes* on async,
+        *adversary* / *max_faults* on net); any other bound raises.  Every
+        bound must be an ``int`` (not a ``bool``), as must
+        *max_counterexamples*, *max_vectors* and *all_vectors_limit*.
 
         Either way the space's closed form is cross-validated against its
         generator on every run, each adversary is executed against a
@@ -824,7 +857,7 @@ class Engine:
         from ..check import AsyncSpace, NetSpace, SyncSpace, run_check
 
         backend = backend or "sync"
-        if backend not in ("sync", "async", "net"):
+        if backend not in BACKENDS:
             raise BackendError(
                 f"unknown backend {backend!r}; expected 'sync', 'async' or 'net'"
             )
@@ -833,27 +866,24 @@ class Engine:
                 "vectorized=False forces the synchronous reference path; the "
                 f"{backend} check has no batch evaluator to disable"
             )
-        if backend != "net" and (adversary is not None or max_faults is not None):
+        bounds = {
+            "rounds": rounds,
+            "depth": depth,
+            "max_crashes": max_crashes,
+            "adversary": adversary,
+            "max_faults": max_faults,
+        }
+        space_type = {"sync": SyncSpace, "async": AsyncSpace, "net": NetSpace}[backend]
+        taken = [bound.name for bound in dataclasses.fields(space_type)]
+        refused = [
+            name for name, value in bounds.items() if value is not None and name not in taken
+        ]
+        if refused:
             raise InvalidParameterError(
-                "adversary and max_faults select the message-level fault "
-                f"space; the {backend} check does not take them"
+                f"the {backend} check does not take {', '.join(refused)}; "
+                f"it takes {', '.join(taken)}"
             )
-        if backend != "async" and (depth is not None or max_crashes is not None):
-            raise InvalidParameterError(
-                "depth and max_crashes bound the asynchronous interleaving "
-                f"space; the {backend} check does not take them"
-            )
-        if backend == "async" and rounds is not None:
-            raise InvalidParameterError(
-                "rounds bounds the synchronous schedule space; the "
-                "asynchronous check takes depth= and max_crashes="
-            )
-        if backend == "net":
-            space = NetSpace(adversary, rounds, max_faults)
-        elif backend == "async":
-            space = AsyncSpace(depth, max_crashes)
-        else:
-            space = SyncSpace(rounds)
+        space = space_type(**{name: bounds[name] for name in taken})
         return run_check(
             self,
             space,
@@ -904,21 +934,19 @@ class Engine:
         returned cells are identical to the serial sweep.  *store* appends
         every completed cell to a :class:`repro.store.ResultStore`, in cell
         order, so an interrupted sweep keeps its finished cells.
-        *async_adversary* (a registry name — sweeps always stay picklable)
-        and *crash_steps* apply to every run of every cell on the
-        asynchronous backend, and *net_adversary* (also a registry name)
-        picks the failure model of every run on the message-passing
-        backend, same contract as :meth:`run`.  *seed* overrides
+        *async_adversary*, *crash_steps* and *net_adversary* apply to every
+        run of every cell, same contract as :meth:`run`; which backend takes
+        which is :data:`BACKEND_KNOBS`, checked once before any cell runs,
+        and both adversaries must be registry names (cells stay picklable).
+        *seed* overrides
         the config's base seed for the whole sweep (cell *i* keeps deriving
         ``seed + i``), byte-identical to sweeping an engine whose config
         carries that seed — which is how :mod:`repro.serve` serves
         per-request seeds from one cached engine.
         """
+        if seed is not None:
+            require_int("seed", seed)
         if seed is not None and seed != self._config.seed:
-            if not isinstance(seed, int):
-                raise InvalidParameterError(
-                    f"seed must be an integer, got {seed!r}"
-                )
             sibling = Engine(
                 self._spec, self._algorithm_name, self._config.replace(seed=seed)
             )
@@ -934,16 +962,6 @@ class Engine:
                 crash_steps=crash_steps,
                 net_adversary=net_adversary,
             )
-        if isinstance(async_adversary, AsyncAdversary):
-            raise InvalidParameterError(
-                "sweep needs the async adversary as a registry name (cells "
-                f"must stay picklable); got the instance {async_adversary.name!r}"
-            )
-        if isinstance(net_adversary, NetAdversary):
-            raise InvalidParameterError(
-                "sweep needs the net adversary as a registry name (cells must "
-                f"stay picklable); got a {type(net_adversary).__name__} instance"
-            )
         if self._entry is None:
             raise InvalidParameterError(
                 "sweep needs an engine built from a registry key; this engine "
@@ -954,7 +972,12 @@ class Engine:
             raise InvalidParameterError(
                 f"vectors must be 'in', 'out' or 'random', got {vectors!r}"
             )
+        require_int("runs_per_cell", runs_per_cell)
         worker_count = self._resolve_workers(workers)
+        knobs = self._run_knobs(
+            backend, async_adversary=async_adversary, crash_steps=crash_steps,
+            net_adversary=net_adversary, portable=True,
+        )
         # A typo'd grid key is a programming error, not a bad cell: fail the
         # whole sweep up front rather than returning all-error cells.
         spec_fields = {f.name for f in dataclasses.fields(AgreementSpec)}
@@ -973,16 +996,11 @@ class Engine:
             from ..parallel import execute_sweep
 
             cell_stream = execute_sweep(
-                self, combos, runs_per_cell, vectors, schedule, backend, worker_count,
-                async_adversary=async_adversary, crash_steps=crash_steps,
-                net_adversary=net_adversary,
+                self, combos, runs_per_cell, vectors, schedule, knobs, worker_count
             )
         else:
             cell_stream = (
-                self._sweep_cell(
-                    overrides, index, runs_per_cell, vectors, schedule, backend,
-                    async_adversary, crash_steps, net_adversary,
-                )
+                self._sweep_cell(overrides, index, runs_per_cell, vectors, schedule, knobs)
                 for index, overrides in enumerate(combos)
             )
         # Persist each cell the moment it exists: an interrupted sweep must
@@ -1001,10 +1019,7 @@ class Engine:
         runs_per_cell: int,
         vectors: str,
         schedule: CrashSchedule | str | None,
-        backend: str | None,
-        async_adversary: str | None = None,
-        crash_steps: Mapping[int, int] | None = None,
-        net_adversary: str | None = None,
+        knobs: RunKnobs,
     ) -> SweepCell:
         """Execute one sweep cell (shared by the serial and parallel paths)."""
         from ..workloads.vectors import (
@@ -1065,13 +1080,15 @@ class Engine:
                 else:
                     batch.append(random_vector(cell_spec.n, cell_spec.domain, rng))
             # Cells never fan out again themselves: sweep parallelism is at
-            # cell granularity, so a worker-side (or workers-configured) cell
-            # batch would otherwise open a nested process pool.
-            results = engine.run_batch(
-                batch, schedule, backend=backend, workers=1,
-                async_adversary=async_adversary, crash_steps=crash_steps,
-                net_adversary=net_adversary,
+            # cell granularity, so the cell batch runs serially even where
+            # the config asks for workers.
+            staged = engine._staged_chunks(
+                iter(batch),
+                itertools.repeat(schedule),
+                self._config.chunk_size,
+                itertools.count(self._config.seed),
             )
+            results = list(engine._iter_serial(staged, knobs))
         except ReproError as error:  # bad parameter combos report; bugs raise
             return SweepCell(
                 spec=self._safe_cell_spec(overrides),
@@ -1213,7 +1230,7 @@ class Engine:
     def _async_crash_steps(
         self,
         schedule: CrashSchedule,
-        crash_steps: Mapping[int, int] | None,
+        crash_steps: tuple[tuple[int, int], ...] | None,
     ) -> dict[int, int]:
         """Project the crash schedule onto asynchronous crash points.
 
@@ -1230,19 +1247,7 @@ class Engine:
             + (1 if event.delivered_to else 0)
             for event in schedule
         }
-        if crash_steps is not None:
-            n = self._spec.n
-            for pid, step in crash_steps.items():
-                if not isinstance(pid, int) or not 0 <= pid < n:
-                    raise InvalidParameterError(
-                        f"crash_steps names process {pid!r} outside [0, {n})"
-                    )
-                if not isinstance(step, int) or step < 0:
-                    raise InvalidParameterError(
-                        f"crash step of process {pid} must be an integer >= 0, "
-                        f"got {step!r}"
-                    )
-                points[pid] = step
+        points.update(crash_steps or ())
         return points
 
     def _execute(
@@ -1250,41 +1255,10 @@ class Engine:
         vector: InputVector,
         schedule: CrashSchedule,
         seed: int,
-        backend: str,
-        max_steps: int | None,
-        async_adversary: "AsyncAdversary | str | None" = None,
-        crash_steps: Mapping[int, int] | None = None,
-        net_adversary: "NetAdversary | str | None" = None,
+        knobs: RunKnobs,
     ) -> RunResult:
-        if backend not in ("sync", "async", "net"):
-            raise BackendError(
-                f"unknown backend {backend!r}; expected 'sync', 'async' or 'net'"
-            )
-        if backend not in self.backends():
-            raise BackendError(
-                f"algorithm {self._algorithm_name!r} does not run on the {backend!r} "
-                f"backend (supported: {', '.join(self.backends())})"
-            )
-        if backend != "net" and net_adversary is not None:
-            raise InvalidParameterError(
-                "net_adversary picks the message-level failure model and only "
-                "applies to the net backend"
-            )
-        if backend in ("sync", "net"):
-            model = "crash schedule" if backend == "sync" else "net adversary"
-            for name, value in (
-                ("max_steps", max_steps),
-                ("async_adversary", async_adversary),
-                ("crash_steps", crash_steps),
-            ):
-                if value is not None:
-                    raise InvalidParameterError(
-                        f"{name} only applies to the asynchronous backend; the "
-                        f"{backend} backend is driven by the {model} and "
-                        "its round bound"
-                    )
-        elif max_steps is not None and max_steps < 1:
-            raise InvalidParameterError(f"max_steps must be >= 1, got {max_steps}")
+        """One execution under already-checked *knobs* (see :meth:`_run_knobs`)."""
+        backend = knobs.backend
         if backend == "net" and len(schedule) > 0:
             raise InvalidParameterError(
                 "the net backend takes no crash schedule — its failure model "
@@ -1303,7 +1277,9 @@ class Engine:
 
         if backend == "net":
             adversary = resolve_net_adversary(
-                self._config.net_adversary if net_adversary is None else net_adversary,
+                self._config.net_adversary
+                if knobs.net_adversary is None
+                else knobs.net_adversary,
                 self._spec.n,
                 self._spec.t,
                 seed,
@@ -1321,14 +1297,14 @@ class Engine:
         # run()'s docstring).
         result = self._async_executor().run(
             list(vector),
-            crash_steps=self._async_crash_steps(schedule, crash_steps),
+            crash_steps=self._async_crash_steps(schedule, knobs.crash_steps),
             adversary=(
                 self._config.async_adversary
-                if async_adversary is None
-                else async_adversary
+                if knobs.async_adversary is None
+                else knobs.async_adversary
             ),
             seed=seed,
-            max_steps_per_process=max_steps,
+            max_steps_per_process=knobs.max_steps,
         )
         return RunResult.from_async(
             result,

@@ -1,21 +1,20 @@
-"""The shared adversary-namespace table: one source of truth for disjointness.
+"""The shared adversary field: its engine keyword and its namespace table.
 
-The CLI's ``--adversary`` flag is deliberately backend-polymorphic: it names
-an asynchronous scheduling strategy (``"latency-skew"``) *or* a net failure
-model (``"send-omission"``), and the backend decides which namespace was
-meant.  That design only works while the two namespaces stay **disjoint** —
-a name registered in both would be silently ambiguous on every CLI surface,
-every serve request and every stored record that carries adversary names as
-strings.
+The CLI's ``--adversary`` flag and the serve daemon's ``adversary`` payload
+key are deliberately backend-polymorphic: one field names an asynchronous
+scheduling strategy (``"latency-skew"``) *or* a net failure model
+(``"send-omission"``).  :func:`adversary_keyword` maps the field to the
+engine keyword of the request's backend; the engine then refuses it where
+the backend takes no such knob (:data:`repro.api.engine.BACKEND_KNOBS`) and
+its registry refuses a name from the other namespace.
 
-Historically the disjointness was checked nowhere and merely *relied on* by
-``repro.cli._resolve_adversaries``.  This module is the promoted single
-source of truth: the table below names each namespace and how to list it,
-:func:`adversary_namespace_of` classifies a name, and
-:func:`adversary_namespace_overlaps` computes the collisions — consumed by
-both the CLI's runtime resolution and the ``adversary-namespace`` rule of
-:mod:`repro.lint`, so the invariant is enforced on every commit instead of
-rediscovered at flag-parsing time.
+That design only works while the two namespaces stay **disjoint** — a name
+registered in both would be ambiguous on every CLI surface, every serve
+request and every stored record that carries adversary names as strings.
+The table below names each namespace and how to list it, and
+:func:`adversary_namespace_overlaps` computes the collisions; the
+``adversary-namespace`` rule of :mod:`repro.lint` enforces the invariant on
+every commit.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from ..net.adversary import available_net_adversaries
 __all__ = [
     "ADVERSARY_NAMESPACES",
     "ADVERSARY_REGISTRARS",
-    "adversary_namespace_of",
+    "adversary_keyword",
     "adversary_namespace_overlaps",
 ]
 
@@ -48,18 +47,14 @@ ADVERSARY_REGISTRARS: dict[str, str] = {
 }
 
 
-def adversary_namespace_of(name: str) -> str | None:
-    """Which namespace *name* belongs to (``None`` when unknown).
+def adversary_keyword(backend: str | None, adversary: str | None) -> dict[str, str | None]:
+    """The shared adversary field as the engine keyword of *backend*.
 
-    With the disjointness invariant enforced, membership is unambiguous;
-    were a name ever registered in several namespaces, the first match in
-    table order would win here — which is exactly the silent ambiguity the
-    lint rule exists to prevent.
+    The net backend reads it as ``net_adversary``, every other backend as
+    ``async_adversary``; the engine refuses the keyword where the backend
+    does not take it, so nothing is dropped here.
     """
-    for backend, lister in ADVERSARY_NAMESPACES.items():
-        if name in lister():
-            return backend
-    return None
+    return {"net_adversary" if backend == "net" else "async_adversary": adversary}
 
 
 def adversary_namespace_overlaps() -> dict[str, tuple[str, ...]]:

@@ -31,10 +31,18 @@ from typing import Any, Mapping
 from ..core.hierarchy import rounds_in_condition, rounds_outside_condition
 from ..exceptions import InvalidParameterError
 
-__all__ = ["AgreementSpec", "RunConfig"]
+__all__ = ["AgreementSpec", "RunConfig", "require_int"]
 
 #: Backends understood by the engine.
 BACKENDS = ("sync", "async", "net")
+
+
+def require_int(name: str, value: Any, minimum: int | None = None) -> None:
+    """Reject a run or check parameter that is not an ``int`` (a ``bool`` is not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidParameterError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _freeze(value: Any) -> Any:
@@ -252,14 +260,11 @@ class RunConfig:
             raise InvalidParameterError(
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
             )
-        if self.crashes < 0:
-            raise InvalidParameterError(f"crashes must be >= 0, got {self.crashes}")
-        if self.max_steps_per_process < 1:
-            raise InvalidParameterError(
-                f"max_steps_per_process must be >= 1, got {self.max_steps_per_process}"
-            )
-        if self.chunk_size < 1:
-            raise InvalidParameterError(f"chunk_size must be >= 1, got {self.chunk_size}")
+        require_int("crashes", self.crashes, 0)
+        require_int("seed", self.seed)
+        require_int("max_steps_per_process", self.max_steps_per_process, 1)
+        require_int("chunk_size", self.chunk_size, 1)
+        require_int("workers", self.workers, 1)
         # Unknown strategy names fail at construction, not at the first run.
         from ..asynchronous.adversary import ASYNC_ADVERSARIES
 
@@ -275,8 +280,6 @@ class RunConfig:
                 f"unknown net adversary {self.net_adversary!r}; registered "
                 f"failure models: {', '.join(sorted(NET_ADVERSARIES))}"
             )
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise InvalidParameterError(f"workers must be an integer >= 1, got {self.workers!r}")
 
     def replace(self, **changes) -> "RunConfig":
         """A copy of the config with *changes* applied."""

@@ -31,8 +31,9 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import TYPE_CHECKING, Any, ClassVar, Iterator, Mapping
 
+from ..api.engine import RunKnobs
 from ..api.result import RunResult
-from ..api.spec import AgreementSpec, RunConfig
+from ..api.spec import AgreementSpec, RunConfig, require_int
 from ..asynchronous.adversary import (
     EnumeratedAdversary,
     count_interleavings,
@@ -41,7 +42,7 @@ from ..asynchronous.adversary import (
 from ..core.vectors import InputVector
 from ..exceptions import InvalidParameterError
 from .async_oracles import ASYNC_ORACLES, AsyncCheckContext
-from .checker import FAILURE_FREE, CheckSpace, require_int
+from .checker import FAILURE_FREE, CheckSpace
 # Importable from every checker module: perfbench's traced run wraps it there.
 from .frontier import input_frontier  # noqa: F401
 from .oracles import PropertyOracle
@@ -243,15 +244,10 @@ class AsyncSpace(CheckSpace):
 
     def execute(self, engine: "Engine", vector: InputVector, point: AsyncPoint) -> RunResult:
         crash_steps, adversary = point
-        return engine._execute(
-            vector,
-            FAILURE_FREE,
-            0,
-            "async",
-            None,
-            async_adversary=adversary,
-            crash_steps=crash_steps,
+        knobs = RunKnobs(
+            "async", async_adversary=adversary, crash_steps=tuple(sorted(crash_steps.items()))
         )
+        return engine._execute(vector, FAILURE_FREE, 0, knobs)
 
     def counterexample(self, engine, oracle, detail, vector, point, result) -> AsyncCounterexample:
         crash_steps, adversary = point

@@ -38,8 +38,9 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Mapping, Sequence
 
+from ..api.engine import RunKnobs
 from ..api.result import RunResult
-from ..api.spec import AgreementSpec, RunConfig
+from ..api.spec import AgreementSpec, RunConfig, require_int
 from ..core.vectors import InputVector
 from ..exceptions import (
     BackendError,
@@ -75,13 +76,8 @@ DEFAULT_MAX_COUNTEREXAMPLES = 25
 #: the fault assignment or the interleaving, never a crash round.
 FAILURE_FREE = CrashSchedule()
 
-
-def require_int(name: str, value: Any, minimum: int | None = None) -> None:
-    """Reject a check parameter that is not an ``int`` (a ``bool`` is not)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise InvalidParameterError(f"{name} must be >= {minimum}, got {value}")
+#: The knobs of every sync check execution: the schedule is its adversary.
+SYNC_KNOBS = RunKnobs("sync")
 
 
 @dataclass
@@ -246,7 +242,7 @@ class SyncSpace(CheckSpace):
         return CheckContext.from_engine(engine)
 
     def execute(self, engine: "Engine", vector: InputVector, schedule: CrashSchedule) -> RunResult:
-        return engine._execute(vector, schedule, 0, "sync", None)
+        return engine._execute(vector, schedule, 0, SYNC_KNOBS)
 
     def counterexample(self, engine, oracle, detail, vector, schedule, result) -> Counterexample:
         return Counterexample(
@@ -773,8 +769,8 @@ def differential_check(
     examples: list[DecisionDiff] = []
     for schedule in space.points(spec, 0, None):
         for vector in frontier:
-            result_a = engine_a._execute(vector, schedule, 0, "sync", None)
-            result_b = engine_b._execute(vector, schedule, 0, "sync", None)
+            result_a = engine_a._execute(vector, schedule, 0, SYNC_KNOBS)
+            result_b = engine_b._execute(vector, schedule, 0, SYNC_KNOBS)
             executions += 1
             if result_a.decisions != result_b.decisions:
                 mismatches += 1

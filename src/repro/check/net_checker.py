@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import TYPE_CHECKING, Any, ClassVar, Iterable, Mapping
 
+from ..api.engine import RunKnobs
 from ..api.result import RunResult
-from ..api.spec import AgreementSpec, RunConfig
+from ..api.spec import AgreementSpec, RunConfig, require_int
 from ..core.vectors import InputVector
 from ..exceptions import InvalidParameterError
 from ..net.adversary import (
@@ -37,7 +38,7 @@ from ..net.adversary import (
     count_faults,
     enumerate_faults,
 )
-from .checker import FAILURE_FREE, CheckSpace, require_int
+from .checker import FAILURE_FREE, CheckSpace
 # Importable from every checker module: perfbench's traced run wraps it there.
 from .frontier import input_frontier  # noqa: F401
 from .net_oracles import NET_ORACLES, NetCheckContext
@@ -194,7 +195,7 @@ class NetSpace(CheckSpace):
         return NetCheckContext.from_engine(engine, self.adversary)
 
     def execute(self, engine: "Engine", vector: InputVector, faults: NetAdversary) -> RunResult:
-        return engine._execute(vector, FAILURE_FREE, 0, "net", None, net_adversary=faults)
+        return engine._execute(vector, FAILURE_FREE, 0, RunKnobs("net", net_adversary=faults))
 
     def counterexample(self, engine, oracle, detail, vector, faults, result) -> NetCounterexample:
         return NetCounterexample(

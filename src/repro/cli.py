@@ -58,7 +58,7 @@ from .api import (
     available_algorithms,
     available_conditions,
 )
-from .api.namespaces import adversary_namespace_of
+from .api.namespaces import adversary_keyword
 from .asynchronous.adversary import available_async_adversaries
 from .core.lattice import ConditionLattice
 from .net.adversary import available_net_adversaries
@@ -631,35 +631,6 @@ def _command_conditions(arguments) -> int:
     return 0 if report.legal else 1
 
 
-def _resolve_adversaries(backend: str, adversary: str | None) -> tuple[str, str]:
-    """Split the shared ``--adversary`` flag into (async, net) config knobs.
-
-    The flag accepts both namespaces (they are disjoint); which one is meant
-    is decided by the backend, and naming one from the wrong namespace is an
-    error rather than a silently ignored knob.
-    """
-    if adversary is None:
-        return "random", "fault-free"
-    # Classified through the shared namespace table (repro.api.namespaces) —
-    # the same source of truth whose disjointness the adversary-namespace
-    # lint rule enforces, so this split can never be ambiguous.
-    namespace = adversary_namespace_of(adversary)
-    if backend == "net":
-        if namespace != "net":
-            raise InvalidParameterError(
-                f"--adversary {adversary!r} is an async scheduling strategy; "
-                "the net backend takes a failure model: "
-                f"{', '.join(available_net_adversaries())}"
-            )
-        return "random", adversary
-    if namespace == "net":
-        raise InvalidParameterError(
-            f"--adversary {adversary!r} is a net failure model; the "
-            f"{backend} backend takes: {', '.join(available_async_adversaries())}"
-        )
-    return adversary, "fault-free"
-
-
 def _demo_vector(engine: Engine, spec: AgreementSpec, seed: int):
     if spec.condition != "max-legal" and engine.condition is not None:
         return vector_in_condition(engine.condition, spec.n, spec.domain, Random(seed))
@@ -680,7 +651,7 @@ def _command_demo(arguments) -> int:
         condition=arguments.condition,
         condition_params=parse_condition_params(arguments.param),
     )
-    async_adversary, net_adversary = _resolve_adversaries(backend, arguments.adversary)
+    knobs = adversary_keyword(backend, arguments.adversary)
     if backend == "net" and crashes > 0:
         raise InvalidParameterError(
             "--crashes drives the sync crash schedule; the net backend models "
@@ -692,8 +663,6 @@ def _command_demo(arguments) -> int:
         crashes=crashes,
         seed=seed,
         record_trace=backend == "sync" and runs == 1,
-        async_adversary=async_adversary,
-        net_adversary=net_adversary,
         workers=workers,
     )
     engine = Engine(spec, algorithm, config)
@@ -707,13 +676,13 @@ def _command_demo(arguments) -> int:
 
     if runs == 1 and workers == 1:
         vector = _demo_vector(engine, spec, seed)
-        result = engine.run(vector)
+        result = engine.run(vector, **knobs)
         if store is not None:
             store.append(result)
         results = [result]
     else:
         vectors = [_demo_vector(engine, spec, seed + index) for index in range(runs)]
-        results = engine.run_batch(vectors, store=store)
+        results = engine.run_batch(vectors, store=store, **knobs)
         result, vector = results[0], results[0].input_vector
 
     membership = (
@@ -727,7 +696,7 @@ def _command_demo(arguments) -> int:
     print(f"input vector     : {list(vector.entries)}")
     print(f"in the condition : {membership}")
     if backend == "net":
-        print(f"failure model    : {net_adversary}")
+        print(f"failure model    : {knobs['net_adversary'] or config.net_adversary}")
     else:
         print(f"crash schedule   : {crashes} crash(es) in round 1")
     print(f"{result.time_unit} executed  : {result.duration}")
@@ -764,9 +733,6 @@ def _command_sweep(arguments) -> int:
         ell=arguments.ell,
         domain=arguments.m,
     )
-    async_adversary, net_adversary = _resolve_adversaries(
-        arguments.backend, arguments.adversary
-    )
     if arguments.backend == "net" and (
         arguments.crashes > 0 or arguments.schedule != "none"
     ):
@@ -779,8 +745,6 @@ def _command_sweep(arguments) -> int:
         schedule=arguments.schedule,
         crashes=arguments.crashes,
         seed=arguments.seed,
-        async_adversary=async_adversary,
-        net_adversary=net_adversary,
         workers=arguments.workers,
     )
     engine = Engine(spec, arguments.algorithm, config)
@@ -794,6 +758,7 @@ def _command_sweep(arguments) -> int:
         arguments.runs_per_cell,
         vectors=arguments.vectors,
         store=store,
+        **adversary_keyword(arguments.backend, arguments.adversary),
     )
     axes = " x ".join(f"{name}({len(values)})" for name, values in grid.items())
     print(f"sweep            : {axes} = {len(cells)} cells, "

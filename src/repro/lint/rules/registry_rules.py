@@ -22,8 +22,8 @@ disjoint.
     The async and net adversary namespaces share the ``--adversary`` flag;
     a name registered in both would be silently ambiguous.  Registration
     sites are classified with
-    :data:`repro.api.namespaces.ADVERSARY_REGISTRARS` — the same table
-    ``repro.cli`` resolves the flag with — and collisions are flagged at
+    :data:`repro.api.namespaces.ADVERSARY_REGISTRARS`, next to the table
+    that lists each namespace at run time, and collisions are flagged at
     every site of the colliding name.
 """
 

@@ -8,10 +8,11 @@ the work of :meth:`repro.api.Engine.run_batch` / :meth:`~repro.api.Engine.sweep`
 
 * **Task envelopes are picklable by construction** — a batch chunk carries
   the frozen :class:`~repro.api.AgreementSpec`, the algorithm's registry key,
-  the frozen :class:`~repro.api.RunConfig` and the staged
-  ``(vector, schedule, seed)`` triples; a sweep cell carries the grid
-  overrides and its index; a check shard carries the frozen adversary
-  space of :mod:`repro.check` (sync schedules, net fault assignments or
+  the frozen :class:`~repro.api.RunConfig`, the staged
+  ``(vector, schedule, seed)`` triples and the call's checked, frozen
+  :class:`~repro.api.engine.RunKnobs`; a sweep cell carries the grid
+  overrides, its index and the same knobs; a check shard carries the frozen
+  adversary space of :mod:`repro.check` (sync schedules, net fault assignments or
   async interleavings) and a contiguous index range into its deterministic
   point stream (the worker re-derives the points).  Workers rebuild the
   engine from the envelope and
@@ -40,13 +41,13 @@ from __future__ import annotations
 
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterator
 
 from .core.vectors import InputVector
 from .sync.adversary import CrashSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (engine imports us lazily)
-    from .api.engine import Engine, SweepCell
+    from .api.engine import Engine, RunKnobs, SweepCell
     from .api.result import RunResult
     from .api.spec import AgreementSpec, RunConfig
     from .check.checker import CheckSpace, OracleTally
@@ -78,15 +79,11 @@ class BatchChunk:
     spec: "AgreementSpec"
     algorithm: str
     config: "RunConfig"
-    backend: str
     index: int
     runs: tuple[tuple[InputVector, CrashSchedule, int], ...]
-    #: Async-backend knobs, applied to every run of the chunk.  The adversary
-    #: travels as a registry name (strategy objects stay in the parent).
-    async_adversary: str | None = None
-    crash_steps: tuple[tuple[int, int], ...] | None = None
-    #: Net-backend failure model, as a registry name for the same reason.
-    net_adversary: str | None = None
+    #: The batch's knobs, applied to every run of the chunk (adversaries
+    #: travel as registry names; the engine refuses objects up front).
+    knobs: "RunKnobs"
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,6 @@ class CellTask:
     spec: "AgreementSpec"
     algorithm: str
     config: "RunConfig"
-    backend: str | None
     index: int
     # Grid-override values are arbitrary by design; Engine.sweep validates
     # them against the spec before any worker sees the task.
@@ -104,9 +100,7 @@ class CellTask:
     runs_per_cell: int
     vectors: str
     schedule: CrashSchedule | str | None
-    async_adversary: str | None = None
-    crash_steps: tuple[tuple[int, int], ...] | None = None
-    net_adversary: str | None = None
+    knobs: "RunKnobs"
 
 
 @dataclass
@@ -199,13 +193,8 @@ def _execute_chunk(chunk: BatchChunk) -> ChunkOutcome:
     """Run one staged chunk in the worker and report results + stat deltas."""
     engine = _worker_engine(chunk.spec, chunk.algorithm, chunk.config)
     before = _stats_snapshot(engine)
-    crash_steps = None if chunk.crash_steps is None else dict(chunk.crash_steps)
     results = [
-        engine._execute(
-            vector, schedule, seed, chunk.backend, None,
-            async_adversary=chunk.async_adversary, crash_steps=crash_steps,
-            net_adversary=chunk.net_adversary,
-        )
+        engine._execute(vector, schedule, seed, chunk.knobs)
         for vector, schedule, seed in chunk.runs
     ]
     return ChunkOutcome(chunk.index, results, _stats_delta(engine, before))
@@ -220,10 +209,7 @@ def _execute_cell(task: CellTask) -> "SweepCell":
         task.runs_per_cell,
         task.vectors,
         task.schedule,
-        task.backend,
-        task.async_adversary,
-        None if task.crash_steps is None else dict(task.crash_steps),
-        task.net_adversary,
+        task.knobs,
     )
 
 
@@ -263,13 +249,10 @@ def _execute_check_shard(shard: CheckShard) -> CheckOutcome:
 def execute_batch(
     engine: "Engine",
     staged_chunks: Iterator[list[tuple[InputVector, CrashSchedule, int]]],
-    backend: str,
+    knobs: "RunKnobs",
     workers: int,
     *,
     store: "ResultStore | None" = None,
-    async_adversary: str | None = None,
-    crash_steps: Mapping[int, int] | None = None,
-    net_adversary: str | None = None,
 ) -> Iterator["RunResult"]:
     """Stream a staged batch through a process pool, in batch order.
 
@@ -282,9 +265,6 @@ def execute_batch(
     persists each result first.
     """
     window = SUBMIT_WINDOW_PER_WORKER * workers
-    frozen_crash_steps = (
-        None if crash_steps is None else tuple(sorted(crash_steps.items()))
-    )
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending: dict[int, "Future[ChunkOutcome]"] = {}
         next_to_submit = 0
@@ -300,12 +280,9 @@ def execute_batch(
                     spec=engine.spec,
                     algorithm=engine.algorithm_name,
                     config=engine.config,
-                    backend=backend,
                     index=next_to_submit,
                     runs=tuple(staged),
-                    async_adversary=async_adversary,
-                    crash_steps=frozen_crash_steps,
-                    net_adversary=net_adversary,
+                    knobs=knobs,
                 )
                 pending[next_to_submit] = pool.submit(_execute_chunk, chunk)
                 next_to_submit += 1
@@ -326,35 +303,25 @@ def execute_sweep(
     runs_per_cell: int,
     vectors: str,
     schedule: CrashSchedule | str | None,
-    backend: str | None,
+    knobs: "RunKnobs",
     workers: int,
-    *,
-    async_adversary: str | None = None,
-    crash_steps: Mapping[int, int] | None = None,
-    net_adversary: str | None = None,
 ) -> Iterator["SweepCell"]:
     """Shard the sweep's cells across a process pool, yielding in cell order.
 
     Cells are yielded as :meth:`Executor.map` hands them over, so the caller
     can persist each one before the sweep finishes.
     """
-    frozen_crash_steps = (
-        None if crash_steps is None else tuple(sorted(crash_steps.items()))
-    )
     tasks = [
         CellTask(
             spec=engine.spec,
             algorithm=engine.algorithm_name,
             config=engine.config,
-            backend=backend,
             index=index,
             overrides=tuple(overrides.items()),
             runs_per_cell=runs_per_cell,
             vectors=vectors,
             schedule=schedule,
-            async_adversary=async_adversary,
-            crash_steps=frozen_crash_steps,
-            net_adversary=net_adversary,
+            knobs=knobs,
         )
         for index, overrides in enumerate(combos)
     ]

@@ -51,8 +51,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 
 from ..api.engine import Engine, SweepCell
+from ..api.namespaces import adversary_keyword
 from ..api.registry import ALGORITHMS
-from ..api.spec import AgreementSpec, RunConfig
+from ..api.spec import AgreementSpec, RunConfig, require_int
 from ..exceptions import (
     AdmissionError,
     InvalidParameterError,
@@ -106,10 +107,8 @@ class _ParsedRequest:
             raise InvalidParameterError(
                 f"schedule must be a registry name or null, got {self.schedule!r}"
             )
-        seed = payload.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise InvalidParameterError(f"seed must be an integer, got {seed!r}")
-        self.seed = seed
+        self.seed = payload.get("seed", 0)
+        require_int("seed", self.seed)
         self.tenant = payload.get("tenant", DEFAULT_TENANT)
         ResultStore._validate_tenant(self.tenant)
         self.adversary = payload.get("adversary")
@@ -117,11 +116,12 @@ class _ParsedRequest:
         self.chunk_size = payload.get("chunk_size")
         crash_steps = payload.get("crash_steps")
         if crash_steps is not None:
-            if not isinstance(crash_steps, Mapping):
+            try:
+                crash_steps = {int(pid): steps for pid, steps in crash_steps.items()}
+            except (AttributeError, ValueError):
                 raise InvalidParameterError(
                     f"crash_steps must map process ids to steps, got {crash_steps!r}"
-                )
-            crash_steps = {int(pid): steps for pid, steps in crash_steps.items()}
+                ) from None
         self.crash_steps = crash_steps
         # The cache key's config: the seed is normalised to 0 (it travels per
         # call instead) so every same-recipe request shares one warm engine.
@@ -134,23 +134,13 @@ class _ParsedRequest:
         return (self.spec, self.algorithm, self.config)
 
     def call_knobs(self) -> dict[str, Any]:
-        """Per-call keyword arguments shared by run/batch (backend-gated)."""
-        knobs: dict[str, Any] = {"backend": self.backend}
-        if self.backend == "async":
-            knobs["async_adversary"] = self.adversary
-            knobs["crash_steps"] = self.crash_steps
-        elif self.backend == "net":
-            if self.crash_steps is not None:
-                raise InvalidParameterError(
-                    "crash_steps only apply to the asynchronous backend"
-                )
-            knobs["net_adversary"] = self.adversary
-        elif self.adversary is not None or self.crash_steps is not None:
-            raise InvalidParameterError(
-                "adversary and crash_steps only apply to the asynchronous "
-                "and net backends"
-            )
-        return knobs
+        """Per-call keyword arguments shared by run/batch/sweep: every knob,
+        forwarded for the engine to check."""
+        return {
+            "backend": self.backend,
+            "crash_steps": self.crash_steps,
+            **adversary_keyword(self.backend, self.adversary),
+        }
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -317,10 +307,7 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(grid, Mapping) or not grid:
             raise InvalidParameterError('"/sweep" needs a non-empty "grid" object')
         runs_per_cell = payload.get("runs_per_cell", 4)
-        if not isinstance(runs_per_cell, int) or runs_per_cell < 1:
-            raise InvalidParameterError(
-                f"runs_per_cell must be an integer >= 1, got {runs_per_cell!r}"
-            )
+        require_int("runs_per_cell", runs_per_cell, 1)
         cell_count = 1
         for values in grid.values():
             if not isinstance(values, (list, tuple)) or not values:
@@ -338,18 +325,9 @@ class _Handler(BaseHTTPRequestHandler):
                     runs_per_cell,
                     vectors=payload.get("vectors_mode", "in"),
                     schedule=request.schedule,
-                    backend=request.backend,
                     workers=request.workers,
-                    async_adversary=(
-                        request.adversary if request.backend == "async" else None
-                    ),
-                    net_adversary=(
-                        request.adversary if request.backend == "net" else None
-                    ),
-                    crash_steps=(
-                        request.crash_steps if request.backend == "async" else None
-                    ),
                     seed=request.seed,
+                    **request.call_knobs(),
                 )
         store = state.tenant_store(request.tenant)
         executed = 0
@@ -376,9 +354,7 @@ class _Handler(BaseHTTPRequestHandler):
                     rounds=payload.get("rounds"),
                     depth=payload.get("depth"),
                     max_crashes=payload.get("max_crashes"),
-                    adversary=(
-                        request.adversary if request.backend == "net" else None
-                    ),
+                    adversary=request.adversary,
                     max_faults=payload.get("max_faults"),
                     workers=request.workers,
                     store=state.tenant_store(request.tenant),
@@ -557,19 +533,21 @@ class ReproServer:
         """
         entry = self.cache.get(request.spec, request.algorithm, request.config)
         knobs = request.call_knobs()
-        frozen_steps = (
-            None
-            if request.crash_steps is None
-            else tuple(sorted(request.crash_steps.items()))
-        )
+        # The knobs enter the key as canonical JSON, hashable whatever the
+        # payload held: the engine refuses malformed ones when the batch runs.
         key = (
             request.engine_key(),
-            request.backend,
-            request.schedule,
-            request.adversary,
-            frozen_steps,
-            request.workers,
-            request.chunk_size,
+            json.dumps(
+                [
+                    request.backend,
+                    request.schedule,
+                    request.adversary,
+                    request.crash_steps,
+                    request.workers,
+                    request.chunk_size,
+                ],
+                sort_keys=True,
+            ),
         )
         seeds = list(range(request.seed, request.seed + len(vectors)))
 

@@ -335,6 +335,95 @@ class TestSweep:
         assert cells[1].overrides == {"d": 99}
         assert cells[0].overrides == {"d": 2}
 
+    def test_knob_the_backend_does_not_take_raises_before_any_cell(self, monkeypatch):
+        started = []
+        original = Engine._sweep_cell
+
+        def counting(self, overrides, index, *args, **kwargs):
+            started.append(index)
+            return original(self, overrides, index, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "_sweep_cell", counting)
+        engine = Engine(AgreementSpec(n=3, t=1, k=1, d=1, ell=1, domain=2), "condition-kset")
+        with pytest.raises(InvalidParameterError, match="sync backend"):
+            engine.sweep({"k": (1,)}, 1, net_adversary="message-loss")
+        assert started == []
+
+
+class TestRunKnobs:
+    """One table decides which backend takes which knob, checked once per call."""
+
+    @pytest.mark.parametrize(
+        "backend, knobs",
+        [
+            ("sync", {"max_steps": 5}),
+            ("sync", {"async_adversary": "round-robin"}),
+            ("sync", {"crash_steps": {0: 1}}),
+            ("sync", {"net_adversary": "message-loss"}),
+            ("net", {"max_steps": 5}),
+            ("net", {"async_adversary": "round-robin"}),
+            ("net", {"crash_steps": {0: 1}}),
+            ("async", {"net_adversary": "message-loss"}),
+        ],
+    )
+    def test_a_knob_the_backend_does_not_take_is_refused(self, backend, knobs):
+        engine = Engine(SPEC, "condition-kset")
+        with pytest.raises(InvalidParameterError, match=f"{backend} backend"):
+            engine.run(VECTOR, backend=backend, **knobs)
+        if "max_steps" not in knobs:
+            with pytest.raises(InvalidParameterError, match=f"{backend} backend"):
+                engine.run_batch([VECTOR], backend=backend, **knobs)
+
+    def test_iter_batch_refuses_when_called(self):
+        engine = Engine(SPEC, "condition-kset")
+        with pytest.raises(InvalidParameterError, match="sync backend"):
+            engine.iter_batch([VECTOR], net_adversary="message-loss")
+
+
+class TestIntegerRunParameters:
+    """Every integer run parameter is an ``int``, never a ``bool`` or float."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"crashes": "x"},
+            {"crashes": 1.5},
+            {"seed": "x"},
+            {"max_steps_per_process": True},
+            {"chunk_size": True},
+            {"workers": True},
+        ],
+    )
+    def test_run_config_fields(self, fields):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            RunConfig(**fields)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda engine: engine.run(VECTOR, backend="async", max_steps=True),
+            lambda engine: engine.run(VECTOR, backend="async", max_steps=2.5),
+            lambda engine: engine.run(VECTOR, backend="async", crash_steps={1: True}),
+            lambda engine: engine.run(VECTOR, backend="async", crash_steps={True: 1}),
+            lambda engine: engine.run(VECTOR, seed="x"),
+            lambda engine: engine.run_batch([VECTOR], workers=True),
+            lambda engine: engine.run_batch([VECTOR], chunk_size=True),
+            lambda engine: engine.run_batch([VECTOR], seeds=[True]),
+            lambda engine: engine.sweep({"k": (2,)}, 1, seed=True),
+            lambda engine: engine.sweep({"k": (2,)}, True),
+        ],
+    )
+    def test_per_call_parameters(self, call):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            call(Engine(SPEC, "condition-kset"))
+
+    def test_ranges_are_unchanged(self):
+        with pytest.raises(InvalidParameterError, match=">= 0"):
+            RunConfig(crashes=-1)
+        engine = Engine(SPEC, "condition-kset")
+        assert engine.run(VECTOR, seed=-3).terminated
+        assert [cell.runs for cell in engine.sweep({"k": (2,)}, 0)] == [0]
+
 
 class TestLegacyBridge:
     def test_for_algorithm_wraps_existing_instances(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Engine
 from repro.cli import build_parser, main
 
 
@@ -164,3 +165,66 @@ class TestCheckCommand:
         assert "--workers" in capsys.readouterr().err
         assert main(base + ["--store", "nope.jsonl"]) == 2
         assert "--store" in capsys.readouterr().err
+
+
+#: A small spec every backend runs in milliseconds.
+SMALL = ["--n", "4", "--t", "1", "--d", "1", "--k", "1", "--m", "3"]
+
+
+@pytest.fixture
+def run_knobs(monkeypatch):
+    """The keyword arguments each ``Engine.run`` call of the CLI receives."""
+    calls = []
+    original = Engine.run
+
+    def spy(self, vector, schedule=None, **knobs):
+        calls.append(knobs)
+        return original(self, vector, schedule, **knobs)
+
+    monkeypatch.setattr(Engine, "run", spy)
+    return calls
+
+
+class TestAdversaryFlag:
+    """The shared --adversary flag is forwarded as the backend's engine
+    keyword; the engine alone refuses a knob or name the backend lacks."""
+
+    def test_default_knobs(self, capsys, run_knobs):
+        assert main(["demo", *SMALL, "--backend", "async"]) == 0
+        assert run_knobs == [{"async_adversary": None}]
+        default = capsys.readouterr().out
+        assert main(["demo", *SMALL, "--backend", "async", "--adversary", "random"]) == 0
+        assert capsys.readouterr().out == default
+        net = ["demo", *SMALL, "--backend", "net", "--algorithm", "floodmin"]
+        assert main(net) == 0
+        assert "failure model    : fault-free" in capsys.readouterr().out
+
+    def test_async_name_on_async_backend(self, capsys, run_knobs):
+        argv = ["demo", *SMALL, "--backend", "async", "--adversary", "latency-skew"]
+        assert main(argv) == 0
+        assert run_knobs == [{"async_adversary": "latency-skew"}]
+
+    def test_net_name_on_net_backend(self, capsys, run_knobs):
+        argv = ["demo", *SMALL, "--backend", "net", "--algorithm", "floodmin",
+                "--adversary", "send-omission"]
+        assert main(argv) == 0
+        assert run_knobs == [{"net_adversary": "send-omission"}]
+        assert "failure model    : send-omission" in capsys.readouterr().out
+
+    def test_async_name_on_net_backend_is_rejected(self, capsys):
+        argv = ["demo", *SMALL, "--backend", "net", "--algorithm", "floodmin",
+                "--adversary", "latency-skew"]
+        assert main(argv) == 2
+        assert "unknown net adversary 'latency-skew'" in capsys.readouterr().err
+
+    def test_net_name_on_async_backend_is_rejected(self, capsys):
+        argv = ["demo", *SMALL, "--backend", "async", "--adversary", "send-omission"]
+        assert main(argv) == 2
+        assert "unknown async adversary 'send-omission'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["demo"], ["sweep", "--grid", "k=1"]])
+    def test_sync_backend_refuses_an_adversary(self, capsys, command):
+        argv = [*command, *SMALL, "--backend", "sync", "--adversary", "latency-skew"]
+        assert main(argv) == 2
+        error = capsys.readouterr().err
+        assert "sync backend" in error and "async_adversary" in error

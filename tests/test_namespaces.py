@@ -1,24 +1,19 @@
 """The shared adversary-namespace table (:mod:`repro.api.namespaces`).
 
-Satellite of the lint PR: the disjointness the CLI's ``--adversary`` split
-always *relied on* is now stated once — here — and consumed by both
-``repro.cli._resolve_adversaries`` and the ``adversary-namespace`` lint
-rule.
+The async and net namespaces share one ``--adversary`` flag (and one
+``adversary`` payload key), so they must stay disjoint; the table states
+them once for the ``adversary-namespace`` lint rule.  How the CLI forwards
+the flag is tested in :mod:`tests.test_cli`.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.api.namespaces import (
     ADVERSARY_NAMESPACES,
     ADVERSARY_REGISTRARS,
-    adversary_namespace_of,
     adversary_namespace_overlaps,
 )
 from repro.asynchronous.adversary import available_async_adversaries
-from repro.cli import _resolve_adversaries
-from repro.exceptions import InvalidParameterError
 from repro.net.adversary import NET_ADVERSARIES, available_net_adversaries
 
 
@@ -34,11 +29,6 @@ class TestTable:
     def test_shipped_namespaces_are_disjoint(self):
         assert adversary_namespace_overlaps() == {}
 
-    def test_classification(self):
-        assert adversary_namespace_of("round-robin") == "async"
-        assert adversary_namespace_of("send-omission") == "net"
-        assert adversary_namespace_of("no-such-adversary") is None
-
     def test_overlap_detection(self):
         # Collide the async name "random" into the net namespace and check
         # the table notices; NET_ADVERSARIES is a plain dict, so the probe
@@ -51,29 +41,3 @@ class TestTable:
             del NET_ADVERSARIES["random"]
         assert adversary_namespace_overlaps() == {}
 
-
-class TestCliResolution:
-    """_resolve_adversaries consumes the table (single source of truth)."""
-
-    def test_default_knobs(self):
-        assert _resolve_adversaries("sync", None) == ("random", "fault-free")
-
-    def test_async_name_on_async_backend(self):
-        assert _resolve_adversaries("async", "latency-skew") == (
-            "latency-skew",
-            "fault-free",
-        )
-
-    def test_net_name_on_net_backend(self):
-        assert _resolve_adversaries("net", "send-omission") == (
-            "random",
-            "send-omission",
-        )
-
-    def test_async_name_on_net_backend_is_rejected(self):
-        with pytest.raises(InvalidParameterError, match="failure model"):
-            _resolve_adversaries("net", "latency-skew")
-
-    def test_net_name_on_async_backend_is_rejected(self):
-        with pytest.raises(InvalidParameterError, match="net failure model"):
-            _resolve_adversaries("async", "send-omission")

@@ -65,6 +65,16 @@ def _canon(results) -> list[str]:
     return [json.dumps(result.to_record(), sort_keys=True) for result in results]
 
 
+def _post(client: ServeClient, path: str, fields: dict) -> tuple[int, dict]:
+    """``(status, body)`` of a raw request on the three-process check spec."""
+    payload = {"spec": {"n": 3, "t": 1, "k": 1, "d": 1, "domain": 2}, **fields}
+    connection, response = client._open("POST", path, payload)
+    try:
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
 @pytest.fixture
 def server():
     with ReproServer(port=0) as instance:
@@ -545,14 +555,46 @@ class TestServerEndToEnd:
         ],
     )
     def test_malformed_check_parameters_are_400s(self, client, fields):
-        payload = {"spec": {"n": 3, "t": 1, "k": 1, "d": 1, "domain": 2}, **fields}
-        connection, response = client._open("POST", "/check", payload)
-        try:
-            status, body = response.status, json.loads(response.read())
-        finally:
-            connection.close()
+        status, body = _post(client, "/check", fields)
         assert (status, body["code"]) == (400, "bad-request"), body
         assert "must be an integer" in body["error"]
+
+    @pytest.mark.parametrize(
+        "path, fields",
+        [
+            ("/sweep", {"grid": {"k": [1]}, "backend": "sync", "adversary": "latency-skew"}),
+            (
+                "/sweep",
+                {"grid": {"k": [1]}, "backend": "net", "algorithm": "floodmin",
+                 "crash_steps": {"0": 1}},
+            ),
+            ("/check", {"backend": "sync", "adversary": "send-omission"}),
+            ("/check", {"backend": "async", "adversary": "latency-skew"}),
+        ],
+    )
+    def test_knobs_the_backend_does_not_take_are_400s(self, client, path, fields):
+        """/sweep and /check refuse what /run and /batch refuse, instead of
+        dropping the knob."""
+        status, body = _post(client, path, fields)
+        assert (status, body["code"]) == (400, "bad-request"), body
+        assert "InvalidParameterError" in body["error"]
+
+    @pytest.mark.parametrize(
+        "path, fields",
+        [
+            ("/run", {"vector": [1, 1, 1], "backend": "async", "crash_steps": {"a": 1}}),
+            ("/run", {"vector": [1, 1, 1], "crashes": "x"}),
+            ("/run", {"vector": [1, 1, 1], "max_steps": "x"}),
+            ("/run", {"vector": [1, 1, 1], "schedule": "round-one", "crashes": 1.5}),
+            ("/batch", {"vectors": [[1, 1, 1]], "backend": "async", "crash_steps": {"1": [1]}}),
+            ("/batch", {"vectors": [[1, 1, 1]], "workers": True}),
+            ("/batch", {"vectors": [[1, 1, 1]], "chunk_size": [2]}),
+            ("/sweep", {"grid": {"k": [1]}, "runs_per_cell": True}),
+        ],
+    )
+    def test_malformed_run_parameters_are_400s(self, client, path, fields):
+        status, body = _post(client, path, fields)
+        assert (status, body["code"]) == (400, "bad-request"), body
 
     def test_bad_requests_are_400s_not_crashes(self, client):
         with pytest.raises(ServeError, match="spec"):
