@@ -14,16 +14,17 @@ pins that speed-up:
   behaviour change;
 * **throughput** — the batch must be at least 1.1× the per-run harness on a
   128-run workload (×1.4 typical on a 1-core container; the asserted floor
-  is deliberately conservative so scheduler noise cannot flake tier-1).
+  is deliberately conservative so scheduler noise cannot flake tier-1).  The
+  two sides alternate round by round (:mod:`timing`), so a slow stretch of
+  the machine lands on both.
 """
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 import snapshot
+from timing import best_of_alternating
 from repro.algorithms.async_condition_set_agreement import (
     run_async_condition_set_agreement,
 )
@@ -63,21 +64,15 @@ def _per_run_harness(vectors):
     return results
 
 
-def _best_of(runner, vectors, rounds: int = TIMING_ROUNDS):
-    best = float("inf")
-    results = None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        results = runner(vectors)
-        best = min(best, time.perf_counter() - start)
-    return best, results
-
-
 @pytest.mark.bench
 def test_async_batch_reuse_matches_and_beats_per_run(capsys):
     vectors = _vectors()
-    harness_seconds, harness_results = _best_of(_per_run_harness, vectors)
-    batched_seconds, batched_results = _best_of(_batched, vectors)
+    (harness_seconds, harness_results), (batched_seconds, batched_results) = (
+        best_of_alternating(
+            (lambda: _per_run_harness(vectors), lambda: _batched(vectors)),
+            TIMING_ROUNDS,
+        )
+    )
 
     # Identical executions: the reused substrate changes nothing.
     assert [r.decisions for r in batched_results] == [

@@ -70,7 +70,6 @@ class AsyncConditionSetAgreementProcess(AsynchronousProcess):
         self._condition = condition
         self._x = x
         self._phase = self._PHASE_WRITE
-        self._last_view = None
 
     @property
     def x(self) -> int:
@@ -85,7 +84,11 @@ class AsyncConditionSetAgreementProcess(AsynchronousProcess):
     def on_reset(self) -> None:
         # Batched execution reuses the process pool: back to the write phase.
         self._phase = self._PHASE_WRITE
-        self._last_view = None
+
+    def local_state(self) -> str:
+        # The phase is all a step reads besides the memory and the fixed
+        # proposal, n, x and condition.
+        return self._phase
 
     def execute_step(self) -> None:
         if self._phase == self._PHASE_WRITE:
@@ -95,7 +98,6 @@ class AsyncConditionSetAgreementProcess(AsynchronousProcess):
 
         if self._phase == self._PHASE_SNAPSHOT:
             view = self.memory.snapshot_proposals()
-            self._last_view = view
             if view.non_bottom_count() < self.n - self._x:
                 # Not enough proposals visible yet; retry (asynchronous wait).
                 return

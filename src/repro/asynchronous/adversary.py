@@ -87,13 +87,31 @@ class RoundRobinAdversary(AsyncAdversary):
 
     The most regular interleaving: the counter advances on every step, so a
     process leaving the runnable set (decided, crashed, budget exhausted)
-    shifts but never starves the rotation.
+    shifts but never starves the rotation.  Because every choice is a
+    function of :attr:`cursor`, the scheduler fast-forwards repeating cycles
+    under this class and :class:`EnumeratedAdversary`, advancing the cursor
+    through :meth:`fast_forward`; it never does so under a subclass, which
+    may override :meth:`choose`.
     """
 
     name = "round-robin"
 
     def __init__(self) -> None:
         self._cursor = 0
+
+    @property
+    def cursor(self) -> int:
+        """Rotation choices made so far: the next is ``runnable[cursor % len(runnable)]``."""
+        return self._cursor
+
+    @property
+    def rotation_start(self) -> int:
+        """The step index from which every choice is the rotation's."""
+        return 0
+
+    def fast_forward(self, steps: int) -> None:
+        """Advance the rotation past *steps* choices the scheduler skipped."""
+        self._cursor += steps
 
     def reset(self) -> None:
         self._cursor = 0
@@ -205,7 +223,7 @@ class CrashAtStepAdversary(AsyncAdversary):
         return dict(self._crash_steps)
 
 
-class EnumeratedAdversary(AsyncAdversary):
+class EnumeratedAdversary(RoundRobinAdversary):
     """Replay one explicit choice prefix, then continue round-robin.
 
     Element ``i`` of *prefix* selects the runnable process of step ``i`` as
@@ -226,8 +244,8 @@ class EnumeratedAdversary(AsyncAdversary):
                 raise AdversaryError(
                     f"interleaving choices must be integers >= 0, got {choice!r}"
                 )
+        super().__init__()
         self._prefix = choices
-        self._cursor = 0
 
     @property
     def prefix(self) -> tuple[int, ...]:
@@ -238,15 +256,14 @@ class EnumeratedAdversary(AsyncAdversary):
     def name(self) -> str:  # type: ignore[override]
         return f"enumerated{list(self._prefix)}"
 
-    def reset(self) -> None:
-        self._cursor = 0
+    @property
+    def rotation_start(self) -> int:
+        return len(self._prefix)
 
     def choose(self, runnable: Sequence[int], step_index: int) -> int:
         if step_index < len(self._prefix):
             return runnable[self._prefix[step_index] % len(runnable)]
-        pid = runnable[self._cursor % len(runnable)]
-        self._cursor += 1
-        return pid
+        return super().choose(runnable, step_index)
 
 
 # ----------------------------------------------------------------------

@@ -4,11 +4,19 @@ An asynchronous process is a state machine advanced one *atomic step* at a
 time by the scheduler; each step performs at most one shared-memory operation.
 There is no bound on the relative speeds of the processes (the scheduler picks
 any interleaving), which is exactly the asynchrony assumption of Section 4.
+
+A process may also describe its local state through :meth:`local_state`: a
+hashable value covering everything its steps read besides the shared memory
+and the step count.  The scheduler compares these values to find cycles of
+steps that repeat over an unchanged memory, and skips their repeats, crediting
+them through :meth:`AsynchronousProcess.fast_forward`.  The default ``None``
+keeps every step of the run executed.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Hashable
 from typing import Any
 
 from ..exceptions import ProtocolStateError
@@ -75,7 +83,7 @@ class AsynchronousProcess(ABC):
         process pool across the runs of a batch instead of reallocating it
         per run; :meth:`reset` clears the per-execution state (proposal,
         decision, step count) and gives subclasses the :meth:`on_reset` hook
-        for their own per-execution state (phases, cached views, ...).
+        for their own per-execution state (a phase, say).
         """
         self._proposal = None
         self._decision = None
@@ -98,6 +106,27 @@ class AsynchronousProcess(ABC):
     @abstractmethod
     def execute_step(self) -> None:
         """One atomic step of the algorithm (at most one shared-memory operation)."""
+
+    def local_state(self) -> Hashable | None:
+        """Everything :meth:`execute_step` reads except the memory and the step count.
+
+        Two equal values must mean that, over the same shared memory, the
+        process takes the same next steps; what stays fixed for a whole
+        execution (the proposal, ``n``) may be left out.  The scheduler
+        fast-forwards a rotation adversary's repeating cycles by comparing
+        these values (see :mod:`repro.asynchronous.scheduler`).  ``None``,
+        the default, turns that off for the run: a process whose steps read
+        :attr:`steps_taken`, or state it does not describe, keeps it.
+        """
+        return None
+
+    def fast_forward(self, steps: int) -> None:
+        """Count *steps* skipped atomic steps without executing them.
+
+        Only the scheduler calls this, for steps of a cycle it proved would
+        repeat with :meth:`local_state` unchanged and no decision.
+        """
+        self._steps_taken += steps
 
     # -- decision ---------------------------------------------------------------------
     def decide(self, value: Any) -> None:

@@ -22,18 +22,48 @@ without deciding is evidence of blocking, not an error of the substrate).
 Every execution is deterministic given its adversary, and the result carries
 the full step sequence plus a short *fingerprint* of the interleaving, so two
 runs can be compared (and parallel batches proven identical) by record.
+
+The scheduler keeps the runnable processes as a tuple, rebuilt only when the
+process that just stepped decides or reaches its step limit (its budget, or
+its crash point if that comes first).  A blocked execution spends its whole
+budget alternating the same steps over a memory that no longer changes, so
+under a *rotation* — :class:`~repro.asynchronous.adversary.RoundRobinAdversary`,
+or :class:`~repro.asynchronous.adversary.EnumeratedAdversary` once its prefix
+is spent, matched by exact class because a subclass may override ``choose`` —
+the scheduler fast-forwards those repeats instead of executing them.  A
+*configuration* is the runnable tuple, each runnable process's
+:meth:`~repro.asynchronous.process.AsynchronousProcess.local_state`, the
+memory's write count and the rotation phase (cursor modulo the number of
+runnable processes); under a rotation it fixes every later step.  When one
+recurs, the steps since its first occurrence form a cycle that wrote nothing
+and decided nothing, and it repeats until some process reaches its limit.
+The scheduler appends as many whole copies of the cycle to the step sequence
+as leave every process strictly below its limit, and credits their steps to
+the processes, the memory's snapshot count and the adversary's cursor; the
+steps at which processes leave the runnable set run for real.  Detection
+starts over whenever the runnable set changes or the memory is written, and a
+``None`` local state from any runnable process turns it off for the run.  The
+result is the one step-by-step execution gives, field for field; every other
+strategy is asked for every step.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..exceptions import AdversaryError, InvalidParameterError
-from .adversary import AsyncAdversary, resolve_async_adversary
+from .adversary import (
+    AsyncAdversary,
+    EnumeratedAdversary,
+    RoundRobinAdversary,
+    resolve_async_adversary,
+)
 from .process import AsynchronousProcess
+from .shared_memory import SharedMemory
 
 __all__ = ["AsyncExecutionResult", "AsynchronousScheduler", "interleaving_fingerprint"]
 
@@ -160,33 +190,29 @@ class AsynchronousScheduler:
         sequence: list[int] = []
         by_pid = {process.process_id: process for process in processes}
         budget = self._max_steps_per_process
+        # A process stops being scheduled at its budget, or at its crash
+        # point (where it vanishes) if that comes first.
+        limits = {pid: min(budget, effective.get(pid, budget)) for pid in by_pid}
         adversary = self._adversary
         adversary.reset()
-
-        def runnable_pids() -> list[int]:
-            pids = []
-            for process in processes:
-                pid = process.process_id
-                if process.has_decided():
-                    continue
-                taken = steps_by_process[pid]
-                if taken >= budget:
-                    continue  # per-process budget exhausted
-                if pid in effective and taken >= effective[pid]:
-                    continue  # crash point reached: the process vanished
-                pids.append(pid)
-            return pids
+        skipper = _CycleSkipper.for_run(adversary, by_pid, limits)
 
         result = AsyncExecutionResult(n=n)
-        while True:
-            runnable = runnable_pids()
-            if not runnable:
-                break
+        runnable = tuple(
+            process.process_id
+            for process in processes
+            if not process.has_decided() and limits[process.process_id] > 0
+        )
+        while runnable:
+            if skipper is not None and not skipper.visit(
+                runnable, sequence, steps_by_process
+            ):
+                skipper = None
             pid = adversary.choose(runnable, len(sequence))
             if pid not in runnable:
                 raise AdversaryError(
                     f"adversary {adversary.name!r} chose process {pid!r}, "
-                    f"which is not runnable (runnable: {runnable})"
+                    f"which is not runnable (runnable: {list(runnable)})"
                 )
             process = by_pid[pid]
             process.step()
@@ -195,6 +221,9 @@ class AsynchronousScheduler:
             if process.has_decided():
                 result.decisions[pid] = process.decision
                 result.decision_steps[pid] = process.steps_taken
+            elif steps_by_process[pid] < limits[pid]:
+                continue
+            runnable = tuple(other for other in runnable if other != pid)
 
         # A process the adversary doomed is crashed unless it decided before
         # reaching its crash point; every other process is live, and the run
@@ -241,3 +270,97 @@ class AsynchronousScheduler:
                     f"crash step of process {pid} must be an integer >= 0, got {step!r}"
                 )
         return effective
+
+
+#: The strategies whose every choice from ``rotation_start`` on is
+#: ``runnable[cursor % len(runnable)]``.
+_ROTATIONS = (RoundRobinAdversary, EnumeratedAdversary)
+
+
+class _CycleSkipper:
+    """One run's fast-forward of repeating cycles (see the module docstring).
+
+    Any cycle spans whole rotations, so the configuration is sampled only at
+    phase 0; within a window of unchanged runnable tuple and write count it is
+    then just the tuple of local states.
+    """
+
+    def __init__(
+        self,
+        rotation: RoundRobinAdversary,
+        memory: SharedMemory,
+        by_pid: Mapping[int, AsynchronousProcess],
+        limits: Mapping[int, int],
+    ) -> None:
+        self._rotation = rotation
+        self._memory = memory
+        self._by_pid = by_pid
+        self._limits = limits
+        self._window: tuple[tuple[int, ...], int] | None = None
+        # Local states -> (step index, snapshot count) at their first sample
+        # in the current window.
+        self._seen: dict[tuple[Any, ...], tuple[int, int]] = {}
+
+    @classmethod
+    def for_run(
+        cls,
+        adversary: AsyncAdversary,
+        by_pid: Mapping[int, AsynchronousProcess],
+        limits: Mapping[int, int],
+    ) -> "_CycleSkipper | None":
+        """The run's fast-forward, or ``None`` when it cannot apply.
+
+        It needs a rotation adversary (exact class) and one shared memory
+        whose write count covers every process's writes.
+        """
+        if type(adversary) not in _ROTATIONS or not by_pid:
+            return None
+        memory = next(iter(by_pid.values())).memory
+        if any(process.memory is not memory for process in by_pid.values()):
+            return None
+        return cls(adversary, memory, by_pid, limits)
+
+    def visit(
+        self,
+        runnable: tuple[int, ...],
+        sequence: list[int],
+        steps_by_process: dict[int, int],
+    ) -> bool:
+        """Sample the configuration before a step; skip repeats if it recurs.
+
+        Returns ``False`` when a process has no local state, which turns the
+        fast-forward off for the rest of the run.
+        """
+        rotation = self._rotation
+        step_index = len(sequence)
+        if step_index < rotation.rotation_start or rotation.cursor % len(runnable):
+            return True
+        memory = self._memory
+        window = (runnable, memory.write_count)
+        if window != self._window:
+            self._window = window
+            self._seen.clear()
+        states = tuple(self._by_pid[pid].local_state() for pid in runnable)
+        if None in states:
+            return False
+        first = self._seen.get(states)
+        if first is None:
+            self._seen[states] = (step_index, memory.snapshot_count)
+            return True
+        first_step, first_snapshots = first
+        cycle = sequence[first_step:]
+        counts = Counter(cycle)
+        # Whole copies only, each leaving every process below its limit.
+        copies = min(
+            (self._limits[pid] - 1 - steps_by_process[pid]) // count
+            for pid, count in counts.items()
+        )
+        if copies > 0:
+            sequence.extend(cycle * copies)
+            for pid, count in counts.items():
+                steps_by_process[pid] += copies * count
+                self._by_pid[pid].fast_forward(copies * count)
+            memory.fast_forward(copies * (memory.snapshot_count - first_snapshots))
+            rotation.fast_forward(copies * len(cycle))
+        self._seen.clear()
+        return True

@@ -11,6 +11,13 @@ The simulation keeps the memory in one Python object and serialises the
 processes' steps through the scheduler of :mod:`repro.asynchronous.scheduler`,
 so every ``write``/``snapshot`` is trivially linearizable: the linearization
 order is the scheduler's step order.
+
+A snapshot is an immutable :class:`~repro.core.vectors.View`, so the memory
+hands out the same one for an array until that array's next write: repeated
+snapshots of an unchanged array (a process waiting for proposals or for a
+decision) share one view and its cached counts and hash, and only the
+snapshot counter moves.  :meth:`SharedMemory.fast_forward` moves that counter
+for snapshot steps the scheduler proved repeat and skipped.
 """
 
 from __future__ import annotations
@@ -43,6 +50,9 @@ class SharedMemory:
         self._n = n
         self._proposals: list[Any] = [BOTTOM] * n
         self._decisions: list[Any] = [BOTTOM] * n
+        # The snapshot of each array, kept until that array's next write.
+        self._proposal_view: View | None = None
+        self._decision_view: View | None = None
         self._write_count = 0
         self._snapshot_count = 0
 
@@ -61,6 +71,8 @@ class SharedMemory:
         for index in range(self._n):
             self._proposals[index] = BOTTOM
             self._decisions[index] = BOTTOM
+        self._proposal_view = None
+        self._decision_view = None
         self._write_count = 0
         self._snapshot_count = 0
 
@@ -74,6 +86,14 @@ class SharedMemory:
         """Total number of snapshot operations performed so far."""
         return self._snapshot_count
 
+    def fast_forward(self, snapshots: int) -> None:
+        """Count *snapshots* snapshots of skipped steps without taking them.
+
+        The scheduler calls this when it skips repeats of a cycle of steps
+        that wrote nothing, so :attr:`snapshot_count` ends as it would have.
+        """
+        self._snapshot_count += snapshots
+
     # -- proposal registers ------------------------------------------------
     def write_proposal(self, process_id: int, value: Any) -> None:
         """``PROP[process_id] ← value`` (single-writer register)."""
@@ -81,12 +101,15 @@ class SharedMemory:
         if is_bottom(value):
             raise SimulationError("a process cannot propose the ⊥ placeholder")
         self._proposals[process_id] = value
+        self._proposal_view = None
         self._write_count += 1
 
     def snapshot_proposals(self) -> View:
         """An atomic snapshot of the proposal array, as a :class:`View`."""
         self._snapshot_count += 1
-        return View(self._proposals)
+        if self._proposal_view is None:
+            self._proposal_view = View(self._proposals)
+        return self._proposal_view
 
     # -- decision registers --------------------------------------------------
     def write_decision(self, process_id: int, value: Any) -> None:
@@ -95,12 +118,15 @@ class SharedMemory:
         if is_bottom(value):
             raise SimulationError("a process cannot announce the ⊥ placeholder")
         self._decisions[process_id] = value
+        self._decision_view = None
         self._write_count += 1
 
     def snapshot_decisions(self) -> View:
         """An atomic snapshot of the decision board."""
         self._snapshot_count += 1
-        return View(self._decisions)
+        if self._decision_view is None:
+            self._decision_view = View(self._decisions)
+        return self._decision_view
 
     def announced_decisions(self) -> frozenset[Any]:
         """The set of decisions currently visible on the board (no step counted)."""

@@ -2,14 +2,19 @@
 
 Covers the three scheduler bugfixes (each failing on the pre-PR code), the
 pluggable adversary strategies, mid-execution crash points, determinism and
-fingerprints, the batched executor, the bounded-interleaving model checker
-(including the mutant self-test and serial-vs-parallel parity) and the store
-round-trips of async records.
+fingerprints, the batched executor, the scheduler's cycle fast-forward
+(differentially, against step-by-step execution), the bounded-interleaving
+model checker (including the mutant self-test and serial-vs-parallel parity)
+and the store round-trips of async records.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.async_condition_set_agreement import (
     AsyncConditionSetAgreementProcess,
@@ -27,6 +32,7 @@ from repro.asynchronous import (
     RoundRobinAdversary,
     SeededRandomAdversary,
     SharedMemory,
+    available_async_adversaries,
     count_interleavings,
     enumerate_interleavings,
     resolve_async_adversary,
@@ -34,16 +40,20 @@ from repro.asynchronous import (
 from repro.check import (
     MUTANT_HASTY_ASYNC,
     AsyncCounterexample,
+    HastyAsyncProcess,
     count_async_adversaries,
     enumerate_async_adversaries,
     register_mutants,
 )
+from repro.check.async_oracles import ASYNC_ORACLES, AsyncCheckContext
 from repro.core.conditions import MaxLegalCondition
 from repro.core.values import is_bottom
+from repro.core.vectors import InputVector
 from repro.exceptions import AdversaryError, InvalidParameterError
 from repro.store import ResultStore
 from repro.workloads.scenarios import async_scenario
 from repro.workloads.vectors import vector_in_max_condition
+from strategies import vectors
 
 SPEC = AgreementSpec(n=6, t=2, k=1, d=0, ell=1, domain=8)
 VECTOR = vector_in_max_condition(SPEC.n, SPEC.domain, SPEC.x, SPEC.ell, 5)
@@ -373,6 +383,104 @@ class TestAsyncExecutor:
         engine = Engine(SPEC, "condition-kset", RunConfig(backend="async"))
         engine.run_batch([VECTOR] * 5)
         assert engine._async_executor().runs_executed == 5
+
+
+# ----------------------------------------------------------------------
+# The scheduler's cycle fast-forward
+# ----------------------------------------------------------------------
+@st.composite
+def async_executions(draw):
+    """One execution: n, x, vector, mutant?, budget, crash points, strategy, seed.
+
+    Budgets of 1..15 and crash points up to past the budget make processes
+    leave mid-cycle at different step counts; a strategy is either an
+    enumerated prefix of depth 0..4 or a registered strategy name.
+    """
+    n = draw(st.sampled_from((2, 3, 4)))
+    budget = draw(st.integers(1, 15))
+    return (
+        n,
+        draw(st.integers(0, n - 1)),
+        draw(vectors(n, 3)),
+        draw(st.booleans()),
+        budget,
+        draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, budget + 2))),
+        draw(
+            st.one_of(
+                st.lists(st.integers(0, n - 1), max_size=4).map(tuple),
+                st.sampled_from(available_async_adversaries()),
+            )
+        ),
+        draw(st.integers(0, 3)),
+    )
+
+
+def _run_drawn(execution):
+    """Run *execution* on a fresh executor; the result and every counter."""
+    n, x, vector, mutant, budget, crash_steps, strategy, seed = execution
+    condition = MaxLegalCondition(n, 3, x, 1)
+    process_type = HastyAsyncProcess if mutant else AsyncConditionSetAgreementProcess
+    processes = []
+
+    def factory(pid, n, memory):
+        processes.append(process_type(pid, n, memory, condition, x))
+        return processes[-1]
+
+    executor = AsyncExecutor(n, factory, budget)
+    adversary = (
+        EnumeratedAdversary(strategy)
+        if isinstance(strategy, tuple)
+        else resolve_async_adversary(strategy, seed)
+    )
+    result = executor.run(list(vector), crash_steps=crash_steps, adversary=adversary)
+    return (
+        result,
+        [process.steps_taken for process in processes],
+        executor.memory.write_count,
+        executor.memory.snapshot_count,
+        getattr(adversary, "cursor", None),
+    )
+
+
+class TestCycleFastForward:
+    @settings(max_examples=300, deadline=None)
+    @given(execution=async_executions())
+    def test_fast_forward_matches_step_by_step(self, execution):
+        fast = _run_drawn(execution)
+        # Without a local state the scheduler executes every step.
+        with mock.patch.object(
+            AsyncConditionSetAgreementProcess,
+            "local_state",
+            AsynchronousProcess.local_state,
+        ):
+            step_by_step = _run_drawn(execution)
+        assert fast == step_by_step
+
+    def test_blocked_round_robin_run_skips_its_repeats(self, monkeypatch):
+        """Outside the condition the run blocks: every process spends its
+        200-step budget alternating a snapshot and a help-wait step."""
+        spec = AgreementSpec(n=3, t=1, k=1, d=0, ell=1, domain=2)
+        engine = Engine(spec, "async-condition")
+        executed = 0
+        execute_step = AsyncConditionSetAgreementProcess.execute_step
+
+        def counted(self):
+            nonlocal executed
+            executed += 1
+            execute_step(self)
+
+        monkeypatch.setattr(AsyncConditionSetAgreementProcess, "execute_step", counted)
+        result = engine.run(
+            InputVector([1, 1, 2]), backend="async", async_adversary="round-robin"
+        )
+        assert result.duration == 600
+        assert result.raw.steps_by_process == {0: 200, 1: 200, 2: 200}
+        assert not result.terminated
+        oracle = ASYNC_ORACLES["async-step-budget"]
+        context = AsyncCheckContext.from_engine(engine)
+        assert oracle.applies(context, result)
+        assert oracle.check(context, result) is None
+        assert executed < result.duration / 10
 
 
 # ----------------------------------------------------------------------
