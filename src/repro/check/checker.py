@@ -274,9 +274,12 @@ class SyncSpace(CheckSpace):
         evaluator = BatchSyncEvaluator.build(engine, context, vectors, oracle_names)
         if evaluator is None:
             return None
+        n, t = engine.spec.n, engine.spec.t
 
         def masks(schedule: CrashSchedule) -> tuple[tuple[int, int], ...]:
-            engine._validate_once(schedule)
+            # Every enumerated schedule is seen once: validate it directly
+            # instead of registering it with the engine.
+            schedule.validate(n, t)
             return evaluator.check_schedule(schedule)
 
         return masks
@@ -621,14 +624,7 @@ def run_check(
             counterexamples.extend(outcome.counterexamples)
         counterexamples = counterexamples[:max_counterexamples]
 
-    # The generator/closed-form cross-validation runs on *every* check: a
-    # drift between the two would silently void the "exhaustive" claim.
-    if enumerated != expected:
-        raise SimulationError(
-            f"enumerating {space!r} produced {enumerated} adversaries but the "
-            f"closed form predicts {expected} for n={spec.n}, t={spec.t}"
-        )
-
+    _cross_validate(space, spec, enumerated, expected)
     report = CheckReport(
         spec=spec,
         algorithm=engine.algorithm_name,
@@ -644,6 +640,19 @@ def run_check(
         for counterexample in report.counterexamples:
             store.append_counterexample(counterexample)
     return report
+
+
+def _cross_validate(
+    space: CheckSpace, spec: AgreementSpec, enumerated: int, expected: int
+) -> None:
+    """The generator/closed-form cross-validation, run on *every* check and
+    differential check: a drift between the two would silently void the
+    "exhaustive" claim."""
+    if enumerated != expected:
+        raise SimulationError(
+            f"enumerating {space!r} produced {enumerated} adversaries but the "
+            f"closed form predicts {expected} for n={spec.n}, t={spec.t}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -764,10 +773,12 @@ def differential_check(
     if not frontier:
         raise InvalidParameterError("the input frontier is empty: nothing to check")
 
+    enumerated = 0
     executions = 0
     mismatches = 0
     examples: list[DecisionDiff] = []
     for schedule in space.points(spec, 0, None):
+        enumerated += 1
         for vector in frontier:
             result_a = engine_a._execute(vector, schedule, 0, SYNC_KNOBS)
             result_b = engine_b._execute(vector, schedule, 0, SYNC_KNOBS)
@@ -783,12 +794,14 @@ def differential_check(
                             decisions_b=dict(result_b.decisions),
                         )
                     )
+    schedule_count = space.count(spec)
+    _cross_validate(space, spec, enumerated, schedule_count)
     return DifferentialReport(
         spec=spec,
         algorithm_a=algorithm_a,
         algorithm_b=algorithm_b,
         rounds=space.rounds,
-        schedule_count=space.count(spec),
+        schedule_count=schedule_count,
         vector_count=len(frontier),
         executions=executions,
         mismatches=mismatches,

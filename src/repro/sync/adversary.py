@@ -157,14 +157,51 @@ class CrashSchedule:
         """A hashable canonical form of the schedule.
 
         ``((process_id, round_number, sorted delivered), ...)`` sorted by
-        process id — two schedules are behaviourally identical exactly when
-        their canonical forms are equal, so the form keys deduplication sets
-        (the enumerator tests) and counterexample records.
+        process id.  Equal forms are equal schedules, so the form keys
+        deduplication sets (the enumerator tests) and counterexample records.
+        Equal forms imply identical behaviour, but not conversely: schedules
+        that differ only in deliveries nobody reads share an
+        :meth:`observable_key`, the coarser equivalence.
         """
         return tuple(
             (event.process_id, event.round_number, tuple(sorted(event.delivered_to)))
             for event in sorted(self.events.values(), key=lambda e: e.process_id)
         )
+
+    def observable_key(
+        self,
+    ) -> tuple[tuple[tuple[int, int, frozenset[int]], ...], int]:
+        """What an execution can observe of the schedule, as a hashable key.
+
+        A crash takes effect before its round's compute phase, so nobody
+        reads what a round-``r`` message delivers to a process that crashes
+        in round ``r`` or earlier — the sender included.  The key is
+        ``(events, initial crashes)``: per event, sorted by process id,
+        ``(process_id, round_number, delivered_to minus those processes)``,
+        and :meth:`initial_crash_count`, which the round-bound oracles read
+        and the reduced sets no longer tell apart.
+        :meth:`round_one_crash_count` follows from the events.
+
+        Two schedules with equal keys give equal ``decisions``,
+        ``decision_rounds``, ``crash_rounds`` and ``rounds_executed`` on
+        every input vector.  A recorded trace's ``delivered`` map can still
+        differ; the packed evaluator, which memoizes on this key, refuses
+        trace recording anyway.
+        """
+        events = sorted(self.events.items())
+        observed = []
+        initial = 0  # initial_crash_count(), counted in the same pass
+        for pid, event in events:
+            delivered = event.delivered_to
+            round_number = event.round_number
+            if delivered:
+                delivered = delivered.difference(
+                    [other for other, crash in events if crash.round_number <= round_number]
+                )
+            elif round_number == 1:
+                initial += 1
+            observed.append((pid, round_number, delivered))
+        return tuple(observed), initial
 
     def to_records(self) -> list[dict]:
         """JSON-serializable event records, sorted by process id.
@@ -373,21 +410,25 @@ def enumerate_schedules(
     :meth:`CrashSchedule.validate`, and :func:`random_schedule` draws from
     exactly this space.  The total number of schedules is
     :func:`count_schedules`.
+
+    The events are built once, one frozen :class:`CrashEvent` per (process,
+    choice), and every yielded schedule holds the shared instances; each
+    schedule's own event table is new.
     """
     _validate_enumeration_parameters(n, t, rounds)
     budget = t if max_crashes is None else min(max_crashes, t)
     if budget < 0:
         raise AdversaryError(f"max_crashes must be >= 0, got {max_crashes}")
     choices = _event_choices(n, rounds)
+    events = [
+        [CrashEvent(pid, round_number, delivered) for round_number, delivered in choices]
+        for pid in range(n)
+    ]
     for crash_count in range(budget + 1):
         for victims in itertools.combinations(range(n), crash_count):
-            for assignment in itertools.product(choices, repeat=crash_count):
-                yield CrashSchedule(
-                    {
-                        victim: CrashEvent(victim, round_number, delivered)
-                        for victim, (round_number, delivered) in zip(victims, assignment)
-                    }
-                )
+            per_victim = [events[victim] for victim in victims]
+            for assignment in itertools.product(*per_victim):
+                yield CrashSchedule(dict(zip(victims, assignment)))
 
 
 def _validate_enumeration_parameters(n: int, t: int, rounds: int) -> None:

@@ -11,6 +11,11 @@ Three cross-validations back the "exhaustive" claim of :mod:`repro.check`:
   relies on — only ever produces schedules that lie inside the enumerated
   space (a Hypothesis property, plus an exact set-membership check on a
   system small enough to materialize).
+
+The observable-key tests pin the quotient the packed evaluator memoizes on:
+schedules with equal :meth:`CrashSchedule.observable_key` run identically on
+the reference runtime, for every frontier vector, under ``condition-kset``,
+``early-deciding`` and ``floodmin``.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from hypothesis import strategies as st
 
 from strategies import crash_schedules
 
+from repro.api import AgreementSpec, Engine
+from repro.check.frontier import input_frontier
 from repro.exceptions import AdversaryError
 from repro.sync.adversary import (
     CrashEvent,
@@ -29,6 +36,7 @@ from repro.sync.adversary import (
     enumerate_schedules,
     random_schedule,
 )
+from repro.sync.runtime import SynchronousSystem
 
 #: Every (n, t) system the exhaustive tests cover, with the round depths
 #: used by the checker (the unconditional deadline is 2 or 3 there).
@@ -153,3 +161,64 @@ class TestCanonicalForm:
         assert forward.canonical() == backward.canonical()
         assert hash(forward.canonical()) == hash(backward.canonical())
         assert forward.canonical() == ((0, 1, (0,)), (2, 2, (0, 1)))
+
+
+def _observed(result):
+    """The fields of a run that equal observable keys must reproduce."""
+    return (
+        sorted(result.decisions.items()),
+        sorted(result.decision_rounds.items()),
+        sorted(result.crash_rounds.items()),
+        result.rounds_executed,
+    )
+
+
+class TestObservableKey:
+    def test_key_drops_receivers_that_crashed_by_that_round(self):
+        schedule = CrashSchedule.from_events(
+            [
+                CrashEvent(3, 3, frozenset({0, 1, 2})),
+                CrashEvent(2, 2, frozenset({0, 1, 2, 3})),
+                CrashEvent.round_one_prefix(1, 3),
+            ]
+        )
+        assert schedule.observable_key() == (
+            ((1, 1, frozenset({0, 2})), (2, 2, frozenset({0, 3})), (3, 3, frozenset({0}))),
+            0,
+        )
+
+    def test_initial_crashes_stay_apart_from_self_deliveries(self):
+        # Both reduce to an empty delivered set, but the round-bound oracles
+        # count only the first as an initial crash.
+        initial = CrashSchedule.from_events([CrashEvent.initially_crashed(0)])
+        to_itself = CrashSchedule.from_events([CrashEvent.round_one_prefix(0, 1)])
+        assert initial.observable_key() == (((0, 1, frozenset()),), 1)
+        assert to_itself.observable_key() == (((0, 1, frozenset()),), 0)
+
+    @pytest.mark.parametrize(
+        "spec, rounds, classes",
+        [
+            (AgreementSpec(n=3, t=1, k=1, d=1, ell=1, domain=2), 2, 23),
+            (AgreementSpec(n=3, t=1, k=1, d=1, ell=1, domain=2), 3, 35),
+            (AgreementSpec(n=4, t=2, k=2, d=1, ell=1, domain=2), 2, 422),
+        ],
+    )
+    def test_class_members_run_identically_on_the_reference_runtime(
+        self, spec, rounds, classes
+    ):
+        grouped: dict = {}
+        for schedule in enumerate_schedules(spec.n, spec.t, rounds):
+            grouped.setdefault(schedule.observable_key(), []).append(schedule)
+        assert len(grouped) == classes
+        shared = [members for members in grouped.values() if len(members) > 1]
+        for algorithm in ("condition-kset", "early-deciding", "floodmin"):
+            engine = Engine(spec, algorithm)
+            system = SynchronousSystem(spec.n, spec.t, engine.algorithm)
+            for vector in input_frontier(spec, engine.condition):
+                for first, *others in shared:
+                    expected = _observed(system.run(vector, first, validate_schedule=False))
+                    for schedule in others:
+                        result = system.run(vector, schedule, validate_schedule=False)
+                        assert _observed(result) == expected, (
+                            algorithm, vector, first.canonical(), schedule.canonical()
+                        )

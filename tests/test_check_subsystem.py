@@ -491,6 +491,20 @@ class TestDifferentialMode:
         assert "DIVERGED" in report.render()
         json.dumps(report.to_record())  # records must be serializable
 
+    def test_cross_validation_detects_generator_drift(self, monkeypatch):
+        """The differential stream is cross-validated like the check's: a
+        drift in either direction raises instead of reporting."""
+        import repro.check.checker as checker
+        from repro.exceptions import SimulationError
+        from repro.sync.adversary import count_schedules
+
+        for drift in (-1, +1):
+            monkeypatch.setattr(
+                checker, "count_schedules", lambda n, t, r, d=drift: count_schedules(n, t, r) + d
+            )
+            with pytest.raises(SimulationError):
+                differential_check(small_spec(), "condition-kset", "floodmin")
+
 
 # ----------------------------------------------------------------------
 # The exhaustive scenario (workloads integration)

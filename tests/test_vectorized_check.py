@@ -22,7 +22,9 @@ The guard tests pin the refusal surface: anything the batch model cannot
 mirror faithfully (mutant subclasses, trace recording, foreign oracles)
 falls back to the scalar path, and ``vectorized=False`` is rejected on
 backends that have no batch evaluator to disable.  The cache tests pin
-that the round driver's caches stay small and belong to one evaluator.
+that the round driver's caches stay small and belong to one evaluator, that
+the class memo serves every schedule what a fresh evaluator computes, and
+that an overrunning class raises for each of its members.
 """
 
 from __future__ import annotations
@@ -49,8 +51,13 @@ from repro.core.families import (
 )
 from repro.core.values import BOTTOM
 from repro.core.vectors import InputVector, View
-from repro.exceptions import InvalidParameterError, ReproError
-from repro.sync.adversary import count_schedules, enumerate_schedules
+from repro.exceptions import InvalidParameterError, ReproError, SimulationError
+from repro.sync.adversary import (
+    CrashEvent,
+    CrashSchedule,
+    count_schedules,
+    enumerate_schedules,
+)
 from repro.vec import BatchSyncEvaluator, PackedBlock
 
 #: The complete two-fault cell: 2,731 schedules × 16 vectors (domain 2 is
@@ -381,12 +388,66 @@ class TestRoundCaches:
             )
 
         # 2,731 schedules: equal lane states share one id, so the caches
-        # hold a few hundred entries.
+        # hold a few hundred entries, and the class memo one per class.
         assert cache_sizes(evaluator) == sizes
+        assert len(evaluator._class_memo) == 422
         assert [evaluator.check_schedule(schedule) for schedule in schedules] == masks
         assert cache_sizes(evaluator) == sizes
+        assert len(evaluator._class_memo) == 422
         fresh = _build(engine)
         assert cache_sizes(fresh)[1:] == (0, 0)
+        assert not fresh._class_memo
+
+
+#: The three-round cell (k=1): round-3 crashes and receivers that crashed in
+#: round 2 reach the class key.
+N4T2K1 = AgreementSpec(n=4, t=2, k=1, d=1, ell=1, domain=2)
+
+
+class TestClassMemo:
+    """The driver runs once per observable crash class; every other member
+    of the class is served from the memo."""
+
+    @pytest.mark.parametrize("algorithm", ["condition-kset", "early-deciding"])
+    @pytest.mark.parametrize(
+        "spec, classes", [(N4T2, 422), (N4T2K1, 1138)], ids=["rounds-2", "rounds-3"]
+    )
+    def test_memoized_masks_equal_the_driver_on_every_schedule(self, spec, classes, algorithm):
+        engine = Engine(spec, algorithm)
+        memoized = _build(engine)
+        # The reference forgets every class before each schedule, so the
+        # round driver runs on each one.  Its transition and oracle caches
+        # are keyed on their complete inputs, so it answers as a fresh
+        # evaluator would.
+        reference = _build(engine)
+        runs: dict = {}
+        rounds = spec.outside_condition_bound()
+        for schedule in enumerate_schedules(spec.n, spec.t, rounds):
+            # The key is exact for the driver: crashed lanes and deciding
+            # transitions agree across a class, not only the (mostly
+            # violation-free) masks.
+            run = reference._run(schedule)
+            assert runs.setdefault(schedule.observable_key(), run) == run, schedule.canonical()
+            reference._class_memo.clear()
+            assert memoized.check_schedule(schedule) == reference.check_schedule(schedule), (
+                schedule.canonical()
+            )
+        assert len(runs) == len(memoized._class_memo) == classes
+
+    def test_every_member_of_an_overrunning_class_raises(self, monkeypatch):
+        engine = Engine(N4T2, "condition-kset")
+        # Figure 2 decides no earlier than round 2: a one-round bound overruns.
+        monkeypatch.setattr(engine.algorithm, "last_round", lambda: 1)
+        evaluator = _build(engine)
+        members = [
+            CrashSchedule.from_events([CrashEvent(3, 2, frozenset({0, 1, 2}))]),
+            CrashSchedule.from_events([CrashEvent(3, 2, frozenset({0, 1, 2, 3}))]),
+        ]
+        assert members[0].observable_key() == members[1].observable_key()
+        for schedule in members:
+            with pytest.raises(SimulationError, match="exceeded its round bound"):
+                evaluator.check_schedule(schedule)
+        assert not evaluator._class_memo
 
 
 class TestCliFlag:
