@@ -55,7 +55,7 @@ def one_run_per_family() -> None:
         rows.append(
             {
                 "family": family,
-                "condition": scenario.condition.name,
+                "condition": scenario.spec.condition_oracle().name,
                 "input": "".join(map(str, scenario.input_vector.entries)),
                 "sync rounds": sync_result.max_decision_round_of_correct(),
                 "bound": scenario.predicted_round_bound,

@@ -34,7 +34,7 @@ def narrate(scenario: Scenario, result: RunResult) -> None:
     print(f"  crash schedule    : {len(scenario.schedule)} crash(es)")
     print(f"  predicted bound   : {scenario.predicted_round_bound} round(s)")
     print(f"  rounds executed   : {result.duration}")
-    print(f"  decided values    : {sorted(result.decided_values())} (k = {scenario.k})")
+    print(f"  decided values    : {sorted(result.decided_values())} (k = {scenario.spec.k})")
     if result.trace is not None:
         for record in result.trace:
             deciders = sorted(record.decisions)
@@ -52,7 +52,7 @@ def run(scenario: Scenario) -> None:
     # One line per regime: the scenario carries the spec, the engine runs it.
     result = scenario.run("condition-kset", record_trace=True)
     assert_execution_correct(
-        result, scenario.input_vector, scenario.k, scenario.predicted_round_bound
+        result, scenario.input_vector, scenario.spec.k, scenario.predicted_round_bound
     )
     narrate(scenario, result)
 

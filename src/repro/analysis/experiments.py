@@ -895,7 +895,7 @@ def experiment_async_adversaries(seed: int = 37) -> ExperimentOutput:
                 {
                     "adversary": adversary,
                     "crashes": crash_kind,
-                    "f": scenario.crash_count,
+                    "f": len(scenario.crash_steps),
                     "terminated": result.terminated,
                     "steps": result.duration,
                     "distinct decisions": result.distinct_decision_count(),

@@ -158,7 +158,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing ----------------------------------------------------------
     def _read_payload(self) -> Mapping[str, Any]:
-        length = int(self.headers.get("Content-Length", 0))
+        declared = self.headers.get("Content-Length", "0").strip()
+        # Only a non-negative integer: ``rfile.read(-1)`` would block until
+        # the client hangs up.
+        if not declared.isdecimal():
+            raise InvalidParameterError(
+                f"Content-Length must be a non-negative integer, got {declared!r}"
+            )
+        length = int(declared)
         body = self.rfile.read(length) if length else b""
         if not body:
             raise InvalidParameterError("the request body must be a JSON object")

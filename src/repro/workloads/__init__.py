@@ -1,9 +1,12 @@
-"""Workload generators: input vectors and end-to-end scenarios."""
+"""Workload generators: input vectors and end-to-end scenarios.
+
+:mod:`.vectors` samples input vectors inside, on the boundary of and outside
+a condition.  :mod:`.scenarios` packages the paper's regimes as ready-made
+stories: one frozen :class:`Scenario` type, built by seven factories, runs,
+batches and model-checks a story on the backend of its check space.
+"""
 
 from .scenarios import (
-    AsyncScenario,
-    ExhaustiveScenario,
-    NetScenario,
     Scenario,
     async_scenario,
     condition_family_scenario,
@@ -25,9 +28,6 @@ from .vectors import (
 )
 
 __all__ = [
-    "AsyncScenario",
-    "ExhaustiveScenario",
-    "NetScenario",
     "Scenario",
     "async_scenario",
     "boundary_vector",

@@ -1,35 +1,55 @@
-"""Named end-to-end scenarios pairing an input vector with a crash schedule.
+"""Named end-to-end scenarios: the paper's regimes as ready-made stories.
 
-The examples and some integration tests want ready-made "stories" matching the
-regimes distinguished by the paper (Section 6.1).  Each scenario bundles the
-system parameters, a condition (any registry family, not just ``max_l``), an
-input vector, a schedule and the round bound the paper predicts for that
-regime.  :func:`condition_family_scenario` builds the same story for an
-arbitrary registered condition family.
+The examples, two experiments and some integration tests want ready-made
+"stories" matching the regimes the paper distinguishes.  One frozen
+:class:`Scenario` carries every story: a spec, its input vectors, its
+adversary (a sync crash schedule, an async strategy with crash points, or a
+net failure model), the adversary space its :meth:`~Scenario.check`
+enumerates — whose backend is the scenario's — and the round bound the paper
+predicts, where it predicts one.  The factories build the stories:
+
+* :func:`fast_path_scenario`, :func:`degraded_path_scenario` and
+  :func:`outside_condition_scenario` — the three sync regimes of Section
+  6.1 — and :func:`condition_family_scenario`, the fast path over any
+  registered condition family;
+* :func:`async_scenario` — the Section 4 shared-memory regime;
+* :func:`net_scenario` — a vector under a message-level failure model;
+* :func:`exhaustive_scenario` — an input frontier over the complete crash
+  schedule space.
+
+:mod:`repro.check` imports this package (its input frontier reuses the
+vector samplers), so this module imports :mod:`repro.check` and
+:mod:`repro.api` only inside the functions that use them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from random import Random
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
-from ..core.conditions import ConditionOracle, MaxLegalCondition
 from ..core.hierarchy import rounds_in_condition, rounds_outside_condition
 from ..core.vectors import InputVector
 from ..exceptions import InvalidParameterError
-from ..sync.adversary import CrashSchedule, crashes_in_round_one, no_crashes, staggered_schedule
+from ..sync.adversary import (
+    CrashSchedule,
+    count_schedules,
+    crashes_in_round_one,
+    no_crashes,
+    staggered_schedule,
+)
 from .vectors import (
     vector_in_condition,
     vector_in_max_condition,
     vector_outside_max_condition,
 )
 
+if TYPE_CHECKING:
+    from ..api import AgreementSpec
+    from ..check import CheckSpace
+
 __all__ = [
     "Scenario",
-    "AsyncScenario",
-    "ExhaustiveScenario",
-    "NetScenario",
     "async_scenario",
     "condition_family_scenario",
     "exhaustive_scenario",
@@ -42,134 +62,166 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully specified execution scenario and its predicted round bound."""
+    """One story: a spec, its input vectors, its adversary, its check space.
+
+    :meth:`run` executes the witness (the first of :attr:`vectors`) under
+    the scenario's adversary, :meth:`batch` replays the regime over fresh
+    in-condition vectors, and :meth:`check` model-checks every adversary of
+    :attr:`space` against all of :attr:`vectors`.
+    """
 
     name: str
-    n: int
-    t: int
-    d: int
-    ell: int
-    k: int
-    condition: ConditionOracle
-    input_vector: InputVector
-    schedule: CrashSchedule
-    predicted_round_bound: int
     description: str
-    #: Condition registry name + frozen params, so :meth:`spec` round-trips
-    #: through the unified API with the same family the scenario bundles.
-    condition_name: str = "max-legal"
-    condition_params: Any = ()
+    spec: "AgreementSpec"
+    #: One witness vector for a regime; the whole input frontier for
+    #: :func:`exhaustive_scenario`.
+    vectors: tuple[InputVector, ...]
+    #: The sync crash schedule.
+    schedule: CrashSchedule = field(default_factory=no_crashes)
+    #: The async scheduling strategy or net failure-model registry name.
+    adversary: str | None = None
+    #: Async crash points as sorted ``(pid, steps before vanishing)`` pairs:
+    #: ``0`` is an initial crash, ``s >= 1`` leaves the pre-crash writes
+    #: visible.
+    crash_steps: tuple[tuple[int, int], ...] = ()
+    #: The adversary space :meth:`check` enumerates; ``None`` means
+    #: ``SyncSpace()``.  The scenario's backend is the space's.
+    space: "CheckSpace | None" = None
+    #: The decision round the paper predicts; ``None`` where it gives none.
+    predicted_round_bound: int | None = None
+    #: The algorithm :meth:`run`, :meth:`batch` and :meth:`check` default to.
+    algorithm: str = "condition-kset"
 
     @property
-    def x(self) -> int:
-        """The legality parameter ``x = t − d``."""
-        return self.t - self.d
+    def input_vector(self) -> InputVector:
+        """The witness: the first of :attr:`vectors`."""
+        return self.vectors[0]
 
-    def spec(self):
-        """The scenario's parameters as an :class:`~repro.api.AgreementSpec`."""
-        from ..api import AgreementSpec
-
-        return AgreementSpec(
-            n=self.n,
-            t=self.t,
-            k=self.k,
-            d=self.d,
-            ell=self.ell,
-            domain=self.condition.domain.size,
-            condition=self.condition_name,
-            condition_params=self.condition_params,
-        )
+    @property
+    def backend(self) -> str:
+        """The backend of :attr:`space` (``"sync"`` when it is ``None``)."""
+        return "sync" if self.space is None else self.space.backend
 
     def run(
         self,
-        algorithm: str = "condition-kset",
+        algorithm: str | None = None,
         *,
-        backend: str = "sync",
+        backend: str | None = None,
         record_trace: bool = False,
         seed: int = 0,
     ):
-        """Execute the scenario through the unified engine.
+        """Execute the witness once; returns the normalized :class:`~repro.api.RunResult`.
 
-        Returns the normalized :class:`~repro.api.RunResult`; the scenario's
-        bundled input vector and crash schedule are used as-is.
+        *backend* replays the story on another backend: the sync schedule's
+        crash events then project onto async crash points.
         """
-        from ..api import Engine, RunConfig
-
-        engine = Engine(
-            self.spec(),
-            algorithm,
-            RunConfig(backend=backend, record_trace=record_trace, seed=seed),
+        engine, knobs = self._engine(
+            algorithm, backend=backend, record_trace=record_trace, seed=seed
         )
-        return engine.run(self.input_vector, self.schedule)
+        return engine.run(self.input_vector, self.schedule, **knobs)
 
     def batch(
         self,
         runs: int = 8,
-        algorithm: str = "condition-kset",
+        algorithm: str | None = None,
         *,
-        backend: str = "sync",
         workers: int = 1,
         seed: int = 0,
         store=None,
     ):
-        """Run the scenario's regime *runs* times through one engine batch.
+        """Run the regime *runs* times through one engine batch.
 
-        Run 0 uses the scenario's bundled input vector; the others draw fresh
-        vectors from the same condition (through the generic sampler), all
-        under the scenario's crash schedule — the paper's regime replayed
-        over a population of inputs rather than a single witness.  *workers*
-        shards the batch across a process pool and *store* persists each
-        :class:`~repro.api.RunResult` as it completes; results are identical
-        to the serial path for any worker count.
+        Run 0 is the witness; run ``i`` draws a fresh vector from the spec's
+        condition with ``Random(seed + i)``, all under the scenario's
+        adversary — the regime replayed over a population of inputs.
+        *workers* shards the batch across a process pool and *store*
+        persists each :class:`~repro.api.RunResult` as it completes; the
+        results are the same for any worker count.
         """
-        if runs < 1:
-            raise InvalidParameterError(f"runs must be >= 1, got {runs}")
-        from ..api import Engine, RunConfig
+        from ..api.spec import require_int
 
-        spec = self.spec()
+        require_int("runs", runs, 1)
+        oracle = self.spec.condition_oracle()
         vectors = [self.input_vector] + [
-            vector_in_condition(
-                self.condition, self.n, spec.domain, Random(seed + index)
-            )
+            vector_in_condition(oracle, self.spec.n, self.spec.domain, Random(seed + index))
             for index in range(1, runs)
         ]
-        engine = Engine(
-            spec, algorithm, RunConfig(backend=backend, seed=seed, workers=workers)
+        engine, knobs = self._engine(algorithm, seed=seed, workers=workers)
+        return engine.run_batch(vectors, self.schedule, store=store, **knobs)
+
+    def check(
+        self,
+        algorithm: str | None = None,
+        *,
+        workers: int = 1,
+        store=None,
+        oracles=None,
+        max_counterexamples: int = 25,
+        **bounds: Any,
+    ):
+        """Model-check the spec over every adversary of :attr:`space`.
+
+        *bounds* override the space's fields (``rounds``, ``depth``,
+        ``max_crashes``, ``adversary``, ``max_faults``); the engine refuses
+        a bound the space does not take.  Returns a
+        :class:`~repro.check.CheckReport`.
+        """
+        defaults = {} if self.space is None else asdict(self.space)
+        engine, _ = self._engine(algorithm, workers=workers)
+        return engine.check(
+            backend=self.backend,
+            vectors=self.vectors,
+            oracles=oracles,
+            store=store,
+            max_counterexamples=max_counterexamples,
+            **{**defaults, **bounds},
         )
-        return engine.run_batch(vectors, self.schedule, store=store)
+
+    def _engine(self, algorithm: str | None, *, backend: str | None = None, **config: Any):
+        """An engine for *algorithm* on *backend* (default: the scenario's),
+        and the scenario's adversary as that backend's run knobs."""
+        from ..api import Engine, RunConfig
+        from ..api.namespaces import adversary_keyword
+
+        backend = backend or self.backend
+        engine = Engine(
+            self.spec, algorithm or self.algorithm, RunConfig(backend=backend, **config)
+        )
+        knobs = {
+            **adversary_keyword(backend, self.adversary),
+            "crash_steps": dict(self.crash_steps) or None,
+        }
+        return engine, knobs
 
 
-def _condition(n: int, m: int, t: int, d: int, ell: int) -> MaxLegalCondition:
-    return MaxLegalCondition(n=n, domain=m, x=t - d, ell=ell)
+def _max_legal_spec(n: int, m: int, t: int, d: int, ell: int, k: int) -> "AgreementSpec":
+    from ..api import AgreementSpec
+
+    return AgreementSpec(n=n, t=t, k=k, d=d, ell=ell, domain=m)
+
+
+def _round_one_crashes(n: int, count: int) -> CrashSchedule:
+    """*count* round-1 crashes whose proposals reach half the processes."""
+    if count == 0:
+        return no_crashes()
+    return crashes_in_round_one(n, count, delivered_prefix=n // 2)
 
 
 def fast_path_scenario(
     n: int, m: int, t: int, d: int, ell: int, k: int, seed: int = 0
 ) -> Scenario:
     """Input vector in the condition, at most ``t − d`` crashes: 2 rounds."""
-    condition = _condition(n, m, t, d, ell)
-    vector = vector_in_max_condition(n, m, t - d, ell, Random(seed))
-    crash_count = min(t - d, t)
-    schedule = (
-        crashes_in_round_one(n, crash_count, delivered_prefix=n // 2)
-        if crash_count > 0
-        else no_crashes()
-    )
+    spec = _max_legal_spec(n, m, t, d, ell, k)
     return Scenario(
         name="fast-path",
-        n=n,
-        t=t,
-        d=d,
-        ell=ell,
-        k=k,
-        condition=condition,
-        input_vector=vector,
-        schedule=schedule,
-        predicted_round_bound=2,
         description=(
             "input vector in the condition and at most t − d crashes during "
             "round 1: every process decides by round 2"
         ),
+        spec=spec,
+        vectors=(vector_in_max_condition(n, m, spec.x, ell, Random(seed)),),
+        schedule=_round_one_crashes(n, spec.x),
+        predicted_round_bound=2,
     )
 
 
@@ -179,24 +231,34 @@ def degraded_path_scenario(
     """Input vector in the condition, more than ``t − d`` round-1 crashes."""
     if t - d + 1 > t:
         raise InvalidParameterError("degraded path needs d >= 1 (so that t − d + 1 <= t)")
-    condition = _condition(n, m, t, d, ell)
-    vector = vector_in_max_condition(n, m, t - d, ell, Random(seed))
-    schedule = crashes_in_round_one(n, t - d + 1, delivered_prefix=0)
+    spec = _max_legal_spec(n, m, t, d, ell, k)
     return Scenario(
         name="degraded-path",
-        n=n,
-        t=t,
-        d=d,
-        ell=ell,
-        k=k,
-        condition=condition,
-        input_vector=vector,
-        schedule=schedule,
-        predicted_round_bound=max(2, rounds_in_condition(d, ell, k)),
         description=(
             "input vector in the condition but more than t − d crashes: decisions "
             "by round ⌊(d + l − 1)/k⌋ + 1"
         ),
+        spec=spec,
+        vectors=(vector_in_max_condition(n, m, spec.x, ell, Random(seed)),),
+        schedule=crashes_in_round_one(n, spec.x + 1, delivered_prefix=0),
+        predicted_round_bound=max(2, rounds_in_condition(d, ell, k)),
+    )
+
+
+def outside_condition_scenario(
+    n: int, m: int, t: int, d: int, ell: int, k: int, seed: int = 0
+) -> Scenario:
+    """Input vector outside the condition under the staggered adversary."""
+    spec = _max_legal_spec(n, m, t, d, ell, k)
+    return Scenario(
+        name="outside-condition",
+        description=(
+            "input vector outside the condition: the classical ⌊t/k⌋ + 1 bound applies"
+        ),
+        spec=spec,
+        vectors=(vector_outside_max_condition(n, m, spec.x, ell, Random(seed)),),
+        schedule=staggered_schedule(n, t, per_round=k),
+        predicted_round_bound=rounds_outside_condition(t, k),
     )
 
 
@@ -231,131 +293,17 @@ def condition_family_scenario(
         condition=family,
         condition_params=dict(params or {}),
     )
-    oracle = spec.condition_oracle()
-    vector = vector_in_condition(oracle, n, m, Random(seed))
-    crash_count = min(spec.x, t)
-    schedule = (
-        crashes_in_round_one(n, crash_count, delivered_prefix=n // 2)
-        if crash_count > 0
-        else no_crashes()
-    )
     return Scenario(
         name=f"family-{family}",
-        n=n,
-        t=t,
-        d=d,
-        ell=ell,
-        k=k,
-        condition=oracle,
-        input_vector=vector,
-        schedule=schedule,
-        predicted_round_bound=2,
         description=(
             f"input vector inside the {family!r} condition with at most t − d "
             "round-1 crashes: decisions by round 2 when the family is (x, l)-legal"
         ),
-        condition_name=family,
-        condition_params=spec.condition_params,
+        spec=spec,
+        vectors=(vector_in_condition(spec.condition_oracle(), n, m, Random(seed)),),
+        schedule=_round_one_crashes(n, spec.x),
+        predicted_round_bound=2,
     )
-
-
-@dataclass(frozen=True)
-class AsyncScenario:
-    """An asynchronous story: a vector, an adversary strategy, crash points.
-
-    The asynchronous counterpart of :class:`Scenario`: instead of a crash
-    *schedule* it bundles a scheduling *strategy* (a registry name of
-    :data:`repro.asynchronous.ASYNC_ADVERSARIES`) and *crash points*
-    (``pid -> atomic steps before vanishing`` — ``0`` is an initial crash,
-    ``s >= 1`` leaves the process's pre-crash writes visible).  The paper's
-    Section 4 claim for the regime: with the input vector in the condition
-    and at most ``x`` crashes, every live process decides at most ``l``
-    values, whatever the strategy does.
-    """
-
-    name: str
-    spec: Any  # AgreementSpec (typed loosely to keep the lazy api import)
-    input_vector: InputVector
-    #: Scheduling-strategy registry name (``"round-robin"``, ``"random"``, ...).
-    adversary: str
-    #: Crash points, sorted by pid (hashable form of the mapping).
-    crash_steps: tuple[tuple[int, int], ...]
-    description: str
-
-    @property
-    def crash_count(self) -> int:
-        """Number of processes the scenario crashes."""
-        return len(self.crash_steps)
-
-    def run(self, algorithm: str = "condition-kset", *, seed: int = 0):
-        """Execute the scenario once; returns the normalized RunResult."""
-        from ..api import Engine, RunConfig
-
-        engine = Engine(self.spec, algorithm, RunConfig(backend="async", seed=seed))
-        return engine.run(
-            self.input_vector,
-            async_adversary=self.adversary,
-            crash_steps=dict(self.crash_steps),
-        )
-
-    def batch(
-        self,
-        runs: int = 8,
-        algorithm: str = "condition-kset",
-        *,
-        workers: int = 1,
-        seed: int = 0,
-        store=None,
-    ):
-        """Run the regime *runs* times through one engine batch.
-
-        Run 0 uses the bundled vector; the others draw fresh in-condition
-        vectors, all under the scenario's strategy and crash points.  Results
-        are identical for any worker count.
-        """
-        if runs < 1:
-            raise InvalidParameterError(f"runs must be >= 1, got {runs}")
-        from ..api import Engine, RunConfig
-
-        oracle = self.spec.condition_oracle()
-        vectors = [self.input_vector] + [
-            vector_in_condition(
-                oracle, self.spec.n, self.spec.domain, Random(seed + index)
-            )
-            for index in range(1, runs)
-        ]
-        engine = Engine(
-            self.spec,
-            algorithm,
-            RunConfig(backend="async", seed=seed, workers=workers),
-        )
-        return engine.run_batch(
-            vectors,
-            async_adversary=self.adversary,
-            crash_steps=dict(self.crash_steps),
-            store=store,
-        )
-
-    def check(
-        self,
-        algorithm: str = "condition-kset",
-        *,
-        depth: int | None = None,
-        max_crashes: int | None = None,
-        workers: int = 1,
-        store=None,
-    ):
-        """Model-check the spec over every bounded interleaving × crash set."""
-        from ..api import Engine, RunConfig
-
-        engine = Engine(self.spec, algorithm, RunConfig(workers=workers))
-        return engine.check(
-            backend="async",
-            depth=depth,
-            max_crashes=max_crashes,
-            vectors=[self.input_vector],
-            store=store,
-        )
 
 
 def async_scenario(
@@ -367,122 +315,39 @@ def async_scenario(
     adversary: str = "random",
     crash_steps: Mapping[int, int] | None = None,
     seed: int = 0,
-) -> AsyncScenario:
+) -> Scenario:
     """The Section 4 regime: an in-condition vector under an async adversary.
 
-    The spec mirrors experiment E12 (``t = x``, ``d = 0``, ``k = l``: the
-    condition's resilience is the whole crash budget).  *crash_steps*
-    defaults to the ``x`` highest-numbered processes crashing after one
-    atomic step each — their proposals land in the shared memory before they
-    vanish, the mid-execution regime the initial-crash modelling could not
-    express.
+    *adversary* names a scheduling strategy of
+    :data:`repro.asynchronous.ASYNC_ADVERSARIES`.  The spec mirrors
+    experiment E12 (``t = x``, ``d = 0``, ``k = l``: the condition's
+    resilience is the whole crash budget).  *crash_steps* defaults to the
+    ``x`` highest-numbered processes crashing after one atomic step each —
+    their proposals land in the shared memory before they vanish, the
+    mid-execution regime the initial-crash modelling could not express.
+    With at most ``x`` crashes, every live process decides at most ``l``
+    values, whatever the strategy does.
     """
     from ..api import AgreementSpec
+    from ..check import AsyncSpace
 
     spec = AgreementSpec(n=n, t=x, k=ell, d=0, ell=ell, domain=m)
-    oracle = spec.condition_oracle()
-    vector = vector_in_condition(oracle, n, m, Random(seed))
     if crash_steps is None:
         crash_steps = {pid: 1 for pid in range(n - x, n)}
     frozen = tuple(sorted(crash_steps.items()))
-    return AsyncScenario(
+    return Scenario(
         name=f"async-{adversary}",
-        spec=spec,
-        input_vector=vector,
-        adversary=adversary,
-        crash_steps=frozen,
         description=(
             f"input vector inside the (x={x}, l={ell})-legal condition under "
             f"the {adversary!r} strategy with crash points "
             f"{dict(frozen)}: every live process decides at most {ell} values"
         ),
+        spec=spec,
+        vectors=(vector_in_condition(spec.condition_oracle(), n, m, Random(seed)),),
+        adversary=adversary,
+        crash_steps=frozen,
+        space=AsyncSpace(),
     )
-
-
-@dataclass(frozen=True)
-class NetScenario:
-    """A message-passing story: a vector under a net failure model.
-
-    The :class:`AsyncScenario` counterpart for the ``net`` backend: instead
-    of a scheduling strategy it bundles a *failure-model family* (a registry
-    name of :data:`repro.net.NET_ADVERSARIES` — ``"send-omission"``,
-    ``"message-loss"``, ``"bounded-delay"``, ``"byzantine-corrupt"``, ...).
-    The classical claim for the benign regime: FloodMin under at most ``t``
-    omitted/lost messages still k-agrees, because every correct process
-    relays the learned minimum.
-    """
-
-    name: str
-    spec: Any  # AgreementSpec (typed loosely to keep the lazy api import)
-    input_vector: InputVector
-    #: Failure-model registry name (``"send-omission"``, ``"message-loss"``, ...).
-    adversary: str
-    description: str
-
-    def run(self, algorithm: str = "floodmin", *, seed: int = 0):
-        """Execute the scenario once; returns the normalized RunResult."""
-        from ..api import Engine, RunConfig
-
-        engine = Engine(self.spec, algorithm, RunConfig(backend="net", seed=seed))
-        return engine.run(self.input_vector, net_adversary=self.adversary)
-
-    def batch(
-        self,
-        runs: int = 8,
-        algorithm: str = "floodmin",
-        *,
-        workers: int = 1,
-        seed: int = 0,
-        store=None,
-    ):
-        """Run the regime *runs* times through one engine batch.
-
-        Run 0 uses the bundled vector; the others draw fresh in-condition
-        vectors, all under the scenario's failure model (stochastic families
-        re-draw their faults per seed).  Results are identical for any
-        worker count.
-        """
-        if runs < 1:
-            raise InvalidParameterError(f"runs must be >= 1, got {runs}")
-        from ..api import Engine, RunConfig
-
-        oracle = self.spec.condition_oracle()
-        vectors = [self.input_vector] + [
-            vector_in_condition(
-                oracle, self.spec.n, self.spec.domain, Random(seed + index)
-            )
-            for index in range(1, runs)
-        ]
-        engine = Engine(
-            self.spec,
-            algorithm,
-            RunConfig(backend="net", seed=seed, workers=workers),
-        )
-        return engine.run_batch(
-            vectors, net_adversary=self.adversary, store=store
-        )
-
-    def check(
-        self,
-        algorithm: str = "floodmin",
-        *,
-        rounds: int | None = None,
-        max_faults: int | None = None,
-        workers: int = 1,
-        store=None,
-    ):
-        """Model-check the spec over every fault assignment of the family."""
-        from ..api import Engine, RunConfig
-
-        engine = Engine(self.spec, algorithm, RunConfig(workers=workers))
-        return engine.check(
-            backend="net",
-            adversary=self.adversary,
-            rounds=rounds,
-            max_faults=max_faults,
-            vectors=[self.input_vector],
-            store=store,
-        )
 
 
 def net_scenario(
@@ -493,90 +358,36 @@ def net_scenario(
     *,
     adversary: str = "send-omission",
     seed: int = 0,
-) -> NetScenario:
+) -> Scenario:
     """The message-passing regime: an in-condition vector under a failure model.
 
     *adversary* names the :data:`repro.net.NET_ADVERSARIES` family the
-    scenario injects; the vector is drawn from inside the spec's (default
-    ``max_l``-legal) condition so the same story also exercises
-    condition-based algorithms on the benign families.
+    scenario injects (an unknown name raises
+    :class:`~repro.exceptions.InvalidParameterError`); the vector is drawn
+    from inside the spec's (default ``max_l``-legal) condition so the same
+    story also exercises condition-based algorithms on the benign families.
+    The classical claim for the benign regime: FloodMin under at most ``t``
+    omitted or lost messages still k-agrees, because every correct process
+    relays the learned minimum.
     """
     from ..api import AgreementSpec
-    from ..net.adversary import NET_ADVERSARIES
+    from ..check import NetSpace
 
-    if adversary not in NET_ADVERSARIES:
-        raise InvalidParameterError(
-            f"unknown net adversary {adversary!r}; known: "
-            f"{', '.join(sorted(NET_ADVERSARIES))}"
-        )
+    space = NetSpace(adversary)
     spec = AgreementSpec(n=n, t=t, k=k, domain=m)
-    oracle = spec.condition_oracle()
-    vector = vector_in_condition(oracle, n, m, Random(seed))
-    return NetScenario(
+    return Scenario(
         name=f"net-{adversary}",
-        spec=spec,
-        input_vector=vector,
-        adversary=adversary,
         description=(
             f"input vector under the {adversary!r} failure model on the "
             f"explicit message plane: FloodMin decides at most {k} values "
             f"whenever the benign fault budget stays within t={t}"
         ),
+        spec=spec,
+        vectors=(vector_in_condition(spec.condition_oracle(), n, m, Random(seed)),),
+        adversary=adversary,
+        space=space,
+        algorithm="floodmin",
     )
-
-
-@dataclass(frozen=True)
-class ExhaustiveScenario:
-    """Not one story but *all* of them: the complete execution space.
-
-    Where a :class:`Scenario` bundles one input vector with one schedule,
-    the exhaustive scenario bundles a deterministic input frontier with the
-    **entire** crash-schedule space of the ``(n, t)`` system — the limiting
-    case of scenario diversity.  :meth:`executions` streams every
-    ``(vector, schedule)`` pair and :meth:`check` verifies the property
-    oracles of :mod:`repro.check` over all of them.
-    """
-
-    name: str
-    spec: Any  # AgreementSpec (typed loosely to keep the lazy api import)
-    frontier: tuple[InputVector, ...]
-    rounds: int
-    schedule_count: int
-    description: str
-
-    @property
-    def execution_count(self) -> int:
-        """``schedule_count × len(frontier)``: executions one check performs."""
-        return self.schedule_count * len(self.frontier)
-
-    def executions(self):
-        """Yield every ``(vector, schedule)`` pair, schedules outermost."""
-        from ..sync.adversary import enumerate_schedules
-
-        for schedule in enumerate_schedules(self.spec.n, self.spec.t, self.rounds):
-            for vector in self.frontier:
-                yield vector, schedule
-
-    def check(
-        self,
-        algorithm: str = "condition-kset",
-        *,
-        workers: int = 1,
-        store=None,
-        oracles=None,
-        max_counterexamples: int = 25,
-    ):
-        """Run the exhaustive verification; returns a :class:`~repro.check.CheckReport`."""
-        from ..api import Engine, RunConfig
-
-        engine = Engine(self.spec, algorithm, RunConfig(workers=workers))
-        return engine.check(
-            rounds=self.rounds,
-            vectors=self.frontier,
-            oracles=oracles,
-            store=store,
-            max_counterexamples=max_counterexamples,
-        )
 
 
 def exhaustive_scenario(
@@ -590,20 +401,19 @@ def exhaustive_scenario(
     rounds: int | None = None,
     max_vectors: int = 12,
     all_vectors_limit: int = 100,
-) -> ExhaustiveScenario:
-    """The exhaustive scenario: every legal crash schedule × the input frontier.
+) -> Scenario:
+    """Not one story but *all* of them: every crash schedule × the input frontier.
 
     The frontier is the deterministic vector set of
     :func:`repro.check.input_frontier` (all ``m^n`` vectors when the domain
     is tiny, boundary/just-outside/sampled vectors otherwise); *rounds*
     defaults to the unconditional decision deadline ``⌊t/k⌋ + 1``, beyond
-    which a crash cannot be observed.
+    which a crash cannot be observed.  :meth:`Scenario.check` verifies the
+    property oracles of :mod:`repro.check` over every execution.
     """
-    from ..api import AgreementSpec
-    from ..check import input_frontier
-    from ..sync.adversary import count_schedules
+    from ..check import SyncSpace, input_frontier
 
-    spec = AgreementSpec(n=n, t=t, k=k, d=d, ell=ell, domain=m)
+    spec = _max_legal_spec(n, m, t, d, ell, k)
     if rounds is None:
         rounds = spec.outside_condition_bound()
     frontier = input_frontier(
@@ -613,39 +423,14 @@ def exhaustive_scenario(
         all_vectors_limit=all_vectors_limit,
     )
     schedule_count = count_schedules(n, t, rounds)
-    return ExhaustiveScenario(
+    return Scenario(
         name="exhaustive",
-        spec=spec,
-        frontier=frontier,
-        rounds=rounds,
-        schedule_count=schedule_count,
         description=(
             f"all {schedule_count} crash schedules (rounds 1..{rounds}) x "
             f"{len(frontier)} frontier vectors: the complete execution space "
             "of the Section 6.2 model"
         ),
-    )
-
-
-def outside_condition_scenario(
-    n: int, m: int, t: int, d: int, ell: int, k: int, seed: int = 0
-) -> Scenario:
-    """Input vector outside the condition under the staggered adversary."""
-    condition = _condition(n, m, t, d, ell)
-    vector = vector_outside_max_condition(n, m, t - d, ell, Random(seed))
-    schedule = staggered_schedule(n, t, per_round=k)
-    return Scenario(
-        name="outside-condition",
-        n=n,
-        t=t,
-        d=d,
-        ell=ell,
-        k=k,
-        condition=condition,
-        input_vector=vector,
-        schedule=schedule,
-        predicted_round_bound=rounds_outside_condition(t, k),
-        description=(
-            "input vector outside the condition: the classical ⌊t/k⌋ + 1 bound applies"
-        ),
+        spec=spec,
+        vectors=frontier,
+        space=SyncSpace(rounds),
     )

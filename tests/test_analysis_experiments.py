@@ -22,6 +22,7 @@ from repro.analysis.experiments import (
     experiment_early_deciding,
     experiment_exhaustive_check,
     experiment_lattice_figure1,
+    experiment_net_failure_models,
     experiment_rounds_in_condition,
     experiment_rounds_outside_condition,
     experiment_special_cases,
@@ -140,3 +141,7 @@ class TestSimulationExperiments:
         assert all(row["violations"] == 0 for row in output.rows)
         # The grid must include a cell whose schedule space is in the thousands.
         assert max(row["schedules"] for row in output.rows) >= 2731
+
+    def test_e16_net_failure_models(self):
+        output = experiment_net_failure_models()
+        assert output.all_checks_pass()

@@ -512,14 +512,13 @@ class TestDifferentialMode:
 class TestExhaustiveScenario:
     def test_scenario_spans_the_whole_space(self):
         scenario = exhaustive_scenario(n=3, m=2, t=1, d=1, ell=1, k=1)
-        assert scenario.schedule_count == 37
-        assert len(scenario.frontier) == 8
-        assert scenario.execution_count == 296
-        pairs = list(scenario.executions())
-        assert len(pairs) == scenario.execution_count
-        vector, schedule = pairs[0]
-        assert isinstance(vector, InputVector)
-        assert schedule.crash_count() == 0  # enumeration starts failure-free
+        assert len(scenario.vectors) == 8
+        assert all(isinstance(vector, InputVector) for vector in scenario.vectors)
+        report = scenario.check()
+        assert report.schedule_count == 37
+        assert report.executions == 296
+        [first] = report.space.points(scenario.spec, 0, 1)
+        assert first.crash_count() == 0  # enumeration starts failure-free
 
     def test_scenario_check_matches_engine_check(self):
         scenario = exhaustive_scenario(n=3, m=2, t=1, d=1, ell=1, k=1)

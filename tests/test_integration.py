@@ -69,7 +69,7 @@ class TestScenarioMatrix:
         for builder in (fast_path_scenario, degraded_path_scenario, outside_condition_scenario):
             scenario = builder(n=n, m=m, t=t, d=d, ell=ell, k=k)
             algorithm = ConditionBasedKSetAgreement(
-                condition=scenario.condition, t=t, d=d, k=k
+                condition=scenario.spec.condition_oracle(), t=t, d=d, k=k
             )
             result = SynchronousSystem(n, t, algorithm).run(
                 scenario.input_vector, scenario.schedule

@@ -24,6 +24,7 @@ server:
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 
@@ -605,6 +606,21 @@ class TestServerEndToEnd:
             client._call("POST", "/nope", {})
         with pytest.raises(ServeError, match="adversary"):
             client.run(SPEC, _vectors(1)[0], adversary="round-robin")  # sync
+
+    @pytest.mark.parametrize("declared", ["abc", "-1"])
+    def test_malformed_content_length_is_a_400(self, server, client, declared):
+        """A Content-Length that is not a non-negative integer is the
+        client's error: a 400, not a 500, and not a handler blocked in
+        ``rfile.read(-1)`` until the client hangs up."""
+        request = (
+            "POST /run HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Length: {declared}\r\n\r\n{{}}"
+        )
+        with socket.create_connection(server.address, timeout=5) as raw:
+            raw.sendall(request.encode("ascii"))
+            status_line = raw.makefile("rb").readline()
+        assert status_line.split()[1] == b"400", status_line
+        assert "internal" not in client.status()["requests"]["errors"]
 
     def test_shutdown_endpoint_stops_the_server(self):
         server = ReproServer(port=0)

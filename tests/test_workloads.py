@@ -14,6 +14,7 @@ from repro.sync.runtime import SynchronousSystem
 from repro.workloads.scenarios import (
     degraded_path_scenario,
     fast_path_scenario,
+    net_scenario,
     outside_condition_scenario,
 )
 from repro.workloads.vectors import (
@@ -81,15 +82,16 @@ class TestVectorGenerators:
 
 class TestScenarios:
     def run_scenario(self, scenario):
+        spec = scenario.spec
         algorithm = ConditionBasedKSetAgreement(
-            condition=scenario.condition, t=scenario.t, d=scenario.d, k=scenario.k
+            condition=spec.condition_oracle(), t=spec.t, d=spec.d, k=spec.k
         )
-        system = SynchronousSystem(scenario.n, scenario.t, algorithm)
+        system = SynchronousSystem(spec.n, spec.t, algorithm)
         result = system.run(scenario.input_vector, scenario.schedule)
         assert_execution_correct(
             result,
             scenario.input_vector,
-            k=scenario.k,
+            k=spec.k,
             round_bound=scenario.predicted_round_bound,
         )
         return result
@@ -97,18 +99,18 @@ class TestScenarios:
     def test_fast_path_scenario(self):
         scenario = fast_path_scenario(n=8, m=10, t=4, d=2, ell=1, k=2)
         assert scenario.predicted_round_bound == 2
-        assert scenario.x == 2
-        assert scenario.condition.contains(scenario.input_vector)
+        assert scenario.spec.x == 2
+        assert scenario.spec.condition_oracle().contains(scenario.input_vector)
         self.run_scenario(scenario)
 
     def test_degraded_path_scenario(self):
         scenario = degraded_path_scenario(n=9, m=12, t=6, d=4, ell=2, k=2)
-        assert scenario.schedule.round_one_crash_count() == scenario.x + 1
+        assert scenario.schedule.round_one_crash_count() == scenario.spec.x + 1
         self.run_scenario(scenario)
 
     def test_outside_condition_scenario(self):
         scenario = outside_condition_scenario(n=8, m=12, t=4, d=2, ell=1, k=2)
-        assert not scenario.condition.contains(scenario.input_vector)
+        assert not scenario.spec.condition_oracle().contains(scenario.input_vector)
         assert scenario.predicted_round_bound == 3
         self.run_scenario(scenario)
 
@@ -116,3 +118,15 @@ class TestScenarios:
         scenario = fast_path_scenario(n=8, m=10, t=4, d=2, ell=1, k=2)
         assert scenario.name == "fast-path"
         assert "round" in scenario.description
+
+    @pytest.mark.parametrize(
+        "story, runs", [("fast-path", True), ("fast-path", 2.5), ("fast-path", 0), ("net", "3")]
+    )
+    def test_batch_refuses_runs_that_is_not_a_positive_integer(self, story, runs):
+        scenario = (
+            net_scenario(3, 3, 1, 1)
+            if story == "net"
+            else fast_path_scenario(n=8, m=10, t=4, d=2, ell=1, k=2)
+        )
+        with pytest.raises(InvalidParameterError, match="runs must be"):
+            scenario.batch(runs)
