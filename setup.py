@@ -9,6 +9,11 @@ unavailable::
 Installs two console scripts, ``repro`` and the historical
 ``repro-setagreement`` alias, both dispatching to :func:`repro.cli.main`
 (also reachable without installation as ``python -m repro``).
+
+There are no runtime dependencies: the package imports nothing outside the
+standard library (the ``stdlib-imports`` lint rule keeps it so), hence no
+``install_requires``.  The test suite needs pytest, pytest-benchmark and
+hypothesis.
 """
 
 import re

@@ -12,16 +12,15 @@ the sets of (x, l)-legal conditions and the inclusion arrows between them:
   *x-resilience* line (a generic horizontal line) and the *reliable* line
   ``x = 0``.
 
-This module rebuilds that picture as a :class:`networkx.DiGraph` whose nodes
-are :class:`~repro.core.hierarchy.LegalityClass` instances, and renders it as
-an ASCII matrix or a Graphviz DOT document (the benchmark E2 prints both).
+This module rebuilds that picture as a plain dict that maps each of its
+``n(n − 1)`` :class:`~repro.core.hierarchy.LegalityClass` nodes to its cover
+edges, and renders it as an ASCII matrix or a Graphviz DOT document (the
+benchmark E2 prints both).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
 
 from ..exceptions import InvalidParameterError
 from .hierarchy import LegalityClass
@@ -50,10 +49,14 @@ class ConditionLattice:
     """
 
     def __init__(self, n: int) -> None:
+        # A local check with require_int's wording: repro.core must not
+        # import repro.api.
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise InvalidParameterError(f"n must be an integer, got {n!r}")
         if n < 2:
             raise InvalidParameterError(f"the lattice needs n >= 2 processes, got {n}")
         self._n = n
-        self._graph = self._build_graph()
+        self._edges = self._build_edges()
 
     @property
     def n(self) -> int:
@@ -61,68 +64,78 @@ class ConditionLattice:
         return self._n
 
     @property
-    def graph(self) -> nx.DiGraph:
-        """The underlying DAG (edges follow class inclusion, cover relations only)."""
-        return self._graph
+    def graph(self) -> dict[LegalityClass, tuple[LegalityClass, ...]]:
+        """The DAG as cover edges: each class maps to the classes just above it."""
+        return {
+            node: tuple(target for target, _ in edges)
+            for node, edges in self._edges.items()
+        }
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build_graph(self) -> nx.DiGraph:
-        graph = nx.DiGraph()
-        for x in range(0, self._n):
-            for ell in range(1, self._n):
-                node = LegalityClass(x, ell)
-                graph.add_node(
-                    node,
-                    contains_all_vectors=node.contains_all_vectors_condition(),
-                    wait_free=(x == self._n - 1),
-                    reliable=(x == 0),
-                )
+    def _build_edges(self) -> dict[LegalityClass, list[tuple[LegalityClass, str]]]:
+        """Class -> its ``(target, kind)`` cover edges, in the order :meth:`to_dot` emits them."""
+        edges: dict[LegalityClass, list[tuple[LegalityClass, str]]] = {
+            LegalityClass(x, ell): [] for x in range(0, self._n) for ell in range(1, self._n)
+        }
         for x in range(0, self._n):
             for ell in range(1, self._n):
                 node = LegalityClass(x, ell)
                 if x + 1 <= self._n - 1:
                     # Theorem 4: (x+1, l)-legal ⟹ (x, l)-legal.
-                    graph.add_edge(LegalityClass(x + 1, ell), node, kind="relax_x")
+                    edges[LegalityClass(x + 1, ell)].append((node, "relax_x"))
                 if ell + 1 <= self._n - 1:
                     # Theorem 6: (x, l)-legal ⟹ (x, l+1)-legal.
-                    graph.add_edge(node, LegalityClass(x, ell + 1), kind="relax_ell")
-        return graph
+                    edges[node].append((LegalityClass(x, ell + 1), "relax_ell"))
+        return edges
+
+    def _require(self, node: LegalityClass) -> None:
+        if node not in self._edges:
+            raise InvalidParameterError(
+                f"class ({node.x}, {node.ell}) is outside the lattice for n={self._n}"
+            )
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def classes(self) -> list[LegalityClass]:
         """All classes of the lattice, ordered by (x, l)."""
-        return sorted(self._graph.nodes)
+        return sorted(self._edges)
 
     def cell(self, x: int, ell: int) -> LatticeCell:
         """The rendered-cell description of class (x, l)."""
         node = LegalityClass(x, ell)
-        if node not in self._graph:
-            raise InvalidParameterError(
-                f"class ({x}, {ell}) is outside the lattice for n={self._n}"
-            )
-        data = self._graph.nodes[node]
+        self._require(node)
         return LatticeCell(
             legality_class=node,
-            contains_all_vectors=data["contains_all_vectors"],
-            on_wait_free_line=data["wait_free"],
-            on_reliable_line=data["reliable"],
+            contains_all_vectors=node.contains_all_vectors_condition(),
+            on_wait_free_line=(node.x == self._n - 1),
+            on_reliable_line=(node.x == 0),
         )
 
     def includes(self, smaller: LegalityClass, larger: LegalityClass) -> bool:
         """Is every condition of *smaller* also in *larger*? (reachability check).
 
-        The reachability answer coincides with the closed-form order of
+        A depth-first search along the cover edges.  The reachability answer
+        coincides with the closed-form order of
         :meth:`LegalityClass.is_subclass_of`; the test suite asserts the
         equivalence, which validates that the cover edges generate the whole
         order of Figure 1.
         """
-        if smaller == larger:
-            return True
-        return nx.has_path(self._graph, smaller, larger)
+        self._require(smaller)
+        self._require(larger)
+        seen = {smaller}
+        stack = [smaller]
+        while stack:
+            node = stack.pop()
+            if node == larger:
+                return True
+            for target, _ in self._edges[node]:
+                if target not in seen:
+                    seen.add(target)
+                    stack.append(target)
+        return False
 
     def chain_fixed_ell(self, ell: int) -> list[LegalityClass]:
         """The maximal chain with fixed ``l`` (decreasing difficulty ``x``)."""
@@ -175,14 +188,15 @@ class ConditionLattice:
         lines = ["digraph condition_lattice {", "  rankdir=BT;"]
         for node in self.classes():
             attributes = []
-            if self._graph.nodes[node]["contains_all_vectors"]:
+            if node.contains_all_vectors_condition():
                 attributes.append('style=filled, fillcolor="lightgrey"')
             label = node.label().replace('"', "'")
             attributes.append(f'label="{label}"')
             lines.append(f'  "{node.label()}" [{", ".join(attributes)}];')
-        for source, target, data in self._graph.edges(data=True):
-            style = "solid" if data["kind"] == "relax_x" else "dashed"
-            lines.append(f'  "{source.label()}" -> "{target.label()}" [style={style}];')
+        for source, edges in self._edges.items():
+            for target, kind in edges:
+                style = "solid" if kind == "relax_x" else "dashed"
+                lines.append(f'  "{source.label()}" -> "{target.label()}" [style={style}];')
         lines.append("}")
         return "\n".join(lines)
 

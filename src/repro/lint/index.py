@@ -1,6 +1,6 @@
 """The shared module index: every linted file parsed exactly once.
 
-Thirteen rules walking ~90 modules must not mean thirteen parses of the
+Fourteen rules walking ~90 modules must not mean fourteen parses of the
 tree.  :class:`ModuleIndex` walks the linted root once, parses each
 ``*.py`` file into an :class:`ast.Module`, extracts the per-line suppression
 comments, and hands every rule the same immutable :class:`ModuleFile`

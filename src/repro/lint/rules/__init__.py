@@ -21,10 +21,12 @@ parallel-safety        envelope-frozen           worker envelopes are frozen
                        envelope-fields           envelope fields statically picklable
 exceptions             raise-builtin             raises use the repro hierarchy
 oracles                oracle-applicability      every oracle declares applicability
+dependencies           stdlib-imports            imports stay in repro and the stdlib
 =====================  ========================  =====================================
 """
 
 from . import (  # noqa: F401  (imported for their registration side effect)
+    dependencies,
     determinism,
     exception_hygiene,
     oracle_rules,
@@ -34,6 +36,7 @@ from . import (  # noqa: F401  (imported for their registration side effect)
 )
 
 __all__ = [
+    "dependencies",
     "determinism",
     "exception_hygiene",
     "oracle_rules",

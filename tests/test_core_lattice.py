@@ -20,6 +20,22 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError):
             ConditionLattice(1)
 
+    @pytest.mark.parametrize("n", [2.5, "3", None, True])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(InvalidParameterError, match="n must be an integer"):
+            ConditionLattice(n)
+
+    def test_graph_maps_each_class_to_its_cover_targets(self):
+        C = LegalityClass
+        assert ConditionLattice(3).graph == {
+            C(0, 1): (C(0, 2),),
+            C(0, 2): (),
+            C(1, 1): (C(0, 1), C(1, 2)),
+            C(1, 2): (C(0, 2),),
+            C(2, 1): (C(1, 1), C(2, 2)),
+            C(2, 2): (C(1, 2),),
+        }
+
     def test_cell_metadata(self):
         lattice = ConditionLattice(4)
         cell = lattice.cell(3, 1)
@@ -39,6 +55,13 @@ class TestOrder:
         for smaller in lattice.classes():
             for larger in lattice.classes():
                 assert lattice.includes(smaller, larger) == smaller.is_subclass_of(larger)
+
+    def test_classes_outside_the_lattice_are_refused(self):
+        lattice = ConditionLattice(3)
+        with pytest.raises(InvalidParameterError):
+            lattice.includes(LegalityClass(5, 1), LegalityClass(0, 1))
+        with pytest.raises(InvalidParameterError):
+            lattice.includes(LegalityClass(0, 1), LegalityClass(0, 5))
 
     def test_chains(self):
         lattice = ConditionLattice(4)

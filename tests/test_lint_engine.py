@@ -337,6 +337,7 @@ class TestCliGate:
             ),
             "raise-builtin": "def f():\n    raise ValueError('x')\n",
             "oracle-applicability": "oracle = PropertyOracle('validity', 's')\n",
+            "stdlib-imports": "import networkx\n",
         }
         assert set(violations) == set(available_rules())
         for rule, source in violations.items():

@@ -748,6 +748,49 @@ class TestOracleApplicability:
 
 
 # ----------------------------------------------------------------------
+# dependencies
+# ----------------------------------------------------------------------
+class TestStdlibImports:
+    def test_fires_on_third_party_import(self, tmp_path):
+        report = lint_snippet(tmp_path, "import networkx\n", "stdlib-imports")
+        [finding] = fired(report, "stdlib-imports")
+        assert finding.line == 1 and "'networkx'" in finding.message
+
+    def test_fires_on_third_party_from_import(self, tmp_path):
+        report = lint_snippet(tmp_path, "from numpy import x\n", "stdlib-imports")
+        assert len(fired(report, "stdlib-imports")) == 1
+
+    def test_fires_on_import_inside_a_function(self, tmp_path):
+        report = lint_snippet(
+            tmp_path,
+            """
+            def draw(graph):
+                import networkx.drawing
+
+                return networkx.drawing.spring_layout(graph)
+            """,
+            "stdlib-imports",
+        )
+        assert [finding.line for finding in fired(report, "stdlib-imports")] == [3]
+
+    def test_clean_on_stdlib_relative_and_package_imports(self, tmp_path):
+        report = lint_snippet(
+            tmp_path,
+            """
+            from __future__ import annotations
+
+            import json
+            import os.path
+            from . import x
+            from .sibling import y
+            from repro.core import z
+            """,
+            "stdlib-imports",
+        )
+        assert report.clean
+
+
+# ----------------------------------------------------------------------
 # every rule has both fixture directions covered
 # ----------------------------------------------------------------------
 def test_every_registered_rule_is_exercised_here():
@@ -768,5 +811,6 @@ def test_every_registered_rule_is_exercised_here():
         "envelope-fields",
         "raise-builtin",
         "oracle-applicability",
+        "stdlib-imports",
     }
     assert set(available_rules()) == covered
