@@ -29,20 +29,12 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..core.hierarchy import rounds_in_condition, rounds_outside_condition
-from ..exceptions import InvalidParameterError
+from ..exceptions import InvalidParameterError, require_int
 
 __all__ = ["AgreementSpec", "RunConfig", "require_int"]
 
 #: Backends understood by the engine.
 BACKENDS = ("sync", "async", "net")
-
-
-def require_int(name: str, value: Any, minimum: int | None = None) -> None:
-    """Reject a run or check parameter that is not an ``int`` (a ``bool`` is not)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise InvalidParameterError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _freeze(value: Any) -> Any:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..exceptions import InvalidParameterError
+from ..exceptions import InvalidParameterError, require_int
 from .hierarchy import LegalityClass
 
 __all__ = ["ConditionLattice", "LatticeCell"]
@@ -49,10 +49,7 @@ class ConditionLattice:
     """
 
     def __init__(self, n: int) -> None:
-        # A local check with require_int's wording: repro.core must not
-        # import repro.api.
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise InvalidParameterError(f"n must be an integer, got {n!r}")
+        require_int("n", n)
         if n < 2:
             raise InvalidParameterError(f"the lattice needs n >= 2 processes, got {n}")
         self._n = n

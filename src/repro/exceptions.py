@@ -8,6 +8,8 @@ experiment harnesses.
 
 from __future__ import annotations
 
+from typing import Any
+
 
 class ReproError(Exception):
     """Base class of every exception raised by the :mod:`repro` library."""
@@ -29,6 +31,14 @@ class InvalidParameterError(ReproError):
     in ``[0, t]``, or when the coordination degree ``k`` of a set-agreement
     instance is smaller than 1.
     """
+
+
+def require_int(name: str, value: Any, minimum: int | None = None) -> None:
+    """Reject a parameter that is not an ``int`` (a ``bool`` is not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidParameterError(f"{name} must be >= {minimum}, got {value}")
 
 
 class EmptyConditionError(ReproError):

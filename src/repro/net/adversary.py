@@ -51,7 +51,7 @@ from abc import ABC, abstractmethod
 from itertools import combinations, product
 from math import comb
 from random import Random
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, ClassVar, Iterable, Iterator, Mapping
 
 from ..exceptions import InvalidParameterError, RegistryError
 
@@ -96,13 +96,24 @@ class NetAdversary(ABC):
 
     The runtime calls :meth:`begin_run` once per execution (resetting any
     stochastic state from the run seed) and then :meth:`treat` for every
-    non-self channel in a fixed order — round ascending, sender ascending,
-    receiver ascending — so seeded adversaries are deterministic functions
-    of ``(seed, n)``.
+    non-self channel of a *live* (not halted) sender, in a fixed order:
+    round, sender, receiver, each ascending.  A halted process's channels
+    are never asked about, and a seeded adversary's RNG stream depends on
+    that: it advances once per asked channel.
+
+    :attr:`fixed_verdicts` declares that the verdict is a pure function of
+    ``(round, sender, receiver)`` for the object's lifetime, and that the
+    object is never mutated.  While consecutive runs pass the same object,
+    the runtime then keeps :meth:`describe`, :attr:`faulty` and, from the
+    second run on, the verdicts, which it asks once per round and
+    live-sender set.  The default, ``False``, is to be asked on every run,
+    which is always safe.
     """
 
     #: Registry family the adversary belongs to (set by subclasses).
     family: str = "fault-free"
+    #: Whether the runtime may reuse this object's verdicts (see above).
+    fixed_verdicts: ClassVar[bool] = False
 
     @property
     def faulty(self) -> frozenset[int]:
@@ -130,6 +141,7 @@ class FaultFreeAdversary(NetAdversary):
     """Every message is delivered in its send round — the sync baseline."""
 
     family = "fault-free"
+    fixed_verdicts = True
 
     def treat(self, round_number: int, sender: int, receiver: int) -> tuple:
         return DELIVER
@@ -142,6 +154,7 @@ class SendOmissionAdversary(NetAdversary):
     """Faulty senders omit messages to fixed receiver sets, every round."""
 
     family = "send-omission"
+    fixed_verdicts = True
 
     def __init__(self, assignment: Mapping[int, Iterable[int]]) -> None:
         self._assignment = {
@@ -194,6 +207,7 @@ class ReceiveOmissionAdversary(NetAdversary):
     """Faulty receivers drop incoming messages from fixed sender sets."""
 
     family = "receive-omission"
+    fixed_verdicts = True
 
     def __init__(self, assignment: Mapping[int, Iterable[int]]) -> None:
         self._assignment = {
@@ -278,6 +292,7 @@ class EnumeratedMessageLoss(NetAdversary):
     """Exactly the listed ``(round, sender, receiver)`` channels are lost."""
 
     family = "message-loss"
+    fixed_verdicts = True
 
     def __init__(self, lost: Iterable[tuple[int, int, int]]) -> None:
         self._lost = frozenset((int(r), int(s), int(q)) for r, s, q in lost)
@@ -337,6 +352,7 @@ class EnumeratedDelay(NetAdversary):
     """Exactly the listed channels are delayed, by the listed amounts."""
 
     family = "bounded-delay"
+    fixed_verdicts = True
 
     def __init__(self, delays: Mapping[tuple[int, int, int], int]) -> None:
         self._delays = {
@@ -426,6 +442,7 @@ class EnumeratedCorruption(NetAdversary):
     """Exactly the listed channels deliver another process's payload."""
 
     family = "byzantine-corrupt"
+    fixed_verdicts = True
 
     def __init__(self, corruptions: Mapping[tuple[int, int, int], int]) -> None:
         self._corruptions = {

@@ -7,9 +7,9 @@ round builds a full ``(sender, receiver) -> payload`` matrix and every
 non-self entry is passed through a :class:`~repro.net.adversary.NetAdversary`
 before delivery, so faults act on *individual messages*:
 
-* ``send -> adversary filter -> deliver`` per channel, in a fixed order
-  (sender ascending, receiver ascending) so seeded adversaries are
-  deterministic;
+* ``send -> adversary filter -> deliver`` per channel of a live sender, in
+  a fixed order (sender ascending, receiver ascending) so seeded
+  adversaries are deterministic;
 * dropped channels simply never reach the inbox;
 * delayed channels mature ``δ`` rounds later — *after* the lock-step receive
   phase of their own round has closed.  In the round-based model a message
@@ -38,6 +38,17 @@ Every execution carries a :attr:`~NetExecutionResult.fingerprint`: a blake2b
 digest of the realized fault events, inputs and decisions.  Two runs
 interleaved the faults identically exactly when their fingerprints match —
 the seed-determinism handle for the stochastic adversaries.
+
+A round's verdicts form a *plan*: who hears whom, the fault events with
+their fingerprint text, the delays and the delivered count.  A plan is made
+for each round of each run, unless the adversary declares
+:attr:`~repro.net.adversary.NetAdversary.fixed_verdicts`.  Then, while
+consecutive runs pass the same object, the system keeps its plans keyed by
+``(round, live senders)`` from the second run on, so a checker running every
+frontier vector under one fault assignment asks for its verdicts about twice
+instead of once per vector.  The first run plans with its own payloads, as
+for any other adversary, so an object built afresh for every run costs no
+more than a seeded one.
 """
 
 from __future__ import annotations
@@ -47,8 +58,8 @@ from hashlib import blake2b
 from typing import Any, Mapping
 
 from ..core.vectors import InputVector
-from ..exceptions import InvalidParameterError, SimulationError
-from ..sync.process import RoundBasedProcess, SynchronousAlgorithm
+from ..exceptions import SimulationError
+from ..sync.runtime import RoundSystem
 from .adversary import NetAdversary
 
 __all__ = ["FaultEvent", "NetExecutionResult", "NetSystem"]
@@ -137,7 +148,85 @@ class NetExecutionResult:
         )
 
 
-class NetSystem:
+#: One round's verdicts for one set of live senders: ``(inboxes, events,
+#: delays, delivered count, the events' fingerprint text)``, with the delayed
+#: channels as ``(maturity round, sender, receiver)``.
+_RoundPlan = tuple[list, tuple[FaultEvent, ...], tuple[tuple[int, int, int], ...], int, str]
+
+
+def _plan_round(
+    adversary: NetAdversary, round_number: int, n: int, sent: Mapping[int, Any]
+) -> _RoundPlan:
+    """Ask *adversary* about every non-self channel of the senders in *sent*.
+
+    *sent* maps each live sender, in identifier order, to its payload, and
+    ``inboxes[q]`` maps each sender receiver ``q`` hears to the payload it
+    gets.  A corrupted channel delivers the impersonated source's payload,
+    and degrades to a drop when that source sent nothing this round.
+    """
+    inboxes: list[dict[int, Any]] = [{} for _ in range(n)]
+    rows: list[tuple] = []
+    delays: list[tuple[int, int, int]] = []
+    delivered = 0
+    for sender_id, payload in sent.items():
+        for receiver_id in range(n):
+            if receiver_id == sender_id:
+                # Self-channels are untouchable: a process always sees its
+                # own message (RoundBasedProcess contract).
+                inboxes[receiver_id][sender_id] = payload
+                delivered += 1
+                continue
+            action = adversary.treat(round_number, sender_id, receiver_id)
+            verb = action[0]
+            if verb == "deliver":
+                inboxes[receiver_id][sender_id] = payload
+                delivered += 1
+            elif verb == "drop":
+                rows.append((round_number, sender_id, receiver_id, "dropped", None))
+            elif verb == "delay":
+                delta = action[1]
+                delays.append((round_number + delta, sender_id, receiver_id))
+                rows.append((round_number, sender_id, receiver_id, "delayed", delta))
+            elif verb == "corrupt":
+                source = action[1]
+                if source in sent:
+                    inboxes[receiver_id][sender_id] = sent[source]
+                    delivered += 1
+                    rows.append((round_number, sender_id, receiver_id, "corrupted", source))
+                else:
+                    # The impersonated source sent nothing this round — the
+                    # corruption degenerates to an omission.
+                    rows.append((round_number, sender_id, receiver_id, "dropped", None))
+            else:  # pragma: no cover - adversary contract violation
+                raise SimulationError(
+                    f"{adversary.describe()} returned unknown action {action!r}"
+                )
+    events = tuple([FaultEvent(*row) for row in rows])
+    return inboxes, events, tuple(delays), delivered, repr(rows)[1:-1]
+
+
+def _kept_plan(plan: _RoundPlan, live: list[int]) -> _RoundPlan:
+    """*plan*, made for one run, as a plan for every run with these senders.
+
+    Receiver ``q``'s entry maps each sender it hears to the sender whose
+    payload it gets (another one on a corrupted channel), or is ``None``
+    when no fault event touches ``q``, so it hears every live sender's own
+    payload.  The events say it all, so the adversary is not asked again.
+    """
+    inboxes, events, *rest = plan
+    heard: list[dict[int, int] | None] = [None] * len(inboxes)
+    for event in events:
+        sources = heard[event.receiver]
+        if sources is None:
+            sources = heard[event.receiver] = {pid: pid for pid in live}
+        if event.outcome == "corrupted":
+            sources[event.sender] = event.detail
+        else:  # dropped or delayed
+            del sources[event.sender]
+    return (heard, events, *rest)
+
+
+class NetSystem(RoundSystem):
     """A synchronous message-passing system running one algorithm.
 
     Parameters mirror :class:`~repro.sync.runtime.SynchronousSystem`; the
@@ -145,40 +234,12 @@ class NetSystem:
     a crash schedule.
     """
 
-    def __init__(
-        self,
-        n: int,
-        t: int,
-        algorithm: SynchronousAlgorithm,
-        max_rounds: int | None = None,
-    ) -> None:
-        if n < 1:
-            raise InvalidParameterError(f"the system needs at least one process, got n={n}")
-        if not 0 <= t < n:
-            raise InvalidParameterError(f"t must satisfy 0 <= t < n, got t={t}, n={n}")
-        self._n = n
-        self._t = t
-        self._algorithm = algorithm
-        self._max_rounds = max_rounds
+    #: The adversary of the last run, when it declares fixed verdicts, with
+    #: its round plans keyed by ``(round, live senders)``, its description
+    #: and its faulty set.  One tuple, read once per run, so a run never
+    #: mixes two adversaries' plans.
+    _kept: tuple[NetAdversary, dict, str, frozenset[int]] | None = None
 
-    @property
-    def n(self) -> int:
-        """Number of processes."""
-        return self._n
-
-    @property
-    def t(self) -> int:
-        """Nominal fault budget of the system."""
-        return self._t
-
-    @property
-    def algorithm(self) -> SynchronousAlgorithm:
-        """The algorithm executed by the system."""
-        return self._algorithm
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def run(
         self,
         proposals: InputVector | Mapping[int, Any] | list[Any],
@@ -194,193 +255,115 @@ class NetSystem:
         """
         input_vector = self._normalise_proposals(proposals)
         adversary.begin_run(self._n, seed)
+        processes = self._create_processes(input_vector)
+        plans: dict[tuple[int, tuple[int, ...]], _RoundPlan] | None = None
+        kept = self._kept
+        if kept is not None and kept[0] is adversary:
+            _, plans, description, faulty = kept
+        else:
+            # Plans are kept from an object's second consecutive run on, so
+            # an object built afresh for every run pays nothing for them.
+            description, faulty = adversary.describe(), adversary.faulty
+            fixed = adversary.fixed_verdicts
+            self._kept = (adversary, {}, description, faulty) if fixed else None
 
-        processes = self._create_processes()
-        for process_id, process in processes.items():
-            process.initialize(input_vector[process_id])
-
-        result = NetExecutionResult(
-            n=self._n,
-            t=self._t,
-            input_vector=input_vector,
-            adversary_family=adversary.family,
-            adversary_description=adversary.describe(),
-            faulty=adversary.faulty,
-        )
+        n = self._n
+        decisions: dict[int, Any] = {}
+        decision_rounds: dict[int, int] = {}
         events: list[FaultEvent] = []
-        #: Delayed payloads keyed by maturity round.
-        pending: dict[int, list[tuple[int, int, Any]]] = {}
-        round_limit = (
-            self._max_rounds
-            if self._max_rounds is not None
-            else self._algorithm.max_rounds(self._n, self._t)
-        )
+        texts: list[str] = []  # the events' fingerprint text, piece by piece
+        delivered = 0
+        #: Delayed channels keyed by maturity round.
+        pending: dict[int, list[tuple[int, int]]] = {}
+        live = [pid for pid in range(n) if not processes[pid].has_halted()]
+        round_limit = self._round_limit()
 
         round_number = 0
-        while round_number < round_limit:
-            live = [
-                pid for pid, process in processes.items() if not process.has_halted()
-            ]
-            if not live:
-                break
+        while live and round_number < round_limit:
             round_number += 1
-            self._run_one_round(
-                round_number, processes, adversary, pending, result, events
-            )
+            # --- send phase, then a verdict for every channel ----------------
+            payloads: dict[int, Any] = {}
+            for sender_id in live:
+                payloads[sender_id] = processes[sender_id].message_for_round(round_number)
+            plan = None
+            if plans is not None:
+                key = (round_number, tuple(live))
+                plan = plans.get(key)
+            reused = plan is not None
+            if plan is None:
+                plan = _plan_round(adversary, round_number, n, payloads)
+                if plans is not None:
+                    plans[key] = _kept_plan(plan, live)
+            inboxes, round_events, delays, count, text = plan
+            delivered += count
+            if round_events:
+                events += round_events
+                texts.append(text)
+            for maturity, sender_id, receiver_id in delays:
+                pending.setdefault(maturity, []).append((sender_id, receiver_id))
+
+            # --- matured delays: too late for the lock-step round -----------
+            # Payload shapes may differ between rounds (condition-kset floods
+            # the proposal in round 1 and a state triple after), so a stale
+            # payload must never land in a later round's inbox — maturities
+            # are audited, not delivered.
+            for sender_id, receiver_id in pending.pop(round_number, ()):
+                heard = inboxes[receiver_id]
+                heard = payloads if heard is None else heard
+                outcome = "superseded" if sender_id in heard else "late"
+                row = (round_number, sender_id, receiver_id, outcome, None)
+                events.append(FaultEvent(*row))
+                texts.append(repr(row))
+
+            # --- receive + computation phases -------------------------------
+            running: list[int] = []
+            for receiver_id in live:
+                process = processes[receiver_id]
+                if process.has_halted():
+                    continue
+                inbox = inboxes[receiver_id]
+                if inbox is None:
+                    inbox = payloads.copy()
+                elif reused:
+                    inbox = {sender: payloads[source] for sender, source in inbox.items()}
+                process.receive_round(round_number, inbox)
+                if process.has_decided() and receiver_id not in decisions:
+                    decisions[receiver_id] = process.decision
+                    decision_rounds[receiver_id] = process.decision_round or round_number
+                if not process.has_halted():
+                    running.append(receiver_id)
+            live = running
 
         # Delayed messages that never matured are lost to the run.
         for maturity in sorted(pending):
-            for sender_id, receiver_id, _payload in pending[maturity]:
-                events.append(
-                    FaultEvent(maturity, sender_id, receiver_id, "expired")
-                )
+            for sender_id, receiver_id in pending[maturity]:
+                row = (maturity, sender_id, receiver_id, "expired", None)
+                events.append(FaultEvent(*row))
+                texts.append(repr(row))
 
-        result.rounds_executed = round_number
-        result.fault_events = tuple(events)
-        result.fingerprint = self._fingerprint(result)
-        return result
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _normalise_proposals(
-        self, proposals: InputVector | Mapping[int, Any] | list[Any]
-    ) -> InputVector:
-        if isinstance(proposals, InputVector):
-            vector = proposals
-        elif isinstance(proposals, Mapping):
-            try:
-                vector = InputVector(proposals[pid] for pid in range(self._n))
-            except KeyError as missing:
-                raise InvalidParameterError(
-                    f"no proposal for process {missing.args[0]}"
-                ) from None
-        else:
-            vector = InputVector(proposals)
-        if len(vector) != self._n:
-            raise InvalidParameterError(
-                f"expected {self._n} proposals, got {len(vector)}"
-            )
-        return vector
-
-    def _create_processes(self) -> dict[int, RoundBasedProcess]:
-        processes = {}
-        for process_id in range(self._n):
-            process = self._algorithm.create_process(process_id, self._n, self._t)
-            if not isinstance(process, RoundBasedProcess):
-                raise SimulationError(
-                    f"{self._algorithm.name}.create_process returned "
-                    f"{type(process).__name__}, not a RoundBasedProcess"
-                )
-            processes[process_id] = process
-        return processes
-
-    def _run_one_round(
-        self,
-        round_number: int,
-        processes: dict[int, RoundBasedProcess],
-        adversary: NetAdversary,
-        pending: dict[int, list[tuple[int, int, Any]]],
-        result: NetExecutionResult,
-        events: list[FaultEvent],
-    ) -> None:
-        # --- send phase: the explicit message matrix ------------------------
-        payloads: dict[int, Any] = {}
-        for sender_id in range(self._n):
-            process = processes[sender_id]
-            if process.has_halted():
-                continue
-            payloads[sender_id] = process.message_for_round(round_number)
-
-        # --- adversary filter, channel by channel ---------------------------
-        inboxes: dict[int, dict[int, Any]] = {pid: {} for pid in range(self._n)}
-        for sender_id in sorted(payloads):
-            payload = payloads[sender_id]
-            for receiver_id in range(self._n):
-                if receiver_id == sender_id:
-                    # Self-channels are untouchable: a process always sees
-                    # its own message (RoundBasedProcess contract).
-                    inboxes[receiver_id][sender_id] = payload
-                    result.delivered_count += 1
-                    continue
-                action = adversary.treat(round_number, sender_id, receiver_id)
-                verb = action[0]
-                if verb == "deliver":
-                    inboxes[receiver_id][sender_id] = payload
-                    result.delivered_count += 1
-                elif verb == "drop":
-                    events.append(
-                        FaultEvent(round_number, sender_id, receiver_id, "dropped")
-                    )
-                elif verb == "delay":
-                    delta = action[1]
-                    pending.setdefault(round_number + delta, []).append(
-                        (sender_id, receiver_id, payload)
-                    )
-                    events.append(
-                        FaultEvent(
-                            round_number, sender_id, receiver_id, "delayed", delta
-                        )
-                    )
-                elif verb == "corrupt":
-                    source = action[1]
-                    if source in payloads:
-                        inboxes[receiver_id][sender_id] = payloads[source]
-                        result.delivered_count += 1
-                        events.append(
-                            FaultEvent(
-                                round_number, sender_id, receiver_id, "corrupted", source
-                            )
-                        )
-                    else:
-                        # The impersonated source sent nothing this round —
-                        # the corruption degenerates to an omission.
-                        events.append(
-                            FaultEvent(round_number, sender_id, receiver_id, "dropped")
-                        )
-                else:  # pragma: no cover - adversary contract violation
-                    raise SimulationError(
-                        f"{adversary.describe()} returned unknown action {action!r}"
-                    )
-
-        # --- matured delays: too late for the lock-step round ---------------
-        # Payload shapes may differ between rounds (condition-kset floods the
-        # proposal in round 1 and a state triple after), so a stale payload
-        # must never land in a later round's inbox — maturities are audited,
-        # not delivered.
-        for sender_id, receiver_id, _payload in pending.pop(round_number, []):
-            outcome = (
-                "superseded" if sender_id in inboxes[receiver_id] else "late"
-            )
-            events.append(
-                FaultEvent(round_number, sender_id, receiver_id, outcome)
-            )
-
-        # --- receive + computation phases -----------------------------------
-        for receiver_id in range(self._n):
-            process = processes[receiver_id]
-            if process.has_halted():
-                continue
-            process.receive_round(round_number, inboxes[receiver_id])
-            if process.has_decided() and receiver_id not in result.decisions:
-                result.decisions[receiver_id] = process.decision
-                result.decision_rounds[receiver_id] = (
-                    process.decision_round or round_number
-                )
-
-    def _fingerprint(self, result: NetExecutionResult) -> str:
-        digest = blake2b(digest_size=16)
-        digest.update(
-            repr(
-                (
-                    result.n,
-                    result.t,
-                    result.adversary_family,
-                    tuple(result.input_vector.entries),
-                    tuple(event.to_tuple() for event in result.fault_events),
-                    tuple(sorted(result.decisions.items())),
-                    tuple(sorted(result.decision_rounds.items())),
-                )
-            ).encode()
+        # The repr of (n, t, family, inputs, event tuples, sorted decisions,
+        # sorted decision rounds), with the events' text assembled in pieces.
+        trail = ", ".join(texts) + ("," if len(events) == 1 else "")
+        fingerprint = blake2b(
+            (
+                f"({n!r}, {self._t!r}, {adversary.family!r}, "
+                f"{input_vector.entries!r}, ({trail}), "
+                f"{tuple(sorted(decisions.items()))!r}, "
+                f"{tuple(sorted(decision_rounds.items()))!r})"
+            ).encode(),
+            digest_size=16,
+        ).hexdigest()
+        return NetExecutionResult(
+            n=n,
+            t=self._t,
+            input_vector=input_vector,
+            adversary_family=adversary.family,
+            adversary_description=description,
+            decisions=decisions,
+            decision_rounds=decision_rounds,
+            faulty=faulty,
+            rounds_executed=round_number,
+            delivered_count=delivered,
+            fault_events=tuple(events),
+            fingerprint=fingerprint,
         )
-        return digest.hexdigest()

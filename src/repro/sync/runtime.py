@@ -17,6 +17,12 @@ The engine implements exactly the paper's synchronous computation model:
 The engine is deterministic: given an input vector and a crash schedule the
 execution is a pure function.  Randomness only enters through the adversary
 factories of :mod:`repro.sync.adversary`, which take explicit seeds.
+
+A run builds its crash table once and keeps a list of the live (neither
+crashed nor halted) processes, so a round touches only those and its own
+crashes.  :class:`RoundSystem` holds what this engine shares with
+:class:`~repro.net.runtime.NetSystem`: the parameter checks, proposal
+normalisation, process creation and the round limit.
 """
 
 from __future__ import annotations
@@ -25,12 +31,12 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ..core.vectors import InputVector
-from ..exceptions import InvalidParameterError, SimulationError
-from .adversary import CrashSchedule, no_crashes
+from ..exceptions import InvalidParameterError, SimulationError, require_int
+from .adversary import CrashEvent, CrashSchedule, no_crashes
 from .process import RoundBasedProcess, SynchronousAlgorithm
 from .trace import ExecutionTrace, RoundRecord
 
-__all__ = ["ExecutionResult", "SynchronousSystem"]
+__all__ = ["ExecutionResult", "RoundSystem", "SynchronousSystem"]
 
 
 @dataclass
@@ -118,7 +124,88 @@ class ExecutionResult:
         )
 
 
-class SynchronousSystem:
+class RoundSystem:
+    """``n`` processes of one algorithm, a fault budget ``0 <= t < n`` and a
+    round limit: ``max_rounds`` (an ``int >= 1``) or, when ``None``,
+    ``algorithm.max_rounds(n, t)``.  The base of both round runtimes."""
+
+    def __init__(
+        self,
+        n: int,
+        t: int,
+        algorithm: SynchronousAlgorithm,
+        max_rounds: int | None = None,
+    ) -> None:
+        require_int("n", n)
+        require_int("t", t)
+        if max_rounds is not None:
+            require_int("max_rounds", max_rounds, 1)
+        if n < 1:
+            raise InvalidParameterError(f"the system needs at least one process, got n={n}")
+        if not 0 <= t < n:
+            raise InvalidParameterError(f"t must satisfy 0 <= t < n, got t={t}, n={n}")
+        self._n = n
+        self._t = t
+        self._algorithm = algorithm
+        self._max_rounds = max_rounds
+
+    @property
+    def n(self) -> int:
+        """Number of processes."""
+        return self._n
+
+    @property
+    def t(self) -> int:
+        """Maximum number of tolerated faults."""
+        return self._t
+
+    @property
+    def algorithm(self) -> SynchronousAlgorithm:
+        """The algorithm executed by the system."""
+        return self._algorithm
+
+    def _round_limit(self) -> int:
+        if self._max_rounds is not None:
+            return self._max_rounds
+        return self._algorithm.max_rounds(self._n, self._t)
+
+    def _normalise_proposals(
+        self, proposals: InputVector | Mapping[int, Any] | list[Any]
+    ) -> InputVector:
+        if isinstance(proposals, InputVector):
+            vector = proposals
+        elif isinstance(proposals, Mapping):
+            try:
+                vector = InputVector(proposals[pid] for pid in range(self._n))
+            except KeyError as missing:
+                raise InvalidParameterError(
+                    f"no proposal for process {missing.args[0]}"
+                ) from None
+        else:
+            vector = InputVector(proposals)
+        if len(vector) != self._n:
+            raise InvalidParameterError(
+                f"expected {self._n} proposals, got {len(vector)}"
+            )
+        return vector
+
+    def _create_processes(self, input_vector: InputVector) -> list[RoundBasedProcess]:
+        """Fresh processes, indexed by id, each initialised with its proposal."""
+        processes = []
+        for process_id in range(self._n):
+            process = self._algorithm.create_process(process_id, self._n, self._t)
+            if not isinstance(process, RoundBasedProcess):
+                raise SimulationError(
+                    f"{self._algorithm.name}.create_process returned "
+                    f"{type(process).__name__}, not a RoundBasedProcess"
+                )
+            processes.append(process)
+        for process, proposal in zip(processes, input_vector.entries):
+            process.initialize(proposal)
+        return processes
+
+
+class SynchronousSystem(RoundSystem):
     """A synchronous message-passing system running one algorithm.
 
     Parameters
@@ -143,34 +230,9 @@ class SynchronousSystem:
         record_trace: bool = False,
         max_rounds: int | None = None,
     ) -> None:
-        if n < 1:
-            raise InvalidParameterError(f"the system needs at least one process, got n={n}")
-        if not 0 <= t < n:
-            raise InvalidParameterError(f"t must satisfy 0 <= t < n, got t={t}, n={n}")
-        self._n = n
-        self._t = t
-        self._algorithm = algorithm
+        super().__init__(n, t, algorithm, max_rounds)
         self._record_trace = record_trace
-        self._max_rounds = max_rounds
 
-    @property
-    def n(self) -> int:
-        """Number of processes."""
-        return self._n
-
-    @property
-    def t(self) -> int:
-        """Maximum number of tolerated crashes."""
-        return self._t
-
-    @property
-    def algorithm(self) -> SynchronousAlgorithm:
-        """The algorithm executed by the system."""
-        return self._algorithm
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def run(
         self,
         proposals: InputVector | Mapping[int, Any] | list[Any],
@@ -191,11 +253,7 @@ class SynchronousSystem:
         schedule = schedule if schedule is not None else no_crashes()
         if validate_schedule:
             schedule.validate(self._n, self._t)
-
-        processes = self._create_processes()
-        for process_id, process in processes.items():
-            process.initialize(input_vector[process_id])
-
+        processes = self._create_processes(input_vector)
         result = ExecutionResult(
             n=self._n,
             t=self._t,
@@ -203,143 +261,69 @@ class SynchronousSystem:
             schedule=schedule,
             trace=ExecutionTrace() if self._record_trace else None,
         )
-        crashed: set[int] = set()
-        round_limit = (
-            self._max_rounds
-            if self._max_rounds is not None
-            else self._algorithm.max_rounds(self._n, self._t)
-        )
+        decisions, decision_rounds = result.decisions, result.decision_rounds
+        #: Crash events by round, then by process (one event per process).
+        crash_table: dict[int, dict[int, CrashEvent]] = {}
+        for event in schedule:
+            crash_table.setdefault(event.round_number, {})[event.process_id] = event
+        everyone = range(self._n)
+        #: Processes neither crashed nor halted, in identifier order.
+        live = [pid for pid in everyone if not processes[pid].has_halted()]
+        round_limit = self._round_limit()
 
         round_number = 0
-        while round_number < round_limit:
-            live = [
-                pid
-                for pid, process in processes.items()
-                if pid not in crashed and not process.has_halted()
-            ]
-            if not live:
-                break
+        while live and round_number < round_limit:
             round_number += 1
-            self._run_one_round(
-                round_number, processes, crashed, schedule, result
-            )
+            crash_events = crash_table.get(round_number, {})
+
+            # --- send phase (process order = identifier order) -------------
+            inboxes: list[dict[int, Any]] = [{} for _ in everyone]
+            for sender_id in live:
+                payload = processes[sender_id].message_for_round(round_number)
+                event = crash_events.get(sender_id)
+                for receiver_id in everyone if event is None else event.delivered_to:
+                    inboxes[receiver_id][sender_id] = payload
+
+            # --- crashes take effect before the computation phase -----------
+            for victim in crash_events:
+                result.crash_rounds[victim] = round_number
+
+            # --- receive + computation phases -------------------------------
+            newly_decided: dict[int, Any] = {}
+            running: list[int] = []
+            for receiver_id in live:
+                process = processes[receiver_id]
+                if receiver_id in crash_events or process.has_halted():
+                    continue
+                process.receive_round(round_number, inboxes[receiver_id])
+                if process.has_decided() and receiver_id not in decisions:
+                    decisions[receiver_id] = process.decision
+                    decision_rounds[receiver_id] = process.decision_round or round_number
+                    newly_decided[receiver_id] = process.decision
+                if not process.has_halted():
+                    running.append(receiver_id)
+
+            if result.trace is not None:
+                result.trace.record(
+                    RoundRecord(
+                        round_number=round_number,
+                        senders=tuple(live),
+                        delivered={
+                            pid: dict(inbox) for pid, inbox in enumerate(inboxes) if inbox
+                        },
+                        crashed=tuple(sorted(crash_events)),
+                        decisions=newly_decided,
+                        active_after=tuple(running),
+                    )
+                )
+            live = running
 
         # Watchdog: live processes remaining after the round limit means the
         # algorithm violated its own termination bound.
-        still_running = [
-            pid
-            for pid, process in processes.items()
-            if pid not in crashed and not process.has_halted()
-        ]
-        if still_running:
+        if live:
             raise SimulationError(
                 f"{self._algorithm.name} exceeded its round bound "
-                f"({round_limit} rounds) with processes {still_running} still running"
+                f"({round_limit} rounds) with processes {live} still running"
             )
-
         result.rounds_executed = round_number
         return result
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _normalise_proposals(
-        self, proposals: InputVector | Mapping[int, Any] | list[Any]
-    ) -> InputVector:
-        if isinstance(proposals, InputVector):
-            vector = proposals
-        elif isinstance(proposals, Mapping):
-            try:
-                vector = InputVector(proposals[pid] for pid in range(self._n))
-            except KeyError as missing:
-                raise InvalidParameterError(
-                    f"no proposal for process {missing.args[0]}"
-                ) from None
-        else:
-            vector = InputVector(proposals)
-        if len(vector) != self._n:
-            raise InvalidParameterError(
-                f"expected {self._n} proposals, got {len(vector)}"
-            )
-        return vector
-
-    def _create_processes(self) -> dict[int, RoundBasedProcess]:
-        processes = {}
-        for process_id in range(self._n):
-            process = self._algorithm.create_process(process_id, self._n, self._t)
-            if not isinstance(process, RoundBasedProcess):
-                raise SimulationError(
-                    f"{self._algorithm.name}.create_process returned "
-                    f"{type(process).__name__}, not a RoundBasedProcess"
-                )
-            processes[process_id] = process
-        return processes
-
-    def _run_one_round(
-        self,
-        round_number: int,
-        processes: dict[int, RoundBasedProcess],
-        crashed: set[int],
-        schedule: CrashSchedule,
-        result: ExecutionResult,
-    ) -> None:
-        crash_events = {
-            event.process_id: event
-            for event in schedule.crashes_in_round(round_number)
-            if event.process_id not in crashed
-        }
-
-        # --- send phase (process order = identifier order) -----------------
-        inboxes: dict[int, dict[int, Any]] = {pid: {} for pid in range(self._n)}
-        senders: list[int] = []
-        for sender_id in range(self._n):
-            if sender_id in crashed:
-                continue
-            process = processes[sender_id]
-            if process.has_halted():
-                continue
-            payload = process.message_for_round(round_number)
-            senders.append(sender_id)
-            if sender_id in crash_events:
-                receivers = crash_events[sender_id].delivered_to
-            else:
-                receivers = range(self._n)
-            for receiver_id in receivers:
-                inboxes[receiver_id][sender_id] = payload
-
-        # --- crashes take effect before the computation phase ---------------
-        for victim, event in crash_events.items():
-            crashed.add(victim)
-            result.crash_rounds[victim] = event.round_number
-
-        # --- receive + computation phases -----------------------------------
-        newly_decided: dict[int, Any] = {}
-        for receiver_id in range(self._n):
-            if receiver_id in crashed:
-                continue
-            process = processes[receiver_id]
-            if process.has_halted():
-                continue
-            process.receive_round(round_number, inboxes[receiver_id])
-            if process.has_decided() and receiver_id not in result.decisions:
-                result.decisions[receiver_id] = process.decision
-                result.decision_rounds[receiver_id] = process.decision_round or round_number
-                newly_decided[receiver_id] = process.decision
-
-        if result.trace is not None:
-            result.trace.record(
-                RoundRecord(
-                    round_number=round_number,
-                    senders=tuple(senders),
-                    delivered={
-                        pid: dict(inbox) for pid, inbox in inboxes.items() if inbox
-                    },
-                    crashed=tuple(sorted(crash_events)),
-                    decisions=newly_decided,
-                    active_after=tuple(
-                        pid
-                        for pid, process in processes.items()
-                        if pid not in crashed and not process.has_halted()
-                    ),
-                )
-            )

@@ -24,6 +24,7 @@ from repro.check import (
     NetCheckContext,
     NetCounterexample,
     default_net_oracle_names,
+    input_frontier,
     register_mutants,
 )
 from repro.exceptions import (
@@ -39,6 +40,7 @@ from repro.net import (
     EnumeratedMessageLoss,
     FaultFreeAdversary,
     MessageLossAdversary,
+    NetAdversary,
     NetSystem,
     ReceiveOmissionAdversary,
     SendOmissionAdversary,
@@ -48,7 +50,9 @@ from repro.net import (
     enumerate_faults,
     resolve_net_adversary,
 )
+from repro.net.adversary import DELIVER
 from repro.store import ResultStore
+from repro.sync.process import RoundBasedProcess, SynchronousAlgorithm
 from repro.sync.runtime import SynchronousSystem
 from repro.workloads.scenarios import net_scenario
 
@@ -247,6 +251,201 @@ class TestNetSystem:
         c = system.run([1, 2, 3], adversary, seed=6)
         assert a.fingerprint == b.fingerprint
         assert a.fingerprint != c.fingerprint
+
+    @pytest.mark.parametrize(
+        "n, t", [(2.5, 1), (True, 0), ("3", 1), (3, 1.0), (3, False), (3, None)]
+    )
+    def test_non_integer_n_or_t_is_refused(self, n, t):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            NetSystem(n, t, _floodmin(TINY))
+
+    @pytest.mark.parametrize("max_rounds", [2.5, True, False, "3", 0, -1])
+    def test_max_rounds_must_be_none_or_a_positive_int(self, max_rounds):
+        # 0 and -1 used to return a 0-round run with no decisions, which
+        # net-termination would have reported as an algorithm finding.
+        with pytest.raises(InvalidParameterError, match="max_rounds"):
+            NetSystem(TINY.n, TINY.t, _floodmin(TINY), max_rounds=max_rounds)
+
+    def test_max_rounds_override_stops_the_run(self):
+        system = NetSystem(TINY.n, TINY.t, _floodmin(TINY), max_rounds=1)
+        result = system.run([1, 2, 3], FaultFreeAdversary())
+        assert result.rounds_executed == 1
+        assert not result.all_correct_decided()
+
+
+# ----------------------------------------------------------------------
+# The verdict protocol: who is asked about which channel, and how often
+# ----------------------------------------------------------------------
+class _CountingOmission(SendOmissionAdversary):
+    """Send omission that records every channel it is asked about."""
+
+    def __init__(self, assignment):
+        super().__init__(assignment)
+        self.asked = []
+
+    def treat(self, round_number, sender, receiver):
+        self.asked.append((round_number, sender, receiver))
+        return super().treat(round_number, sender, receiver)
+
+
+class _RecordingLoss(MessageLossAdversary):
+    """Seeded loss that records each run's channel sequence."""
+
+    def __init__(self):
+        super().__init__(p=0.5)
+        self.runs = []
+
+    def begin_run(self, n, seed):
+        super().begin_run(n, seed)
+        self.runs.append([])
+
+    def treat(self, round_number, sender, receiver):
+        self.runs[-1].append((round_number, sender, receiver))
+        return super().treat(round_number, sender, receiver)
+
+
+class _UndeclaredDelivery(NetAdversary):
+    """A pure adversary that does not declare ``fixed_verdicts``."""
+
+    family = "fault-free"
+
+    def __init__(self):
+        self.asked = 0
+
+    def treat(self, round_number, sender, receiver):
+        self.asked += 1
+        return DELIVER
+
+    def fault_record(self):
+        return {"family": self.family}
+
+
+class _HaltAtProposal(SynchronousAlgorithm):
+    """Each process decides its proposal, a round number, in that round."""
+
+    class _Process(RoundBasedProcess):
+        def message_for_round(self, round_number):
+            return self.proposal
+
+        def receive_round(self, round_number, messages):
+            if round_number == self.proposal:
+                self.decide(self.proposal, round_number)
+
+    def create_process(self, process_id, n, t):
+        return self._Process(process_id, n, t)
+
+    def max_rounds(self, n, t):
+        return n
+
+
+def _channels(n, rounds):
+    return [
+        (round_number, sender, receiver)
+        for round_number in range(1, rounds + 1)
+        for sender in range(n)
+        for receiver in range(n)
+        if sender != receiver
+    ]
+
+
+class TestVerdictProtocol:
+    def test_fixed_verdicts_are_kept_after_the_first_run(self):
+        # The first run plans with its own payloads, the second plans again
+        # and keeps its plans per round and live senders.  floodmin keeps
+        # every process running until its last round, so one fault
+        # assignment has a single live-sender set per round: the whole
+        # frontier costs two questions per channel, not one per run.
+        engine = Engine(TINY, "floodmin")
+        system = NetSystem(TINY.n, TINY.t, engine.algorithm)
+        adversary = _CountingOmission({0: {1}})
+        frontier = input_frontier(TINY, None)
+        assert len(frontier) > 1
+        results = [system.run(vector, adversary) for vector in frontier]
+        rounds = engine.algorithm.max_rounds(TINY.n, TINY.t)
+        assert adversary.asked == 2 * _channels(TINY.n, rounds)
+        fresh = [
+            NetSystem(TINY.n, TINY.t, engine.algorithm).run(vector, _CountingOmission({0: {1}}))
+            for vector in frontier
+        ]
+        assert [r.fingerprint for r in results] == [r.fingerprint for r in fresh]
+
+    def test_seeded_adversaries_see_every_live_channel_in_every_run(self):
+        # Process i halts after round i + 1, so round r has the live senders
+        # r - 1 .. n - 1; a halted sender's channels are never asked about.
+        adversary = _RecordingLoss()
+        system = NetSystem(3, 1, _HaltAtProposal())
+        for seed in range(3):
+            system.run([1, 2, 3], adversary, seed=seed)
+        expected = [
+            (round_number, sender, receiver)
+            for round_number, sender, receiver in _channels(3, 3)
+            if sender >= round_number - 1
+        ]
+        assert adversary.runs == [expected] * 3
+
+    @pytest.mark.parametrize(
+        "adversary",
+        [
+            EnumeratedCorruption({(2, 2, 0): 1, (3, 2, 1): 0}),
+            EnumeratedMessageLoss({(2, 1, 2), (3, 2, 0)}),
+            EnumeratedDelay({(1, 0, 2): 1, (2, 2, 1): 1}),
+        ],
+        ids=["corruption", "loss", "delay"],
+    )
+    def test_kept_plans_follow_the_live_senders(self, adversary):
+        # Halting rounds follow the proposals, so one fault assignment meets
+        # different live senders in the same round from vector to vector.
+        shared = NetSystem(3, 1, _HaltAtProposal())
+        for vector in ([1, 2, 3], [3, 2, 1], [3, 3, 3], [2, 3, 1], [1, 2, 3]):
+            kept = shared.run(vector, adversary)
+            fresh = NetSystem(3, 1, _HaltAtProposal()).run(vector, adversary)
+            assert kept.fingerprint == fresh.fingerprint
+            assert (kept.delivered_count, kept.fault_events, kept.decisions) == (
+                fresh.delivered_count,
+                fresh.fault_events,
+                fresh.decisions,
+            )
+
+    @pytest.mark.parametrize("fixed", [True, False])
+    def test_maturities_are_judged_by_the_receivers_own_inbox(self, fixed):
+        # Receiver 0 halts after round 1, and in round 2 both live senders'
+        # channels to it are delayed: its inbox is empty, so the round-1
+        # delay maturing there is late, not superseded by anyone else's
+        # delivery.  A run's own plan and a kept one (from the third run of
+        # a fixed-verdict object on) must agree.
+        class Delay(EnumeratedDelay):
+            fixed_verdicts = fixed
+
+        adversary = Delay({(1, 2, 0): 1, (2, 1, 0): 1, (2, 2, 0): 1})
+        system = NetSystem(3, 1, _HaltAtProposal())
+        for _ in range(3):
+            result = system.run([1, 2, 3], adversary)
+            assert [event.to_tuple() for event in result.fault_events] == [
+                (1, 2, 0, "delayed", 1),
+                (2, 1, 0, "delayed", 1),
+                (2, 2, 0, "delayed", 1),
+                (2, 2, 0, "late", None),
+                (3, 1, 0, "late", None),
+                (3, 2, 0, "superseded", None),
+            ]
+
+    def test_an_undeclared_adversary_is_asked_on_every_run(self):
+        adversary = _UndeclaredDelivery()
+        assert not adversary.fixed_verdicts
+        system = NetSystem(TINY.n, TINY.t, _floodmin(TINY))
+        for _ in range(4):
+            system.run([1, 2, 3], adversary)
+        rounds = _floodmin(TINY).max_rounds(TINY.n, TINY.t)
+        assert adversary.asked == 4 * len(_channels(TINY.n, rounds))
+
+    def test_another_fixed_verdict_object_is_planned_afresh(self):
+        system = NetSystem(TINY.n, TINY.t, _floodmin(TINY))
+        first, second = _CountingOmission({0: {1}}), _CountingOmission({0: {2}})
+        runs = [system.run([1, 2, 3], adversary) for adversary in (first, second, first)]
+        per_run = len(_channels(TINY.n, _floodmin(TINY).max_rounds(TINY.n, TINY.t)))
+        assert (len(first.asked), len(second.asked)) == (2 * per_run, per_run)
+        assert {e.receiver for e in runs[1].fault_events} == {2}
+        assert runs[0].fingerprint == runs[2].fingerprint != runs[1].fingerprint
 
 
 # ----------------------------------------------------------------------

@@ -123,6 +123,43 @@ class TestSystemConstruction:
         by_mapping = system.run({0: "a", 1: "b", 2: "c"})
         assert by_list.input_vector == by_vector.input_vector == by_mapping.input_vector
 
+    @pytest.mark.parametrize(
+        "n, t", [(2.5, 1), (True, 0), ("3", 1), (3, 1.0), (3, False), (3, None)]
+    )
+    def test_non_integer_n_or_t_is_refused(self, n, t):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            SynchronousSystem(n, t, EchoAlgorithm())
+
+    @pytest.mark.parametrize("max_rounds", [2.5, True, False, "3", 0, -1])
+    def test_max_rounds_must_be_none_or_a_positive_int(self, max_rounds):
+        # 0 and -1 used to run without a single round, 2.5 ran silently, True
+        # printed "(True rounds)" and "3" leaked a TypeError from run().
+        with pytest.raises(InvalidParameterError, match="max_rounds"):
+            SynchronousSystem(3, 1, EchoAlgorithm(), max_rounds=max_rounds)
+
+    @pytest.mark.parametrize("max_rounds", [None, 1, 2])
+    def test_valid_max_rounds_are_accepted(self, max_rounds):
+        system = SynchronousSystem(3, 1, EchoAlgorithm(decide_round=1), max_rounds=max_rounds)
+        assert system.run([1, 2, 3]).rounds_executed == 1
+
+    def test_every_process_class_is_checked(self):
+        # Every created process is checked: a non-process that first shows up
+        # in a later run, after valid ones, is still refused.
+        class SometimesNotAProcess(EchoAlgorithm):
+            odd = False
+
+            def create_process(self, process_id, n, t):
+                if self.odd and process_id == 2:
+                    return object()
+                return super().create_process(process_id, n, t)
+
+        algorithm = SometimesNotAProcess()
+        system = SynchronousSystem(3, 1, algorithm)
+        assert system.run([1, 2, 3]).all_correct_decided()
+        algorithm.odd = True
+        with pytest.raises(SimulationError, match="object, not a RoundBasedProcess"):
+            system.run([1, 2, 3])
+
     def test_wrong_proposal_count(self):
         system = SynchronousSystem(3, 1, EchoAlgorithm())
         with pytest.raises(InvalidParameterError):
