@@ -211,7 +211,7 @@ class RunResult:
                 # .get(): records written before fingerprints existed reload fine.
                 fingerprint=record.get("fingerprint"),
             )
-        except (KeyError, TypeError, AttributeError) as error:
+        except (KeyError, TypeError, ValueError, AttributeError) as error:
             raise InvalidParameterError(
                 f"malformed RunResult record: {error!r}"
             ) from error

@@ -16,7 +16,8 @@ The pieces:
   identical executions, decisions diffed);
 * three adversary spaces, one per backend, each a small frozen
   :class:`CheckSpace` that supplies its closed-form count and point stream,
-  its oracles, and how one point executes:
+  its oracles, how one point executes, and the point's part of a
+  counterexample record:
 
   - :class:`SyncSpace` — every crash schedule of the Section 6.2 model
     (:func:`repro.sync.adversary.enumerate_schedules`), with a packed batch
@@ -40,9 +41,9 @@ The pieces:
   checker can fail.
 
 Every space's closed form is cross-validated against its generator on every
-run, and every counterexample — :class:`Counterexample`,
-:class:`AsyncCounterexample` or :class:`NetCounterexample` — replays through
-a fresh engine and reloads from a store with
+run, and every counterexample is one :class:`Counterexample` whatever its
+``backend``: it replays the checked execution through its space on a fresh
+engine and reloads from a store with
 :meth:`repro.store.ResultStore.load_counterexamples`.
 
 Entry points::
@@ -62,7 +63,6 @@ Entry points::
 """
 
 from .async_checker import (
-    AsyncCounterexample,
     AsyncSpace,
     count_async_adversaries,
     enumerate_async_adversaries,
@@ -96,14 +96,13 @@ from .mutants import (
     SilentFloodMin,
     register_mutants,
 )
-from .net_checker import NetCounterexample, NetSpace
+from .net_checker import NetSpace
 from .net_oracles import NET_ORACLES, NetCheckContext, default_net_oracle_names
 from .oracles import ORACLES, CheckContext, PropertyOracle, default_oracle_names
 
 __all__ = [
     "ASYNC_ORACLES",
     "AsyncCheckContext",
-    "AsyncCounterexample",
     "AsyncSpace",
     "CheckContext",
     "CheckReport",
@@ -120,7 +119,6 @@ __all__ = [
     "MUTANT_SILENT_FLOODMIN",
     "NET_ORACLES",
     "NetCheckContext",
-    "NetCounterexample",
     "NetSpace",
     "ORACLES",
     "OracleTally",

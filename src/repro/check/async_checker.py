@@ -20,20 +20,21 @@ generator on every run, mirroring the
 :func:`repro.check.checker.run_check` executes each adversary against the
 deterministic input frontier and evaluates the asynchronous property oracles
 of :mod:`repro.check.async_oracles`; violations become replayable
-:class:`AsyncCounterexample` records.
+:class:`~repro.check.checker.Counterexample` records whose ``prefix`` and
+``crash_steps`` keys carry the adversary.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING, Any, ClassVar, Iterator, Mapping
 
 from ..api.engine import RunKnobs
 from ..api.result import RunResult
-from ..api.spec import AgreementSpec, RunConfig, require_int
+from ..api.spec import AgreementSpec, require_int
 from ..asynchronous.adversary import (
     EnumeratedAdversary,
     count_interleavings,
@@ -51,7 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.engine import Engine
 
 __all__ = [
-    "AsyncCounterexample",
     "AsyncSpace",
     "count_async_adversaries",
     "enumerate_async_adversaries",
@@ -108,90 +108,6 @@ def _validate_async_parameters(n: int, depth: int, max_crashes: int) -> None:
         )
 
 
-@dataclass
-class AsyncCounterexample:
-    """One replayable asynchronous violation: the adversary, the evidence."""
-
-    oracle: str
-    algorithm: str
-    detail: str
-    spec: AgreementSpec
-    vector: InputVector
-    #: The interleaving prefix of the enumerated adversary.
-    prefix: tuple[int, ...]
-    #: The crash points applied (``pid -> steps before vanishing``).
-    crash_steps: dict[int, int] = field(default_factory=dict)
-    decisions: dict[int, Any] = field(default_factory=dict)
-    duration: int = 0
-    fingerprint: str | None = None
-
-    def to_record(self) -> dict[str, Any]:
-        """The JSON-serializable record (used by :mod:`repro.store`)."""
-        import dataclasses
-
-        return {
-            "oracle": self.oracle,
-            "algorithm": self.algorithm,
-            "detail": self.detail,
-            "spec": dataclasses.asdict(self.spec),
-            "vector": list(self.vector.entries),
-            "prefix": list(self.prefix),
-            "crash_steps": {str(pid): step for pid, step in self.crash_steps.items()},
-            "decisions": {str(pid): value for pid, value in self.decisions.items()},
-            "duration": self.duration,
-            "fingerprint": self.fingerprint,
-        }
-
-    @classmethod
-    def from_record(cls, record: Mapping[str, Any]) -> "AsyncCounterexample":
-        """Rebuild a counterexample from a :meth:`to_record` dictionary."""
-        try:
-            return cls(
-                oracle=record["oracle"],
-                algorithm=record["algorithm"],
-                detail=record["detail"],
-                spec=AgreementSpec(**record["spec"]),
-                vector=InputVector(record["vector"]),
-                prefix=tuple(record["prefix"]),
-                crash_steps={
-                    int(pid): step for pid, step in record["crash_steps"].items()
-                },
-                decisions={int(pid): value for pid, value in record["decisions"].items()},
-                duration=record["duration"],
-                fingerprint=record.get("fingerprint"),
-            )
-        except (KeyError, TypeError, AttributeError) as error:
-            raise InvalidParameterError(
-                f"malformed AsyncCounterexample record: {error!r}"
-            ) from error
-
-    def replay(self, config: RunConfig | None = None) -> RunResult:
-        """Re-execute the counterexample through a fresh engine.
-
-        The algorithm is resolved by registry key, so replaying a mutant's
-        counterexample requires the mutant to be registered (see
-        :func:`repro.check.mutants.register_mutants`).
-        """
-        from ..api.engine import Engine
-
-        engine = Engine(self.spec, self.algorithm, config)
-        return engine.run(
-            self.vector,
-            backend="async",
-            seed=0,
-            async_adversary=EnumeratedAdversary(self.prefix),
-            crash_steps=self.crash_steps,
-        )
-
-    def summary(self) -> str:
-        """One line for CLI output and logs."""
-        crashes = {pid: step for pid, step in sorted(self.crash_steps.items())}
-        return (
-            f"[{self.oracle}] {self.algorithm} on {list(self.vector.entries)} "
-            f"under prefix {list(self.prefix)} crashes {crashes}: {self.detail}"
-        )
-
-
 #: One point of the asynchronous space: the crash points and the adversary
 #: replaying the interleaving prefix.
 AsyncPoint = tuple[dict[int, int], EnumeratedAdversary]
@@ -212,6 +128,7 @@ class AsyncSpace(CheckSpace):
 
     backend: ClassVar[str] = "async"
     oracles: ClassVar[Mapping[str, PropertyOracle]] = ASYNC_ORACLES
+    record_keys: ClassVar[tuple[str, ...]] = ("prefix", "crash_steps")
 
     def __post_init__(self) -> None:
         if self.depth is not None:
@@ -249,20 +166,23 @@ class AsyncSpace(CheckSpace):
         )
         return engine._execute(vector, FAILURE_FREE, 0, knobs)
 
-    def counterexample(self, engine, oracle, detail, vector, point, result) -> AsyncCounterexample:
+    def point_record(self, point: AsyncPoint) -> dict[str, Any]:
         crash_steps, adversary = point
-        return AsyncCounterexample(
-            oracle=oracle,
-            algorithm=engine.algorithm_name,
-            detail=detail,
-            spec=engine.spec,
-            vector=vector,
-            prefix=adversary.prefix,
-            crash_steps=dict(crash_steps),
-            decisions=dict(result.decisions),
-            duration=result.duration,
-            fingerprint=result.fingerprint,
-        )
+        return {
+            "prefix": list(adversary.prefix),
+            "crash_steps": {str(pid): step for pid, step in crash_steps.items()},
+        }
+
+    def point(self, spec: AgreementSpec, record: Mapping[str, Any]) -> AsyncPoint:
+        crash_steps = {int(pid): step for pid, step in record["crash_steps"].items()}
+        for pid, steps in crash_steps.items():
+            require_int("a crash_steps process id", pid, 0)
+            require_int(f"the crash step of process {pid}", steps, 0)
+        return crash_steps, EnumeratedAdversary(record["prefix"])
+
+    def describe(self, record: Mapping[str, Any]) -> str:
+        crashes = sorted((int(pid), step) for pid, step in record["crash_steps"].items())
+        return f"prefix {list(record['prefix'])} crashes {dict(crashes)}"
 
     def header(self, count: int) -> dict[str, Any]:
         return {

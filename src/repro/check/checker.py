@@ -15,8 +15,9 @@ one message-level failure model) and
 :class:`~repro.check.async_checker.AsyncSpace` (every bounded interleaving ×
 crash assignment of the shared-memory model).  Everything else exists once:
 the slice loop :func:`check_slice`, :func:`run_check` itself, the shard
-envelope of :mod:`repro.parallel`, the report and the store's counterexample
-writer and reader.
+envelope of :mod:`repro.parallel`, the report, the :class:`Counterexample`
+(whose point a space writes, rebuilds and describes) and the store's
+counterexample writer and reader.
 
 Determinism is the load-bearing property: points are enumerated in a fixed
 order, the frontier is a fixed tuple, and oracles run in registry order — so
@@ -35,6 +36,7 @@ reference algorithm even where no absolute property is violated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Mapping, Sequence
 
@@ -95,69 +97,133 @@ class OracleTally:
 
 @dataclass
 class Counterexample:
-    """One replayable violation: the execution, the oracle, the evidence."""
+    """One replayable violation: the execution, the oracle, the evidence.
+
+    *backend* names the space that found it and *adversary* is the point in
+    record form, the space's :attr:`~CheckSpace.record_keys`: ``schedule``
+    (sync), ``adversary`` and ``faults`` (net), ``prefix`` and
+    ``crash_steps`` (async).
+    """
 
     oracle: str
     algorithm: str
     detail: str
     spec: AgreementSpec
     vector: InputVector
-    schedule: CrashSchedule
+    backend: str
+    adversary: dict[str, Any]
     decisions: dict[int, Any] = field(default_factory=dict)
     duration: int = 0
+    #: The execution's fingerprint (``None`` on sync, whose records omit it).
+    fingerprint: str | None = None
+
+    @classmethod
+    def found(cls, engine, space, oracle, detail, vector, point, result) -> "Counterexample":
+        """The counterexample of a violation *space* found at *point*."""
+        return cls(
+            oracle=oracle,
+            algorithm=engine.algorithm_name,
+            detail=detail,
+            spec=engine.spec,
+            vector=vector,
+            backend=space.backend,
+            adversary=space.point_record(point),
+            decisions=dict(result.decisions),
+            duration=result.duration,
+            fingerprint=result.fingerprint,
+        )
+
+    @property
+    def space(self) -> "CheckSpace":
+        """The backend's space, bounds unset: it rebuilds, runs and describes
+        the point."""
+        return _spaces()[self.backend]
 
     def to_record(self) -> dict[str, Any]:
         """The JSON-serializable record (used by :mod:`repro.store`)."""
         import dataclasses
 
-        return {
+        record = {
             "oracle": self.oracle,
             "algorithm": self.algorithm,
             "detail": self.detail,
             "spec": dataclasses.asdict(self.spec),
             "vector": list(self.vector.entries),
-            "schedule": self.schedule.to_records(),
+            **self.adversary,
             "decisions": {str(pid): value for pid, value in self.decisions.items()},
             "duration": self.duration,
         }
+        if self.space.fingerprinted:
+            record["fingerprint"] = self.fingerprint
+        return record
 
     @classmethod
     def from_record(cls, record: Mapping[str, Any]) -> "Counterexample":
-        """Rebuild a counterexample from a :meth:`to_record` dictionary."""
+        """Rebuild a counterexample from a :meth:`to_record` dictionary.
+
+        The adversary keys tell the backend apart, and the space rebuilds the
+        point once, so a record no replay could run is refused here.
+        """
         try:
+            spaces = [s for s in _spaces().values() if all(k in record for k in s.record_keys)]
+            if len(spaces) != 1:
+                raise InvalidParameterError(
+                    f"the record's adversary keys match {len(spaces)} spaces, not one"
+                )
+            space = spaces[0]
+            spec = AgreementSpec(**record["spec"])
+            adversary = {key: record[key] for key in space.record_keys}
+            space.point(spec, adversary)
             return cls(
                 oracle=record["oracle"],
                 algorithm=record["algorithm"],
                 detail=record["detail"],
-                spec=AgreementSpec(**record["spec"]),
+                spec=spec,
                 vector=InputVector(record["vector"]),
-                schedule=CrashSchedule.from_records(record["schedule"]),
+                backend=space.backend,
+                adversary=adversary,
                 decisions={int(pid): value for pid, value in record["decisions"].items()},
                 duration=record["duration"],
+                fingerprint=record.get("fingerprint"),
             )
-        except (KeyError, TypeError, AttributeError) as error:
+        except (KeyError, TypeError, ValueError, AttributeError) as error:
             raise InvalidParameterError(
                 f"malformed Counterexample record: {error!r}"
             ) from error
 
     def replay(self, config: RunConfig | None = None) -> RunResult:
-        """Re-execute the counterexample through a fresh engine.
+        """Re-execute the checked execution through a fresh engine.
 
-        The algorithm is resolved by registry key, so replaying a mutant's
-        counterexample requires the mutant to be registered (see
+        The space rebuilds the point and runs it as the checker did, so the
+        config's default schedule and crashes never apply.  The algorithm is
+        resolved by registry key, so replaying a mutant's counterexample
+        requires the mutant to be registered (see
         :func:`repro.check.mutants.register_mutants`).
         """
         from ..api.engine import Engine
 
         engine = Engine(self.spec, self.algorithm, config)
-        return engine.run(self.vector, self.schedule)
+        space = self.space
+        space._require_backend(engine, "replaying a counterexample")
+        point = space.point(self.spec, self.adversary)
+        return space.execute(engine, engine._normalise_vector(self.vector), point)
 
     def summary(self) -> str:
         """One line for CLI output and logs."""
         return (
             f"[{self.oracle}] {self.algorithm} on {list(self.vector.entries)} "
-            f"under {list(self.schedule.canonical())}: {self.detail}"
+            f"under {self.space.describe(self.adversary)}: {self.detail}"
         )
+
+
+@cache
+def _spaces() -> dict[str, "CheckSpace"]:
+    """One unbounded space per backend, by name.  The net and async modules
+    import this one, so they are imported on first use."""
+    from .async_checker import AsyncSpace
+    from .net_checker import NetSpace
+
+    return {space.backend: space for space in (SyncSpace(), NetSpace(), AsyncSpace())}
 
 
 class CheckSpace:
@@ -173,9 +239,11 @@ class CheckSpace:
       and the slice ``[start, stop)`` of the deterministic point stream;
     * ``oracles`` / ``context(engine)`` — the oracle registry, read by name
       at check time, and the context its oracles take;
-    * ``execute(engine, vector, point)`` and ``counterexample(engine,
-      oracle, detail, vector, point, result)`` — one execution, and the
-      replayable record of a violation found in it;
+    * ``execute(engine, vector, point)`` — one execution;
+    * ``point_record(point)`` / ``point(spec, record)`` /
+      ``describe(record)`` — the point's part of a :class:`Counterexample`
+      record (the keys :attr:`record_keys`, in order), its validating
+      inverse, and its text in :meth:`Counterexample.summary`;
     * ``header(count)`` / ``render_lines(algorithm, count)`` — the space's
       part of the report record and of the rendered report;
     * :meth:`batch` — the optional packed hook.
@@ -187,6 +255,10 @@ class CheckSpace:
     oracles: ClassVar[Mapping[str, PropertyOracle]]
     #: Column width of the oracle names in the rendered report.
     name_width: ClassVar[int] = 32
+    #: The keys of a point's record part, which tell the spaces apart.
+    record_keys: ClassVar[tuple[str, ...]]
+    #: Whether the space's counterexample records carry a ``fingerprint``.
+    fingerprinted: ClassVar[bool] = True
 
     def _require_backend(self, engine: "Engine", check: str) -> None:
         if self.backend not in engine.backends():
@@ -221,6 +293,8 @@ class SyncSpace(CheckSpace):
     backend: ClassVar[str] = "sync"
     oracles: ClassVar[Mapping[str, PropertyOracle]] = ORACLES
     name_width: ClassVar[int] = 26
+    record_keys: ClassVar[tuple[str, ...]] = ("schedule",)
+    fingerprinted: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         if self.rounds is not None:
@@ -244,17 +318,16 @@ class SyncSpace(CheckSpace):
     def execute(self, engine: "Engine", vector: InputVector, schedule: CrashSchedule) -> RunResult:
         return engine._execute(vector, schedule, 0, SYNC_KNOBS)
 
-    def counterexample(self, engine, oracle, detail, vector, schedule, result) -> Counterexample:
-        return Counterexample(
-            oracle=oracle,
-            algorithm=engine.algorithm_name,
-            detail=detail,
-            spec=engine.spec,
-            vector=vector,
-            schedule=schedule,
-            decisions=dict(result.decisions),
-            duration=result.duration,
-        )
+    def point_record(self, schedule: CrashSchedule) -> dict[str, Any]:
+        return {"schedule": schedule.to_records()}
+
+    def point(self, spec: AgreementSpec, record: Mapping[str, Any]) -> CrashSchedule:
+        schedule = CrashSchedule.from_records(record["schedule"])
+        schedule.validate(spec.n, spec.t)
+        return schedule
+
+    def describe(self, record: Mapping[str, Any]) -> str:
+        return str(list(CrashSchedule.from_records(record["schedule"]).canonical()))
 
     def header(self, count: int) -> dict[str, Any]:
         return {"rounds": self.rounds, "schedule_count": count}
@@ -301,9 +374,8 @@ class CheckReport:
     executions: int
     #: Per-oracle tallies, in oracle registry order.
     tallies: list[OracleTally] = field(default_factory=list)
-    #: The first violations found, in execution order (capped), as the
-    #: space's counterexample type.
-    counterexamples: list[Any] = field(default_factory=list)
+    #: The first violations found, in execution order (capped).
+    counterexamples: list[Counterexample] = field(default_factory=list)
     #: ``True`` when more violations were counted than counterexamples kept.
     truncated: bool = False
 
@@ -391,7 +463,7 @@ def check_slice(
     max_counterexamples: int,
     *,
     vectorized: bool = False,
-) -> tuple[int, int, list[OracleTally], list[Any]]:
+) -> tuple[int, int, list[OracleTally], list[Counterexample]]:
     """Check one contiguous slice ``[start, stop)`` of *space*'s point stream.
 
     Shared verbatim by the serial path (one slice covering everything) and
@@ -432,7 +504,7 @@ def check_slice(
             )
     oracles = [space.oracles[name] for name in oracle_names]
     tallies = {name: OracleTally(name) for name in oracle_names}
-    counterexamples: list[Any] = []
+    counterexamples: list[Counterexample] = []
     enumerated = 0
     executions = 0
     for point in space.points(engine.spec, start, stop):
@@ -451,8 +523,8 @@ def check_slice(
                 tally.violations += 1
                 if len(counterexamples) < max_counterexamples:
                     counterexamples.append(
-                        space.counterexample(
-                            engine, oracle.name, detail, vector, point, result
+                        Counterexample.found(
+                            engine, space, oracle.name, detail, vector, point, result
                         )
                     )
     return enumerated, executions, [tallies[name] for name in oracle_names], counterexamples
@@ -468,7 +540,7 @@ def _check_slice_batch(
     vectors: Sequence[InputVector],
     oracle_names: Sequence[str],
     max_counterexamples: int,
-) -> tuple[int, int, list[OracleTally], list[Any]]:
+) -> tuple[int, int, list[OracleTally], list[Counterexample]]:
     """The packed twin of the scalar slice loop.
 
     One *masks* call covers every frontier vector under one point; tallies
@@ -482,7 +554,7 @@ def _check_slice_batch(
     """
     oracles = [space.oracles[name] for name in oracle_names]
     tallies = {name: OracleTally(name) for name in oracle_names}
-    counterexamples: list[Any] = []
+    counterexamples: list[Counterexample] = []
     enumerated = 0
     executions = 0
     for point in space.points(engine.spec, start, stop):
@@ -518,8 +590,8 @@ def _check_slice_batch(
                         )
                     if len(counterexamples) < max_counterexamples:
                         counterexamples.append(
-                            space.counterexample(
-                                engine, oracle.name, detail, vector, point, result
+                            Counterexample.found(
+                                engine, space, oracle.name, detail, vector, point, result
                             )
                         )
     return enumerated, executions, [tallies[name] for name in oracle_names], counterexamples

@@ -15,20 +15,20 @@ the deterministic input frontier and evaluates the applicability-gated
 oracles of :mod:`repro.check.net_oracles` — crash-model claims (validity,
 agreement) are not evaluated under ``byzantine-corrupt``, so the checker
 never asserts a theorem the paper does not make.  Violations become
-replayable :class:`NetCounterexample` records that carry the exact fault
-assignment (as a JSON record inverted by
-:func:`repro.net.adversary_from_record`).
+replayable :class:`~repro.check.checker.Counterexample` records whose
+``adversary`` and ``faults`` keys carry the family and the exact fault
+assignment (a JSON record inverted by :func:`repro.net.adversary_from_record`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING, Any, ClassVar, Iterable, Mapping
 
 from ..api.engine import RunKnobs
 from ..api.result import RunResult
-from ..api.spec import AgreementSpec, RunConfig, require_int
+from ..api.spec import AgreementSpec, require_int
 from ..core.vectors import InputVector
 from ..exceptions import InvalidParameterError
 from ..net.adversary import (
@@ -47,93 +47,11 @@ from .oracles import PropertyOracle
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.engine import Engine
 
-__all__ = ["NetCounterexample", "NetSpace"]
+__all__ = ["NetSpace"]
 
 #: The family checked when ``Engine.check(backend="net")`` names none: static
 #: send omission is the closest message-level analogue of the crash model.
 DEFAULT_NET_ADVERSARY = "send-omission"
-
-
-@dataclass
-class NetCounterexample:
-    """One replayable message-level violation: the fault assignment, the evidence."""
-
-    oracle: str
-    algorithm: str
-    detail: str
-    spec: AgreementSpec
-    vector: InputVector
-    #: Failure-model family of the enumerated fault space.
-    adversary: str
-    #: The exact fault assignment (a :meth:`~repro.net.NetAdversary.fault_record`).
-    faults: dict[str, Any] = field(default_factory=dict)
-    decisions: dict[int, Any] = field(default_factory=dict)
-    duration: int = 0
-    fingerprint: str | None = None
-
-    def to_record(self) -> dict[str, Any]:
-        """The JSON-serializable record (used by :mod:`repro.store`)."""
-        import dataclasses
-
-        return {
-            "oracle": self.oracle,
-            "algorithm": self.algorithm,
-            "detail": self.detail,
-            "spec": dataclasses.asdict(self.spec),
-            "vector": list(self.vector.entries),
-            "adversary": self.adversary,
-            "faults": dict(self.faults),
-            "decisions": {str(pid): value for pid, value in self.decisions.items()},
-            "duration": self.duration,
-            "fingerprint": self.fingerprint,
-        }
-
-    @classmethod
-    def from_record(cls, record: Mapping[str, Any]) -> "NetCounterexample":
-        """Rebuild a counterexample from a :meth:`to_record` dictionary."""
-        try:
-            return cls(
-                oracle=record["oracle"],
-                algorithm=record["algorithm"],
-                detail=record["detail"],
-                spec=AgreementSpec(**record["spec"]),
-                vector=InputVector(record["vector"]),
-                adversary=record["adversary"],
-                faults=dict(record["faults"]),
-                decisions={int(pid): value for pid, value in record["decisions"].items()},
-                duration=record["duration"],
-                fingerprint=record.get("fingerprint"),
-            )
-        except (KeyError, TypeError, AttributeError) as error:
-            raise InvalidParameterError(
-                f"malformed NetCounterexample record: {error!r}"
-            ) from error
-
-    def replay(self, config: RunConfig | None = None) -> RunResult:
-        """Re-execute the counterexample through a fresh engine.
-
-        The fault record rebuilds the exact enumerated adversary (every
-        channel verdict pinned), so the replayed execution is bit-for-bit the
-        one the checker saw.  The algorithm is resolved by registry key, so
-        replaying a mutant's counterexample requires the mutant to be
-        registered (see :func:`repro.check.mutants.register_mutants`).
-        """
-        from ..api.engine import Engine
-
-        engine = Engine(self.spec, self.algorithm, config)
-        return engine.run(
-            self.vector,
-            backend="net",
-            seed=0,
-            net_adversary=adversary_from_record(self.faults),
-        )
-
-    def summary(self) -> str:
-        """One line for CLI output and logs."""
-        return (
-            f"[{self.oracle}] {self.algorithm} on {list(self.vector.entries)} "
-            f"under {self.adversary} faults {self.faults}: {self.detail}"
-        )
 
 
 @dataclass(frozen=True)
@@ -154,6 +72,7 @@ class NetSpace(CheckSpace):
 
     backend: ClassVar[str] = "net"
     oracles: ClassVar[Mapping[str, PropertyOracle]] = NET_ORACLES
+    record_keys: ClassVar[tuple[str, ...]] = ("adversary", "faults")
 
     def __post_init__(self) -> None:
         if self.adversary is not None and (
@@ -197,19 +116,16 @@ class NetSpace(CheckSpace):
     def execute(self, engine: "Engine", vector: InputVector, faults: NetAdversary) -> RunResult:
         return engine._execute(vector, FAILURE_FREE, 0, RunKnobs("net", net_adversary=faults))
 
-    def counterexample(self, engine, oracle, detail, vector, faults, result) -> NetCounterexample:
-        return NetCounterexample(
-            oracle=oracle,
-            algorithm=engine.algorithm_name,
-            detail=detail,
-            spec=engine.spec,
-            vector=vector,
-            adversary=self.adversary,
-            faults=faults.fault_record(),
-            decisions=dict(result.decisions),
-            duration=result.duration,
-            fingerprint=result.fingerprint,
-        )
+    def point_record(self, faults: NetAdversary) -> dict[str, Any]:
+        return {"adversary": self.adversary, "faults": faults.fault_record()}
+
+    def point(self, spec: AgreementSpec, record: Mapping[str, Any]) -> NetAdversary:
+        # The fault record pins every channel verdict of the enumerated
+        # assignment, so the rebuilt adversary replays it bit for bit.
+        return adversary_from_record(record["faults"])
+
+    def describe(self, record: Mapping[str, Any]) -> str:
+        return f"{record['adversary']} faults {record['faults']}"
 
     def header(self, count: int) -> dict[str, Any]:
         return {

@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (engine imports us lazily)
     from .api.engine import Engine, RunKnobs, SweepCell
     from .api.result import RunResult
     from .api.spec import AgreementSpec, RunConfig
-    from .check.checker import CheckSpace, OracleTally
+    from .check.checker import CheckSpace, Counterexample, OracleTally
     from .store import ResultStore
 
 __all__ = [
@@ -151,8 +151,8 @@ class CheckOutcome:
     enumerated: int
     executions: int
     tallies: list["OracleTally"]
-    #: The space's counterexample records, in execution order.
-    counterexamples: list[Any]
+    #: The counterexamples, in execution order.
+    counterexamples: list["Counterexample"]
     stats: dict[str, tuple[int, int]]
 
 

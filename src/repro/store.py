@@ -20,16 +20,16 @@ Five record kinds are stored:
 * ``"counterexample"`` / ``"net-counterexample"`` /
   ``"async-counterexample"`` — one violation found by the exhaustive model
   checker (``Engine.check(..., store=...)``) over the sync, net or async
-  adversary space: a :class:`~repro.check.Counterexample` (crash schedule),
-  :class:`~repro.check.NetCounterexample` (the exact fault assignment: which
-  channels dropped / delayed / corrupted what) or
-  :class:`~repro.check.AsyncCounterexample` (interleaving prefix and crash
-  points).  :meth:`ResultStore.append_counterexample` writes any of them
-  under its kind, and :meth:`ResultStore.load_counterexamples` reloads every
-  kind as the class that wrote it, each replayable through its
-  ``replay()``.  A counterexample record is the durable form of a found bug
-  — the workflow is to commit the store file as a regression fixture and
-  replay it in a test.
+  adversary space: a :class:`~repro.check.Counterexample`, whose adversary
+  keys hold the crash schedule, the exact fault assignment (which channels
+  dropped / delayed / corrupted what) or the interleaving prefix and crash
+  points.  :meth:`ResultStore.append_counterexample` writes it under the
+  kind of its ``backend``, and :meth:`ResultStore.load_counterexamples`
+  reloads all three kinds, refusing a record whose kind disagrees with its
+  adversary keys; each replays through its ``replay()``.  The kind strings
+  are the on-disk format.  A counterexample record is the durable form of a
+  found bug — the workflow is to commit the store file as a regression
+  fixture and replay it in a test.
 
 The engine integrates the store directly — ``run_batch(..., store=...)`` /
 ``iter_batch(..., store=...)`` append every result as it is produced and
@@ -69,11 +69,7 @@ from .exceptions import InvalidParameterError, StoreError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .api.engine import SweepCell
     from .api.result import RunResult
-    from .check.async_checker import AsyncCounterexample
     from .check.checker import Counterexample
-    from .check.net_checker import NetCounterexample
-
-    AnyCounterexample = Counterexample | NetCounterexample | AsyncCounterexample
 
 __all__ = [
     "ResultStore",
@@ -288,25 +284,23 @@ class ResultStore:
         }
         self._write_lines([record])
 
-    def append_counterexample(self, counterexample: "AnyCounterexample") -> None:
+    def append_counterexample(self, counterexample: "Counterexample") -> None:
         """Persist one model-checker counterexample of any backend (flushed
-        immediately), under the record kind of its class."""
-        from .check import AsyncCounterexample, Counterexample, NetCounterexample
+        immediately), under the record kind of its backend."""
+        from .check.checker import Counterexample
 
-        for klass, kind in (
-            (Counterexample, COUNTEREXAMPLE_KIND),
-            (NetCounterexample, NET_COUNTEREXAMPLE_KIND),
-            (AsyncCounterexample, ASYNC_COUNTEREXAMPLE_KIND),
-        ):
-            if isinstance(counterexample, klass):
-                record = counterexample.to_record()
-                record["kind"] = kind
-                self._write_lines([record])
-                return
-        raise StoreError(
-            f"cannot store {type(counterexample).__name__!r}: not a "
-            "model-checker counterexample"
-        )
+        if not isinstance(counterexample, Counterexample):
+            raise StoreError(
+                f"cannot store {type(counterexample).__name__!r}: not a "
+                "model-checker counterexample"
+            )
+        record = counterexample.to_record()
+        record["kind"] = {
+            "sync": COUNTEREXAMPLE_KIND,
+            "net": NET_COUNTEREXAMPLE_KIND,
+            "async": ASYNC_COUNTEREXAMPLE_KIND,
+        }[counterexample.backend]
+        self._write_lines([record])
 
     # -- reading -----------------------------------------------------------
     def iter_records(self, all_tenants: bool = False) -> Iterator[dict[str, Any]]:
@@ -398,26 +392,32 @@ class ResultStore:
                 raise StoreError(f"malformed cell record: {error!r}") from error
         return cells
 
-    def load_counterexamples(self) -> list["AnyCounterexample"]:
+    def load_counterexamples(self) -> list["Counterexample"]:
         """Rebuild every counterexample record, of all three kinds, in write
-        order; each comes back as the class that wrote it and replays."""
-        from .check import AsyncCounterexample, Counterexample, NetCounterexample
+        order; each replays.  A record whose kind is not that of the backend
+        its adversary keys name is refused."""
+        from .check.checker import Counterexample
         from .exceptions import ReproError
 
-        classes = {
-            COUNTEREXAMPLE_KIND: Counterexample,
-            NET_COUNTEREXAMPLE_KIND: NetCounterexample,
-            ASYNC_COUNTEREXAMPLE_KIND: AsyncCounterexample,
+        backends = {
+            COUNTEREXAMPLE_KIND: "sync",
+            NET_COUNTEREXAMPLE_KIND: "net",
+            ASYNC_COUNTEREXAMPLE_KIND: "async",
         }
-        counterexamples: list["AnyCounterexample"] = []
+        counterexamples: list[Counterexample] = []
         for record in self.iter_records():
             kind = record["kind"]
-            if kind not in classes:
+            if kind not in backends:
                 continue
             try:
-                counterexamples.append(classes[kind].from_record(record))
+                counterexample = Counterexample.from_record(record)
             except (KeyError, TypeError, ReproError) as error:
                 raise StoreError(f"malformed {kind} record: {error!r}") from error
+            if counterexample.backend != backends[kind]:
+                raise StoreError(
+                    f"malformed {kind} record: it holds a {counterexample.backend} adversary"
+                )
+            counterexamples.append(counterexample)
         return counterexamples
 
     def resume_index(self) -> int:

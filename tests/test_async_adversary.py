@@ -39,7 +39,7 @@ from repro.asynchronous import (
 )
 from repro.check import (
     MUTANT_HASTY_ASYNC,
-    AsyncCounterexample,
+    Counterexample,
     HastyAsyncProcess,
     count_async_adversaries,
     enumerate_async_adversaries,
@@ -602,9 +602,9 @@ class TestAsyncCheck:
         assert [ce.to_record() for ce in reloaded] == [
             ce.to_record() for ce in report.counterexamples
         ]
-        assert AsyncCounterexample.from_record(
+        assert Counterexample.from_record(
             counterexample.to_record()
-        ).prefix == counterexample.prefix
+        ).adversary["prefix"] == counterexample.adversary["prefix"]
 
     def test_sync_and_async_knobs_do_not_mix(self):
         engine = Engine(self.CHECK_SPEC, "condition-kset")

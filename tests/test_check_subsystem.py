@@ -20,7 +20,7 @@ import json
 
 import pytest
 
-from repro.api import AgreementSpec, Engine, RunConfig
+from repro.api import AgreementSpec, Engine, RunConfig, RunResult
 from repro.check import (
     MUTANT_HASTY_FLOODMIN,
     Counterexample,
@@ -36,6 +36,38 @@ from repro.core.vectors import InputVector
 from repro.exceptions import BackendError, InvalidParameterError, StoreError
 from repro.store import ResultStore
 from repro.workloads import exhaustive_scenario
+from test_check_golden import CELLS as GOLDEN_CELLS
+
+
+#: The first counterexample of the golden net and async cells
+#: (``tests/test_check_golden.py``), as the store wrote each line.
+PINNED_LINES = {
+    "net": (
+        '{"oracle": "net-agreement", "algorithm": "mutant-echoless-floodmin", '
+        '"detail": "2 distinct values decided by non-faulty processes ([\'1\', \'2\']), '
+        'but the agreement degree is 1", "spec": {"n": 3, "t": 1, "k": 1, "d": 1, '
+        '"ell": 1, "domain": 3, "condition": "max-legal", "condition_params": []}, '
+        '"vector": [1, 2, 2], "adversary": "send-omission", "faults": {"family": '
+        '"send-omission", "assignment": [[0, [1]]]}, "decisions": {"0": 1, "1": 2, '
+        '"2": 1}, "duration": 2, "fingerprint": "9dcbc9d6d1d1c1c06ce873b2f1f82610", '
+        '"kind": "net-counterexample"}'
+    ),
+    "async": (
+        '{"oracle": "async-agreement", "algorithm": "mutant-hasty-async", '
+        '"detail": "2 distinct values decided ([\'1\', \'3\']), but the agreement '
+        'degree is 1", "spec": {"n": 3, "t": 1, "k": 1, "d": 0, "ell": 1, '
+        '"domain": 3, "condition": "max-legal", "condition_params": []}, '
+        '"vector": [3, 1, 1], "prefix": [1, 1, 2, 1], "crash_steps": {}, '
+        '"decisions": {"1": 1, "2": 3, "0": 3}, "duration": 7, '
+        '"fingerprint": "c819b57c8debcceb", "kind": "async-counterexample"}'
+    ),
+}
+_NET_RECORD = json.loads(PINNED_LINES["net"])
+_ASYNC_RECORD = json.loads(PINNED_LINES["async"])
+_NET_RECORD_WITH_A_SCHEDULE = {
+    **{key: value for key, value in _NET_RECORD.items() if key not in ("adversary", "faults")},
+    "schedule": [{"process_id": 0, "round_number": 1, "delivered_to": [0]}],
+}
 
 
 def small_spec(**overrides) -> AgreementSpec:
@@ -376,14 +408,34 @@ class TestMutantDetection:
         assert result.distinct_decision_count() > counterexample.spec.k
         assert result.decisions == counterexample.decisions
 
-    def test_counterexample_record_round_trips(self):
-        report = Engine(small_spec(), MUTANT_HASTY_FLOODMIN).check()
+    @pytest.mark.parametrize("backend", sorted(GOLDEN_CELLS))
+    def test_counterexample_record_round_trips(self, backend):
+        algorithm, spec, options = GOLDEN_CELLS[backend][:3]
+        report = Engine(spec, algorithm).check(**options)
         original = report.counterexamples[0]
-        rebuilt = Counterexample.from_record(original.to_record())
+        rebuilt = Counterexample.from_record(json.loads(json.dumps(original.to_record())))
+        assert rebuilt == original
+        assert rebuilt.backend == backend
         assert rebuilt.to_record() == original.to_record()
-        assert rebuilt.schedule.canonical() == original.schedule.canonical()
+        point = rebuilt.space.point(rebuilt.spec, rebuilt.adversary)
+        assert report.space.point_record(point) == original.adversary
         with pytest.raises(InvalidParameterError):
             Counterexample.from_record({"oracle": "agreement"})
+
+    @pytest.mark.parametrize("backend", sorted(GOLDEN_CELLS))
+    def test_replay_is_the_checked_execution_under_any_config(self, backend):
+        """The config's default schedule and crashes never reach a replay:
+        the checker ran the point without them, and so does the replay."""
+        algorithm, spec, options = GOLDEN_CELLS[backend][:3]
+        config = RunConfig(schedule="initial", crashes=1)
+        report = Engine(spec, algorithm, config).check(**options)
+        assert report.counterexamples
+        for counterexample in report.counterexamples:
+            for replay_config in (None, config):
+                replayed = counterexample.replay(replay_config)
+                assert (replayed.decisions, replayed.fingerprint) == (
+                    counterexample.decisions, counterexample.fingerprint
+                )
 
     def test_counterexamples_persist_to_the_store(self, tmp_path):
         store = ResultStore(tmp_path / "counterexamples.jsonl")
@@ -398,12 +450,7 @@ class TestMutantDetection:
         assert replayed.distinct_decision_count() > loaded[0].spec.k
 
     def test_one_store_reloads_every_counterexample_kind(self, tmp_path):
-        from repro.check import (
-            MUTANT_ECHOLESS_FLOODMIN,
-            MUTANT_HASTY_ASYNC,
-            AsyncCounterexample,
-            NetCounterexample,
-        )
+        from repro.check import MUTANT_ECHOLESS_FLOODMIN, MUTANT_HASTY_ASYNC
 
         store = ResultStore(tmp_path / "mixed.jsonl")
         reports = [
@@ -422,9 +469,7 @@ class TestMutantDetection:
             "counterexample": 1, "net-counterexample": 1, "async-counterexample": 1
         }
         loaded = store.load_counterexamples()
-        assert [type(ce) for ce in loaded] == [
-            Counterexample, NetCounterexample, AsyncCounterexample
-        ]
+        assert [ce.backend for ce in loaded] == ["sync", "net", "async"]
         for counterexample, report in zip(loaded, reports):
             assert counterexample.to_record() == report.counterexamples[0].to_record()
             replayed = counterexample.replay()
@@ -469,6 +514,88 @@ class TestMutantDetection:
         result = Counterexample.from_record(record).replay()
         assert result.decisions == {1: 1, 2: 2}
         assert result.distinct_decision_count() == 2  # > k = 1: still broken
+
+    @pytest.mark.parametrize("backend", sorted(PINNED_LINES))
+    def test_known_counterexample_lines_reload_and_replay(self, backend, tmp_path):
+        """The net and async record forms, pinned as the store wrote them."""
+        path = tmp_path / "pinned.jsonl"
+        path.write_text(PINNED_LINES[backend] + "\n", encoding="utf-8")
+        (counterexample,) = ResultStore(path).load_counterexamples()
+        record = json.loads(PINNED_LINES[backend])
+        rewritten = json.dumps({**counterexample.to_record(), "kind": record["kind"]})
+        assert rewritten == PINNED_LINES[backend]
+        replayed = counterexample.replay()
+        assert replayed.decisions == {
+            int(pid): value for pid, value in record["decisions"].items()
+        }
+        assert replayed.fingerprint == record["fingerprint"]
+        assert replayed.distinct_decision_count() > counterexample.spec.k
+
+    @pytest.mark.parametrize(
+        "record, kind",
+        [
+            (_NET_RECORD_WITH_A_SCHEDULE, "net-counterexample"),
+            (_NET_RECORD, "counterexample"),
+            (_NET_RECORD, "async-counterexample"),
+            (_ASYNC_RECORD, "net-counterexample"),
+        ],
+        ids=["net-with-schedule", "net-as-sync", "net-as-async", "async-as-net"],
+    )
+    def test_store_refuses_a_kind_its_adversary_keys_contradict(
+        self, record, kind, tmp_path
+    ):
+        path = tmp_path / "contradiction.jsonl"
+        path.write_text(json.dumps({**record, "kind": kind}) + "\n")
+        with pytest.raises(StoreError):
+            ResultStore(path).load_counterexamples()
+
+    @pytest.mark.parametrize("step", [True, -1, 1.5])
+    def test_a_crash_step_no_run_takes_is_refused_on_reading(self, step):
+        record = dict(_ASYNC_RECORD, crash_steps={"0": step})
+        with pytest.raises(InvalidParameterError, match="crash step of process 0"):
+            Counterexample.from_record(record)
+
+    @pytest.mark.parametrize(
+        "reader, field",
+        [
+            ("load_results", "decisions"),
+            ("load_results", "decision_times"),
+            ("load_cells", "decisions"),
+            ("load_cells", "decision_times"),
+            ("load_counterexamples", "decisions"),
+            ("load_counterexamples", "crash_steps"),
+        ],
+    )
+    def test_a_malformed_process_id_is_refused(self, reader, field, tmp_path):
+        """``int(pid)`` on a key such as ``"x"`` is a malformed record, never
+        a bare ``ValueError``."""
+        import dataclasses
+
+        if reader == "load_counterexamples":
+            record = dict(_ASYNC_RECORD, **{field: {"x": 1}})
+            parse = Counterexample.from_record
+            line = record
+        else:
+            run = Engine(small_spec(), "floodmin").run([1, 2, 2]).to_record()
+            record = dict(run, **{field: {"x": 1}})
+            parse = RunResult.from_record
+            line = (
+                dict(record, kind="run")
+                if reader == "load_results"
+                else {
+                    "kind": "cell",
+                    "overrides": {},
+                    "error": None,
+                    "spec": dataclasses.asdict(small_spec()),
+                    "results": [record],
+                }
+            )
+        with pytest.raises(InvalidParameterError):
+            parse(record)
+        path = tmp_path / "malformed.jsonl"
+        path.write_text(json.dumps(line) + "\n")
+        with pytest.raises(StoreError):
+            getattr(ResultStore(path), reader)()
 
 
 # ----------------------------------------------------------------------

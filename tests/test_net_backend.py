@@ -21,8 +21,8 @@ from repro.check import (
     MUTANT_ECHOLESS_FLOODMIN,
     MUTANT_SILENT_FLOODMIN,
     NET_ORACLES,
+    Counterexample,
     NetCheckContext,
-    NetCounterexample,
     default_net_oracle_names,
     input_frontier,
     register_mutants,
@@ -705,7 +705,7 @@ class TestNetMutants:
         )
         loaded = store.load_counterexamples()
         assert len(loaded) == len(report.counterexamples)
-        rebuilt = NetCounterexample.from_record(report.counterexamples[0].to_record())
+        rebuilt = Counterexample.from_record(report.counterexamples[0].to_record())
         assert rebuilt.replay().fingerprint == report.counterexamples[0].fingerprint
 
     def test_mutant_check_parallel_parity(self):
