@@ -282,6 +282,26 @@ class SweepCell:
         """Did every run of the cell terminate?"""
         return all(r.terminated for r in self.results)
 
+    def to_record(self) -> dict[str, Any]:
+        """The JSON-serializable record (the store's ``cell`` records and
+        the ``/sweep`` response carry it)."""
+        return {
+            "overrides": dict(self.overrides),
+            "error": self.error,
+            "spec": dataclasses.asdict(self.spec),
+            "results": [result.to_record() for result in self.results],
+        }
+
+    @classmethod
+    def from_record(cls, record: Mapping[str, Any]) -> "SweepCell":
+        """Rebuild a cell from a :meth:`to_record` dictionary."""
+        return cls(
+            spec=AgreementSpec(**record["spec"]),
+            results=[RunResult.from_record(run) for run in record["results"]],
+            error=record["error"],
+            overrides=dict(record["overrides"]),
+        )
+
 
 class Engine:
     """One façade over every algorithm, backend and adversary.
@@ -854,7 +874,7 @@ class Engine:
         to the reference object runtime otherwise; ``vectorized=False``
         forces the reference path.  Either way the report is byte-identical.
         """
-        from ..check import AsyncSpace, NetSpace, SyncSpace, run_check
+        from ..check.checker import run_check, space_from_bounds
 
         backend = backend or "sync"
         if backend not in BACKENDS:
@@ -866,24 +886,16 @@ class Engine:
                 "vectorized=False forces the synchronous reference path; the "
                 f"{backend} check has no batch evaluator to disable"
             )
-        bounds = {
-            "rounds": rounds,
-            "depth": depth,
-            "max_crashes": max_crashes,
-            "adversary": adversary,
-            "max_faults": max_faults,
-        }
-        space_type = {"sync": SyncSpace, "async": AsyncSpace, "net": NetSpace}[backend]
-        taken = [bound.name for bound in dataclasses.fields(space_type)]
-        refused = [
-            name for name, value in bounds.items() if value is not None and name not in taken
-        ]
-        if refused:
-            raise InvalidParameterError(
-                f"the {backend} check does not take {', '.join(refused)}; "
-                f"it takes {', '.join(taken)}"
-            )
-        space = space_type(**{name: bounds[name] for name in taken})
+        space = space_from_bounds(
+            backend,
+            {
+                "rounds": rounds,
+                "depth": depth,
+                "max_crashes": max_crashes,
+                "adversary": adversary,
+                "max_faults": max_faults,
+            },
+        )
         return run_check(
             self,
             space,

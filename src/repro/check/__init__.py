@@ -33,7 +33,10 @@ The pieces:
   early-deciding bound), :mod:`repro.check.async_oracles` (validity,
   ``l``-agreement, in-condition termination within budget, the per-process
   step budget) and :mod:`repro.check.net_oracles` (applicability-gated, so
-  crash-only theorems are reported ``n/a`` under ``byzantine-corrupt``);
+  crash-only theorems are reported ``n/a`` under ``byzantine-corrupt``).
+  Every oracle takes one :class:`CheckContext`, which :func:`check_slice`
+  builds from the engine and the resolved space the same way on every
+  backend;
 * :mod:`repro.check.frontier` — the deterministic input frontier: all
   vectors when the domain is tiny, boundary / just-outside / sampled
   vectors otherwise;
@@ -67,11 +70,7 @@ from .async_checker import (
     count_async_adversaries,
     enumerate_async_adversaries,
 )
-from .async_oracles import (
-    ASYNC_ORACLES,
-    AsyncCheckContext,
-    default_async_oracle_names,
-)
+from .async_oracles import ASYNC_ORACLES
 from .checker import (
     CheckReport,
     CheckSpace,
@@ -97,12 +96,11 @@ from .mutants import (
     register_mutants,
 )
 from .net_checker import NetSpace
-from .net_oracles import NET_ORACLES, NetCheckContext, default_net_oracle_names
-from .oracles import ORACLES, CheckContext, PropertyOracle, default_oracle_names
+from .net_oracles import NET_ORACLES
+from .oracles import ORACLES, CheckContext, PropertyOracle
 
 __all__ = [
     "ASYNC_ORACLES",
-    "AsyncCheckContext",
     "AsyncSpace",
     "CheckContext",
     "CheckReport",
@@ -118,7 +116,6 @@ __all__ = [
     "MUTANT_HASTY_FLOODMIN",
     "MUTANT_SILENT_FLOODMIN",
     "NET_ORACLES",
-    "NetCheckContext",
     "NetSpace",
     "ORACLES",
     "OracleTally",
@@ -127,9 +124,6 @@ __all__ = [
     "SyncSpace",
     "check_slice",
     "count_async_adversaries",
-    "default_async_oracle_names",
-    "default_net_oracle_names",
-    "default_oracle_names",
     "differential_check",
     "enumerate_async_adversaries",
     "input_frontier",

@@ -42,7 +42,7 @@ from ..asynchronous.adversary import (
 )
 from ..core.vectors import InputVector
 from ..exceptions import InvalidParameterError
-from .async_oracles import ASYNC_ORACLES, AsyncCheckContext
+from .async_oracles import ASYNC_ORACLES
 from .checker import FAILURE_FREE, CheckSpace
 # Importable from every checker module: perfbench's traced run wraps it there.
 from .frontier import input_frontier  # noqa: F401
@@ -155,9 +155,6 @@ class AsyncSpace(CheckSpace):
         )
         for crash_steps, prefix in stream:
             yield crash_steps, EnumeratedAdversary(prefix)
-
-    def context(self, engine: "Engine") -> AsyncCheckContext:
-        return AsyncCheckContext.from_engine(engine)
 
     def execute(self, engine: "Engine", vector: InputVector, point: AsyncPoint) -> RunResult:
         crash_steps, adversary = point

@@ -5,7 +5,9 @@ speak in atomic steps over the shared-memory model.  Each oracle inspects one
 normalized :class:`~repro.api.RunResult` produced on the asynchronous backend
 and either passes or returns a human-readable violation detail; an
 applicability predicate keeps the same oracle set evaluable over every
-execution of the bounded-interleaving check.
+execution of the bounded-interleaving check.  They take the same
+:class:`~repro.check.oracles.CheckContext` as every other oracle, and read
+the crash resilience ``x = t − d`` as ``context.spec.x``.
 
 The registered oracles:
 
@@ -35,70 +37,44 @@ name                               claim (and when it applies)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..api.spec import AgreementSpec
 from ..asynchronous.scheduler import AsyncExecutionResult
 # Validity and agreement read no rounds: the synchronous predicates serve.
-from .oracles import PropertyOracle, _always, _check_agreement, _check_validity
+from .oracles import (
+    CheckContext,
+    PropertyOracle,
+    _always,
+    _check_agreement,
+    _check_validity,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..api.engine import Engine
     from ..api.result import RunResult
 
-__all__ = [
-    "AsyncCheckContext",
-    "ASYNC_ORACLES",
-    "default_async_oracle_names",
-]
+__all__ = ["ASYNC_ORACLES"]
 
 
-@dataclass(frozen=True)
-class AsyncCheckContext:
-    """Everything the asynchronous oracles need to know about the instance."""
-
-    spec: AgreementSpec
-    algorithm: str
-    #: Distinct values the runs may decide (``l`` for the Section 4 algorithm).
-    degree: int
-    #: Crash resilience ``x = t − d`` of the condition.
-    x: int
-    #: The per-process step budget of the checked executions.
-    max_steps_per_process: int
-
-    @classmethod
-    def from_engine(cls, engine: "Engine") -> "AsyncCheckContext":
-        spec = engine.spec
-        return cls(
-            spec=spec,
-            algorithm=engine.algorithm_name,
-            degree=engine.agreement_degree("async"),
-            x=spec.x,
-            max_steps_per_process=engine.config.max_steps_per_process,
-        )
+def _applies_termination(context: CheckContext, result: "RunResult") -> bool:
+    return result.in_condition is True and len(result.crashed) <= context.spec.x
 
 
-def _applies_termination(context: AsyncCheckContext, result: "RunResult") -> bool:
-    return result.in_condition is True and len(result.crashed) <= context.x
-
-
-def _check_termination(context: AsyncCheckContext, result: "RunResult") -> str | None:
+def _check_termination(context: CheckContext, result: "RunResult") -> str | None:
     if not result.terminated:
         undecided = sorted(result.correct_processes - set(result.decisions))
         return (
-            f"in-condition input with {len(result.crashed)} <= x = {context.x} "
+            f"in-condition input with {len(result.crashed)} <= x = {context.spec.x} "
             f"crashes did not terminate within the step budget; live "
             f"process(es) {undecided} never decided"
         )
     return None
 
 
-def _applies_step_budget(context: AsyncCheckContext, result: "RunResult") -> bool:
+def _applies_step_budget(context: CheckContext, result: "RunResult") -> bool:
     return isinstance(result.raw, AsyncExecutionResult)
 
 
-def _check_step_budget(context: AsyncCheckContext, result: "RunResult") -> str | None:
+def _check_step_budget(context: CheckContext, result: "RunResult") -> str | None:
     raw: AsyncExecutionResult = result.raw
     budget = context.max_steps_per_process
     for pid, steps in sorted(raw.steps_by_process.items()):
@@ -146,8 +122,3 @@ ASYNC_ORACLES: dict[str, PropertyOracle] = {
         ),
     )
 }
-
-
-def default_async_oracle_names() -> tuple[str, ...]:
-    """Every registered asynchronous oracle name, in evaluation order."""
-    return tuple(ASYNC_ORACLES)

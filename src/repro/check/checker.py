@@ -35,7 +35,7 @@ reference algorithm even where no absolute property is violated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Mapping, Sequence
@@ -67,6 +67,7 @@ __all__ = [
     "DifferentialReport",
     "run_check",
     "check_slice",
+    "space_from_bounds",
     "differential_check",
 ]
 
@@ -226,6 +227,23 @@ def _spaces() -> dict[str, "CheckSpace"]:
     return {space.backend: space for space in (SyncSpace(), NetSpace(), AsyncSpace())}
 
 
+def space_from_bounds(backend: str, bounds: Mapping[str, Any]) -> "CheckSpace":
+    """The space of *backend* with the *bounds* given (``None``: not given).
+
+    A backend takes exactly the bounds that are fields of its space; any
+    other bound given is refused, so no caller drops one silently.
+    """
+    space_type = type(_spaces()[backend])
+    taken = [bound.name for bound in fields(space_type)]
+    refused = [name for name, value in bounds.items() if value is not None and name not in taken]
+    if refused:
+        raise InvalidParameterError(
+            f"the {backend} check does not take {', '.join(refused)}; "
+            f"it takes {', '.join(taken)}"
+        )
+    return space_type(**{name: bounds.get(name) for name in taken})
+
+
 class CheckSpace:
     """One backend's adversary space: what :func:`run_check` enumerates.
 
@@ -237,8 +255,8 @@ class CheckSpace:
       refusing an engine that lacks the backend;
     * ``count(spec)`` / ``points(spec, start, stop)`` — the closed-form size
       and the slice ``[start, stop)`` of the deterministic point stream;
-    * ``oracles`` / ``context(engine)`` — the oracle registry, read by name
-      at check time, and the context its oracles take;
+    * ``oracles`` — the oracle registry, read by name at check time (every
+      oracle takes the one :class:`~repro.check.oracles.CheckContext`);
     * ``execute(engine, vector, point)`` — one execution;
     * ``point_record(point)`` / ``point(spec, record)`` /
       ``describe(record)`` — the point's part of a :class:`Counterexample`
@@ -270,7 +288,7 @@ class CheckSpace:
     def batch(
         self,
         engine: "Engine",
-        context: Any,
+        context: CheckContext,
         vectors: Sequence[InputVector],
         oracle_names: Sequence[str],
     ) -> Callable[[Any], tuple[tuple[int, int], ...]] | None:
@@ -311,9 +329,6 @@ class SyncSpace(CheckSpace):
 
     def points(self, spec: AgreementSpec, start: int, stop: int | None) -> Iterable[CrashSchedule]:
         return islice(enumerate_schedules(spec.n, spec.t, self.rounds), start, stop)
-
-    def context(self, engine: "Engine") -> CheckContext:
-        return CheckContext.from_engine(engine)
 
     def execute(self, engine: "Engine", vector: InputVector, schedule: CrashSchedule) -> RunResult:
         return engine._execute(vector, schedule, 0, SYNC_KNOBS)
@@ -484,10 +499,12 @@ def check_slice(
     identical either way.
 
     *space* may leave bounds at their defaults: it is resolved against
-    *engine* first, which also refuses an engine without its backend.
+    *engine* first, which also refuses an engine without its backend, and
+    the slice's one :class:`~repro.check.oracles.CheckContext` is built from
+    the two.
     """
     space = space.resolve(engine)
-    context = space.context(engine)
+    context = CheckContext.from_engine(engine, space)
     if vectorized:
         masks = space.batch(engine, context, vectors, oracle_names)
         if masks is not None:
@@ -533,7 +550,7 @@ def check_slice(
 def _check_slice_batch(
     engine: "Engine",
     space: CheckSpace,
-    context: Any,
+    context: CheckContext,
     masks: Callable[[Any], tuple[tuple[int, int], ...]],
     start: int,
     stop: int | None,

@@ -41,7 +41,7 @@ from ..net.adversary import (
 from .checker import FAILURE_FREE, CheckSpace
 # Importable from every checker module: perfbench's traced run wraps it there.
 from .frontier import input_frontier  # noqa: F401
-from .net_oracles import NET_ORACLES, NetCheckContext
+from .net_oracles import NET_ORACLES
 from .oracles import PropertyOracle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -109,9 +109,6 @@ class NetSpace(CheckSpace):
             start,
             stop,
         )
-
-    def context(self, engine: "Engine") -> NetCheckContext:
-        return NetCheckContext.from_engine(engine, self.adversary)
 
     def execute(self, engine: "Engine", vector: InputVector, faults: NetAdversary) -> RunResult:
         return engine._execute(vector, FAILURE_FREE, 0, RunKnobs("net", net_adversary=faults))

@@ -6,9 +6,10 @@ the paper's crash-model theorems (validity, k-agreement) are proved for
 benign faults and say **nothing** under Byzantine value corruption, where a
 corrupted channel can inject a proposal its receiver never saw proposed.
 Each oracle therefore carries an applicability predicate over the checked
-*failure-model family*, so an exhaustive ``byzantine-corrupt`` check reports
-``n/a`` for the crash-only claims instead of fabricating a theorem the paper
-never made.
+*failure-model family*, which it reads from the one
+:class:`~repro.check.oracles.CheckContext` as ``context.space.adversary``, so
+an exhaustive ``byzantine-corrupt`` check reports ``n/a`` for the crash-only
+claims instead of fabricating a theorem the paper never made.
 
 The registered oracles:
 
@@ -37,51 +38,23 @@ omission guarantees quantify over correct processes only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..api.spec import AgreementSpec
-from .oracles import PropertyOracle, _always
+from .oracles import CheckContext, PropertyOracle, _always
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..api.engine import Engine
     from ..api.result import RunResult
 
-__all__ = [
-    "NetCheckContext",
-    "NET_ORACLES",
-    "default_net_oracle_names",
-]
+__all__ = ["NET_ORACLES"]
 
 
-@dataclass(frozen=True)
-class NetCheckContext:
-    """Everything the net oracles need to know about the checked instance."""
-
-    spec: AgreementSpec
-    algorithm: str
-    #: Distinct values the runs may decide (``k`` for k-set agreement).
-    degree: int
-    #: The failure-model family the check enumerates (gates applicability).
-    family: str
-
-    @classmethod
-    def from_engine(cls, engine: "Engine", family: str) -> "NetCheckContext":
-        return cls(
-            spec=engine.spec,
-            algorithm=engine.algorithm_name,
-            degree=engine.agreement_degree("net"),
-            family=family,
-        )
-
-
-def _applies_benign(context: NetCheckContext, result: "RunResult") -> bool:
+def _applies_benign(context: CheckContext, result: "RunResult") -> bool:
     # The crash-model theorems transfer to the benign (omission/loss/delay)
     # models but claim nothing under value corruption.
-    return context.family != "byzantine-corrupt"
+    return context.space.adversary != "byzantine-corrupt"
 
 
-def _check_validity(context: NetCheckContext, result: "RunResult") -> str | None:
+def _check_validity(context: CheckContext, result: "RunResult") -> str | None:
     proposed = set(result.input_vector.entries)
     for process_id in sorted(result.correct_processes):
         if process_id not in result.decisions:
@@ -95,7 +68,7 @@ def _check_validity(context: NetCheckContext, result: "RunResult") -> str | None
     return None
 
 
-def _check_agreement(context: NetCheckContext, result: "RunResult") -> str | None:
+def _check_agreement(context: CheckContext, result: "RunResult") -> str | None:
     decided = {
         result.decisions[pid]
         for pid in result.correct_processes
@@ -110,12 +83,12 @@ def _check_agreement(context: NetCheckContext, result: "RunResult") -> str | Non
     return None
 
 
-def _check_termination(context: NetCheckContext, result: "RunResult") -> str | None:
+def _check_termination(context: CheckContext, result: "RunResult") -> str | None:
     if not result.terminated:
         undecided = sorted(result.correct_processes - set(result.decisions))
         return (
             f"non-faulty process(es) {undecided} never decided within the "
-            f"{result.duration}-round bound under {context.family}"
+            f"{result.duration}-round bound under {context.space.adversary}"
         )
     return None
 
@@ -146,8 +119,3 @@ NET_ORACLES: dict[str, PropertyOracle] = {
         ),
     )
 }
-
-
-def default_net_oracle_names() -> tuple[str, ...]:
-    """Every registered net oracle name, in evaluation order."""
-    return tuple(NET_ORACLES)

@@ -1,13 +1,15 @@
 """Property oracles: one predicate per claim the paper makes about executions.
 
-Each oracle inspects one normalized :class:`~repro.api.RunResult` (these are
-the oracles of the synchronous space, so decision times are rounds) and
-either passes or produces a human-readable violation detail.  Oracles
-carry an *applicability* predicate so the same oracle set can be evaluated
-over every algorithm and every execution: an oracle that does not apply to a
-run is simply not counted for it.
+Each oracle inspects one normalized :class:`~repro.api.RunResult` and either
+passes or produces a human-readable violation detail.  Oracles carry an
+*applicability* predicate so the same oracle set can be evaluated over every
+algorithm and every execution: an oracle that does not apply to a run is
+simply not counted for it.  Both predicates take the one
+:class:`CheckContext` of the checked instance, whatever the space.
 
-The registered oracles:
+This module holds the :class:`CheckContext` and :class:`PropertyOracle`
+types and the oracles of the synchronous space, where decision times are
+rounds.  The registered oracles:
 
 =============================  =====================================================
 name                           claim (and when it applies)
@@ -43,15 +45,16 @@ generic bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..api.spec import AgreementSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.engine import Engine
     from ..api.result import RunResult
+    from .checker import CheckSpace
 
-__all__ = ["CheckContext", "PropertyOracle", "ORACLES", "default_oracle_names"]
+__all__ = ["CheckContext", "PropertyOracle", "ORACLES"]
 
 #: Algorithms whose Theorem 10 refinements (2-round fast path, initial-crash
 #: tightening) the round-bound oracles may assert.
@@ -62,13 +65,20 @@ _THEOREM10_ALGORITHMS = frozenset({"condition-kset"})
 class CheckContext:
     """Everything the oracles need to know about the checked instance.
 
-    Built once per engine (worker-side too, so contexts never travel across
-    process boundaries) from the spec and the bound algorithm.
+    One type for all three spaces, built once per slice by
+    :func:`~repro.check.checker.check_slice` (worker-side too, so contexts
+    never travel across process boundaries).  Every field is computed the
+    same way whatever the backend; each oracle reads the ones its claim
+    names.
     """
 
     spec: AgreementSpec
     algorithm: str
-    #: Distinct values the runs may decide on the synchronous backend.
+    #: The checked space, every default resolved (the net oracles read its
+    #: failure model, ``space.adversary``).
+    space: "CheckSpace"
+    #: Distinct values the runs may decide on the space's backend (``k``;
+    #: ``l`` for the Section 4 algorithm on async).
     degree: int
     #: ``min(⌊(d + l − 1)/k⌋ + 1, ⌊t/k⌋ + 1)`` — decision deadline in C.
     in_bound: int
@@ -78,19 +88,23 @@ class CheckContext:
     theorem10: bool
     #: ``f -> min(⌊f/k⌋ + 2, ⌊t/k⌋ + 1)`` when the algorithm is early-deciding.
     early_bound: Callable[[int], int] | None
+    #: The per-process step budget of asynchronous executions.
+    max_steps_per_process: int
 
     @classmethod
-    def from_engine(cls, engine: "Engine") -> "CheckContext":
+    def from_engine(cls, engine: "Engine", space: "CheckSpace") -> "CheckContext":
+        """The context of *engine* checked over the resolved *space*."""
         spec = engine.spec
-        early = getattr(engine.algorithm, "early_bound", None)
         return cls(
             spec=spec,
             algorithm=engine.algorithm_name,
-            degree=engine.agreement_degree("sync"),
+            space=space,
+            degree=engine.agreement_degree(space.backend),
             in_bound=spec.in_condition_bound(),
             out_bound=spec.outside_condition_bound(),
             theorem10=engine.algorithm_name in _THEOREM10_ALGORITHMS,
-            early_bound=early,
+            early_bound=getattr(engine.algorithm, "early_bound", None),
+            max_steps_per_process=engine.config.max_steps_per_process,
         )
 
 
@@ -98,17 +112,16 @@ class CheckContext:
 class PropertyOracle:
     """One checkable claim: an applicability predicate and a violation finder.
 
-    The one oracle type of all three checkers; each backend's registry
-    passes its own context (:class:`CheckContext`,
-    :class:`~repro.check.net_oracles.NetCheckContext` or
-    :class:`~repro.check.async_oracles.AsyncCheckContext`) as the first
-    argument.
+    The one oracle type of all three spaces, in three registries:
+    :data:`ORACLES` here, :data:`~repro.check.net_oracles.NET_ORACLES` and
+    :data:`~repro.check.async_oracles.ASYNC_ORACLES`.  Both predicates take
+    the :class:`CheckContext` first and the execution second.
     """
 
     name: str
     summary: str
-    applies: Callable[[Any, "RunResult"], bool]
-    check: Callable[[Any, "RunResult"], str | None]
+    applies: Callable[[CheckContext, "RunResult"], bool]
+    check: Callable[[CheckContext, "RunResult"], str | None]
 
 
 def _always(context: CheckContext, result: "RunResult") -> bool:
@@ -254,8 +267,3 @@ ORACLES: dict[str, PropertyOracle] = {
         ),
     )
 }
-
-
-def default_oracle_names() -> tuple[str, ...]:
-    """Every registered oracle name, in evaluation order."""
-    return tuple(ORACLES)

@@ -796,13 +796,21 @@ def _command_check(arguments) -> int:
         condition_params=parse_condition_params(arguments.param),
     )
 
+    bounds = {
+        "rounds": arguments.rounds,
+        "depth": arguments.depth,
+        "max_crashes": arguments.max_crashes,
+        "adversary": arguments.adversary,
+        "max_faults": arguments.max_faults,
+    }
     if arguments.differential is not None:
-        from .check import differential_check
+        from .check.checker import differential_check, space_from_bounds
 
         if arguments.backend != "sync":
             raise InvalidParameterError(
                 "--differential drives the synchronous backend only"
             )
+        space = space_from_bounds("sync", bounds)
         if arguments.differential not in available_algorithms():
             raise InvalidParameterError(
                 f"unknown algorithm {arguments.differential!r}; known: "
@@ -822,7 +830,7 @@ def _command_check(arguments) -> int:
             spec,
             arguments.algorithm,
             arguments.differential,
-            rounds=arguments.rounds,
+            rounds=space.rounds,
             max_examples=arguments.max_counterexamples,
             max_vectors=arguments.max_vectors,
             all_vectors_limit=arguments.all_vectors_limit,
@@ -843,11 +851,7 @@ def _command_check(arguments) -> int:
     engine = Engine(spec, arguments.algorithm, RunConfig(workers=arguments.workers))
     report = engine.check(
         backend=arguments.backend,
-        rounds=arguments.rounds,
-        depth=arguments.depth,
-        max_crashes=arguments.max_crashes,
-        adversary=arguments.adversary,
-        max_faults=arguments.max_faults,
+        **bounds,
         store=store,
         max_counterexamples=arguments.max_counterexamples,
         max_vectors=arguments.max_vectors,

@@ -50,7 +50,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 
-from ..api.engine import Engine, SweepCell
+from ..api.engine import Engine
 from ..api.namespaces import adversary_keyword
 from ..api.registry import ALGORITHMS
 from ..api.spec import AgreementSpec, RunConfig, require_int
@@ -70,18 +70,6 @@ __all__ = ["ReproServer"]
 
 #: Endpoints that execute agreement work (and therefore pass admission).
 EXECUTION_ENDPOINTS = ("/run", "/batch", "/sweep", "/check")
-
-
-def _cell_record(cell: SweepCell) -> dict[str, Any]:
-    """The JSON shape of one sweep cell (same fields the store persists)."""
-    import dataclasses
-
-    return {
-        "overrides": dict(cell.overrides),
-        "error": cell.error,
-        "spec": dataclasses.asdict(cell.spec),
-        "results": [result.to_record() for result in cell.results],
-    }
 
 
 class _ParsedRequest:
@@ -344,7 +332,7 @@ class _Handler(BaseHTTPRequestHandler):
             executed += cell.runs
         state._count_runs(executed)
         self._send_json(
-            200, {"ok": True, "cells": [_cell_record(cell) for cell in cells]}
+            200, {"ok": True, "cells": [cell.to_record() for cell in cells]}
         )
 
     def _handle_check(self, request: _ParsedRequest, payload: Mapping[str, Any]) -> None:

@@ -273,16 +273,7 @@ class ResultStore:
 
     def append_cell(self, cell: "SweepCell") -> None:
         """Persist one sweep cell (its overrides, spec and run records)."""
-        import dataclasses
-
-        record = {
-            "kind": CELL_KIND,
-            "overrides": dict(cell.overrides),
-            "error": cell.error,
-            "spec": dataclasses.asdict(cell.spec),
-            "results": [result.to_record() for result in cell.results],
-        }
-        self._write_lines([record])
+        self._write_lines([{"kind": CELL_KIND, **cell.to_record()}])
 
     def append_counterexample(self, counterexample: "Counterexample") -> None:
         """Persist one model-checker counterexample of any backend (flushed
@@ -368,8 +359,6 @@ class ResultStore:
     def load_cells(self) -> list["SweepCell"]:
         """Rebuild every ``"cell"`` record into a :class:`SweepCell`."""
         from .api.engine import SweepCell
-        from .api.result import RunResult
-        from .api.spec import AgreementSpec
         from .exceptions import ReproError
 
         cells: list[SweepCell] = []
@@ -377,17 +366,7 @@ class ResultStore:
             if record["kind"] != CELL_KIND:
                 continue
             try:
-                spec = AgreementSpec(**record["spec"])
-                cells.append(
-                    SweepCell(
-                        spec=spec,
-                        results=[
-                            RunResult.from_record(run) for run in record["results"]
-                        ],
-                        error=record["error"],
-                        overrides=dict(record["overrides"]),
-                    )
-                )
+                cells.append(SweepCell.from_record(record))
             except (KeyError, TypeError, ReproError) as error:
                 raise StoreError(f"malformed cell record: {error!r}") from error
         return cells

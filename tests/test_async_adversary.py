@@ -39,13 +39,15 @@ from repro.asynchronous import (
 )
 from repro.check import (
     MUTANT_HASTY_ASYNC,
+    AsyncSpace,
     Counterexample,
     HastyAsyncProcess,
     count_async_adversaries,
     enumerate_async_adversaries,
     register_mutants,
 )
-from repro.check.async_oracles import ASYNC_ORACLES, AsyncCheckContext
+from repro.check.async_oracles import ASYNC_ORACLES
+from repro.check.oracles import CheckContext
 from repro.core.conditions import MaxLegalCondition
 from repro.core.values import is_bottom
 from repro.core.vectors import InputVector
@@ -477,7 +479,7 @@ class TestCycleFastForward:
         assert result.raw.steps_by_process == {0: 200, 1: 200, 2: 200}
         assert not result.terminated
         oracle = ASYNC_ORACLES["async-step-budget"]
-        context = AsyncCheckContext.from_engine(engine)
+        context = CheckContext.from_engine(engine, AsyncSpace().resolve(engine))
         assert oracle.applies(context, result)
         assert oracle.check(context, result) is None
         assert executed < result.duration / 10

@@ -16,6 +16,7 @@ The heart of the file is the acceptance triangle of the subsystem:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -23,10 +24,14 @@ import pytest
 from repro.api import AgreementSpec, Engine, RunConfig, RunResult
 from repro.check import (
     MUTANT_HASTY_FLOODMIN,
+    NET_ORACLES,
+    ORACLES,
+    AsyncSpace,
+    CheckContext,
     Counterexample,
+    NetSpace,
     SyncSpace,
     check_slice,
-    default_oracle_names,
     differential_check,
     input_frontier,
     register_mutants,
@@ -163,7 +168,7 @@ class TestEngineCheck:
     def test_check_slice_resolves_its_space(self):
         engine = Engine(small_spec())
         vectors = input_frontier(engine.spec, engine.condition)
-        names = default_oracle_names()
+        names = tuple(ORACLES)
         rounds = engine.spec.outside_condition_bound()
         resolved = check_slice(engine, SyncSpace(rounds), 0, None, vectors, names, 5)
         assert check_slice(engine, SyncSpace(), 0, None, vectors, names, 5) == resolved
@@ -246,6 +251,43 @@ class TestCheckParameterValidation:
             Engine(*BACKEND_ENGINES["async"]).check(backend="async", depth=-1)
         with pytest.raises(InvalidParameterError, match="max_crashes"):
             Engine(*BACKEND_ENGINES["async"]).check(backend="async", max_crashes=-1)
+
+
+# ----------------------------------------------------------------------
+# One oracle context for every space
+# ----------------------------------------------------------------------
+class TestCheckContext:
+    SPEC = AgreementSpec(n=4, t=2, k=2, d=1, ell=1, domain=2)
+
+    @pytest.mark.parametrize(
+        "space, degree", [(SyncSpace(), 2), (NetSpace(), 2), (AsyncSpace(), 1)]
+    )
+    def test_degree_follows_the_backend(self, space, degree):
+        engine = Engine(self.SPEC, "condition-kset")
+        resolved = space.resolve(engine)
+        context = CheckContext.from_engine(engine, resolved)
+        assert context.degree == degree == engine.agreement_degree(space.backend)
+        assert context.space == resolved
+
+    def test_only_the_space_and_degree_differ(self):
+        engine = Engine(self.SPEC, "condition-kset")
+        sync, net, asynchronous = (
+            CheckContext.from_engine(engine, space.resolve(engine))
+            for space in (SyncSpace(), NetSpace(), AsyncSpace())
+        )
+        for context in (net, asynchronous):
+            assert dataclasses.replace(context, space=sync.space, degree=sync.degree) == sync
+
+    def test_net_validity_reads_the_failure_model_from_the_space(self):
+        engine = Engine(self.SPEC, "condition-kset")
+        result = engine.run([1, 1, 2, 2], backend="net")
+        oracle = NET_ORACLES["net-validity"]
+        benign = CheckContext.from_engine(engine, NetSpace("send-omission").resolve(engine))
+        corrupt = CheckContext.from_engine(
+            engine, NetSpace("byzantine-corrupt").resolve(engine)
+        )
+        assert oracle.applies(benign, result)
+        assert not oracle.applies(corrupt, result)
 
 
 # ----------------------------------------------------------------------

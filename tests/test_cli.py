@@ -166,6 +166,26 @@ class TestCheckCommand:
         assert main(base + ["--store", "nope.jsonl"]) == 2
         assert "--store" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, bound",
+        [
+            ("--depth", "3", "depth"),
+            ("--max-crashes", "1", "max_crashes"),
+            ("--adversary", "send-omission", "adversary"),
+            ("--max-faults", "2", "max_faults"),
+        ],
+    )
+    def test_check_differential_refuses_other_backends_bounds(
+        self, capsys, flag, value, bound
+    ):
+        assert main(
+            ["check", "--n", "3", "--t", "1", "--d", "1", "--k", "1",
+             "--differential", "floodmin", flag, value]
+        ) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert f"the sync check does not take {bound}; it takes rounds" in captured.err
+
 
 #: A small spec every backend runs in milliseconds.
 SMALL = ["--n", "4", "--t", "1", "--d", "1", "--k", "1", "--m", "3"]

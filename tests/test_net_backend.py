@@ -21,9 +21,9 @@ from repro.check import (
     MUTANT_ECHOLESS_FLOODMIN,
     MUTANT_SILENT_FLOODMIN,
     NET_ORACLES,
+    CheckContext,
     Counterexample,
-    NetCheckContext,
-    default_net_oracle_names,
+    NetSpace,
     input_frontier,
     register_mutants,
 )
@@ -555,7 +555,7 @@ class TestNetCheck:
             "send-omission", TINY.n, space.rounds, space.max_faults
         )
         assert report.executions == report.adversary_count * report.vector_count
-        for name in default_net_oracle_names():
+        for name in NET_ORACLES:
             tally = report.tally(name)
             assert tally.violations == 0
 
@@ -722,11 +722,12 @@ class TestNetMutants:
 # Oracle unit behaviour
 # ----------------------------------------------------------------------
 class TestNetOracles:
-    def _context(self, family: str) -> NetCheckContext:
-        return NetCheckContext(spec=TINY, algorithm="floodmin", degree=1, family=family)
+    def _context(self, family: str) -> CheckContext:
+        engine = Engine(TINY, "floodmin")
+        return CheckContext.from_engine(engine, NetSpace(family).resolve(engine))
 
     def test_registry_names(self):
-        assert default_net_oracle_names() == (
+        assert tuple(NET_ORACLES) == (
             "net-validity",
             "net-agreement",
             "net-termination",

@@ -41,7 +41,7 @@ from repro.algorithms.early_deciding_kset import EarlyDecidingKSetAgreement
 from repro.api import AgreementSpec, Engine, RunConfig
 from repro.check import MUTANT_HASTY_FLOODMIN, SyncSpace, check_slice, register_mutants
 from repro.check.frontier import input_frontier, packed_frontier
-from repro.check.oracles import CheckContext, default_oracle_names
+from repro.check.oracles import ORACLES, CheckContext
 from repro.core.conditions import ExplicitCondition, MaxLegalCondition
 from repro.core.families import (
     AllVectorsOracle,
@@ -276,7 +276,7 @@ def _slice_records(engine, rounds, start, stop, vectors, vectorized):
     condition with default parameters may fail to decode some view)."""
     try:
         enumerated, executions, tallies, counterexamples = check_slice(
-            engine, SyncSpace(rounds), start, stop, vectors, default_oracle_names(), 4,
+            engine, SyncSpace(rounds), start, stop, vectors, tuple(ORACLES), 4,
             vectorized=vectorized,
         )
     except ReproError as error:
@@ -323,13 +323,13 @@ def test_random_schedule_slices_match_reference(case):
 # Guards: the refusal surface of the batch evaluator
 # ----------------------------------------------------------------------
 def _build(engine, vectors_override=None, oracles_override=None):
-    context = CheckContext.from_engine(engine)
+    context = CheckContext.from_engine(engine, SyncSpace().resolve(engine))
     frontier = (
         vectors_override
         if vectors_override is not None
         else input_frontier(engine.spec, engine.condition)
     )
-    names = oracles_override if oracles_override is not None else default_oracle_names()
+    names = oracles_override if oracles_override is not None else tuple(ORACLES)
     return BatchSyncEvaluator.build(engine, context, frontier, names)
 
 
