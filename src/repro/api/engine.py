@@ -868,11 +868,14 @@ class Engine:
         **byte-identical** report, and *store* persists the counterexamples
         as JSONL records.
 
-        *vectorized* (sync-only, default ``True``) routes the execution
-        through the packed batch evaluator of :mod:`repro.vec` whenever the
-        algorithm and oracles are covered by it, transparently falling back
-        to the reference object runtime otherwise; ``vectorized=False``
-        forces the reference path.  Either way the report is byte-identical.
+        *vectorized* (default ``True``) routes the check through the
+        space's batch hook whenever it covers the algorithm and oracles,
+        transparently falling back to the reference object runtime
+        otherwise: on sync, the packed batch evaluator of :mod:`repro.vec`;
+        on async, a memo that runs each class of identical executions once.
+        ``vectorized=False`` forces the reference path, every adversary
+        executed; the net check has no hook and refuses it.  Either way the
+        report is byte-identical.
         """
         from ..check.checker import run_check, space_from_bounds
 
@@ -881,10 +884,10 @@ class Engine:
             raise BackendError(
                 f"unknown backend {backend!r}; expected 'sync', 'async' or 'net'"
             )
-        if backend != "sync" and not vectorized:
+        if backend == "net" and not vectorized:
             raise InvalidParameterError(
-                "vectorized=False forces the synchronous reference path; the "
-                f"{backend} check has no batch evaluator to disable"
+                "vectorized=False forces the reference path; the net check "
+                "has no batch hook to disable"
             )
         space = space_from_bounds(
             backend,

@@ -235,6 +235,12 @@ class EnumeratedAdversary(RoundRobinAdversary):
     its budget.  :func:`enumerate_interleavings` generates the full prefix
     space in a fixed order; the bounded-interleaving model checker of
     :mod:`repro.check` runs one execution per prefix.
+
+    The adversary records the width (``len(runnable)``) it read at each
+    prefix step of the last execution, :attr:`widths`: two prefixes whose
+    choices agree modulo those widths realize the same steps.  The record
+    lives here, not in a subclass, because the scheduler fast-forwards only
+    this exact class.
     """
 
     def __init__(self, prefix: Sequence[int]) -> None:
@@ -246,11 +252,18 @@ class EnumeratedAdversary(RoundRobinAdversary):
                 )
         super().__init__()
         self._prefix = choices
+        self._widths: list[int] = []
 
     @property
     def prefix(self) -> tuple[int, ...]:
         """The adversarial choice prefix driving the first steps."""
         return self._prefix
+
+    @property
+    def widths(self) -> tuple[int, ...]:
+        """The runnable-set width read at each prefix step of the last execution
+        (fewer than the prefix when the execution ended first)."""
+        return tuple(self._widths)
 
     @property
     def name(self) -> str:  # type: ignore[override]
@@ -260,9 +273,15 @@ class EnumeratedAdversary(RoundRobinAdversary):
     def rotation_start(self) -> int:
         return len(self._prefix)
 
+    def reset(self) -> None:
+        super().reset()
+        self._widths = []
+
     def choose(self, runnable: Sequence[int], step_index: int) -> int:
         if step_index < len(self._prefix):
-            return runnable[self._prefix[step_index] % len(runnable)]
+            width = len(runnable)
+            self._widths.append(width)
+            return runnable[self._prefix[step_index] % width]
         return super().choose(runnable, step_index)
 
 

@@ -23,7 +23,8 @@ The pieces:
     (:func:`repro.sync.adversary.enumerate_schedules`), with a packed batch
     hook through :mod:`repro.vec`;
   - :class:`AsyncSpace` (:mod:`repro.check.async_checker`) — every bounded
-    interleaving prefix × every crash assignment of the shared-memory model;
+    interleaving prefix × every crash assignment of the shared-memory model,
+    with a batch hook that runs each class of identical executions once;
   - :class:`NetSpace` (:mod:`repro.check.net_checker`) — every fault
     assignment of a net failure-model family (omission sets, lost-message
     subsets, delay/corruption maps);

@@ -22,6 +22,10 @@ deterministic input frontier and evaluates the asynchronous property oracles
 of :mod:`repro.check.async_oracles`; violations become replayable
 :class:`~repro.check.checker.Counterexample` records whose ``prefix`` and
 ``crash_steps`` keys carry the adversary.
+
+Many adversaries realize the same execution, and :meth:`AsyncSpace.batch`
+runs each class of identical executions once (see :class:`_ClassMemo`); the
+reference path (``vectorized=False``) executes every adversary.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Any, ClassVar, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, ClassVar, Iterator, Mapping, Sequence
 
 from ..api.engine import RunKnobs
 from ..api.result import RunResult
@@ -46,7 +50,7 @@ from .async_oracles import ASYNC_ORACLES
 from .checker import FAILURE_FREE, CheckSpace
 # Importable from every checker module: perfbench's traced run wraps it there.
 from .frontier import input_frontier  # noqa: F401
-from .oracles import PropertyOracle
+from .oracles import CheckContext, PropertyOracle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.engine import Engine
@@ -56,6 +60,11 @@ __all__ = [
     "count_async_adversaries",
     "enumerate_async_adversaries",
 ]
+
+#: The oracles whose outcome both class rules of :class:`_ClassMemo` keep:
+#: the four registered at import.  They read decisions, the vector,
+#: ``crashed``, ``terminated``, ``in_condition`` and step counts.
+_MEMO_ORACLES = frozenset(ASYNC_ORACLES)
 
 
 def count_async_adversaries(n: int, depth: int, max_crashes: int) -> int:
@@ -174,6 +183,10 @@ class AsyncSpace(CheckSpace):
         crash_steps = {int(pid): step for pid, step in record["crash_steps"].items()}
         for pid, steps in crash_steps.items():
             require_int("a crash_steps process id", pid, 0)
+            if pid >= spec.n:
+                raise InvalidParameterError(
+                    f"crash_steps names process {pid}, outside [0, {spec.n})"
+                )
             require_int(f"the crash step of process {pid}", steps, 0)
         return crash_steps, EnumeratedAdversary(record["prefix"])
 
@@ -196,3 +209,153 @@ class AsyncSpace(CheckSpace):
             f"(interleaving depth {self.depth}, <= {self.max_crashes} crashes, "
             f"closed form cross-validated)",
         ]
+
+    def batch(self, engine, context, vectors, oracle_names):
+        """A :class:`_ClassMemo`'s lane masks, one reference run per class of
+        identical executions, or ``None`` when an oracle outside the four
+        the class rules keep is asked for."""
+        if not set(oracle_names) <= _MEMO_ORACLES:
+            return None
+        return _ClassMemo(self, engine, context, vectors, oracle_names).masks
+
+
+#: A crash assignment as a key: its sorted ``(pid, crash point)`` items.
+Assignment = tuple[tuple[int, int], ...]
+#: One execution's oracle outcome, ``((applies, violated), ...)`` in oracle
+#: order, and each process's decision step (``None``: undecided).
+Outcome = tuple[tuple[tuple[bool, bool], ...], tuple[int | None, ...]]
+
+
+class _ClassMemo:
+    """One check slice's memo of asynchronous executions, one per class.
+
+    A class is keyed per crash assignment and frontier lane, and two exact
+    rules put two adversaries in one class:
+
+    1. **Prefix aliasing.**  The enumerated adversary picks
+       ``runnable[prefix[i] % width]`` at prefix step ``i``, and the width is
+       fixed by the steps before it.  Prefixes whose choices agree modulo
+       the widths one of them read realize the same steps.  Each assignment
+       keeps a flat trie from lane and residues to widths and, at the end of
+       the path, the outcome.
+    2. **Non-binding crash points.**  If the assignment holds ``(p, s)``
+       with ``s >= 1``, and in the run without ``p``'s crash (same prefix)
+       ``p`` decides within its first ``s`` steps, the two runs are the same
+       step for step: ``p`` never reaches its crash point.  The enumeration
+       goes by crash count, so that run's entry was filled one tier earlier.
+
+    Both rules keep the decisions, decision and per-process step counts,
+    ``crashed`` and ``terminated``; the vector and ``in_condition`` are the
+    lane's, and the step-budget oracle's crash-point clause still holds
+    because ``p`` took at most ``s`` steps.  The first run of a class is a
+    reference execution (:meth:`AsyncSpace.execute`) whose oracles run as on
+    the scalar path.  An assignment's trie is kept while its own block or
+    the next crash-count tier can read it, and equal outcomes are one
+    object.
+    """
+
+    def __init__(
+        self,
+        space: AsyncSpace,
+        engine: "Engine",
+        context: CheckContext,
+        vectors: Sequence[InputVector],
+        oracle_names: Sequence[str],
+    ) -> None:
+        self._space = space
+        self._engine = engine
+        self._context = context
+        self._vectors = vectors
+        self._oracles = [space.oracles[name] for name in oracle_names]
+        self._n = engine.spec.n
+        self._tries: dict[Assignment, dict[tuple[int, ...], int | Outcome]] = {}
+        self._assignment: Assignment | None = None
+        self._trie: dict[tuple[int, ...], int | Outcome] = {}
+        self._outcomes: dict[Outcome, Outcome] = {}
+
+    def masks(self, point: AsyncPoint) -> tuple[tuple[int, int], ...]:
+        """``((applies, violations), ...)`` lane masks of *point*, per oracle."""
+        crash_steps, adversary = point
+        assignment = tuple(sorted(crash_steps.items()))
+        if assignment != self._assignment:
+            self._enter(assignment)
+        prefix = adversary.prefix
+        applies = [0] * len(self._oracles)
+        violations = [0] * len(self._oracles)
+        for lane, vector in enumerate(self._vectors):
+            outcome = _find(self._trie, lane, prefix)[0]
+            if outcome is None:
+                outcome = self._reuse(assignment, lane, prefix)
+            if outcome is None:
+                outcome = self._run(lane, vector, point)
+            bit = 1 << lane
+            for index, (applied, violated) in enumerate(outcome[0]):
+                if applied:
+                    applies[index] |= bit
+                if violated:
+                    violations[index] |= bit
+        return tuple(zip(applies, violations))
+
+    def _enter(self, assignment: Assignment) -> None:
+        """Start *assignment*'s block: drop every trie no later block reads."""
+        tier = len(assignment)
+        last = self._space.max_crashes
+        self._tries = {
+            kept: trie
+            for kept, trie in self._tries.items()
+            if tier - 1 <= len(kept) < last
+        }
+        self._trie = self._tries[assignment] = {}
+        self._assignment = assignment
+
+    def _reuse(self, assignment: Assignment, lane: int, prefix: tuple[int, ...]) -> Outcome | None:
+        """Rule 2: the entry of a run that never reaches one crash point."""
+        for index, (pid, crash_point) in enumerate(assignment):
+            if crash_point == 0:
+                continue
+            below = self._tries.get(assignment[:index] + assignment[index + 1:])
+            if below is None:
+                continue
+            outcome, key = _find(below, lane, prefix)
+            if outcome is None:
+                continue
+            decided = outcome[1][pid]
+            if decided is not None and decided <= crash_point:
+                # The same steps, so the same widths along the same path.
+                for end in range(1, len(key)):
+                    self._trie[key[:end]] = below[key[:end]]
+                self._trie[key] = outcome
+                return outcome
+        return None
+
+    def _run(self, lane: int, vector: InputVector, point: AsyncPoint) -> Outcome:
+        """The reference execution of a new class, its oracles and its entry."""
+        result = self._space.execute(self._engine, vector, point)
+        context = self._context
+        checks = []
+        for oracle in self._oracles:
+            applied = oracle.applies(context, result)
+            checks.append((applied, applied and oracle.check(context, result) is not None))
+        steps = tuple(result.decision_times.get(pid) for pid in range(self._n))
+        outcome = (tuple(checks), steps)
+        outcome = self._outcomes.setdefault(outcome, outcome)
+        adversary = point[1]
+        key = (lane,)
+        for choice, width in zip(adversary.prefix, adversary.widths):
+            self._trie[key] = width
+            key += (choice % width,)
+        self._trie[key] = outcome
+        return outcome
+
+
+def _find(
+    trie: Mapping[tuple[int, ...], int | Outcome], lane: int, prefix: Sequence[int]
+) -> tuple[Outcome | None, tuple[int, ...]]:
+    """The outcome *trie* holds for *prefix* on *lane* (``None``: not yet),
+    and its key: the lane, then each residue modulo the width read."""
+    key = (lane,)
+    node = trie.get(key)
+    while type(node) is int:
+        key += (prefix[len(key) - 1] % node,)
+        node = trie.get(key)
+    return node, key

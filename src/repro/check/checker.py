@@ -264,7 +264,7 @@ class CheckSpace:
       inverse, and its text in :meth:`Counterexample.summary`;
     * ``header(count)`` / ``render_lines(algorithm, count)`` — the space's
       part of the report record and of the rendered report;
-    * :meth:`batch` — the optional packed hook.
+    * :meth:`batch` — the optional batch hook.
     """
 
     #: The execution backend whose adversaries the space enumerates.
@@ -292,9 +292,12 @@ class CheckSpace:
         vectors: Sequence[InputVector],
         oracle_names: Sequence[str],
     ) -> Callable[[Any], tuple[tuple[int, int], ...]] | None:
-        """The packed hook: ``point -> ((applies, violations), ...)`` lane
+        """The batch hook: ``point -> ((applies, violations), ...)`` lane
         masks (one per oracle, lane ``i`` = ``vectors[i]``), or ``None`` when
-        no packed evaluator covers this engine, frontier and oracle set."""
+        it does not cover this engine, frontier and oracle set.  The sync
+        space packs lanes (:mod:`repro.vec`), the async space runs each class
+        of identical executions once, and the net space has no hook.
+        ``vectorized=False`` skips the hook: the reference path."""
         return None
 
 
@@ -492,7 +495,7 @@ def check_slice(
     *more* points than the closed form predicts is detected too (a capped
     slice could only catch under-production).
 
-    With *vectorized* the slice routes through the space's packed batch hook
+    With *vectorized* the slice routes through the space's batch hook
     when it covers this engine/frontier/oracle combination (and falls back
     to the scalar loop below otherwise).  Counterexamples are always decoded
     back through the reference object runtime, so the returned tuple is
@@ -558,7 +561,7 @@ def _check_slice_batch(
     oracle_names: Sequence[str],
     max_counterexamples: int,
 ) -> tuple[int, int, list[OracleTally], list[Counterexample]]:
-    """The packed twin of the scalar slice loop.
+    """The batch twin of the scalar slice loop.
 
     One *masks* call covers every frontier vector under one point; tallies
     are bit counts of the returned lane masks.  Violating lanes — and only
@@ -601,8 +604,9 @@ def _check_slice_batch(
                     )
                     if detail is None:
                         raise SimulationError(
-                            f"batch evaluator flagged {oracle.name!r} on vector "
-                            f"{list(vector.entries)} under {point!r}, but the "
+                            f"the batch hook flagged {oracle.name!r} on vector "
+                            f"{list(vector.entries)} under "
+                            f"{space.describe(space.point_record(point))}, but the "
                             "reference runtime does not reproduce the violation"
                         )
                     if len(counterexamples) < max_counterexamples:

@@ -390,8 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-vectorized",
         action="store_true",
         help=(
-            "force the scalar reference runtime instead of the packed batch "
-            "evaluator (sync only; the report is identical either way)"
+            "force the reference runtime on every adversary instead of the "
+            "batch hook: the packed evaluator on sync, the class memo on "
+            "async (not net; the report is identical either way)"
         ),
     )
 

@@ -138,7 +138,7 @@ class CheckShard:
     oracle_names: tuple[str, ...]
     max_counterexamples: int
     index: int
-    #: Route the slice through the space's packed batch hook (the worker
+    #: Route the slice through the space's batch hook (the worker
     #: falls back to the scalar loop whenever the hook declines the engine).
     vectorized: bool = False
 

@@ -597,6 +597,18 @@ class TestMutantDetection:
         with pytest.raises(InvalidParameterError, match="crash step of process 0"):
             Counterexample.from_record(record)
 
+    @pytest.mark.parametrize("pid", ["3", "7"])
+    def test_a_crashed_process_outside_the_spec_is_refused_on_reading(self, pid, tmp_path):
+        """A record whose replay would raise ``crashed process 7 outside
+        [0, 3)`` is refused when it is read, by the record and the store."""
+        record = dict(_ASYNC_RECORD, crash_steps={pid: 1})
+        with pytest.raises(InvalidParameterError, match=f"process {pid}, outside"):
+            Counterexample.from_record(record)
+        path = tmp_path / "outside.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(StoreError):
+            ResultStore(path).load_counterexamples()
+
     @pytest.mark.parametrize(
         "reader, field",
         [

@@ -20,8 +20,8 @@ exhaustive check and nothing else:
 
 The guard tests pin the refusal surface: anything the batch model cannot
 mirror faithfully (mutant subclasses, trace recording, foreign oracles)
-falls back to the scalar path, and ``vectorized=False`` is rejected on
-backends that have no batch evaluator to disable.  The cache tests pin
+falls back to the scalar path, and ``vectorized=False`` is refused on the
+net backend, which has no batch hook to disable.  The cache tests pin
 that the round driver's caches stay small and belong to one evaluator, that
 the class memo serves every schedule what a fresh evaluator computes, and
 that an overrunning class raises for each of its members.
@@ -360,10 +360,16 @@ class TestBatchGuards:
         assert block is not None
         assert block.unpack() == frontier
 
-    def test_no_vectorized_rejected_off_the_sync_backend(self):
+    def test_no_vectorized_refused_on_net_and_taken_on_async(self):
+        """The net check has no batch hook to disable; the async one does
+        (its class memo), and ``vectorized=False`` is its reference path."""
+        with pytest.raises(InvalidParameterError, match="net check has no batch hook"):
+            Engine(small_spec(), "floodmin").check(backend="net", vectorized=False)
         engine = Engine(small_spec(), "condition-kset")
-        with pytest.raises(InvalidParameterError):
-            engine.check(backend="async", vectorized=False)
+        reference = engine.check(backend="async", depth=2, vectorized=False)
+        assert engine._async_executor().runs_executed == reference.executions
+        memo = Engine(small_spec(), "condition-kset").check(backend="async", depth=2)
+        assert reference.to_record() == memo.to_record()
 
 
 class TestRoundCaches:
@@ -451,10 +457,15 @@ class TestClassMemo:
 
 
 class TestCliFlag:
-    def test_no_vectorized_renders_the_identical_report(self, capsys):
+    @pytest.mark.parametrize(
+        "options",
+        [["--d", "1"], ["--backend", "async", "--d", "0", "--depth", "3"]],
+        ids=["sync", "async"],
+    )
+    def test_no_vectorized_renders_the_identical_report(self, options, capsys):
         from repro.cli import main
 
-        arguments = ["check", "--n", "3", "--t", "1", "--d", "1", "--k", "1", "--m", "2"]
+        arguments = ["check", "--n", "3", "--t", "1", "--k", "1", "--m", "2", *options]
         assert main(arguments) == 0
         vectorized_output = capsys.readouterr().out
         assert main(arguments + ["--no-vectorized"]) == 0
