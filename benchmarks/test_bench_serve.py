@@ -14,21 +14,27 @@ asynchronous backend) a fresh shared memory + process pool.  Two benchmarks:
   tier-1).  This is the cache's whole reason to exist, measured at the
   layer that isolates it — no HTTP, no JSON.
 * **HTTP round-trip throughput** (reported, not pinned): full-stack
-  client → daemon → warm engine → client batches.  On a 1-core container
-  the HTTP/JSON overhead dominates small batches, so a wall-clock floor
-  here would pin the socket stack, not the serving architecture; the
-  number is printed and snapshotted so its trajectory is tracked instead.
+  client → daemon → warm engine → client batches, in rounds of at least
+  ``ROUND_SECONDS`` of back-to-back requests on one kept connection,
+  alternating with the same batches on a direct engine.  The HTTP/JSON
+  overhead dominates small batches, so a wall-clock floor here would pin
+  the socket stack, not the serving architecture; the rounds' spread is
+  printed and snapshotted so the trajectory is tracked instead.  What is
+  pinned is a count: every request of the client's one thread rides one
+  connection.
 """
 
 from __future__ import annotations
 
+import json
+import statistics
 import time
 
 import pytest
 
 import snapshot
-from timing import best_of_alternating
-from repro.api import AgreementSpec, RunConfig
+from timing import alternating_rounds, best_of_alternating
+from repro.api import AgreementSpec, Engine, RunConfig
 from repro.serve import EngineCache, ReproServer, ServeClient
 from repro.workloads import vector_in_max_condition
 
@@ -36,7 +42,9 @@ SPEC = AgreementSpec(n=12, t=3, k=1, d=0, ell=1, domain=12)
 CONFIG = RunConfig()  # the server's shape: seed-free key, backend per call
 BATCH = 8
 TIMING_ROUNDS = 5
-HTTP_REQUESTS = 6
+#: A timed HTTP round sends at least this many seconds of requests.
+ROUND_SECONDS = 0.3
+HTTP_ROUNDS = 5
 
 
 def _vectors(count: int = BATCH):
@@ -107,33 +115,70 @@ def test_warm_cache_beats_cold_start(capsys):
 @pytest.mark.bench
 def test_http_round_trip_throughput(capsys):
     vectors = [list(v.entries) for v in _vectors()]
-    with ReproServer(port=0) as server:
-        client = ServeClient(*server.address)
+    engine = Engine(SPEC, "condition-kset", CONFIG)
+    with ReproServer(port=0) as server, ServeClient(*server.address) as client:
         client.run_batch(SPEC, vectors, seed=0)  # prime the server's cache
+        # Size a round: as many requests as fill ROUND_SECONDS.
+        requests, start = 0, time.perf_counter()
+        while time.perf_counter() - start < ROUND_SECONDS:
+            client.run_batch(SPEC, vectors, seed=requests)
+            requests += 1
 
-        start = time.perf_counter()
-        for request in range(HTTP_REQUESTS):
-            client.run_batch(SPEC, vectors, seed=request)
-        elapsed = time.perf_counter() - start
+        def served():
+            return [
+                client.run_batch(SPEC, vectors, seed=seed) for seed in range(requests)
+            ]
 
+        def direct():
+            return [
+                engine.run_batch(vectors, seeds=range(seed, seed + BATCH))
+                for seed in range(requests)
+            ]
+
+        direct()  # prime the direct engine's memo, as the primer did the server's
+        (served_seconds, served_batches), (direct_seconds, direct_batches) = (
+            alternating_rounds((served, direct), HTTP_ROUNDS)
+        )
         status = client.status()
-    # Every request after the primer was served from the warm engine.
-    assert status["cache"]["hits"] >= HTTP_REQUESTS
-    assert status["cache"]["misses"] == 1
 
-    runs = HTTP_REQUESTS * BATCH
+    # Served batches are the direct engine's, byte for byte.
+    assert [
+        [json.dumps(r.to_record(), sort_keys=True) for r in batch]
+        for batch in served_batches
+    ] == [
+        [json.dumps(r.to_record(), sort_keys=True) for r in batch]
+        for batch in direct_batches
+    ]
+    # Every request after the primer was served from the warm engine...
+    assert status["cache"]["misses"] == 1
+    assert status["cache"]["hits"] >= HTTP_ROUNDS * requests
+    # ...and every request of this one thread rode one kept connection.
+    assert status["connections"]["opened"] == 1, status["connections"]
+
+    rates = sorted(requests / seconds for seconds in served_seconds)
+    served_rate = statistics.median(rates)
+    direct_rate = statistics.median(requests / seconds for seconds in direct_seconds)
+    overhead_ms = 1000 * (1 / served_rate - 1 / direct_rate)
     with capsys.disabled():
         print(
-            f"\n[serve-http] {HTTP_REQUESTS} batch requests × {BATCH} runs: "
-            f"{HTTP_REQUESTS / elapsed:,.1f} req/s, {runs / elapsed:,.0f} runs/s "
-            f"end to end (client → daemon → warm engine → client)"
+            f"\n[serve-http] {HTTP_ROUNDS} rounds of {requests} batch requests × "
+            f"{BATCH} runs on one connection: median {served_rate:,.0f} req/s "
+            f"({BATCH * served_rate:,.0f} runs/s; rounds {rates[0]:,.0f}–"
+            f"{rates[-1]:,.0f}), direct engine {direct_rate:,.0f} batches/s, "
+            f"serving adds {overhead_ms:.2f} ms per request"
         )
     snapshot.record(
         "serve_http",
         {
-            "requests": HTTP_REQUESTS,
             "batch": BATCH,
-            "requests_per_s": round(HTTP_REQUESTS / elapsed, 2),
-            "runs_per_s": round(runs / elapsed, 1),
+            "rounds": HTTP_ROUNDS,
+            "requests_per_round": requests,
+            "connections_opened": status["connections"]["opened"],
+            "requests_per_s": round(served_rate, 1),
+            "requests_per_s_min": round(rates[0], 1),
+            "requests_per_s_max": round(rates[-1], 1),
+            "runs_per_s": round(BATCH * served_rate, 1),
+            "direct_batches_per_s": round(direct_rate, 1),
+            "overhead_ms_per_request": round(overhead_ms, 3),
         },
     )

@@ -13,22 +13,30 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Sequence
 
-__all__ = ["best_of_alternating"]
+__all__ = ["alternating_rounds", "best_of_alternating"]
 
 
-def best_of_alternating(
+def alternating_rounds(
     sides: Sequence[Callable[[], Any]], rounds: int
-) -> list[tuple[float, Any]]:
-    """``(best seconds, last value)`` per side, in the order of *sides*.
+) -> list[tuple[list[float], Any]]:
+    """``(seconds of every round, last value)`` per side, in the order of
+    *sides*.
 
     Every round calls each side once; odd rounds call them in reverse order.
     """
-    best = [float("inf")] * len(sides)
+    seconds: list[list[float]] = [[] for _ in sides]
     values: list[Any] = [None] * len(sides)
     for round_index in range(rounds):
         order = range(len(sides)) if round_index % 2 == 0 else reversed(range(len(sides)))
         for index in order:
             start = time.perf_counter()
             values[index] = sides[index]()
-            best[index] = min(best[index], time.perf_counter() - start)
-    return list(zip(best, values))
+            seconds[index].append(time.perf_counter() - start)
+    return list(zip(seconds, values))
+
+
+def best_of_alternating(
+    sides: Sequence[Callable[[], Any]], rounds: int
+) -> list[tuple[float, Any]]:
+    """``(best seconds, last value)`` per side, in the order of *sides*."""
+    return [(min(times), value) for times, value in alternating_rounds(sides, rounds)]

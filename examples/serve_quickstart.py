@@ -39,6 +39,7 @@ def main() -> None:
     with ReproServer(port=0, cache_capacity=4) as server:
         host, port = server.address
         print(f"daemon listening on http://{host}:{port}")
+        # One kept HTTP/1.1 connection carries every call of this thread.
         client = ServeClient(host, port, tenant="quickstart")
 
         # --- one run ---------------------------------------------------
@@ -89,9 +90,11 @@ def main() -> None:
                 "runs_served": status["runs_served"],
                 "cache": {k: status["cache"][k] for k in ("size", "hits", "misses")},
                 "tenants": status["tenants"],
+                "connections": status["connections"],
             },
             indent=2,
         ))
+        client.close()
     print("\ndaemon closed; every cached engine was torn down deterministically")
 
 

@@ -25,7 +25,7 @@ Layer map (each module's docstring has the full story):
 * :mod:`~repro.serve.server` — the HTTP daemon tying the above together,
   with per-tenant result-store namespaces and a monitoring endpoint.
 * :mod:`~repro.serve.client` — the stdlib client used by the tests, the
-  examples and CI.
+  examples and CI; it keeps one HTTP/1.1 connection per calling thread.
 """
 
 from .cache import EngineCache, EngineCacheEntry

@@ -14,20 +14,34 @@
   :class:`~repro.exceptions.QuotaExceededError` over budget,
   :class:`~repro.exceptions.ServeError` for everything else).
 
-Every call opens a fresh connection (the daemon serves HTTP/1.0), so one
-client instance may be shared across threads.  A connection-*refused* socket
-(the daemon still binding, a supervisor restarting it) is retried a bounded
-number of times with exponential backoff before giving up — refusal happens
-before the request is sent, so the retry can never double-execute work; any
-other socket error stays fail-fast.
+The daemon speaks HTTP/1.1, and the client keeps one connection open per
+calling thread and reuses it for that thread's next call, so one client
+instance may be shared across threads and a loop of calls pays one TCP
+handshake.  Before a kept connection carries a request it is probed: if the
+daemon has closed it (a restart, :meth:`ReproServer.close
+<repro.serve.server.ReproServer.close>`), it is dropped and a new one opened,
+so a request is never sent on a connection known to be dead.
+:meth:`iter_batch` streams on a connection of its own, which the stream's
+end closes.  :meth:`ServeClient.close` (or a ``with`` block) closes every
+kept connection.
+
+A connection-*refused* socket (the daemon still binding, a supervisor
+restarting it) is retried a bounded number of times with exponential backoff
+before giving up — refusal happens before the request is sent, so the retry
+can never double-execute work.  Any failure once the request is on its way
+stays fail-fast: the daemon may have executed it, so it is never re-sent.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import select
+import socket
+import threading
 import time
-from http.client import HTTPConnection, HTTPResponse
+import weakref
+from http.client import HTTPConnection, HTTPException, HTTPResponse
 from typing import Any, Iterator, Mapping, Sequence
 
 from ..api.result import RunResult
@@ -41,6 +55,19 @@ _ERROR_TYPES = {
     "admission": AdmissionError,
     "quota": QuotaExceededError,
 }
+
+
+def _readable(sock: socket.socket) -> bool:
+    """Whether *sock* has something to read right now.
+
+    An idle kept connection has nothing to read unless the daemon closed it
+    (EOF) or it is out of step, and either way it cannot carry a request.
+    """
+    if hasattr(select, "poll"):  # select() refuses descriptors >= FD_SETSIZE
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
 
 
 def _spec_fields(spec: AgreementSpec | Mapping[str, Any]) -> dict[str, Any]:
@@ -69,7 +96,7 @@ class ServeClient:
         ``store_dir`` deployment, the result-store namespace).  ``None``
         uses the server's default tenant.
     timeout:
-        Socket timeout per request, in seconds.
+        Socket timeout per connect, send or receive, in seconds.
     connect_retries:
         How many times a *connection-refused* socket is retried before the
         call fails with :class:`~repro.exceptions.ServeError`.  Refusal
@@ -102,18 +129,37 @@ class ServeClient:
         self._timeout = timeout
         self._connect_retries = connect_retries
         self._retry_backoff = retry_backoff
+        # The calling thread's kept connection; when a thread ends its slot
+        # goes, and a finalizer closes the socket.
+        self._local = threading.local()
+        # Every thread's kept connection, for close().
+        self._kept: weakref.WeakSet[HTTPConnection] = weakref.WeakSet()
+        self._kept_mutex = threading.Lock()
 
     def __repr__(self) -> str:
         tenant = f", tenant={self._tenant!r}" if self._tenant else ""
         return f"ServeClient({self._host}:{self._port}{tenant})"
 
+    def close(self) -> None:
+        """Close every thread's kept connection.
+
+        Call it when no call is in flight.  The client stays usable: a later
+        call opens a new connection.
+        """
+        with self._kept_mutex:
+            kept = list(self._kept)
+        for connection in kept:
+            connection.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     # -- plumbing ----------------------------------------------------------
-    def _open(self, method: str, path: str, payload: Mapping[str, Any] | None):
-        body = None
-        headers = {}
-        if payload is not None:
-            body = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
+    def _connect(self) -> HTTPConnection:
+        """A new connection to the daemon, retrying a refused connect."""
         attempts = self._connect_retries + 1
         refused: ConnectionRefusedError | None = None
         for attempt in range(attempts):
@@ -123,15 +169,13 @@ class ServeClient:
                 self._host, self._port, timeout=self._timeout
             )
             try:
-                connection.request(method, path, body=body, headers=headers)
-                return connection, connection.getresponse()
+                connection.connect()
+                return connection
             except ConnectionRefusedError as error:
                 # Refusal precedes the request bytes: retrying cannot
                 # double-execute anything on the server.
-                connection.close()
                 refused = error
             except OSError as error:
-                connection.close()
                 raise ServeError(
                     f"cannot reach repro serve at {self._host}:{self._port}: {error}"
                 ) from None
@@ -139,6 +183,55 @@ class ServeClient:
             f"cannot reach repro serve at {self._host}:{self._port} after "
             f"{attempts} attempt(s): {refused}"
         ) from None
+
+    def _kept_connection(self) -> HTTPConnection:
+        """The calling thread's kept connection, opened or replaced as needed.
+
+        A connection that was closed, or that the daemon closed, is replaced
+        before anything is sent on it.
+        """
+        connection = getattr(self._local, "connection", None)
+        if connection is not None and (
+            connection.sock is None or _readable(connection.sock)
+        ):
+            connection.close()
+            connection = None
+        if connection is None:
+            connection = self._local.connection = self._connect()
+            weakref.finalize(connection, connection.sock.close)
+            with self._kept_mutex:
+                self._kept.add(connection)
+        return connection
+
+    def _open(
+        self,
+        method: str,
+        path: str,
+        payload: Mapping[str, Any] | None,
+        *,
+        keep: bool = True,
+    ) -> tuple[HTTPConnection, HTTPResponse]:
+        """Send one request; ``(connection, response)`` with the body unread.
+
+        With *keep*, the request goes out on the calling thread's kept
+        connection; otherwise on a new one that the caller closes.
+        """
+        body = None
+        headers = {}
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        connection = self._kept_connection() if keep else self._connect()
+        try:
+            connection.request(method, path, body=body, headers=headers)
+            return connection, connection.getresponse()
+        except (OSError, HTTPException) as error:
+            # The daemon may have executed the request: never re-send it.
+            connection.close()
+            raise ServeError(
+                f"{method} {path} to repro serve at {self._host}:{self._port} "
+                f"failed: {error}"
+            ) from None
 
     @staticmethod
     def _raise_for_error(status: int, payload: Mapping[str, Any]) -> None:
@@ -152,8 +245,12 @@ class ServeClient:
         connection, response = self._open(method, path, payload)
         try:
             raw = response.read()
-        finally:
+        except (OSError, HTTPException) as error:
             connection.close()
+            raise ServeError(
+                f"{method} {path} to repro serve at {self._host}:{self._port} "
+                f"failed mid-response: {error}"
+            ) from None
         try:
             decoded = json.loads(raw)
         except json.JSONDecodeError:
@@ -252,7 +349,8 @@ class ServeClient:
         """``POST /batch`` with ``stream=true``: yield results as NDJSON lines.
 
         Results arrive (and are yielded) while the server is still executing
-        the tail of the batch.  Takes the same keyword options as
+        the tail of the batch.  The stream runs on a connection of its own,
+        closed at its end.  Takes the same keyword options as
         :meth:`run_batch`.
         """
         payload = self._request_payload(
@@ -261,7 +359,7 @@ class ServeClient:
             stream=True,
             **{name: value for name, value in options.items() if value is not None},
         )
-        connection, response = self._open("POST", "/batch", payload)
+        connection, response = self._open("POST", "/batch", payload, keep=False)
         try:
             if response.status != 200:
                 decoded = json.loads(response.read())

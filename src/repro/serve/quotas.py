@@ -11,8 +11,10 @@ Two independent guards stand between a request and an engine:
 * :class:`TenantQuotas` protects *tenants from each other*: every request is
   charged its run count against the tenant's budget **before** executing, and
   a tenant over budget gets :class:`~repro.exceptions.QuotaExceededError`
-  without consuming an execution slot.  Usage is tracked even for unlimited
-  tenants, so the status endpoint can always report who is using the service.
+  without consuming an execution slot.  A request that admission control
+  then rejects is refunded, since it runs nothing.  Usage is tracked even for
+  unlimited tenants, so the status endpoint can always report who is using
+  the service.
 """
 
 from __future__ import annotations
@@ -171,6 +173,22 @@ class TenantQuotas:
                     f"{used} used + {runs} requested > {limit} allowed"
                 )
             self._used[tenant] = used + runs
+
+    def refund(self, tenant: str, runs: int) -> None:
+        """Give back *runs* charged to *tenant* for work that never ran.
+
+        Raises
+        ------
+        InvalidParameterError
+            When *runs* is negative or more than the tenant was charged.
+        """
+        with self._mutex:
+            used = self._used.get(tenant, 0)
+            if not 0 <= runs <= used:
+                raise InvalidParameterError(
+                    f"cannot refund {runs} runs to tenant {tenant!r}: {used} charged"
+                )
+            self._used[tenant] = used - runs
 
     def usage(self) -> dict[str, dict[str, int | None]]:
         """Per-tenant usage for /status: ``{tenant: {"used": .., "limit": ..}}``."""

@@ -15,7 +15,8 @@ endpoint  method   what it does
 /sweep    POST     a parameter grid through :meth:`~repro.api.Engine.sweep`
 /check    POST     exhaustive verification through :meth:`~repro.api.Engine.check`
 /status   GET      cache occupancy + hit/miss/eviction counts, coalescer
-                   counters, queue depth, per-tenant usage, request totals
+                   counters, queue depth, per-tenant usage, request totals,
+                   connections opened and open
 /shutdown POST     graceful stop (used by CI and the examples)
 ========  =======  ==========================================================
 
@@ -40,15 +41,28 @@ control and per-tenant quotas guard the door
 (:mod:`repro.serve.quotas`), and a ``--store-dir`` deployment persists every
 tenant's results into its own namespaced
 :class:`~repro.store.ResultStore` file.
+
+The daemon speaks HTTP/1.1 with persistent connections: a client such as
+:class:`~repro.serve.client.ServeClient` keeps one connection open across
+its requests instead of paying a TCP handshake and a handler thread for
+each, and every response leaves in one write.  A kept connection never goes
+out of step: every request's body is read in full before its answer (a 404
+and ``/shutdown`` included), and a request whose body has no readable length
+(a malformed ``Content-Length``), an HTTP/1.0 request and the NDJSON stream
+are answered with ``Connection: close``.  There is no idle timeout: a kept
+connection holds its handler thread until the client closes it or
+:meth:`ReproServer.close` ends it, which waits for every handler thread.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from ..api.engine import Engine
 from ..api.namespaces import adversary_keyword
@@ -135,6 +149,14 @@ class _Handler(BaseHTTPRequestHandler):
     """Request handler: thin HTTP plumbing around :class:`ReproServer`."""
 
     server_version = "repro-serve/1.0"
+    # Persistent connections; an HTTP/1.0 request still gets one response
+    # and then EOF (the stdlib sets ``close_connection`` from its version).
+    protocol_version = "HTTP/1.1"
+    # A buffered wfile holds the headers until the body joins them, so a
+    # response up to the buffer's size leaves in one write (flushed once the
+    # method returns), and no Nagle delay holds a packet back for an ACK.
+    wbufsize = 1 << 16
+    disable_nagle_algorithm = True
 
     @property
     def state(self) -> "ReproServer":
@@ -145,16 +167,35 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     # -- plumbing ----------------------------------------------------------
-    def _read_payload(self) -> Mapping[str, Any]:
+    def _read_body(self) -> bytes:
+        """The request body, read in full so that the next request on a kept
+        connection starts right after it.
+
+        A body whose end the headers do not give is never read past: the
+        connection closes after the response instead.
+        """
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True
         declared = self.headers.get("Content-Length", "0").strip()
         # Only a non-negative integer: ``rfile.read(-1)`` would block until
         # the client hangs up.
         if not declared.isdecimal():
+            self.close_connection = True
             raise InvalidParameterError(
                 f"Content-Length must be a non-negative integer, got {declared!r}"
             )
         length = int(declared)
-        body = self.rfile.read(length) if length else b""
+        return self.rfile.read(length) if length else b""
+
+    def _skip_body(self) -> None:
+        """Read past a body the answer does not use (a 404, ``/shutdown``)."""
+        try:
+            self._read_body()
+        except InvalidParameterError:
+            pass  # its length is unknown: the connection closes instead
+
+    def _read_payload(self) -> Mapping[str, Any]:
+        body = self._read_body()
         if not body:
             raise InvalidParameterError("the request body must be a JSON object")
         try:
@@ -170,6 +211,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -179,6 +222,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- dispatch ----------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server naming)
+        self._skip_body()
         if self.path == "/status":
             self.state._count_request("/status")
             self._send_json(200, {"ok": True, **self.state.status()})
@@ -187,11 +231,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 (http.server naming)
         if self.path == "/shutdown":
+            self._skip_body()
             self.state._count_request("/shutdown")
             self._send_json(200, {"ok": True, "message": "shutting down"})
             threading.Thread(target=self.server.shutdown, daemon=True).start()
             return
         if self.path not in EXECUTION_ENDPOINTS:
+            self._skip_body()
             self._send_error_json(404, "not-found", f"unknown endpoint {self.path!r}")
             return
         self.state._count_request(self.path)
@@ -213,7 +259,7 @@ class _Handler(BaseHTTPRequestHandler):
         except ReproError as error:
             self._send_error_json(400, "bad-request", f"{type(error).__name__}: {error}")
         except BrokenPipeError:  # client went away mid-response
-            pass
+            self.close_connection = True
         except Exception as error:  # noqa: BLE001 — a daemon must not die per request
             self._send_error_json(500, "internal", f"{type(error).__name__}: {error}")
 
@@ -223,8 +269,7 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(vector, (list, tuple)):
             raise InvalidParameterError('"/run" needs a "vector" array')
         state = self.state
-        state.quotas.charge(request.tenant, 1)
-        with state._admission_slot():
+        with state._admitted(request.tenant, 1):
             entry = state.cache.get(request.spec, request.algorithm, request.config)
             with entry.lock:
                 result = entry.engine.run(
@@ -243,12 +288,11 @@ class _Handler(BaseHTTPRequestHandler):
         vectors = payload.get("vectors")
         if not isinstance(vectors, list) or not vectors:
             raise InvalidParameterError('"/batch" needs a non-empty "vectors" array')
-        state = self.state
-        state.quotas.charge(request.tenant, len(vectors))
         if payload.get("stream"):
             self._stream_batch(request, vectors)
             return
-        with state._admission_slot():
+        state = self.state
+        with state._admitted(request.tenant, len(vectors)):
             results = state.execute_batch(request, vectors)
         store = state.tenant_store(request.tenant)
         if store is not None:
@@ -263,13 +307,17 @@ class _Handler(BaseHTTPRequestHandler):
 
         Streaming bypasses the coalescer (results must flow while the batch
         executes) but still runs on the warm cached engine, under its lock.
+        The stream has no ``Content-Length``: its end is the end of the
+        connection, so this response closes it.
         """
         state = self.state
-        with state._admission_slot():
+        with state._admitted(request.tenant, len(vectors)):
             entry = state.cache.get(request.spec, request.algorithm, request.config)
             self.send_response(200)
             self.send_header("Content-Type", "application/x-ndjson")
+            self.send_header("Connection", "close")
             self.end_headers()
+            self.wfile.flush()  # the status line goes out before the first run
             store = state.tenant_store(request.tenant)
             served = 0
             with entry.lock:
@@ -311,8 +359,7 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             cell_count *= len(values)
         state = self.state
-        state.quotas.charge(request.tenant, cell_count * runs_per_cell)
-        with state._admission_slot():
+        with state._admitted(request.tenant, cell_count * runs_per_cell):
             entry = state.cache.get(request.spec, request.algorithm, request.config)
             with entry.lock:
                 cells = entry.engine.sweep(
@@ -340,8 +387,7 @@ class _Handler(BaseHTTPRequestHandler):
         # A check's execution count is only known once the space is
         # enumerated; it is charged as one quota unit (admission still
         # bounds how many run concurrently).
-        state.quotas.charge(request.tenant, 1)
-        with state._admission_slot():
+        with state._admitted(request.tenant, 1):
             entry = state.cache.get(request.spec, request.algorithm, request.config)
             with entry.lock:
                 report = entry.engine.check(
@@ -371,9 +417,28 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class _ServeHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
+    """The stdlib threading server, telling its :class:`ReproServer` about
+    every connection it accepts and closes (``/status``'s ``connections``,
+    and :meth:`ReproServer.close` ending the kept ones)."""
+
     #: Backref to the owning :class:`ReproServer` (set right after creation).
     state: "ReproServer"
+
+    def process_request(self, request: socket.socket, client_address) -> None:
+        """Serve an accepted connection from a handler thread of its own (a
+        daemon thread: a process that never closes its server still exits)."""
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            name="repro-serve-connection",
+            daemon=True,
+        )
+        self.state._connection_opened(request, thread)
+        thread.start()
+
+    def close_request(self, request: socket.socket) -> None:
+        self.state._connection_closed(request)
+        super().close_request(request)
 
 
 class ReproServer:
@@ -436,6 +501,9 @@ class ReproServer:
         self._requests_by_endpoint: dict[str, int] = {}
         self._errors_by_code: dict[str, int] = {}
         self._runs_served = 0
+        # Every open connection's handler thread, and how many were opened.
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        self._connections_opened = 0
         self._started_at: float | None = None
         self._http: _ServeHTTPServer | None = None
         self._thread: threading.Thread | None = None
@@ -480,11 +548,18 @@ class ReproServer:
         return self.address[1]
 
     def close(self) -> None:
-        """Stop serving, close every tenant store and tear every engine down."""
+        """Stop serving, end every connection, close every tenant store and
+        tear every engine down.
+
+        A kept connection waiting for its next request is ended at once; a
+        request in flight is answered first.  Every handler thread has ended
+        when this returns.
+        """
         http, self._http = self._http, None
         if http is not None:
             http.shutdown()
             http.server_close()
+            self._end_connections()
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
@@ -501,9 +576,42 @@ class ReproServer:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    def _end_connections(self) -> None:
+        """End every open connection, then wait for its handler thread.
+
+        ``SHUT_RD`` turns an idle handler's wait for the next request into
+        EOF, while a handler mid-request still writes its response and ends
+        at its next read.
+        """
+        with self._counters_mutex:
+            connections = dict(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:  # its handler closed it meanwhile
+                pass
+        for thread in connections.values():
+            thread.join()
+
     # -- execution helpers -------------------------------------------------
-    def _admission_slot(self) -> AdmissionController:
-        return self.admission
+    @contextmanager
+    def _admitted(self, tenant: str, runs: int) -> Iterator[None]:
+        """Charge *runs* to *tenant*, then hold an execution slot.
+
+        The quota is checked first, so a tenant over budget never takes a
+        slot; a request that admission control turns away runs nothing and
+        gets its charge back.
+        """
+        self.quotas.charge(tenant, runs)
+        try:
+            self.admission.acquire()
+        except AdmissionError:
+            self.quotas.refund(tenant, runs)
+            raise
+        try:
+            yield
+        finally:
+            self.admission.release()
 
     def tenant_store(self, tenant: str) -> ResultStore | None:
         """The tenant's namespaced store, or ``None`` when persistence is off."""
@@ -600,12 +708,27 @@ class ReproServer:
         with self._counters_mutex:
             self._runs_served += runs
 
+    def _connection_opened(
+        self, connection: socket.socket, thread: threading.Thread
+    ) -> None:
+        with self._counters_mutex:
+            self._connections_opened += 1
+            self._connections[connection] = thread
+
+    def _connection_closed(self, connection: socket.socket) -> None:
+        with self._counters_mutex:
+            self._connections.pop(connection, None)
+
     def status(self) -> dict[str, Any]:
         """The monitoring snapshot served by ``GET /status``."""
         with self._counters_mutex:
             by_endpoint = dict(self._requests_by_endpoint)
             by_error = dict(self._errors_by_code)
             runs_served = self._runs_served
+            connections = {
+                "opened": self._connections_opened,
+                "open": len(self._connections),
+            }
         uptime = (
             0.0 if self._started_at is None else time.monotonic() - self._started_at
         )
@@ -619,6 +742,7 @@ class ReproServer:
                 "rejected_quota": self.quotas.rejected,
             },
             "runs_served": runs_served,
+            "connections": connections,
             "cache": {**self.cache.stats(), "engines": self.cache.entries()},
             "coalescer": self.coalescer.stats(),
             "admission": self.admission.stats(),

@@ -18,7 +18,10 @@ server:
   :class:`~repro.serve.ServeClient`: every endpoint, byte-identity with the
   direct engine on both backends, warm-cache hits, eviction under a tiny
   bound, quota and admission rejection, request coalescing, per-tenant
-  result stores, streaming batches and graceful shutdown.
+  result stores, streaming batches and graceful shutdown;
+* kept HTTP/1.1 connections: one per client thread, never out of step after
+  an early answer, replaced when the daemon restarts, and ended by
+  :meth:`~repro.serve.ReproServer.close`.
 """
 
 from __future__ import annotations
@@ -280,6 +283,17 @@ class TestAdmissionController:
 
 
 class TestTenantQuotas:
+    def test_refund_gives_a_charge_back(self):
+        quotas = TenantQuotas(default_limit=4)
+        quotas.charge("a", 4)
+        quotas.refund("a", 3)
+        quotas.charge("a", 3)
+        assert quotas.usage() == {"a": {"used": 4, "limit": 4}}
+        with pytest.raises(InvalidParameterError, match="refund"):
+            quotas.refund("a", 5)  # more than was charged
+        with pytest.raises(InvalidParameterError, match="refund"):
+            quotas.refund("a", -1)
+
     def test_charges_accumulate_and_reject_over_budget(self):
         quotas = TenantQuotas(default_limit=10)
         quotas.charge("a", 6)
@@ -473,6 +487,30 @@ class TestServerEndToEnd:
             assert status["requests"]["rejected_quota"] == 1
             assert status["tenants"]["default"]["used"] == 4
 
+    def test_admission_rejection_refunds_the_quota_charge(self):
+        """A request turned away at the door ran nothing, so it keeps no
+        charge: after the slot frees, the tenant's budget is whole."""
+        with ReproServer(
+            port=0, default_quota=3, max_inflight=1, max_queue=0
+        ) as server, ServeClient(*server.address) as client:
+            vector = _vectors(1)[0]
+            server.admission.acquire()  # occupy the only execution slot
+            try:
+                for _ in range(3):
+                    with pytest.raises(AdmissionError):
+                        client.run(SPEC, vector)
+                assert server.status()["tenants"]["default"]["used"] == 0
+            finally:
+                server.admission.release()
+            for seed in range(3):  # the whole budget of 3 is still there
+                assert client.run(SPEC, vector, seed=seed).terminated
+            with pytest.raises(QuotaExceededError):
+                client.run(SPEC, vector)
+            status = server.status()
+            assert status["tenants"]["default"] == {"used": 3, "limit": 3}
+            assert status["requests"]["rejected_admission"] == 3
+            assert status["runs_served"] == 3
+
     def test_tenant_quota_overrides(self):
         with ReproServer(
             port=0, default_quota=1, tenant_quotas={"gold": 100}
@@ -635,6 +673,172 @@ class TestServerEndToEnd:
         client = ServeClient("127.0.0.1", 9, timeout=0.5)  # discard port
         with pytest.raises(ServeError, match="cannot reach"):
             client.status()
+
+
+def _read_to_eof(raw: socket.socket) -> tuple[bytes, dict[str, str], bytes]:
+    """``(status line, headers, body)`` of the one response before EOF."""
+    data = b""
+    while chunk := raw.recv(65536):
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.split(b"\r\n")
+    headers = dict(
+        line.decode("latin-1").split(": ", 1) for line in header_lines
+    )
+    return status_line, {k.lower(): v for k, v in headers.items()}, body
+
+
+class TestKeptConnections:
+    """HTTP/1.1 keep-alive: one connection per client thread, reused."""
+
+    def test_sequential_calls_share_one_connection(self, server):
+        with ServeClient(*server.address) as client:
+            vectors = _vectors(3)
+            for seed in range(4):
+                client.run(SPEC, vectors[0], seed=seed)
+                client.run_batch(SPEC, vectors, seed=seed)
+            client.check(CHECK_SPEC)
+            connections = client.status()["connections"]
+        assert connections == {"opened": 1, "open": 1}
+
+    def test_threads_sharing_a_client_keep_one_connection_each(self, server):
+        vectors = _vectors(4)
+        served: dict[int, list] = {}
+        with ServeClient(*server.address) as client:
+
+            def calls(seed):
+                served[seed] = [
+                    client.run_batch(SPEC, vectors, seed=seed),
+                    [client.run(SPEC, vectors[1], seed=seed)],
+                    client.run_batch(SPEC, vectors, seed=seed, backend="async"),
+                ]
+
+            threads = [threading.Thread(target=calls, args=(s,)) for s in (3, 4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert server.status()["connections"]["opened"] == 2
+        engine = Engine(SPEC, "condition-kset")
+        for seed, (batch, run, async_batch) in served.items():
+            assert _canon(batch) == _canon(
+                engine.run_batch(vectors, seeds=range(seed, seed + 4))
+            )
+            assert _canon(run) == _canon([engine.run(vectors[1], seed=seed)])
+            assert _canon(async_batch) == _canon(
+                engine.run_batch(vectors, seeds=range(seed, seed + 4), backend="async")
+            )
+
+    def test_an_ended_thread_closes_its_connection(self, server):
+        client = ServeClient(*server.address)
+        thread = threading.Thread(target=client.status)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        deadline = time.monotonic() + 10
+        while server.status()["connections"]["open"] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.status()["connections"] == {"opened": 1, "open": 0}
+
+    def test_a_404_leaves_the_connection_in_step(self, server):
+        with ServeClient(*server.address) as client:
+            for method in ("POST", "GET"):
+                with pytest.raises(ServeError, match="unknown endpoint"):
+                    client._call(method, "/nope", {"spec": {"n": 4, "t": 2}})
+                vector = _vectors(1)[0]
+                served = client.run(SPEC, vector, seed=2)
+                direct = Engine(SPEC, "condition-kset").run(vector, seed=2)
+                assert _canon([served]) == _canon([direct])
+            assert client.status()["connections"]["opened"] == 1
+
+    def test_restarted_server_serves_a_held_connection_once(self):
+        vector = _vectors(1)[0]
+        first = ReproServer(port=0)
+        host, port = first.start()
+        with ServeClient(host, port) as client:
+            client.run(SPEC, vector)  # the connection is now kept
+            first.close()
+            with ReproServer(port=port) as second:
+                served = client.run(SPEC, vector, seed=6)
+                status = second.status()
+        direct = Engine(SPEC, "condition-kset").run(vector, seed=6)
+        assert _canon([served]) == _canon([direct])
+        assert status["runs_served"] == 1
+        assert status["requests"]["by_endpoint"] == {"/run": 1}
+        assert status["connections"]["opened"] == 1
+
+    def test_close_ends_idle_connections_and_their_threads(self):
+        server = ReproServer(port=0)
+        server.start()
+        before = set(threading.enumerate())
+        with ServeClient(*server.address) as client:
+            client.run(SPEC, _vectors(1)[0])
+            handlers = set(threading.enumerate()) - before
+            assert len(handlers) == 1 and server.status()["connections"]["open"] == 1
+            server.close()  # while the client still holds the connection
+            assert not [thread for thread in handlers if thread.is_alive()]
+            assert server.status()["connections"] == {"opened": 1, "open": 0}
+
+    def test_shutdown_leaves_a_held_connection_in_step_until_close(self):
+        server = ReproServer(port=0)
+        server.start()
+        with ServeClient(*server.address) as client:
+            client.shutdown()
+            server._thread.join(timeout=5)
+            assert not server._thread.is_alive()
+            # /shutdown read its body: the kept connection still answers.
+            assert client.status()["connections"] == {"opened": 1, "open": 1}
+            server.close()
+            assert server.status()["connections"]["open"] == 0
+            with pytest.raises(ServeError, match="cannot reach"):
+                client.status()
+
+    def test_http_10_gets_one_response_then_eof(self, server):
+        with socket.create_connection(server.address, timeout=5) as raw:
+            raw.sendall(b"GET /status HTTP/1.0\r\n\r\n")
+            status_line, headers, body = _read_to_eof(raw)
+        assert status_line.split()[1] == b"200", status_line
+        assert int(headers["content-length"]) == len(body)
+        assert json.loads(body)["ok"] is True
+
+    @pytest.mark.parametrize("declared", ["abc", "-1"])
+    def test_malformed_content_length_closes_the_connection(self, server, declared):
+        request = (
+            "POST /run HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Length: {declared}\r\n\r\n{{}}"
+        )
+        with socket.create_connection(server.address, timeout=5) as raw:
+            raw.sendall(request.encode("ascii"))
+            status_line, headers, body = _read_to_eof(raw)
+        assert status_line.split()[1] == b"400", status_line
+        assert headers["connection"] == "close"
+        assert json.loads(body)["code"] == "bad-request"
+
+    def test_kept_connection_answers_back_to_back_raw_requests(self, server):
+        """Two pipelined requests on one raw HTTP/1.1 connection each get
+        their own response, read by Content-Length."""
+        body = json.dumps({"spec": {"n": 3, "t": 1, "k": 1, "d": 1, "domain": 2},
+                           "vector": [1, 1, 2]}).encode("ascii")
+        request = (
+            b"POST /nope HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+            b"POST /run HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n"
+            b"Connection: close\r\n\r\n%s" % (len(body), body, len(body), body)
+        )
+        with socket.create_connection(server.address, timeout=5) as raw:
+            raw.sendall(request)
+            reader = raw.makefile("rb")
+            statuses = []
+            for _ in range(2):
+                statuses.append(reader.readline().split()[1])
+                length = 0
+                while (line := reader.readline()) != b"\r\n":
+                    name, _, value = line.decode("latin-1").partition(":")
+                    if name.lower() == "content-length":
+                        length = int(value)
+                json.loads(reader.read(length))
+            assert reader.read() == b""  # Connection: close ends it
+        assert statuses == [b"404", b"200"]
 
 
 class TestServeCLI:
