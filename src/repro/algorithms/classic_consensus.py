@@ -76,6 +76,8 @@ class FloodSetConsensus(SynchronousAlgorithm):
 class FloodSetProcess(RoundBasedProcess):
     """One FloodSet process: flood the set of seen values, decide its minimum."""
 
+    reusable = True
+
     def __init__(self, process_id: int, n: int, t: int, algorithm: FloodSetConsensus) -> None:
         super().__init__(process_id, n, t)
         self._algorithm = algorithm
@@ -98,6 +100,12 @@ class FloodSetProcess(RoundBasedProcess):
 
     def on_initialize(self, proposal: Any) -> None:
         self._values = frozenset([proposal])
+
+    def on_reset(self) -> None:
+        self._values = frozenset()
+        self._previous_senders = frozenset(range(self._n))
+        self._early = False
+        self._early_at_send = False
 
     def message_for_round(self, round_number: int) -> FloodSetMessage:
         self._early_at_send = self._early

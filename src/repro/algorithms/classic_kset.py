@@ -76,6 +76,8 @@ class FloodMinKSetAgreement(SynchronousAlgorithm):
 class FloodMinProcess(RoundBasedProcess):
     """One FloodMin process: broadcast the current estimate, keep the minimum."""
 
+    reusable = True
+
     def __init__(self, process_id: int, n: int, t: int, algorithm: FloodMinKSetAgreement) -> None:
         super().__init__(process_id, n, t)
         self._algorithm = algorithm
@@ -88,6 +90,9 @@ class FloodMinProcess(RoundBasedProcess):
 
     def on_initialize(self, proposal: Any) -> None:
         self._estimate = proposal
+
+    def on_reset(self) -> None:
+        self._estimate = None
 
     def message_for_round(self, round_number: int) -> Any:
         return self._estimate

@@ -198,17 +198,28 @@ class ConditionBasedKSetAgreement(SynchronousAlgorithm):
         )
 
 
+#: The state of a process before round 1 (triples are immutable).
+_BLANK = StateTriple()
+
+
 class ConditionKSetProcess(RoundBasedProcess):
     """One process executing the algorithm of Figure 2."""
+
+    reusable = True
 
     def __init__(self, process_id: int, n: int, algorithm: ConditionBasedKSetAgreement) -> None:
         super().__init__(process_id, n, algorithm.t)
         self._algorithm = algorithm
-        self._state = StateTriple()
+        self._state = _BLANK
         #: Snapshot of the state at the latest send phase (needed by line 14:
         #: a process decides the value it has just *sent*, before reading).
-        self._state_at_send = StateTriple()
+        self._state_at_send = _BLANK
         self._view: View | None = None
+
+    def on_reset(self) -> None:
+        self._state = _BLANK
+        self._state_at_send = _BLANK
+        self._view = None
 
     # -- accessors used by tests ------------------------------------------------
     @property

@@ -84,6 +84,8 @@ class EarlyDecidingKSetAgreement(SynchronousAlgorithm):
 class EarlyDecidingProcess(RoundBasedProcess):
     """One early-deciding FloodMin process."""
 
+    reusable = True
+
     def __init__(
         self, process_id: int, n: int, t: int, algorithm: EarlyDecidingKSetAgreement
     ) -> None:
@@ -106,6 +108,12 @@ class EarlyDecidingProcess(RoundBasedProcess):
 
     def on_initialize(self, proposal: Any) -> None:
         self._estimate = proposal
+
+    def on_reset(self) -> None:
+        self._estimate = None
+        self._early = False
+        self._early_at_send = False
+        self._previous_heard = self._n
 
     def message_for_round(self, round_number: int) -> EarlyMessage:
         self._early_at_send = self._early

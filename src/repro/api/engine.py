@@ -68,6 +68,7 @@ from .result import RunResult
 from .spec import BACKENDS, AgreementSpec, RunConfig, require_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports us)
+    from ..check.checker import CheckSpace
     from ..store import ResultStore
 
 __all__ = [
@@ -877,27 +878,16 @@ class Engine:
         executed; the net check has no hook and refuses it.  Either way the
         report is byte-identical.
         """
-        from ..check.checker import run_check, space_from_bounds
+        from ..check.checker import run_check
 
-        backend = backend or "sync"
-        if backend not in BACKENDS:
-            raise BackendError(
-                f"unknown backend {backend!r}; expected 'sync', 'async' or 'net'"
-            )
-        if backend == "net" and not vectorized:
-            raise InvalidParameterError(
-                "vectorized=False forces the reference path; the net check "
-                "has no batch hook to disable"
-            )
-        space = space_from_bounds(
+        space = self._check_space(
             backend,
-            {
-                "rounds": rounds,
-                "depth": depth,
-                "max_crashes": max_crashes,
-                "adversary": adversary,
-                "max_faults": max_faults,
-            },
+            vectorized,
+            rounds=rounds,
+            depth=depth,
+            max_crashes=max_crashes,
+            adversary=adversary,
+            max_faults=max_faults,
         )
         return run_check(
             self,
@@ -911,6 +901,26 @@ class Engine:
             all_vectors_limit=all_vectors_limit,
             vectorized=vectorized,
         )
+
+    def _check_space(
+        self, backend: str | None, vectorized: bool = True, **bounds: Any
+    ) -> "CheckSpace":
+        """The unresolved space :meth:`check` enumerates for *backend*
+        (``None``: sync) and *bounds*, after refusing an unknown backend, a
+        bound the backend does not take and ``vectorized=False`` on net."""
+        from ..check.checker import space_from_bounds
+
+        backend = backend or "sync"
+        if backend not in BACKENDS:
+            raise BackendError(
+                f"unknown backend {backend!r}; expected 'sync', 'async' or 'net'"
+            )
+        if backend == "net" and not vectorized:
+            raise InvalidParameterError(
+                "vectorized=False forces the reference path; the net check "
+                "has no batch hook to disable"
+            )
+        return space_from_bounds(backend, bounds)
 
     # -- parameter sweeps ----------------------------------------------------
     def sweep(

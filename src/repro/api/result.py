@@ -30,6 +30,7 @@ from typing import Any, Mapping
 
 from ..asynchronous.scheduler import AsyncExecutionResult
 from ..core.vectors import InputVector
+from ..deferred import DeferredField, deferred
 from ..exceptions import InvalidParameterError
 from ..net.runtime import NetExecutionResult
 from ..sync.adversary import CrashEvent, CrashSchedule
@@ -76,11 +77,18 @@ class RunResult:
     #: sync backend): the async interleaving or the net backend's realized
     #: fault matrix — two runs behaved identically exactly when their
     #: fingerprints match, which is how batch/store records prove parity.
-    fingerprint: str | None = None
+    #: A normalized async or net result reads it from :attr:`raw` on first
+    #: read, so the digest is computed only when somebody reads it.
+    fingerprint: str | None = DeferredField(None)
     #: Full synchronous trace when one was recorded.
     trace: ExecutionTrace | None = None
     #: The backend-native result object.
     raw: ExecutionResult | AsyncExecutionResult | NetExecutionResult | None = None
+
+    def _compute_fingerprint(
+        self, raw: AsyncExecutionResult | NetExecutionResult
+    ) -> str | None:
+        return raw.fingerprint or None
 
     # -- derived facts -------------------------------------------------------
     @property
@@ -272,7 +280,7 @@ class RunResult:
             in_condition=in_condition,
             condition=condition,
             schedule=schedule,
-            fingerprint=result.fingerprint or None,
+            fingerprint=deferred(result),
             trace=None,
             raw=result,
         )
@@ -307,7 +315,7 @@ class RunResult:
             in_condition=in_condition,
             condition=condition,
             schedule=None,
-            fingerprint=result.fingerprint or None,
+            fingerprint=deferred(result),
             trace=None,
             raw=result,
         )

@@ -21,7 +21,9 @@ without deciding is evidence of blocking, not an error of the substrate).
 
 Every execution is deterministic given its adversary, and the result carries
 the full step sequence plus a short *fingerprint* of the interleaving, so two
-runs can be compared (and parallel batches proven identical) by record.
+runs can be compared (and parallel batches proven identical) by record.  The
+fingerprint digests the step sequence on its first read: a check that reads
+no fingerprint digests no sequence.
 
 The scheduler keeps the runnable processes as a tuple, rebuilt only when the
 process that just stepped decides or reaches its step limit (its budget, or
@@ -55,6 +57,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Iterable, Mapping, Sequence
 
+from ..deferred import DeferredField, deferred
 from ..exceptions import AdversaryError, InvalidParameterError
 from .adversary import (
     AsyncAdversary,
@@ -97,8 +100,9 @@ class AsyncExecutionResult:
     #: The scheduled process id of every step, in order (the interleaving).
     step_sequence: tuple[int, ...] = ()
     #: Short digest of :attr:`step_sequence` — two executions interleaved
-    #: identically exactly when their fingerprints match.
-    fingerprint: str = ""
+    #: identically exactly when their fingerprints match.  A scheduler run's
+    #: result computes it on first read.
+    fingerprint: str = DeferredField("")
     #: The effective crash points applied (``pid -> steps before vanishing``).
     crash_steps: dict[int, int] = field(default_factory=dict)
     #: Display name of the adversary strategy that drove the execution.
@@ -116,6 +120,9 @@ class AsyncExecutionResult:
     def correct_processes(self) -> frozenset[int]:
         """Processes that were never crashed."""
         return frozenset(range(self.n)) - self.crashed
+
+    def _compute_fingerprint(self, _data: None) -> str:
+        return interleaving_fingerprint(self.step_sequence)
 
 
 class AsynchronousScheduler:
@@ -235,7 +242,7 @@ class AsynchronousScheduler:
         result.total_steps = len(sequence)
         result.steps_by_process = steps_by_process
         result.step_sequence = tuple(sequence)
-        result.fingerprint = interleaving_fingerprint(sequence)
+        result.fingerprint = deferred()
         result.crash_steps = dict(effective)
         result.adversary = adversary.name
         result.terminated = all(

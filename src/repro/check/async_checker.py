@@ -37,7 +37,6 @@ from itertools import islice
 from typing import TYPE_CHECKING, Any, ClassVar, Iterator, Mapping, Sequence
 
 from ..api.engine import RunKnobs
-from ..api.result import RunResult
 from ..api.spec import AgreementSpec, require_int
 from ..asynchronous.adversary import (
     EnumeratedAdversary,
@@ -54,6 +53,7 @@ from .oracles import CheckContext, PropertyOracle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.engine import Engine
+    from ..sync.adversary import CrashSchedule
 
 __all__ = [
     "AsyncSpace",
@@ -165,12 +165,11 @@ class AsyncSpace(CheckSpace):
         for crash_steps, prefix in stream:
             yield crash_steps, EnumeratedAdversary(prefix)
 
-    def execute(self, engine: "Engine", vector: InputVector, point: AsyncPoint) -> RunResult:
+    def run_args(self, point: AsyncPoint) -> tuple[CrashSchedule, RunKnobs]:
         crash_steps, adversary = point
-        knobs = RunKnobs(
+        return FAILURE_FREE, RunKnobs(
             "async", async_adversary=adversary, crash_steps=tuple(sorted(crash_steps.items()))
         )
-        return engine._execute(vector, FAILURE_FREE, 0, knobs)
 
     def point_record(self, point: AsyncPoint) -> dict[str, Any]:
         crash_steps, adversary = point
@@ -272,6 +271,9 @@ class _ClassMemo:
         self._assignment: Assignment | None = None
         self._trie: dict[tuple[int, ...], int | Outcome] = {}
         self._outcomes: dict[Outcome, Outcome] = {}
+        #: The current point's ``(schedule, knobs)``, or ``None`` until
+        #: one of its lanes runs.
+        self._run_args: tuple[CrashSchedule, RunKnobs] | None = None
 
     def masks(self, point: AsyncPoint) -> tuple[tuple[int, int], ...]:
         """``((applies, violations), ...)`` lane masks of *point*, per oracle."""
@@ -282,6 +284,7 @@ class _ClassMemo:
         prefix = adversary.prefix
         applies = [0] * len(self._oracles)
         violations = [0] * len(self._oracles)
+        self._run_args = None  # built by the point's first reference run
         for lane, vector in enumerate(self._vectors):
             outcome = _find(self._trie, lane, prefix)[0]
             if outcome is None:
@@ -329,8 +332,14 @@ class _ClassMemo:
         return None
 
     def _run(self, lane: int, vector: InputVector, point: AsyncPoint) -> Outcome:
-        """The reference execution of a new class, its oracles and its entry."""
-        result = self._space.execute(self._engine, vector, point)
+        """The reference execution of a new class, its oracles and its entry.
+
+        It is :meth:`AsyncSpace.execute`, with the point's run arguments
+        built once for all its lanes."""
+        if self._run_args is None:
+            self._run_args = self._space.run_args(point)
+        schedule, knobs = self._run_args
+        result = self._engine._execute(vector, schedule, 0, knobs)
         context = self._context
         checks = []
         for oracle in self._oracles:

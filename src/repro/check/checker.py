@@ -257,7 +257,9 @@ class CheckSpace:
       and the slice ``[start, stop)`` of the deterministic point stream;
     * ``oracles`` — the oracle registry, read by name at check time (every
       oracle takes the one :class:`~repro.check.oracles.CheckContext`);
-    * ``execute(engine, vector, point)`` — one execution;
+    * ``run_args(point)`` — the ``(schedule, knobs)`` the engine runs every
+      vector under *point* with, built once per point; :meth:`execute` runs
+      one vector with them;
     * ``point_record(point)`` / ``point(spec, record)`` /
       ``describe(record)`` — the point's part of a :class:`Counterexample`
       record (the keys :attr:`record_keys`, in order), its validating
@@ -284,6 +286,11 @@ class CheckSpace:
                 f"{check} drives the {self.backend} backend, which algorithm "
                 f"{engine.algorithm_name!r} does not support"
             )
+
+    def execute(self, engine: "Engine", vector: InputVector, point: Any) -> RunResult:
+        """One reference execution of *vector* under *point*."""
+        schedule, knobs = self.run_args(point)
+        return engine._execute(vector, schedule, 0, knobs)
 
     def batch(
         self,
@@ -333,8 +340,8 @@ class SyncSpace(CheckSpace):
     def points(self, spec: AgreementSpec, start: int, stop: int | None) -> Iterable[CrashSchedule]:
         return islice(enumerate_schedules(spec.n, spec.t, self.rounds), start, stop)
 
-    def execute(self, engine: "Engine", vector: InputVector, schedule: CrashSchedule) -> RunResult:
-        return engine._execute(vector, schedule, 0, SYNC_KNOBS)
+    def run_args(self, schedule: CrashSchedule) -> tuple[CrashSchedule, RunKnobs]:
+        return schedule, SYNC_KNOBS
 
     def point_record(self, schedule: CrashSchedule) -> dict[str, Any]:
         return {"schedule": schedule.to_records()}
@@ -529,8 +536,9 @@ def check_slice(
     executions = 0
     for point in space.points(engine.spec, start, stop):
         enumerated += 1
+        schedule, knobs = space.run_args(point)
         for vector in vectors:
-            result = space.execute(engine, vector, point)
+            result = engine._execute(vector, schedule, 0, knobs)
             executions += 1
             for oracle in oracles:
                 if not oracle.applies(context, result):

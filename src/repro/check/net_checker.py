@@ -27,9 +27,7 @@ from itertools import islice
 from typing import TYPE_CHECKING, Any, ClassVar, Iterable, Mapping
 
 from ..api.engine import RunKnobs
-from ..api.result import RunResult
 from ..api.spec import AgreementSpec, require_int
-from ..core.vectors import InputVector
 from ..exceptions import InvalidParameterError
 from ..net.adversary import (
     NET_ADVERSARIES,
@@ -46,6 +44,7 @@ from .oracles import PropertyOracle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.engine import Engine
+    from ..sync.adversary import CrashSchedule
 
 __all__ = ["NetSpace"]
 
@@ -110,8 +109,8 @@ class NetSpace(CheckSpace):
             stop,
         )
 
-    def execute(self, engine: "Engine", vector: InputVector, faults: NetAdversary) -> RunResult:
-        return engine._execute(vector, FAILURE_FREE, 0, RunKnobs("net", net_adversary=faults))
+    def run_args(self, faults: NetAdversary) -> tuple[CrashSchedule, RunKnobs]:
+        return FAILURE_FREE, RunKnobs("net", net_adversary=faults)
 
     def point_record(self, faults: NetAdversary) -> dict[str, Any]:
         return {"adversary": self.adversary, "faults": faults.fault_record()}

@@ -26,7 +26,9 @@ before delivery, so faults act on *individual messages*:
 The runtime drives the same :class:`~repro.sync.process.RoundBasedProcess`
 objects as the sync backend, so every registered synchronous algorithm runs
 unmodified under the new failure models, and a run under the ``fault-free``
-adversary reproduces the sync backend's failure-free execution exactly.
+adversary reproduces the sync backend's failure-free execution exactly.  It
+shares :class:`~repro.sync.runtime.RoundSystem` with the sync engine, so it
+resets and reuses the processes of a reusable algorithm across runs as well.
 
 Unlike the sync engine there is **no watchdog exception**: an algorithm that
 blows its round bound under message faults is a *finding*, not a harness
@@ -37,7 +39,10 @@ what the ``net-termination`` oracle checks.
 Every execution carries a :attr:`~NetExecutionResult.fingerprint`: a blake2b
 digest of the realized fault events, inputs and decisions.  Two runs
 interleaved the faults identically exactly when their fingerprints match —
-the seed-determinism handle for the stochastic adversaries.
+the seed-determinism handle for the stochastic adversaries.  A run keeps
+its events' fingerprint text, and the digest is computed from it and the
+result's fields on the first read of the fingerprint, so a check that
+never reads one computes none.
 
 A round's verdicts form a *plan*: who hears whom, the fault events with
 their fingerprint text, the delays and the delivered count.  A plan is made
@@ -58,6 +63,7 @@ from hashlib import blake2b
 from typing import Any, Mapping
 
 from ..core.vectors import InputVector
+from ..deferred import DeferredField, deferred
 from ..exceptions import SimulationError
 from ..sync.runtime import RoundSystem
 from .adversary import NetAdversary
@@ -108,8 +114,24 @@ class NetExecutionResult:
     delivered_count: int = 0
     #: The adversary's realized interventions, in execution order.
     fault_events: tuple[FaultEvent, ...] = ()
-    #: blake2b digest of (parameters, inputs, fault events, decisions).
-    fingerprint: str = ""
+    #: blake2b digest of (parameters, inputs, fault events, decisions); a
+    #: run's result computes it on first read.
+    fingerprint: str = DeferredField("")
+
+    def _compute_fingerprint(self, texts: list[str]) -> str:
+        """The digest of the repr of ``(n, t, family, inputs, event tuples,
+        sorted decisions, sorted decision rounds)``, with the events' text
+        assembled from the run's pieces *texts*."""
+        trail = ", ".join(texts) + ("," if len(self.fault_events) == 1 else "")
+        return blake2b(
+            (
+                f"({self.n!r}, {self.t!r}, {self.adversary_family!r}, "
+                f"{self.input_vector.entries!r}, ({trail}), "
+                f"{tuple(sorted(self.decisions.items()))!r}, "
+                f"{tuple(sorted(self.decision_rounds.items()))!r})"
+            ).encode(),
+            digest_size=16,
+        ).hexdigest()
 
     # -- derived facts -------------------------------------------------------
     @property
@@ -255,7 +277,7 @@ class NetSystem(RoundSystem):
         """
         input_vector = self._normalise_proposals(proposals)
         adversary.begin_run(self._n, seed)
-        processes = self._create_processes(input_vector)
+        processes = self._processes_for(input_vector)
         plans: dict[tuple[int, tuple[int, ...]], _RoundPlan] | None = None
         kept = self._kept
         if kept is not None and kept[0] is adversary:
@@ -341,18 +363,6 @@ class NetSystem(RoundSystem):
                 events.append(FaultEvent(*row))
                 texts.append(repr(row))
 
-        # The repr of (n, t, family, inputs, event tuples, sorted decisions,
-        # sorted decision rounds), with the events' text assembled in pieces.
-        trail = ", ".join(texts) + ("," if len(events) == 1 else "")
-        fingerprint = blake2b(
-            (
-                f"({n!r}, {self._t!r}, {adversary.family!r}, "
-                f"{input_vector.entries!r}, ({trail}), "
-                f"{tuple(sorted(decisions.items()))!r}, "
-                f"{tuple(sorted(decision_rounds.items()))!r})"
-            ).encode(),
-            digest_size=16,
-        ).hexdigest()
         return NetExecutionResult(
             n=n,
             t=self._t,
@@ -365,5 +375,5 @@ class NetSystem(RoundSystem):
             rounds_executed=round_number,
             delivered_count=delivered,
             fault_events=tuple(events),
-            fingerprint=fingerprint,
+            fingerprint=deferred(texts),
         )

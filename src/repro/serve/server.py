@@ -76,7 +76,7 @@ from ..exceptions import (
     ServeError,
 )
 from ..store import ResultStore
-from .cache import EngineCache
+from .cache import EngineCache, EngineCacheEntry
 from .coalescer import BatchCoalescer
 from .quotas import DEFAULT_TENANT, AdmissionController, TenantQuotas
 
@@ -84,6 +84,11 @@ __all__ = ["ReproServer"]
 
 #: Endpoints that execute agreement work (and therefore pass admission).
 EXECUTION_ENDPOINTS = ("/run", "/batch", "/sweep", "/check")
+
+#: Seconds between the serving loop's checks for a shutdown request, which
+#: is how long :meth:`ReproServer.close` waits for the loop at most (the
+#: stdlib's default is 0.5 s).
+_POLL_INTERVAL = 0.05
 
 
 class _ParsedRequest:
@@ -269,8 +274,8 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(vector, (list, tuple)):
             raise InvalidParameterError('"/run" needs a "vector" array')
         state = self.state
+        entry = state._checked_entry(request)
         with state._admitted(request.tenant, 1):
-            entry = state.cache.get(request.spec, request.algorithm, request.config)
             with entry.lock:
                 result = entry.engine.run(
                     vector,
@@ -292,8 +297,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._stream_batch(request, vectors)
             return
         state = self.state
+        entry = state._checked_entry(request)
         with state._admitted(request.tenant, len(vectors)):
-            results = state.execute_batch(request, vectors)
+            results = state.execute_batch(request, vectors, entry)
         store = state.tenant_store(request.tenant)
         if store is not None:
             store.extend(results)
@@ -311,8 +317,8 @@ class _Handler(BaseHTTPRequestHandler):
         connection, so this response closes it.
         """
         state = self.state
+        entry = state._checked_entry(request)
         with state._admitted(request.tenant, len(vectors)):
-            entry = state.cache.get(request.spec, request.algorithm, request.config)
             self.send_response(200)
             self.send_header("Content-Type", "application/x-ndjson")
             self.send_header("Connection", "close")
@@ -359,8 +365,8 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             cell_count *= len(values)
         state = self.state
+        entry = state._checked_entry(request)
         with state._admitted(request.tenant, cell_count * runs_per_cell):
-            entry = state.cache.get(request.spec, request.algorithm, request.config)
             with entry.lock:
                 cells = entry.engine.sweep(
                     grid,
@@ -384,19 +390,24 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle_check(self, request: _ParsedRequest, payload: Mapping[str, Any]) -> None:
         state = self.state
+        bounds = {
+            "rounds": payload.get("rounds"),
+            "depth": payload.get("depth"),
+            "max_crashes": payload.get("max_crashes"),
+            "adversary": request.adversary,
+            "max_faults": payload.get("max_faults"),
+        }
+        entry = state.cache.get(request.spec, request.algorithm, request.config)
+        # Bounds the engine refuses cost nothing: the space is checked first.
+        entry.engine._check_space(request.backend, **bounds).resolve(entry.engine)
         # A check's execution count is only known once the space is
         # enumerated; it is charged as one quota unit (admission still
         # bounds how many run concurrently).
         with state._admitted(request.tenant, 1):
-            entry = state.cache.get(request.spec, request.algorithm, request.config)
             with entry.lock:
                 report = entry.engine.check(
                     backend=request.backend,
-                    rounds=payload.get("rounds"),
-                    depth=payload.get("depth"),
-                    max_crashes=payload.get("max_crashes"),
-                    adversary=request.adversary,
-                    max_faults=payload.get("max_faults"),
+                    **bounds,
                     workers=request.workers,
                     store=state.tenant_store(request.tenant),
                     max_counterexamples=payload.get("max_counterexamples", 25),
@@ -522,7 +533,10 @@ class ReproServer:
         """Bind and serve from a daemon thread; returns ``(host, port)``."""
         http = self._bind()
         self._thread = threading.Thread(
-            target=http.serve_forever, name="repro-serve", daemon=True
+            target=http.serve_forever,
+            args=(_POLL_INTERVAL,),
+            name="repro-serve",
+            daemon=True,
         )
         self._thread.start()
         return self.address
@@ -531,7 +545,7 @@ class ReproServer:
         """Bind and serve on the calling thread until shutdown (CLI mode)."""
         http = self._bind()
         try:
-            http.serve_forever()
+            http.serve_forever(_POLL_INTERVAL)
         finally:
             self.close()
 
@@ -600,7 +614,10 @@ class ReproServer:
 
         The quota is checked first, so a tenant over budget never takes a
         slot; a request that admission control turns away runs nothing and
-        gets its charge back.
+        gets its charge back.  A request reaches this point only after the
+        engine accepted its knobs or bounds (:meth:`_checked_entry`), so a
+        refused request is never charged; one that fails once its work has
+        started keeps its charge.
         """
         self.quotas.charge(tenant, runs)
         try:
@@ -625,7 +642,16 @@ class ReproServer:
                 )
             return store
 
-    def execute_batch(self, request: _ParsedRequest, vectors: list) -> list:
+    def _checked_entry(self, request: _ParsedRequest) -> EngineCacheEntry:
+        """The request's warm engine entry, once the engine accepted the
+        request's run knobs (:data:`~repro.api.engine.BACKEND_KNOBS`)."""
+        entry = self.cache.get(request.spec, request.algorithm, request.config)
+        entry.engine._run_knobs(**request.call_knobs())
+        return entry
+
+    def execute_batch(
+        self, request: _ParsedRequest, vectors: list, entry: EngineCacheEntry
+    ) -> list:
         """Run one ``/batch`` request through the coalescer on its warm engine.
 
         Concurrent requests with the same coalescing key (engine recipe plus
@@ -634,10 +660,9 @@ class ReproServer:
         segment keeps its own ``range(seed, seed + B)`` seeds, so merged
         results equal solo results exactly.
         """
-        entry = self.cache.get(request.spec, request.algorithm, request.config)
         knobs = request.call_knobs()
         # The knobs enter the key as canonical JSON, hashable whatever the
-        # payload held: the engine refuses malformed ones when the batch runs.
+        # payload held (the engine accepted them in _checked_entry).
         key = (
             request.engine_key(),
             json.dumps(

@@ -18,12 +18,19 @@ Lifecycle of a process, per round ``r = 1, 2, ...``:
 
 A process that crashes in round ``r`` neither computes in round ``r`` nor
 takes any later step, exactly as in the paper's failure model.
+
+A process class may declare :attr:`RoundBasedProcess.reusable`: then a
+system builds its processes once and, before every later run,
+:meth:`~RoundBasedProcess.reset` returns each one to the state of a fresh
+process.  The declaration holds for the exact class that makes it, so a
+subclass with state of its own is built fresh for every run until it
+declares it too.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Mapping
+from typing import Any, ClassVar, Mapping
 
 from ..exceptions import ProtocolStateError
 
@@ -36,7 +43,23 @@ class RoundBasedProcess(ABC):
     Subclasses implement the two phase hooks; the bookkeeping of the decided
     value and of the halted state is shared here so the engine can interrogate
     any algorithm uniformly.
+
+    :attr:`reusable` declares that :meth:`reset` gives a process equal to a
+    fresh one, attribute for attribute: :meth:`on_reset` restores every
+    per-run field the subclass adds.  A system then reuses the processes it
+    built for its first run.  Only the class body that sets it counts; every
+    other class reads ``False`` and is built fresh for each run, which is
+    always safe.
     """
+
+    #: Whether :meth:`reset` restores a fresh process (see above).
+    reusable: ClassVar[bool] = False
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # A subclass may add per-run state its parent's on_reset() misses.
+        if "reusable" not in cls.__dict__:
+            cls.reusable = False
 
     def __init__(self, process_id: int, n: int, t: int) -> None:
         if not 0 <= process_id < n:
@@ -81,6 +104,25 @@ class RoundBasedProcess(ABC):
 
     def on_initialize(self, proposal: Any) -> None:
         """Hook for subclasses; default does nothing beyond storing the proposal."""
+
+    def reset(self) -> None:
+        """Return the process to the state it had when it was built.
+
+        Clears the proposal, the decision and the halted flag, then calls
+        :meth:`on_reset` for the subclass's own per-run fields.  Every field
+        is assigned by name: a process's attributes are never reached
+        through ``vars()``, which would keep CPython from storing them
+        inline and slow every later attribute access.
+        """
+        self._proposal = None
+        self._decision = None
+        self._decided = False
+        self._decision_round = None
+        self._halted = False
+        self.on_reset()
+
+    def on_reset(self) -> None:
+        """Hook for subclasses: restore every per-run field set in ``__init__``."""
 
     @abstractmethod
     def message_for_round(self, round_number: int) -> Any:
@@ -144,8 +186,10 @@ class SynchronousAlgorithm(ABC):
     """Factory of :class:`RoundBasedProcess` instances for one algorithm.
 
     An algorithm object is immutable and shareable: the same instance can be
-    used to run many executions (the simulator creates fresh processes for
-    each run).
+    used to run many executions.  A system asks it for ``n`` processes for
+    its first run; it reuses them, reset, for every later run when their
+    classes declare :attr:`RoundBasedProcess.reusable`, and asks for fresh
+    ones otherwise.
     """
 
     @property

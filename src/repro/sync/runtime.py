@@ -22,7 +22,14 @@ A run builds its crash table once and keeps a list of the live (neither
 crashed nor halted) processes, so a round touches only those and its own
 crashes.  :class:`RoundSystem` holds what this engine shares with
 :class:`~repro.net.runtime.NetSystem`: the parameter checks, proposal
-normalisation, process creation and the round limit.
+normalisation, the processes and the round limit.
+
+A system builds and type-checks its ``n`` processes for its first run.
+When every one of them declares
+:attr:`~repro.sync.process.RoundBasedProcess.reusable`, later runs reset
+and re-initialise the same objects instead of asking the algorithm again;
+otherwise each run gets fresh ones.  So a system runs one execution at a
+time: it is not reentrant.
 """
 
 from __future__ import annotations
@@ -127,7 +134,14 @@ class ExecutionResult:
 class RoundSystem:
     """``n`` processes of one algorithm, a fault budget ``0 <= t < n`` and a
     round limit: ``max_rounds`` (an ``int >= 1``) or, when ``None``,
-    ``algorithm.max_rounds(n, t)``.  The base of both round runtimes."""
+    ``algorithm.max_rounds(n, t)``.  The base of both round runtimes.
+
+    The processes of the last run are kept for the next one when all of
+    them declare :attr:`~repro.sync.process.RoundBasedProcess.reusable`."""
+
+    #: The processes every run resets and re-initialises, once the first
+    #: run built reusable ones.
+    _reused: list[RoundBasedProcess] | None = None
 
     def __init__(
         self,
@@ -189,17 +203,25 @@ class RoundSystem:
             )
         return vector
 
-    def _create_processes(self, input_vector: InputVector) -> list[RoundBasedProcess]:
-        """Fresh processes, indexed by id, each initialised with its proposal."""
-        processes = []
-        for process_id in range(self._n):
-            process = self._algorithm.create_process(process_id, self._n, self._t)
-            if not isinstance(process, RoundBasedProcess):
-                raise SimulationError(
-                    f"{self._algorithm.name}.create_process returned "
-                    f"{type(process).__name__}, not a RoundBasedProcess"
-                )
-            processes.append(process)
+    def _processes_for(self, input_vector: InputVector) -> list[RoundBasedProcess]:
+        """The run's processes, indexed by id, each initialised with its
+        proposal: the kept ones reset, or fresh ones from the algorithm."""
+        processes = self._reused
+        if processes is None:
+            processes = []
+            for process_id in range(self._n):
+                process = self._algorithm.create_process(process_id, self._n, self._t)
+                if not isinstance(process, RoundBasedProcess):
+                    raise SimulationError(
+                        f"{self._algorithm.name}.create_process returned "
+                        f"{type(process).__name__}, not a RoundBasedProcess"
+                    )
+                processes.append(process)
+            if all(process.reusable for process in processes):
+                self._reused = processes
+        else:
+            for process in processes:
+                process.reset()
         for process, proposal in zip(processes, input_vector.entries):
             process.initialize(proposal)
         return processes
@@ -253,7 +275,7 @@ class SynchronousSystem(RoundSystem):
         schedule = schedule if schedule is not None else no_crashes()
         if validate_schedule:
             schedule.validate(self._n, self._t)
-        processes = self._create_processes(input_vector)
+        processes = self._processes_for(input_vector)
         result = ExecutionResult(
             n=self._n,
             t=self._t,

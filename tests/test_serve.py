@@ -511,6 +511,33 @@ class TestServerEndToEnd:
             assert status["requests"]["rejected_admission"] == 3
             assert status["runs_served"] == 3
 
+    def test_refused_requests_are_charged_nothing(self):
+        """Knobs or bounds the engine refuses end a request before it runs
+        anything, so they cost no quota: the whole budget is left after."""
+        with ReproServer(port=0, default_quota=2) as server, ServeClient(
+            *server.address
+        ) as client:
+            vector = _vectors(1)[0]
+            for _ in range(2):
+                with pytest.raises(ServeError, match="does not take"):
+                    client.run(SPEC, vector, adversary="round-robin")
+            with pytest.raises(ServeError, match="does not take"):
+                client.run_batch(SPEC, _vectors(2), adversary="round-robin")
+            with pytest.raises(ServeError, match="does not take"):
+                client.sweep(SPEC, {"k": [1]}, backend="sync", adversary="latency-skew")
+            with pytest.raises(ServeError, match="does not take"):
+                client.check(CHECK_SPEC, backend="sync", adversary="send-omission")
+            with pytest.raises(ServeError, match="does not support"):
+                client.check(CHECK_SPEC, algorithm="floodmin", backend="async")
+            assert "default" not in server.status()["tenants"]
+            for seed in range(2):
+                assert client.run(SPEC, vector, seed=seed).terminated
+            with pytest.raises(QuotaExceededError):
+                client.run(SPEC, vector)
+            status = server.status()
+            assert status["tenants"]["default"] == {"used": 2, "limit": 2}
+            assert status["requests"]["errors"]["bad-request"] == 6
+
     def test_tenant_quota_overrides(self):
         with ReproServer(
             port=0, default_quota=1, tenant_quotas={"gold": 100}
