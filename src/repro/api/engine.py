@@ -504,9 +504,10 @@ class Engine:
         runs typically exhaust their step budget and come back with
         ``terminated=False``.
         """
-        knobs = self._run_knobs(
-            backend, max_steps=max_steps, async_adversary=async_adversary,
-            crash_steps=crash_steps, net_adversary=net_adversary,
+        knobs, _, _ = self._checked_call(
+            schedule, backend=backend, max_steps=max_steps,
+            async_adversary=async_adversary, crash_steps=crash_steps,
+            net_adversary=net_adversary,
         )
         if seed is None:
             seed = self._config.seed
@@ -623,11 +624,10 @@ class Engine:
         chunks are still executing.  Consuming lazily bounds memory on large
         sweeps and lets callers aggregate or persist on the fly.
         """
-        chunk = self._resolve_chunk_size(chunk_size)
-        worker_count = self._resolve_workers(workers)
-        knobs = self._run_knobs(
-            backend, async_adversary=async_adversary, crash_steps=crash_steps,
-            net_adversary=net_adversary, portable=worker_count > 1,
+        knobs, chunk, worker_count = self._checked_call(
+            schedules, backend=backend, chunk_size=chunk_size, workers=workers,
+            async_adversary=async_adversary, crash_steps=crash_steps,
+            net_adversary=net_adversary,
         )
         if schedules is None or isinstance(schedules, (str, CrashSchedule)):
             pairing = itertools.repeat(schedules)
@@ -714,6 +714,37 @@ class Engine:
                 staged.append((self._normalise_vector(vector), crash_schedule, seed))
                 index += 1
             yield staged
+
+    def _checked_call(
+        self,
+        schedule: CrashSchedule | str | Iterable[Any] | None = None,
+        *,
+        backend: str | None = None,
+        chunk_size: int | None = None,
+        workers: int | None = 1,
+        portable: bool = False,
+        **knobs: Any,
+    ) -> tuple[RunKnobs, int, int]:
+        """The checks :meth:`run`, :meth:`iter_batch` and :meth:`sweep` make
+        before they run anything: ``(knobs, chunk size, worker count)``.
+
+        The chunk size and worker count are resolved (``None``: the
+        config's; a single run has one worker), the run knobs checked by
+        :meth:`_run_knobs` (portable with more than one worker), and
+        *schedule*, as the call got it, looked up in the schedule registry
+        when it is a name or ``None`` (the config's name); a schedule object
+        or an elementwise stream is resolved as the call runs.  ``repro
+        serve`` makes the same call before it charges a request's quota, so
+        a request the engine refuses costs nothing.
+        """
+        chunk = self._resolve_chunk_size(chunk_size)
+        worker_count = self._resolve_workers(workers)
+        run_knobs = self._run_knobs(
+            backend, portable=portable or worker_count > 1, **knobs
+        )
+        if schedule is None or isinstance(schedule, str):
+            SCHEDULES.get(self._config.schedule if schedule is None else schedule)
+        return run_knobs, chunk, worker_count
 
     def _resolve_chunk_size(self, chunk_size: int | None) -> int:
         if chunk_size is None:
@@ -951,7 +982,8 @@ class Engine:
         condition samplers of :mod:`repro.workloads.vectors`.  Invalid
         combinations — e.g. ``d > t`` or an unsatisfiable outside-vector
         request — yield a cell with :attr:`SweepCell.error` set instead of
-        raising, so a grid may safely cross parameter ranges.
+        raising, so a grid may safely cross parameter ranges.  An unknown
+        grid field or *schedule* name raises before any cell runs.
 
         *workers* (default: the config's ``workers``) shards whole cells
         across a process pool when greater than 1; every cell derives its
@@ -998,13 +1030,14 @@ class Engine:
                 f"vectors must be 'in', 'out' or 'random', got {vectors!r}"
             )
         require_int("runs_per_cell", runs_per_cell)
-        worker_count = self._resolve_workers(workers)
-        knobs = self._run_knobs(
-            backend, async_adversary=async_adversary, crash_steps=crash_steps,
-            net_adversary=net_adversary, portable=True,
+        # A typo'd grid key or schedule name is a programming error, not a
+        # bad cell: fail the whole sweep up front rather than returning
+        # all-error cells.
+        knobs, _, worker_count = self._checked_call(
+            schedule, backend=backend, workers=workers, portable=True,
+            async_adversary=async_adversary, crash_steps=crash_steps,
+            net_adversary=net_adversary,
         )
-        # A typo'd grid key is a programming error, not a bad cell: fail the
-        # whole sweep up front rather than returning all-error cells.
         spec_fields = {f.name for f in dataclasses.fields(AgreementSpec)}
         unknown = sorted(set(grid) - spec_fields)
         if unknown:

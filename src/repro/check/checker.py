@@ -66,6 +66,7 @@ __all__ = [
     "DecisionDiff",
     "DifferentialReport",
     "run_check",
+    "check_arguments",
     "check_slice",
     "space_from_bounds",
     "differential_check",
@@ -571,30 +572,43 @@ def _check_slice_batch(
 ) -> tuple[int, int, list[OracleTally], list[Counterexample]]:
     """The batch twin of the scalar slice loop.
 
-    One *masks* call covers every frontier vector under one point; tallies
-    are bit counts of the returned lane masks.  Violating lanes — and only
-    those — are re-executed through the reference object runtime to produce
-    the exact scalar counterexample records, in the scalar order (point,
-    then lane = frontier position, then oracle).  A flagged lane the
-    reference oracle does not confirm is a batch/reference drift and raises
+    One *masks* call covers every frontier vector under one point, and
+    tallies are bit counts of the returned lane masks.  A hook may return
+    one tuple for many points (the sync class memo returns the same tuple
+    for every member of a class), so the slice keeps one entry per distinct
+    answer, keyed by ``id()`` and holding the answer so that the id stays
+    its own, and adds ``multiplicity × bit_count()`` to each tally once per
+    entry: a repeated answer costs one lookup.  At most
+    :data:`_ANSWERS_KEPT` entries are kept at a time, which bounds the
+    memory of a hook that answers every point with a fresh tuple.
+
+    Violating lanes — and only those — are re-executed through the
+    reference object runtime to produce the exact scalar counterexample
+    records, point by point in the scalar order (point, then lane = frontier
+    position, then oracle).  A flagged lane the reference oracle does not
+    confirm is a batch/reference drift and raises
     :class:`~repro.exceptions.SimulationError` rather than emitting an
     unverified report.
     """
     oracles = [space.oracles[name] for name in oracle_names]
-    tallies = {name: OracleTally(name) for name in oracle_names}
+    tallies = [OracleTally(name) for name in oracle_names]
     counterexamples: list[Counterexample] = []
+    #: ``id(answer) -> [answer, points that got it, its violating lanes]``.
+    answers: dict[int, list] = {}
     enumerated = 0
-    executions = 0
     for point in space.points(engine.spec, start, stop):
         enumerated += 1
         lanes = masks(point)
-        executions += len(vectors)
-        union = 0
-        for name, (applies, violations) in zip(oracle_names, lanes):
-            tally = tallies[name]
-            tally.checked += applies.bit_count()
-            tally.violations += violations.bit_count()
-            union |= violations
+        entry = answers.get(id(lanes))
+        if entry is None:
+            if len(answers) == _ANSWERS_KEPT:
+                _tally(tallies, answers)
+            union = 0
+            for _, violations in lanes:
+                union |= violations
+            entry = answers[id(lanes)] = [lanes, 0, union]
+        entry[1] += 1
+        union = entry[2]
         if union and len(counterexamples) < max_counterexamples:
             remaining = union
             while remaining and len(counterexamples) < max_counterexamples:
@@ -623,7 +637,22 @@ def _check_slice_batch(
                                 engine, space, oracle.name, detail, vector, point, result
                             )
                         )
-    return enumerated, executions, [tallies[name] for name in oracle_names], counterexamples
+    _tally(tallies, answers)
+    return enumerated, enumerated * len(vectors), tallies, counterexamples
+
+
+#: How many distinct batch-hook answers one slice tallies at a time.
+_ANSWERS_KEPT = 4096
+
+
+def _tally(tallies: list[OracleTally], answers: dict[int, list]) -> None:
+    """Add every kept answer, times the points that got it, to *tallies*,
+    and forget the answers."""
+    for lanes, count, _ in answers.values():
+        for tally, (applies, violations) in zip(tallies, lanes):
+            tally.checked += count * applies.bit_count()
+            tally.violations += count * violations.bit_count()
+    answers.clear()
 
 
 def _resolve_oracles(space: CheckSpace, oracles: Iterable[str] | None) -> tuple[str, ...]:
@@ -663,6 +692,30 @@ def _resolve_frontier(
     )
 
 
+def check_arguments(
+    engine: "Engine",
+    space: CheckSpace,
+    *,
+    oracles: Iterable[str] | None = None,
+    workers: int | None = None,
+    max_counterexamples: int = DEFAULT_MAX_COUNTEREXAMPLES,
+    max_vectors: int = DEFAULT_MAX_VECTORS,
+    all_vectors_limit: int = DEFAULT_ALL_VECTORS_LIMIT,
+) -> tuple[CheckSpace, int, tuple[str, ...]]:
+    """:func:`run_check`'s checks of its parameters, which enumerate and
+    execute nothing: ``(resolved space, worker count, oracle names)``.
+
+    ``repro serve`` runs them before it charges a ``/check`` request's
+    quota, so a request they refuse costs nothing.
+    """
+    space = space.resolve(engine)
+    require_int("max_counterexamples", max_counterexamples, 0)
+    require_int("max_vectors", max_vectors)
+    require_int("all_vectors_limit", all_vectors_limit)
+    worker_count = engine._resolve_workers(workers)
+    return space, worker_count, _resolve_oracles(space, oracles)
+
+
 def run_check(
     engine: "Engine",
     space: CheckSpace,
@@ -680,15 +733,19 @@ def run_check(
 
     See :meth:`repro.api.Engine.check` for the parameter contract.  This is
     the one validation path of the CLI, the library and ``/check``: the
-    space's constructor has checked its bounds, :meth:`CheckSpace.resolve`
-    fills in its defaults, and the parameters below are checked here.
+    space's constructor has checked its bounds, and
+    :func:`check_arguments` resolves the space and checks the parameters
+    below, before anything is enumerated.
     """
-    space = space.resolve(engine)
-    require_int("max_counterexamples", max_counterexamples, 0)
-    require_int("max_vectors", max_vectors)
-    require_int("all_vectors_limit", all_vectors_limit)
-    worker_count = engine._resolve_workers(workers)
-    oracle_names = _resolve_oracles(space, oracles)
+    space, worker_count, oracle_names = check_arguments(
+        engine,
+        space,
+        oracles=oracles,
+        workers=workers,
+        max_counterexamples=max_counterexamples,
+        max_vectors=max_vectors,
+        all_vectors_limit=all_vectors_limit,
+    )
     frontier = _resolve_frontier(engine, vectors, max_vectors, all_vectors_limit)
     if not frontier:
         raise InvalidParameterError("the input frontier is empty: nothing to check")

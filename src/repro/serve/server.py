@@ -68,6 +68,7 @@ from ..api.engine import Engine
 from ..api.namespaces import adversary_keyword
 from ..api.registry import ALGORITHMS
 from ..api.spec import AgreementSpec, RunConfig, require_int
+from ..check.checker import check_arguments
 from ..exceptions import (
     AdmissionError,
     InvalidParameterError,
@@ -274,7 +275,7 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(vector, (list, tuple)):
             raise InvalidParameterError('"/run" needs a "vector" array')
         state = self.state
-        entry = state._checked_entry(request)
+        entry = state._checked_entry(request, schedule=request.schedule)
         with state._admitted(request.tenant, 1):
             with entry.lock:
                 result = entry.engine.run(
@@ -297,7 +298,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._stream_batch(request, vectors)
             return
         state = self.state
-        entry = state._checked_entry(request)
+        entry = state._checked_batch_entry(request)
         with state._admitted(request.tenant, len(vectors)):
             results = state.execute_batch(request, vectors, entry)
         store = state.tenant_store(request.tenant)
@@ -317,7 +318,7 @@ class _Handler(BaseHTTPRequestHandler):
         connection, so this response closes it.
         """
         state = self.state
-        entry = state._checked_entry(request)
+        entry = state._checked_batch_entry(request)
         with state._admitted(request.tenant, len(vectors)):
             self.send_response(200)
             self.send_header("Content-Type", "application/x-ndjson")
@@ -365,7 +366,9 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             cell_count *= len(values)
         state = self.state
-        entry = state._checked_entry(request)
+        entry = state._checked_entry(
+            request, schedule=request.schedule, workers=request.workers, portable=True
+        )
         with state._admitted(request.tenant, cell_count * runs_per_cell):
             with entry.lock:
                 cells = entry.engine.sweep(
@@ -397,9 +400,18 @@ class _Handler(BaseHTTPRequestHandler):
             "adversary": request.adversary,
             "max_faults": payload.get("max_faults"),
         }
+        arguments = {
+            "workers": request.workers,
+            "max_counterexamples": payload.get("max_counterexamples", 25),
+            "max_vectors": payload.get("max_vectors", 12),
+            "all_vectors_limit": payload.get("all_vectors_limit", 100),
+        }
         entry = state.cache.get(request.spec, request.algorithm, request.config)
-        # Bounds the engine refuses cost nothing: the space is checked first.
-        entry.engine._check_space(request.backend, **bounds).resolve(entry.engine)
+        # What the engine refuses costs nothing: the space and run_check's
+        # parameters are checked first.
+        check_arguments(
+            entry.engine, entry.engine._check_space(request.backend, **bounds), **arguments
+        )
         # A check's execution count is only known once the space is
         # enumerated; it is charged as one quota unit (admission still
         # bounds how many run concurrently).
@@ -408,11 +420,8 @@ class _Handler(BaseHTTPRequestHandler):
                 report = entry.engine.check(
                     backend=request.backend,
                     **bounds,
-                    workers=request.workers,
                     store=state.tenant_store(request.tenant),
-                    max_counterexamples=payload.get("max_counterexamples", 25),
-                    max_vectors=payload.get("max_vectors", 12),
-                    all_vectors_limit=payload.get("all_vectors_limit", 100),
+                    **arguments,
                 )
         state._count_runs(report.executions)
         self._send_json(
@@ -615,9 +624,10 @@ class ReproServer:
         The quota is checked first, so a tenant over budget never takes a
         slot; a request that admission control turns away runs nothing and
         gets its charge back.  A request reaches this point only after the
-        engine accepted its knobs or bounds (:meth:`_checked_entry`), so a
-        refused request is never charged; one that fails once its work has
-        started keeps its charge.
+        engine's own checks accepted its arguments (:meth:`_checked_entry`,
+        :func:`~repro.check.checker.check_arguments`), so a refused request
+        is never charged; one that fails once its work has started keeps its
+        charge.
         """
         self.quotas.charge(tenant, runs)
         try:
@@ -642,12 +652,22 @@ class ReproServer:
                 )
             return store
 
-    def _checked_entry(self, request: _ParsedRequest) -> EngineCacheEntry:
+    def _checked_entry(self, request: _ParsedRequest, **call: Any) -> EngineCacheEntry:
         """The request's warm engine entry, once the engine accepted the
-        request's run knobs (:data:`~repro.api.engine.BACKEND_KNOBS`)."""
+        request's run knobs and the *call* arguments it forwards (the
+        engine's own pre-check, ``Engine._checked_call``)."""
         entry = self.cache.get(request.spec, request.algorithm, request.config)
-        entry.engine._run_knobs(**request.call_knobs())
+        entry.engine._checked_call(**call, **request.call_knobs())
         return entry
+
+    def _checked_batch_entry(self, request: _ParsedRequest) -> EngineCacheEntry:
+        """:meth:`_checked_entry` for a ``/batch`` request's arguments."""
+        return self._checked_entry(
+            request,
+            schedule=request.schedule,
+            chunk_size=request.chunk_size,
+            workers=request.workers,
+        )
 
     def execute_batch(
         self, request: _ParsedRequest, vectors: list, entry: EngineCacheEntry

@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from random import Random
 from typing import Iterable, Iterator, Mapping
 
@@ -195,9 +196,11 @@ class CrashSchedule:
             delivered = event.delivered_to
             round_number = event.round_number
             if delivered:
-                delivered = delivered.difference(
-                    [other for other, crash in events if crash.round_number <= round_number]
-                )
+                # Only the crashed processes the set holds are taken out, so
+                # a set that holds none is kept as it is.
+                for other, crash in events:
+                    if other in delivered and crash.round_number <= round_number:
+                        delivered = delivered - {other}
             elif round_number == 1:
                 initial += 1
             observed.append((pid, round_number, delivered))
@@ -236,29 +239,44 @@ class CrashSchedule:
 
         * every process identifier is in ``[0, n)``;
         * at most ``t`` processes crash;
+        * delivered sets only name existing processes: each receiver must be
+          one of the integers ``0..n-1`` (a string or ``1.5`` is refused);
         * round-1 crashes deliver to a prefix of the process identifiers
-          (ordered send phase of Section 6.2);
-        * delivered sets only name existing processes.
+          (ordered send phase of Section 6.2).
+
+        The checker validates every enumerated schedule, so each event costs
+        two set tests: its delivered set against ``frozenset(range(n))``,
+        and, in round 1, its largest receiver against its size (distinct
+        receivers in ``[0, n)`` form a prefix exactly when the largest is
+        ``len - 1``).
         """
         if len(self.events) > t:
             raise AdversaryError(
                 f"the schedule crashes {len(self.events)} processes but t={t}"
             )
+        receivers = _receivers(n)
         for event in self.events.values():
             if not 0 <= event.process_id < n:
                 raise AdversaryError(
                     f"crash event names process {event.process_id} outside [0, {n})"
                 )
-            if any(not 0 <= receiver < n for receiver in event.delivered_to):
+            delivered = event.delivered_to
+            if not delivered <= receivers:
                 raise AdversaryError(
                     f"crash event of process {event.process_id} delivers to unknown processes"
                 )
-            if event.round_number == 1 and not event.is_prefix_delivery():
+            if event.round_number == 1 and delivered and max(delivered) != len(delivered) - 1:
                 raise AdversaryError(
                     "round-1 crashes must deliver to a prefix of the processes "
                     "(ordered send phase); got "
-                    f"{sorted(event.delivered_to)} for process {event.process_id}"
+                    f"{sorted(delivered)} for process {event.process_id}"
                 )
+
+
+@cache
+def _receivers(n: int) -> frozenset[int]:
+    """Every receiver of an ``n``-process system, built once per ``n``."""
+    return frozenset(range(n))
 
 
 # ----------------------------------------------------------------------

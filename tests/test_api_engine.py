@@ -105,6 +105,24 @@ class TestRegistry:
         assert not ALGORITHMS.get("floodmin").supports("async")
         assert not ALGORITHMS.get("async-condition").supports("sync")
 
+    def test_readme_table_matches_the_registry(self):
+        """Every row of the README's algorithm table names its key's
+        registered backends, and every built-in key has a row (the mutants
+        some tests register are not built in)."""
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        lines = readme.read_text(encoding="utf-8").splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("| Algorithm key"))
+        rows = {}
+        for line in lines[header + 2:]:  # past the header and its rule
+            if not line.startswith("|"):
+                break
+            key, backends, _ = (cell.strip() for cell in line.strip("|").split("|"))
+            rows[key.strip("`")] = set(backends.split(" + "))
+        built_in = {key for key in ALGORITHMS if not key.startswith("mutant-")}
+        assert set(rows) == built_in
+        for key, backends in rows.items():
+            assert backends == set(ALGORITHMS.get(key).backends), key
+
 
 class TestEngineRun:
     def test_every_registered_algorithm_runs_through_one_call_path(self):
@@ -363,6 +381,22 @@ class TestSweep:
         engine = Engine(AgreementSpec(n=3, t=1, k=1, d=1, ell=1, domain=2), "condition-kset")
         with pytest.raises(InvalidParameterError, match="sync backend"):
             engine.sweep({"k": (1,)}, 1, net_adversary="message-loss")
+        assert started == []
+
+    def test_unknown_schedule_name_raises_before_any_cell(self, monkeypatch):
+        """Like a typo'd grid key, a typo'd schedule name fails the sweep,
+        not every cell."""
+        started = []
+        original = Engine._sweep_cell
+
+        def counting(self, overrides, index, *args, **kwargs):
+            started.append(index)
+            return original(self, overrides, index, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "_sweep_cell", counting)
+        engine = Engine(AgreementSpec(n=3, t=1, k=1, d=1, ell=1, domain=2), "condition-kset")
+        with pytest.raises(RegistryError, match="unknown schedule 'no-such-schedule'"):
+            engine.sweep({"k": (1,)}, 1, schedule="no-such-schedule")
         assert started == []
 
 

@@ -529,6 +529,22 @@ class TestServerEndToEnd:
                 client.check(CHECK_SPEC, backend="sync", adversary="send-omission")
             with pytest.raises(ServeError, match="does not support"):
                 client.check(CHECK_SPEC, algorithm="floodmin", backend="async")
+            # run_check's own parameter checks, and the engine's schedule
+            # name, chunk size and worker count checks, come first too.
+            with pytest.raises(ServeError, match="max_vectors must be an integer"):
+                client.check(CHECK_SPEC, max_vectors="12")
+            with pytest.raises(ServeError, match="max_counterexamples must be >= 0"):
+                client.check(CHECK_SPEC, max_counterexamples=-1)
+            with pytest.raises(ServeError, match="workers must be >= 1"):
+                client.check(CHECK_SPEC, workers=0)
+            with pytest.raises(ServeError, match="unknown schedule 'no-such-schedule'"):
+                client.run(SPEC, vector, schedule="no-such-schedule")
+            with pytest.raises(ServeError, match="chunk_size must be >= 1"):
+                client.run_batch(SPEC, _vectors(2), chunk_size=0)
+            with pytest.raises(ServeError, match="workers must be >= 1"):
+                client.run_batch(SPEC, _vectors(2), workers=0)
+            with pytest.raises(ServeError, match="unknown schedule 'no-such-schedule'"):
+                client.sweep(SPEC, {"k": [1]}, schedule="no-such-schedule")
             assert "default" not in server.status()["tenants"]
             for seed in range(2):
                 assert client.run(SPEC, vector, seed=seed).terminated
@@ -536,7 +552,7 @@ class TestServerEndToEnd:
                 client.run(SPEC, vector)
             status = server.status()
             assert status["tenants"]["default"] == {"used": 2, "limit": 2}
-            assert status["requests"]["errors"]["bad-request"] == 6
+            assert status["requests"]["errors"]["bad-request"] == 13
 
     def test_tenant_quota_overrides(self):
         with ReproServer(

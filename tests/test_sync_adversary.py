@@ -5,12 +5,17 @@ from __future__ import annotations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from strategies import crash_schedules
 
 from repro.exceptions import AdversaryError
 from repro.sync.adversary import (
     CrashEvent,
     CrashSchedule,
     crashes_in_round_one,
+    enumerate_schedules,
     initial_crashes,
     no_crashes,
     random_schedule,
@@ -170,3 +175,110 @@ class TestFactories:
     def test_staggered_requires_positive_per_round(self):
         with pytest.raises(AdversaryError):
             staggered_schedule(6, 3, per_round=0)
+
+
+# ----------------------------------------------------------------------
+# The per-schedule checks against their plain formulations
+# ----------------------------------------------------------------------
+def _reference_validate(schedule: CrashSchedule, n: int, t: int) -> None:
+    """``CrashSchedule.validate`` as a loop over every receiver."""
+    if len(schedule.events) > t:
+        raise AdversaryError(
+            f"the schedule crashes {len(schedule.events)} processes but t={t}"
+        )
+    for event in schedule.events.values():
+        if not 0 <= event.process_id < n:
+            raise AdversaryError(
+                f"crash event names process {event.process_id} outside [0, {n})"
+            )
+        if any(not 0 <= receiver < n for receiver in event.delivered_to):
+            raise AdversaryError(
+                f"crash event of process {event.process_id} delivers to unknown processes"
+            )
+        if event.round_number == 1 and not event.is_prefix_delivery():
+            raise AdversaryError(
+                "round-1 crashes must deliver to a prefix of the processes "
+                "(ordered send phase); got "
+                f"{sorted(event.delivered_to)} for process {event.process_id}"
+            )
+
+
+def _reference_key(schedule: CrashSchedule):
+    """``CrashSchedule.observable_key`` as a set difference per event."""
+    events = sorted(schedule.events.items())
+    observed = []
+    initial = 0
+    for pid, event in events:
+        delivered = event.delivered_to
+        if delivered:
+            delivered = delivered.difference(
+                [other for other, crash in events if crash.round_number <= event.round_number]
+            )
+        elif event.round_number == 1:
+            initial += 1
+        observed.append((pid, event.round_number, delivered))
+    return tuple(observed), initial
+
+
+def _refusal(validate, schedule: CrashSchedule, n: int, t: int) -> str | None:
+    try:
+        validate(schedule, n, t)
+    except AdversaryError as error:
+        return str(error)
+    return None
+
+
+@st.composite
+def _any_schedules(draw):
+    """``(n, t, schedule)``: process ids in ``[0, n + 1]``, rounds 1–3, and
+    deliveries that are prefixes (some past ``n``) or receiver sets drawn
+    from ``[-2, n + 2]``, so every refusal and every pass is reachable."""
+    n = draw(st.integers(1, 6))
+    t = draw(st.integers(0, n))
+    victims = draw(st.lists(st.integers(0, n + 1), unique=True, max_size=n + 1))
+    events = []
+    for victim in victims:
+        round_number = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            delivered = frozenset(range(draw(st.integers(0, n + 2))))
+        else:
+            delivered = draw(st.frozensets(st.integers(-2, n + 2), max_size=n + 2))
+        events.append(CrashEvent(victim, round_number, delivered))
+    return n, t, CrashSchedule.from_events(events)
+
+
+class TestChecksMatchTheirReferences:
+    """``validate`` runs set tests and ``observable_key`` removes only the
+    crashed processes a set holds; both must answer as the plain loops do."""
+
+    @given(_any_schedules())
+    @settings(max_examples=400, deadline=None)
+    def test_validate_refuses_what_the_receiver_loop_refuses(self, drawn):
+        n, t, schedule = drawn
+        assert _refusal(CrashSchedule.validate, schedule, n, t) == _refusal(
+            _reference_validate, schedule, n, t
+        )
+
+    @pytest.mark.parametrize("receiver", ["1", 1.5])
+    def test_non_integer_receivers_are_refused(self, receiver):
+        schedule = CrashSchedule.from_events([CrashEvent(0, 2, frozenset({0, receiver}))])
+        with pytest.raises(AdversaryError, match="process 0 delivers to unknown processes"):
+            schedule.validate(n=4, t=2)
+
+    @pytest.mark.parametrize(
+        "n, t, rounds", [(3, 1, 2), (3, 1, 3), (4, 2, 2), (4, 2, 3), (4, 3, 4)]
+    )
+    def test_key_matches_the_set_difference_on_every_schedule(self, n, t, rounds):
+        for schedule in enumerate_schedules(n, t, rounds):
+            assert schedule.observable_key() == _reference_key(schedule)
+
+    @given(
+        st.integers(5, 6).flatmap(
+            lambda n: st.integers(1, n - 1).flatmap(
+                lambda t: crash_schedules(n, t, 4)
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_key_matches_the_set_difference_on_drawn_schedules(self, schedule):
+        assert schedule.observable_key() == _reference_key(schedule)

@@ -30,6 +30,8 @@ that an overrunning class raises for each of its members.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
+from typing import ClassVar
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -39,9 +41,9 @@ from strategies import vector_batches, vectors
 
 from repro.algorithms.early_deciding_kset import EarlyDecidingKSetAgreement
 from repro.api import AgreementSpec, Engine, RunConfig
-from repro.check import MUTANT_HASTY_FLOODMIN, SyncSpace, check_slice, register_mutants
+from repro.check import MUTANT_HASTY_FLOODMIN, SyncSpace, check_slice, checker, register_mutants
 from repro.check.frontier import input_frontier, packed_frontier
-from repro.check.oracles import ORACLES, CheckContext
+from repro.check.oracles import ORACLES, CheckContext, PropertyOracle
 from repro.core.conditions import ExplicitCondition, MaxLegalCondition
 from repro.core.families import (
     AllVectorsOracle,
@@ -454,6 +456,105 @@ class TestClassMemo:
             with pytest.raises(SimulationError, match="exceeded its round bound"):
                 evaluator.check_schedule(schedule)
         assert not evaluator._class_memo
+
+
+def _always(context, result):
+    return True
+
+
+def _flagged(context, result):
+    return f"flagged {list(result.input_vector.entries)}"
+
+
+#: A stub space's oracles: one every execution violates, one none does.
+_STUB_ORACLES = {
+    "flagged": PropertyOracle("flagged", "every execution violates it", _always, _flagged),
+    "quiet": PropertyOracle("quiet", "no execution violates it", _always, lambda c, r: None),
+}
+
+
+@dataclass(frozen=True)
+class _StubSpace(SyncSpace):
+    """The sync space with a stub batch hook: each schedule's answer is
+    ``answers[len(schedule) % len(answers)]``, as that very tuple (*shared*)
+    or as an equal fresh one."""
+
+    answers: tuple = ()
+    shared: bool = True
+
+    oracles: ClassVar = _STUB_ORACLES
+
+    def batch(self, engine, context, vectors, oracle_names):
+        def masks(schedule):
+            answer = self.answers[len(schedule) % len(self.answers)]
+            if self.shared:
+                return answer
+            fresh = tuple([(applies, violations) for applies, violations in answer])
+            assert fresh == answer and fresh is not answer
+            return fresh
+
+        return masks
+
+
+class TestSharedAnswers:
+    """The batch slice tallies one entry per distinct answer object: one
+    tuple returned for many points must count exactly as equal fresh
+    tuples do, and decode its counterexamples point by point."""
+
+    VECTORS = tuple(InputVector(entries) for entries in ([1, 1, 1, 1], [1, 2, 1, 2], [2, 2, 2, 1]))
+    #: A violating answer (lanes 0 and 2 flagged) and a clean one.
+    VIOLATING = ((0b111, 0b101), (0b011, 0))
+    CLEAN = ((0b111, 0), (0b110, 0))
+
+    def _slice(self, answers, shared, cap):
+        engine = Engine(N4T2, "condition-kset")
+        space = _StubSpace(rounds=2, answers=answers, shared=shared)
+        enumerated, executions, tallies, counterexamples = check_slice(
+            engine, space, 5, 405, self.VECTORS, ("flagged", "quiet"), cap, vectorized=True
+        )
+        violations = sum(tally.violations for tally in tallies)
+        return (
+            enumerated,
+            executions,
+            [tally.to_record() for tally in tallies],
+            [json.dumps(ce.to_record(), sort_keys=True) for ce in counterexamples],
+            violations > len(counterexamples),
+        )
+
+    @pytest.mark.parametrize("cap", [0, 7, 10_000])
+    @pytest.mark.parametrize("mix", ["violating", "alternating"])
+    def test_one_shared_tuple_counts_as_fresh_equal_tuples(self, mix, cap, monkeypatch):
+        answers = (self.VIOLATING,) if mix == "violating" else (self.VIOLATING, self.CLEAN)
+        shared = self._slice(answers, True, cap)
+        assert shared == self._slice(answers, False, cap)
+        # Fresh tuples make an entry per point: a tiny entry bound tallies
+        # (and forgets) them as the slice goes, with the same outcome.
+        monkeypatch.setattr(checker, "_ANSWERS_KEPT", 3)
+        assert shared == self._slice(answers, False, cap)
+        assert shared == self._slice(answers, True, cap)
+
+        # The tallies are the per-point bit counts.
+        schedules = list(enumerate_schedules(4, 2, 2))[5:405]
+        got = [answers[len(schedule) % len(answers)] for schedule in schedules]
+        flagged = sum(answer[0][1].bit_count() for answer in got)
+        quiet = sum(answer[1][0].bit_count() for answer in got)
+        assert shared[:3] == (
+            400,
+            1200,
+            [
+                {"oracle": "flagged", "checked": 1200, "violations": flagged},
+                {"oracle": "quiet", "checked": quiet, "violations": 0},
+            ],
+        )
+        # Counterexamples follow the stream: point, then lane, until the cap.
+        decoded = [
+            f"flagged {list(self.VECTORS[lane].entries)}"
+            for answer in got
+            for lane in (0, 2)
+            if answer is self.VIOLATING
+        ][:cap]
+        assert [json.loads(ce)["detail"] for ce in shared[3]] == decoded
+        assert shared[4] == (cap < flagged)
 
 
 class TestCliFlag:
