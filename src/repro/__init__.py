@@ -19,6 +19,10 @@ The package is organised as follows:
   algorithm/schedule registries and the :class:`~repro.api.Engine` façade
   with single, batched and swept execution on both backends.
 
+The names this package and its subpackages re-export are imported on first
+access (:mod:`repro._lazy`): ``import repro`` loads that helper and
+:mod:`repro.exceptions`, and an engine loads only the backend it runs.
+
 Quickstart (the unified API)
 ----------------------------
 
@@ -48,6 +52,7 @@ True
 [7]
 """
 
+from ._lazy import lazy_exports
 from .exceptions import (
     AdversaryError,
     AgreementViolationError,
@@ -62,29 +67,6 @@ from .exceptions import (
     ReproError,
     SimulationError,
     StoreError,
-)
-from .core import (
-    BOTTOM,
-    AllVectorsOracle,
-    ConditionLattice,
-    ConditionOracle,
-    ExplicitCondition,
-    FrequencyGapCondition,
-    HammingBallCondition,
-    InputVector,
-    LegalityClass,
-    MaxLegalCondition,
-    MaxValues,
-    MinLegalCondition,
-    MinValues,
-    SynchronousClass,
-    ValueDomain,
-    View,
-    max_condition_size,
-    nb_consensus_condition,
-    rounds_in_condition,
-    rounds_outside_condition,
-    table1_condition,
 )
 
 __version__ = "1.0.0"
@@ -127,63 +109,70 @@ __all__ = [
     "__version__",
 ]
 
-
-#: Lazily exposed entry points: attribute name -> (module, attribute).
-#: The heavy subpackages (sync, asynchronous, algorithms, analysis, api) are
-#: imported on first use so that ``import repro`` stays cheap for users who
-#: only need the conditions framework.
-_LAZY_EXPORTS = {
-    "SynchronousSystem": ("repro.sync", "SynchronousSystem"),
-    "ExecutionResult": ("repro.sync", "ExecutionResult"),
-    "CrashSchedule": ("repro.sync", "CrashSchedule"),
-    "ConditionBasedKSetAgreement": (
-        "repro.algorithms",
-        "ConditionBasedKSetAgreement",
-    ),
-    "FloodMinKSetAgreement": ("repro.algorithms", "FloodMinKSetAgreement"),
-    "FloodSetConsensus": ("repro.algorithms", "FloodSetConsensus"),
-    "EarlyDecidingKSetAgreement": (
-        "repro.algorithms",
-        "EarlyDecidingKSetAgreement",
-    ),
-    "ConditionBasedConsensus": ("repro.algorithms", "ConditionBasedConsensus"),
-    # The unified API (PR 1): one façade over every algorithm and backend.
-    "AgreementSpec": ("repro.api", "AgreementSpec"),
-    "Engine": ("repro.api", "Engine"),
-    "RunConfig": ("repro.api", "RunConfig"),
-    "RunResult": ("repro.api", "RunResult"),
-    "available_algorithms": ("repro.api", "available_algorithms"),
-    "available_schedules": ("repro.api", "available_schedules"),
-    # The condition registry (PR 2): families as first-class citizens.
-    "available_conditions": ("repro.api", "available_conditions"),
-    "register_condition": ("repro.api", "register_condition"),
-    "ConditionFamily": ("repro.api", "ConditionFamily"),
-    # Parallel execution + the persistent result store (PR 3).
-    "ResultStore": ("repro.store", "ResultStore"),
-    # Exhaustive adversary verification (PR 4): the model checker.
-    "CheckReport": ("repro.check", "CheckReport"),
-    "Counterexample": ("repro.check", "Counterexample"),
-    "differential_check": ("repro.check", "differential_check"),
-    "input_frontier": ("repro.check", "input_frontier"),
-    "register_mutants": ("repro.check", "register_mutants"),
-    "enumerate_schedules": ("repro.sync", "enumerate_schedules"),
-    "count_schedules": ("repro.sync", "count_schedules"),
-}
-
-
-def __getattr__(name):
-    """Lazily expose the simulator, algorithm and unified-API entry points."""
-    if name in _LAZY_EXPORTS:
-        import importlib
-
-        module_name, attribute = _LAZY_EXPORTS[name]
-        module = importlib.import_module(module_name)
-        value = getattr(module, attribute)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-def __dir__():
-    """Make the lazy exports visible to ``dir(repro)`` and tab completion."""
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))
+#: Everything else is imported on first access: ``import repro`` loads the
+#: exceptions alone, and ``repro.Engine`` the unified API and what it runs.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".core": (
+            "BOTTOM",
+            "AllVectorsOracle",
+            "ConditionLattice",
+            "ConditionOracle",
+            "ExplicitCondition",
+            "FrequencyGapCondition",
+            "HammingBallCondition",
+            "InputVector",
+            "LegalityClass",
+            "MaxLegalCondition",
+            "MaxValues",
+            "MinLegalCondition",
+            "MinValues",
+            "SynchronousClass",
+            "ValueDomain",
+            "View",
+            "max_condition_size",
+            "nb_consensus_condition",
+            "rounds_in_condition",
+            "rounds_outside_condition",
+            "table1_condition",
+        ),
+        ".sync": (
+            "CrashSchedule",
+            "ExecutionResult",
+            "SynchronousSystem",
+            "count_schedules",
+            "enumerate_schedules",
+        ),
+        ".algorithms": (
+            "ConditionBasedConsensus",
+            "ConditionBasedKSetAgreement",
+            "EarlyDecidingKSetAgreement",
+            "FloodMinKSetAgreement",
+            "FloodSetConsensus",
+        ),
+        # The unified API: one façade over every algorithm and backend, and
+        # the condition registry.
+        ".api": (
+            "AgreementSpec",
+            "ConditionFamily",
+            "Engine",
+            "RunConfig",
+            "RunResult",
+            "available_algorithms",
+            "available_conditions",
+            "available_schedules",
+            "register_condition",
+        ),
+        ".store": ("ResultStore",),
+        # The model checker.
+        ".check": (
+            "CheckReport",
+            "Counterexample",
+            "differential_check",
+            "input_frontier",
+            "register_mutants",
+        ),
+    },
+)

@@ -13,23 +13,7 @@
   l-set agreement of Section 4.
 """
 
-from .async_condition_set_agreement import (
-    AsyncConditionSetAgreementProcess,
-    run_async_condition_set_agreement,
-)
-from .classic_consensus import FloodSetConsensus, FloodSetProcess
-from .classic_kset import FloodMinKSetAgreement, FloodMinProcess
-from .condition_consensus import ConditionBasedConsensus
-from .condition_kset import (
-    ConditionBasedKSetAgreement,
-    ConditionKSetProcess,
-    StateTriple,
-)
-from .early_deciding_kset import (
-    EarlyDecidingKSetAgreement,
-    EarlyDecidingProcess,
-    EarlyMessage,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "AsyncConditionSetAgreementProcess",
@@ -46,3 +30,27 @@ __all__ = [
     "StateTriple",
     "run_async_condition_set_agreement",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".async_condition_set_agreement": (
+            "AsyncConditionSetAgreementProcess",
+            "run_async_condition_set_agreement",
+        ),
+        ".classic_consensus": ("FloodSetConsensus", "FloodSetProcess"),
+        ".classic_kset": ("FloodMinKSetAgreement", "FloodMinProcess"),
+        ".condition_consensus": ("ConditionBasedConsensus",),
+        ".condition_kset": (
+            "ConditionBasedKSetAgreement",
+            "ConditionKSetProcess",
+            "StateTriple",
+        ),
+        ".early_deciding_kset": (
+            "EarlyDecidingKSetAgreement",
+            "EarlyDecidingProcess",
+            "EarlyMessage",
+        ),
+    },
+)

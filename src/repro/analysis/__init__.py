@@ -1,22 +1,6 @@
 """Analysis: property checkers, round measurements and the experiment harness."""
 
-from .experiments import (
-    EXPERIMENTS,
-    ExperimentOutput,
-    list_experiments,
-    run_experiment,
-)
-from .properties import (
-    PropertyReport,
-    assert_execution_correct,
-    check_agreement,
-    check_execution,
-    check_round_bound,
-    check_termination,
-    check_validity,
-)
-from .rounds import RoundMeasurement, adversarial_schedules, measure_worst_rounds
-from .tables import format_check, format_table
+from .._lazy import lazy_exports
 
 __all__ = [
     "EXPERIMENTS",
@@ -36,3 +20,31 @@ __all__ = [
     "measure_worst_rounds",
     "run_experiment",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".experiments": (
+            "EXPERIMENTS",
+            "ExperimentOutput",
+            "list_experiments",
+            "run_experiment",
+        ),
+        ".properties": (
+            "PropertyReport",
+            "assert_execution_correct",
+            "check_agreement",
+            "check_execution",
+            "check_round_bound",
+            "check_termination",
+            "check_validity",
+        ),
+        ".rounds": (
+            "RoundMeasurement",
+            "adversarial_schedules",
+            "measure_worst_rounds",
+        ),
+        ".tables": ("format_check", "format_table"),
+    },
+)

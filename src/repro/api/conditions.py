@@ -32,18 +32,13 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from ..core.conditions import ConditionOracle, ExplicitCondition, MaxLegalCondition
-from ..core.families import (
-    AllVectorsOracle,
-    FrequencyGapCondition,
-    HammingBallCondition,
-    MinLegalCondition,
-)
 from ..core.recognizing import MaxValues, MinValues
 from ..core.vectors import InputVector
 from ..exceptions import InvalidParameterError
 from .registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (spec imports us lazily)
+    from ..core.families import MinLegalCondition
     from .spec import AgreementSpec
 
 __all__ = [
@@ -160,7 +155,9 @@ def _build_max_legal(spec: "AgreementSpec", params: Mapping[str, Any]) -> Condit
 
 
 @lru_cache(maxsize=None)
-def _min_legal_for(n: int, domain: int, x: int, ell: int) -> MinLegalCondition:
+def _min_legal_for(n: int, domain: int, x: int, ell: int) -> "MinLegalCondition":
+    from ..core.families import MinLegalCondition
+
     return MinLegalCondition(n=n, domain=domain, x=x, ell=ell)
 
 
@@ -178,6 +175,8 @@ def _build_min_legal(spec: "AgreementSpec", params: Mapping[str, Any]) -> Condit
     "the trivial condition C_all; (x, l)-legal iff l > x (Theorems 8-9)",
 )
 def _build_all_vectors(spec: "AgreementSpec", params: Mapping[str, Any]) -> ConditionOracle:
+    from ..core.families import AllVectorsOracle
+
     take_params("all-vectors", params, ())
     return AllVectorsOracle(spec.n, spec.domain, spec.ell)
 
@@ -188,6 +187,8 @@ def _build_all_vectors(spec: "AgreementSpec", params: Mapping[str, Any]) -> Cond
     parameters="gap (int, default x)",
 )
 def _build_frequency_gap(spec: "AgreementSpec", params: Mapping[str, Any]) -> ConditionOracle:
+    from ..core.families import FrequencyGapCondition
+
     options = take_params("frequency-gap", params, ("gap",))
     if spec.ell != 1:
         raise InvalidParameterError(
@@ -204,6 +205,8 @@ def _build_frequency_gap(spec: "AgreementSpec", params: Mapping[str, Any]) -> Co
     parameters="center (tuple of n values, default unanimous m), radius (int, default x)",
 )
 def _build_hamming_ball(spec: "AgreementSpec", params: Mapping[str, Any]) -> ConditionOracle:
+    from ..core.families import HammingBallCondition
+
     options = take_params("hamming-ball", params, ("center", "radius"))
     center = options.get("center")
     if center is None:

@@ -49,17 +49,13 @@ import dataclasses
 import itertools
 import weakref
 from dataclasses import dataclass, field
+from functools import cache
 from random import Random
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from ..algorithms.async_condition_set_agreement import AsyncConditionSetAgreementProcess
-from ..asynchronous.adversary import AsyncAdversary
-from ..asynchronous.executor import AsyncExecutor
 from ..core.conditions import ConditionOracle
 from ..core.vectors import InputVector, View
 from ..exceptions import BackendError, InvalidParameterError, ReproError
-from ..net.adversary import NetAdversary, resolve_net_adversary
-from ..net.runtime import NetSystem
 from ..sync.adversary import CrashSchedule
 from ..sync.process import SynchronousAlgorithm
 from ..sync.runtime import SynchronousSystem
@@ -67,8 +63,12 @@ from .registry import ALGORITHMS, SCHEDULES, AlgorithmEntry
 from .result import RunResult
 from .spec import BACKENDS, AgreementSpec, RunConfig, require_int
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports us)
+if TYPE_CHECKING:  # pragma: no cover - typing only; the backends load on first use
+    from ..asynchronous.adversary import AsyncAdversary
+    from ..asynchronous.executor import AsyncExecutor
     from ..check.checker import CheckSpace
+    from ..net.adversary import NetAdversary
+    from ..net.runtime import NetSystem
     from ..store import ResultStore
 
 __all__ = [
@@ -83,6 +83,19 @@ BACKEND_KNOBS: dict[str, tuple[str, ...]] = {
     "net": ("net_adversary",),
     "async": ("max_steps", "async_adversary", "crash_steps"),
 }
+
+
+@cache
+def _adversary_type(knob: str) -> type:
+    """The class an adversary object passed as run knob *knob* must be an
+    instance of; its backend is imported on the first such object."""
+    if knob == "net_adversary":
+        from ..net.adversary import NetAdversary
+
+        return NetAdversary
+    from ..asynchronous.adversary import AsyncAdversary
+
+    return AsyncAdversary
 
 
 @dataclass(frozen=True)
@@ -102,6 +115,18 @@ class RunKnobs:
     #: Crash points as sorted ``(pid, steps)`` pairs.
     crash_steps: tuple[tuple[int, int], ...] | None = None
     net_adversary: "NetAdversary | str | None" = None
+
+
+class CheckedCall(NamedTuple):
+    """What :meth:`Engine._checked_call` accepted, ready to run."""
+
+    knobs: RunKnobs
+    chunk: int
+    workers: int
+    #: The call's vectors, normalised.
+    vectors: list[InputVector]
+    #: The schedule of the call's first run, when the call gave its seed.
+    schedule: CrashSchedule | None
 
 
 @dataclass
@@ -332,7 +357,7 @@ class Engine:
         self._net_system_cache = None
         # One asynchronous substrate (SharedMemory + process pool) per engine,
         # built lazily and reset between runs instead of reallocated per run.
-        self._async_executor_cache: AsyncExecutor | None = None
+        self._async_executor_cache: "AsyncExecutor | None" = None
         # id -> schedule, weak-valued: an entry lives exactly as long as its
         # schedule object, so a recycled address can never satisfy the lookup
         # (the old entry is purged when its object dies) and the cache cannot
@@ -504,18 +529,14 @@ class Engine:
         runs typically exhaust their step budget and come back with
         ``terminated=False``.
         """
-        knobs, _, _ = self._checked_call(
-            schedule, backend=backend, max_steps=max_steps,
-            async_adversary=async_adversary, crash_steps=crash_steps,
-            net_adversary=net_adversary,
-        )
         if seed is None:
             seed = self._config.seed
-        else:
-            require_int("seed", seed)
-        input_vector = self._normalise_vector(vector)
-        crash_schedule = self._resolve_schedule(schedule, seed)
-        return self._execute(input_vector, crash_schedule, seed, knobs)
+        call = self._checked_call(
+            schedule, vectors=(vector,), seed=seed, backend=backend,
+            max_steps=max_steps, async_adversary=async_adversary,
+            crash_steps=crash_steps, net_adversary=net_adversary,
+        )
+        return self._execute(call.vectors[0], call.schedule, seed, call.knobs)
 
     # -- batched runs --------------------------------------------------------
     def run_batch(
@@ -624,7 +645,7 @@ class Engine:
         chunks are still executing.  Consuming lazily bounds memory on large
         sweeps and lets callers aggregate or persist on the fly.
         """
-        knobs, chunk, worker_count = self._checked_call(
+        knobs, chunk, worker_count, _, _ = self._checked_call(
             schedules, backend=backend, chunk_size=chunk_size, workers=workers,
             async_adversary=async_adversary, crash_steps=crash_steps,
             net_adversary=net_adversary,
@@ -719,32 +740,52 @@ class Engine:
         self,
         schedule: CrashSchedule | str | Iterable[Any] | None = None,
         *,
+        vectors: Iterable[InputVector | Sequence[Any] | Mapping[int, Any]] = (),
+        seed: int | None = None,
         backend: str | None = None,
         chunk_size: int | None = None,
         workers: int | None = 1,
         portable: bool = False,
         **knobs: Any,
-    ) -> tuple[RunKnobs, int, int]:
+    ) -> CheckedCall:
         """The checks :meth:`run`, :meth:`iter_batch` and :meth:`sweep` make
-        before they run anything: ``(knobs, chunk size, worker count)``.
+        before they run anything.
 
         The chunk size and worker count are resolved (``None``: the
         config's; a single run has one worker), the run knobs checked by
-        :meth:`_run_knobs` (portable with more than one worker), and
-        *schedule*, as the call got it, looked up in the schedule registry
-        when it is a name or ``None`` (the config's name); a schedule object
-        or an elementwise stream is resolved as the call runs.  ``repro
-        serve`` makes the same call before it charges a request's quota, so
-        a request the engine refuses costs nothing.
+        :meth:`_run_knobs` (portable with more than one worker) and each of
+        *vectors* normalised (a batch normalises its stream chunk by chunk
+        as it runs).  *schedule*, as the call got it, is looked up in the
+        schedule registry when it is a name or ``None`` (the config's name);
+        an elementwise stream is resolved as the call runs.  A call that
+        runs one schedule on this spec gives the *seed* of its first run:
+        the schedule is then built for it and checked
+        (:meth:`_check_schedule`), and the crash points' process ids are
+        bounded by ``n``, so a factory's, the spec's or the backend's
+        refusal comes first too (a sweep gives none, as its cells have
+        specs of their own).  ``repro serve`` makes the same call
+        before it charges a request's quota, so a request the engine
+        refuses costs nothing.
         """
         chunk = self._resolve_chunk_size(chunk_size)
         worker_count = self._resolve_workers(workers)
         run_knobs = self._run_knobs(
             backend, portable=portable or worker_count > 1, **knobs
         )
-        if schedule is None or isinstance(schedule, str):
+        normalised = [self._normalise_vector(vector) for vector in vectors]
+        crash_schedule = None
+        if seed is not None:
+            require_int("seed", seed)
+            crash_schedule = self._resolve_schedule(schedule, seed)
+            self._check_schedule(crash_schedule, run_knobs.backend)
+            for pid, _ in run_knobs.crash_steps or ():
+                if pid >= self._spec.n:
+                    raise InvalidParameterError(
+                        f"crashed process {pid} outside [0, {self._spec.n})"
+                    )
+        elif schedule is None or isinstance(schedule, str):
             SCHEDULES.get(self._config.schedule if schedule is None else schedule)
-        return run_knobs, chunk, worker_count
+        return CheckedCall(run_knobs, chunk, worker_count, normalised, crash_schedule)
 
     def _resolve_chunk_size(self, chunk_size: int | None) -> int:
         if chunk_size is None:
@@ -786,10 +827,11 @@ class Engine:
                 f"the {backend} backend does not take {', '.join(refused)}; "
                 f"it takes {', '.join(taken) or 'no run knobs'}"
             )
-        for name, kind in (("async_adversary", AsyncAdversary), ("net_adversary", NetAdversary)):
+        for name in ("async_adversary", "net_adversary"):
             value = given.get(name)
             if value is None or isinstance(value, str):
                 continue
+            kind = _adversary_type(name)
             if not isinstance(value, kind):
                 raise InvalidParameterError(
                     f"{name} must be a registry name or a {kind.__name__}, got {value!r}"
@@ -1033,7 +1075,7 @@ class Engine:
         # A typo'd grid key or schedule name is a programming error, not a
         # bad cell: fail the whole sweep up front rather than returning
         # all-error cells.
-        knobs, _, worker_count = self._checked_call(
+        knobs, _, worker_count, _, _ = self._checked_call(
             schedule, backend=backend, workers=workers, portable=True,
             async_adversary=async_adversary, crash_steps=crash_steps,
             net_adversary=net_adversary,
@@ -1225,6 +1267,17 @@ class Engine:
         factory = SCHEDULES.get(name)
         return factory(self._spec, self._config.crashes, seed)
 
+    def _check_schedule(self, schedule: CrashSchedule, backend: str) -> None:
+        """Refuse a schedule *backend* cannot run: any crash on net, or one
+        the spec refuses (validated once per schedule object)."""
+        if backend == "net" and len(schedule) > 0:
+            raise InvalidParameterError(
+                "the net backend takes no crash schedule — its failure model "
+                "is the net adversary (crash-style omission is the "
+                "'send-omission' family)"
+            )
+        self._validate_once(schedule)
+
     def _validate_once(self, schedule: CrashSchedule) -> None:
         key = id(schedule)
         if self._validated_schedules.get(key) is not schedule:
@@ -1250,8 +1303,10 @@ class Engine:
             )
         return self._system
 
-    def _net_system(self) -> NetSystem:
+    def _net_system(self) -> "NetSystem":
         if self._net_system_cache is None:
+            from ..net.runtime import NetSystem
+
             if self._sync_algorithm is None:
                 raise BackendError(
                     f"algorithm {self._algorithm_name!r} has no round-based factory"
@@ -1263,9 +1318,14 @@ class Engine:
             )
         return self._net_system_cache
 
-    def _async_executor(self) -> AsyncExecutor:
+    def _async_executor(self) -> "AsyncExecutor":
         """The engine's reusable asynchronous substrate (one per spec)."""
         if self._async_executor_cache is None:
+            from ..algorithms.async_condition_set_agreement import (
+                AsyncConditionSetAgreementProcess,
+            )
+            from ..asynchronous.executor import AsyncExecutor
+
             factory_builder = self._entry.async_factory if self._entry else None
             if factory_builder is not None:
                 factory = factory_builder(self._spec, self._condition)
@@ -1317,13 +1377,7 @@ class Engine:
     ) -> RunResult:
         """One execution under already-checked *knobs* (see :meth:`_run_knobs`)."""
         backend = knobs.backend
-        if backend == "net" and len(schedule) > 0:
-            raise InvalidParameterError(
-                "the net backend takes no crash schedule — its failure model "
-                "is the net adversary (crash-style omission is the "
-                "'send-omission' family)"
-            )
-        self._validate_once(schedule)
+        self._check_schedule(schedule, backend)
         in_condition = self._membership(vector)
         condition_name = self._condition.name if self._condition is not None else None
 
@@ -1334,13 +1388,10 @@ class Engine:
             )
 
         if backend == "net":
-            adversary = resolve_net_adversary(
+            adversary = (
                 self._config.net_adversary
                 if knobs.net_adversary is None
-                else knobs.net_adversary,
-                self._spec.n,
-                self._spec.t,
-                seed,
+                else knobs.net_adversary
             )
             result = self._net_system().run(vector, adversary, seed=seed)
             return RunResult.from_net(

@@ -22,11 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-from ..algorithms.classic_consensus import FloodSetConsensus
-from ..algorithms.classic_kset import FloodMinKSetAgreement
-from ..algorithms.condition_consensus import ConditionBasedConsensus
-from ..algorithms.condition_kset import ConditionBasedKSetAgreement
-from ..algorithms.early_deciding_kset import EarlyDecidingKSetAgreement
 from ..core.conditions import ConditionOracle
 from ..exceptions import InvalidParameterError, RegistryError
 from ..sync.adversary import (
@@ -215,6 +210,8 @@ def available_schedules() -> tuple[str, ...]:
     "Figure 2: condition-based k-set agreement (the paper's contribution)",
 )
 def _build_condition_kset(spec: AgreementSpec, condition: ConditionOracle):
+    from ..algorithms.condition_kset import ConditionBasedKSetAgreement
+
     # The degenerate d = t regime is the classical special case of the
     # abstract and is the only one where Section 6.1's l <= t − d requirement
     # is deliberately waived; any other spec violating it is a user error and
@@ -235,6 +232,8 @@ def _build_condition_kset(spec: AgreementSpec, condition: ConditionOracle):
     agreement_degree=lambda spec: 1,
 )
 def _build_condition_consensus(spec: AgreementSpec, condition: ConditionOracle):
+    from ..algorithms.condition_consensus import ConditionBasedConsensus
+
     if spec.k != 1:
         raise InvalidParameterError(
             f"condition-consensus solves consensus (k = 1), the spec asks for k={spec.k}"
@@ -249,6 +248,8 @@ def _build_condition_consensus(spec: AgreementSpec, condition: ConditionOracle):
     uses_condition=False,
 )
 def _build_floodmin(spec: AgreementSpec, condition: ConditionOracle):
+    from ..algorithms.classic_kset import FloodMinKSetAgreement
+
     return FloodMinKSetAgreement(t=spec.t, k=spec.k)
 
 
@@ -260,6 +261,8 @@ def _build_floodmin(spec: AgreementSpec, condition: ConditionOracle):
     uses_condition=False,
 )
 def _build_flood_consensus(spec: AgreementSpec, condition: ConditionOracle):
+    from ..algorithms.classic_consensus import FloodSetConsensus
+
     if spec.k != 1:
         raise InvalidParameterError(
             f"flood-consensus solves consensus (k = 1), the spec asks for k={spec.k}"
@@ -274,6 +277,8 @@ def _build_flood_consensus(spec: AgreementSpec, condition: ConditionOracle):
     uses_condition=False,
 )
 def _build_early_deciding(spec: AgreementSpec, condition: ConditionOracle):
+    from ..algorithms.early_deciding_kset import EarlyDecidingKSetAgreement
+
     return EarlyDecidingKSetAgreement(t=spec.t, k=spec.k)
 
 

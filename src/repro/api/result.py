@@ -26,16 +26,18 @@ The record quacks enough like the backend-native results (``decisions``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
-from ..asynchronous.scheduler import AsyncExecutionResult
 from ..core.vectors import InputVector
 from ..deferred import DeferredField, deferred
 from ..exceptions import InvalidParameterError
-from ..net.runtime import NetExecutionResult
 from ..sync.adversary import CrashEvent, CrashSchedule
 from ..sync.runtime import ExecutionResult
 from ..sync.trace import ExecutionTrace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; the backends load on first use
+    from ..asynchronous.scheduler import AsyncExecutionResult
+    from ..net.runtime import NetExecutionResult
 
 __all__ = ["RunResult"]
 
@@ -334,6 +336,9 @@ class RunResult:
             return result
         if isinstance(result, ExecutionResult):
             return cls.from_sync(result, algorithm, in_condition)
+        from ..asynchronous.scheduler import AsyncExecutionResult
+        from ..net.runtime import NetExecutionResult
+
         if isinstance(result, NetExecutionResult):
             return cls.from_net(result, algorithm, in_condition)
         if isinstance(result, AsyncExecutionResult):

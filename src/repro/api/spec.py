@@ -257,21 +257,24 @@ class RunConfig:
         require_int("max_steps_per_process", self.max_steps_per_process, 1)
         require_int("chunk_size", self.chunk_size, 1)
         require_int("workers", self.workers, 1)
-        # Unknown strategy names fail at construction, not at the first run.
-        from ..asynchronous.adversary import ASYNC_ADVERSARIES
+        # Unknown strategy names fail at construction, not at the first run;
+        # a default name is built in, so its backend is not imported here.
+        if self.async_adversary != RunConfig.async_adversary:
+            from ..asynchronous.adversary import ASYNC_ADVERSARIES
 
-        if self.async_adversary not in ASYNC_ADVERSARIES:
-            raise InvalidParameterError(
-                f"unknown async adversary {self.async_adversary!r}; registered "
-                f"strategies: {', '.join(sorted(ASYNC_ADVERSARIES))}"
-            )
-        from ..net.adversary import NET_ADVERSARIES
+            if self.async_adversary not in ASYNC_ADVERSARIES:
+                raise InvalidParameterError(
+                    f"unknown async adversary {self.async_adversary!r}; registered "
+                    f"strategies: {', '.join(sorted(ASYNC_ADVERSARIES))}"
+                )
+        if self.net_adversary != RunConfig.net_adversary:
+            from ..net.adversary import NET_ADVERSARIES
 
-        if self.net_adversary not in NET_ADVERSARIES:
-            raise InvalidParameterError(
-                f"unknown net adversary {self.net_adversary!r}; registered "
-                f"failure models: {', '.join(sorted(NET_ADVERSARIES))}"
-            )
+            if self.net_adversary not in NET_ADVERSARIES:
+                raise InvalidParameterError(
+                    f"unknown net adversary {self.net_adversary!r}; registered "
+                    f"failure models: {', '.join(sorted(NET_ADVERSARIES))}"
+                )
 
     def replace(self, **changes) -> "RunConfig":
         """A copy of the config with *changes* applied."""

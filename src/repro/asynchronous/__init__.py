@@ -6,28 +6,7 @@ points mid-execution, the enumerated bounded-interleaving space) and a
 batched executor that reuses one substrate across the runs of a batch.
 """
 
-from .adversary import (
-    ASYNC_ADVERSARIES,
-    AsyncAdversary,
-    CrashAtStepAdversary,
-    EnumeratedAdversary,
-    LatencySkewAdversary,
-    RoundRobinAdversary,
-    SeededRandomAdversary,
-    available_async_adversaries,
-    count_interleavings,
-    enumerate_interleavings,
-    register_async_adversary,
-    resolve_async_adversary,
-)
-from .executor import AsyncExecutor, ProcessFactory
-from .process import AsynchronousProcess
-from .scheduler import (
-    AsyncExecutionResult,
-    AsynchronousScheduler,
-    interleaving_fingerprint,
-)
-from .shared_memory import SharedMemory
+from .._lazy import lazy_exports
 
 __all__ = [
     "ASYNC_ADVERSARIES",
@@ -50,3 +29,32 @@ __all__ = [
     "register_async_adversary",
     "resolve_async_adversary",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".adversary": (
+            "ASYNC_ADVERSARIES",
+            "AsyncAdversary",
+            "CrashAtStepAdversary",
+            "EnumeratedAdversary",
+            "LatencySkewAdversary",
+            "RoundRobinAdversary",
+            "SeededRandomAdversary",
+            "available_async_adversaries",
+            "count_interleavings",
+            "enumerate_interleavings",
+            "register_async_adversary",
+            "resolve_async_adversary",
+        ),
+        ".executor": ("AsyncExecutor", "ProcessFactory"),
+        ".process": ("AsynchronousProcess",),
+        ".scheduler": (
+            "AsyncExecutionResult",
+            "AsynchronousScheduler",
+            "interleaving_fingerprint",
+        ),
+        ".shared_memory": ("SharedMemory",),
+    },
+)

@@ -66,39 +66,7 @@ Entry points::
     diff = differential_check(spec, "condition-kset", "mutant-hasty-floodmin")
 """
 
-from .async_checker import (
-    AsyncSpace,
-    count_async_adversaries,
-    enumerate_async_adversaries,
-)
-from .async_oracles import ASYNC_ORACLES
-from .checker import (
-    CheckReport,
-    CheckSpace,
-    Counterexample,
-    DecisionDiff,
-    DifferentialReport,
-    OracleTally,
-    SyncSpace,
-    check_slice,
-    differential_check,
-    run_check,
-)
-from .frontier import input_frontier, packed_frontier
-from .mutants import (
-    MUTANT_ECHOLESS_FLOODMIN,
-    MUTANT_HASTY_ASYNC,
-    MUTANT_HASTY_FLOODMIN,
-    MUTANT_SILENT_FLOODMIN,
-    EcholessFloodMin,
-    HastyAsyncProcess,
-    HastyFloodMin,
-    SilentFloodMin,
-    register_mutants,
-)
-from .net_checker import NetSpace
-from .net_oracles import NET_ORACLES
-from .oracles import ORACLES, CheckContext, PropertyOracle
+from .._lazy import lazy_exports
 
 __all__ = [
     "ASYNC_ORACLES",
@@ -132,3 +100,43 @@ __all__ = [
     "register_mutants",
     "run_check",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".async_checker": (
+            "AsyncSpace",
+            "count_async_adversaries",
+            "enumerate_async_adversaries",
+        ),
+        ".async_oracles": ("ASYNC_ORACLES",),
+        ".checker": (
+            "CheckReport",
+            "CheckSpace",
+            "Counterexample",
+            "DecisionDiff",
+            "DifferentialReport",
+            "OracleTally",
+            "SyncSpace",
+            "check_slice",
+            "differential_check",
+            "run_check",
+        ),
+        ".frontier": ("input_frontier", "packed_frontier"),
+        ".mutants": (
+            "MUTANT_ECHOLESS_FLOODMIN",
+            "MUTANT_HASTY_ASYNC",
+            "MUTANT_HASTY_FLOODMIN",
+            "MUTANT_SILENT_FLOODMIN",
+            "EcholessFloodMin",
+            "HastyAsyncProcess",
+            "HastyFloodMin",
+            "SilentFloodMin",
+            "register_mutants",
+        ),
+        ".net_checker": ("NetSpace",),
+        ".net_oracles": ("NET_ORACLES",),
+        ".oracles": ("ORACLES", "CheckContext", "PropertyOracle"),
+    },
+)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cache
+from importlib import import_module
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Mapping, Sequence
 
@@ -139,7 +140,7 @@ class Counterexample:
     def space(self) -> "CheckSpace":
         """The backend's space, bounds unset: it rebuilds, runs and describes
         the point."""
-        return _spaces()[self.backend]
+        return _space(self.backend)
 
     def to_record(self) -> dict[str, Any]:
         """The JSON-serializable record (used by :mod:`repro.store`)."""
@@ -167,7 +168,11 @@ class Counterexample:
         point once, so a record no replay could run is refused here.
         """
         try:
-            spaces = [s for s in _spaces().values() if all(k in record for k in s.record_keys)]
+            spaces = [
+                space
+                for space in map(_space, _SPACE_TYPES)
+                if all(key in record for key in space.record_keys)
+            ]
             if len(spaces) != 1:
                 raise InvalidParameterError(
                     f"the record's adversary keys match {len(spaces)} spaces, not one"
@@ -218,14 +223,20 @@ class Counterexample:
         )
 
 
-@cache
-def _spaces() -> dict[str, "CheckSpace"]:
-    """One unbounded space per backend, by name.  The net and async modules
-    import this one, so they are imported on first use."""
-    from .async_checker import AsyncSpace
-    from .net_checker import NetSpace
+#: The module and type of each backend's space.  The net and async modules
+#: import this one, and a check on one backend loads no other backend.
+_SPACE_TYPES = {
+    "sync": (".checker", "SyncSpace"),
+    "net": (".net_checker", "NetSpace"),
+    "async": (".async_checker", "AsyncSpace"),
+}
 
-    return {space.backend: space for space in (SyncSpace(), NetSpace(), AsyncSpace())}
+
+@cache
+def _space(backend: str) -> "CheckSpace":
+    """The unbounded space of *backend*, its module imported on first use."""
+    module, name = _SPACE_TYPES[backend]
+    return getattr(import_module(module, __package__), name)()
 
 
 def space_from_bounds(backend: str, bounds: Mapping[str, Any]) -> "CheckSpace":
@@ -234,7 +245,7 @@ def space_from_bounds(backend: str, bounds: Mapping[str, Any]) -> "CheckSpace":
     A backend takes exactly the bounds that are fields of its space; any
     other bound given is refused, so no caller drops one silently.
     """
-    space_type = type(_spaces()[backend])
+    space_type = type(_space(backend))
     taken = [bound.name for bound in fields(space_type)]
     refused = [name for name, value in bounds.items() if value is not None and name not in taken]
     if refused:
@@ -710,7 +721,7 @@ def check_arguments(
     """
     space = space.resolve(engine)
     require_int("max_counterexamples", max_counterexamples, 0)
-    require_int("max_vectors", max_vectors)
+    require_int("max_vectors", max_vectors, 1)
     require_int("all_vectors_limit", all_vectors_limit)
     worker_count = engine._resolve_workers(workers)
     return space, worker_count, _resolve_oracles(space, oracles)

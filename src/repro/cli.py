@@ -46,7 +46,6 @@ import sys
 from random import Random
 from typing import Sequence
 
-from .analysis.experiments import EXPERIMENTS, list_experiments, run_experiment
 from .exceptions import InvalidParameterError, ReproError
 from .api import (
     ALGORITHMS,
@@ -60,7 +59,6 @@ from .api import (
 )
 from .api.namespaces import adversary_keyword
 from .asynchronous.adversary import available_async_adversaries
-from .core.lattice import ConditionLattice
 from .net.adversary import available_net_adversaries
 from .workloads.vectors import vector_in_condition, vector_in_max_condition
 
@@ -524,12 +522,16 @@ def parse_grid(items: Sequence[str]) -> dict:
 
 
 def _command_list() -> int:
+    from .analysis.experiments import list_experiments
+
     for experiment_id, title in list_experiments():
         print(f"{experiment_id:>4}  {title}")
     return 0
 
 
 def _command_run(experiment: str) -> int:
+    from .analysis.experiments import EXPERIMENTS, run_experiment
+
     ids = list(EXPERIMENTS) if experiment.lower() == "all" else [experiment]
     status = 0
     for experiment_id in ids:
@@ -542,6 +544,8 @@ def _command_run(experiment: str) -> int:
 
 
 def _command_lattice(n: int, dot: bool) -> int:
+    from .core.lattice import ConditionLattice
+
     lattice = ConditionLattice(n)
     print(lattice.to_dot() if dot else lattice.ascii_matrix())
     return 0

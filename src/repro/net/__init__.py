@@ -21,27 +21,7 @@ serving daemon; the exhaustive checker lives in
 :mod:`repro.check.net_checker`.
 """
 
-from .adversary import (
-    NET_ADVERSARIES,
-    BoundedDelayAdversary,
-    ByzantineCorruptAdversary,
-    EnumeratedCorruption,
-    EnumeratedDelay,
-    EnumeratedMessageLoss,
-    FaultFreeAdversary,
-    MessageLossAdversary,
-    NetAdversary,
-    NetAdversaryFamily,
-    ReceiveOmissionAdversary,
-    SendOmissionAdversary,
-    adversary_from_record,
-    available_net_adversaries,
-    count_faults,
-    enumerate_faults,
-    register_net_adversary,
-    resolve_net_adversary,
-)
-from .runtime import FaultEvent, NetExecutionResult, NetSystem
+from .._lazy import lazy_exports
 
 __all__ = [
     "NET_ADVERSARIES",
@@ -66,3 +46,31 @@ __all__ = [
     "register_net_adversary",
     "resolve_net_adversary",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".adversary": (
+            "NET_ADVERSARIES",
+            "BoundedDelayAdversary",
+            "ByzantineCorruptAdversary",
+            "EnumeratedCorruption",
+            "EnumeratedDelay",
+            "EnumeratedMessageLoss",
+            "FaultFreeAdversary",
+            "MessageLossAdversary",
+            "NetAdversary",
+            "NetAdversaryFamily",
+            "ReceiveOmissionAdversary",
+            "SendOmissionAdversary",
+            "adversary_from_record",
+            "available_net_adversaries",
+            "count_faults",
+            "enumerate_faults",
+            "register_net_adversary",
+            "resolve_net_adversary",
+        ),
+        ".runtime": ("FaultEvent", "NetExecutionResult", "NetSystem"),
+    },
+)

@@ -66,7 +66,7 @@ from ..core.vectors import InputVector
 from ..deferred import DeferredField, deferred
 from ..exceptions import SimulationError
 from ..sync.runtime import RoundSystem
-from .adversary import NetAdversary
+from .adversary import NetAdversary, resolve_net_adversary
 
 __all__ = ["FaultEvent", "NetExecutionResult", "NetSystem"]
 
@@ -252,8 +252,8 @@ class NetSystem(RoundSystem):
     """A synchronous message-passing system running one algorithm.
 
     Parameters mirror :class:`~repro.sync.runtime.SynchronousSystem`; the
-    failure model is supplied per run as a :class:`NetAdversary` instead of
-    a crash schedule.
+    failure model is supplied per run as a :class:`NetAdversary`, or a
+    failure-model name, instead of a crash schedule.
     """
 
     #: The adversary of the last run, when it declares fixed verdicts, with
@@ -265,17 +265,21 @@ class NetSystem(RoundSystem):
     def run(
         self,
         proposals: InputVector | Mapping[int, Any] | list[Any],
-        adversary: NetAdversary,
+        adversary: NetAdversary | str,
         *,
         seed: int = 0,
     ) -> NetExecutionResult:
         """Execute the algorithm on *proposals* under *adversary*.
 
-        *seed* feeds the adversary's :meth:`~NetAdversary.begin_run`, so
-        stochastic failure models are deterministic functions of it; the
-        enumerated models ignore it.
+        *adversary* is a :class:`NetAdversary` or a name in
+        :data:`~repro.net.adversary.NET_ADVERSARIES`, whose builder gets this
+        system's ``n`` and ``t`` and *seed*.  *seed* also feeds the
+        adversary's :meth:`~NetAdversary.begin_run`, so stochastic failure
+        models are deterministic functions of it; the enumerated models
+        ignore it.
         """
         input_vector = self._normalise_proposals(proposals)
+        adversary = resolve_net_adversary(adversary, self._n, self._t, seed)
         adversary.begin_run(self._n, seed)
         processes = self._processes_for(input_vector)
         plans: dict[tuple[int, tuple[int, ...]], _RoundPlan] | None = None

@@ -23,10 +23,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Hashable
 
 from ..api.engine import Engine
+from ..api.spec import RunConfig
 from ..exceptions import InvalidParameterError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..api.spec import AgreementSpec, RunConfig
+    from ..api.spec import AgreementSpec
 
 __all__ = ["EngineCache", "EngineCacheEntry"]
 
@@ -98,8 +99,6 @@ class EngineCache:
         ``run_batch(seeds=...)``, ``sweep(seed=...)``), which is what
         :mod:`repro.serve.server` does.
         """
-        from ..api.spec import RunConfig
-
         key = (spec, algorithm, config or RunConfig())
         victim: EngineCacheEntry | None = None
         with self._mutex:

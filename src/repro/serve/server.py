@@ -64,7 +64,7 @@ from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Iterator, Mapping
 
-from ..api.engine import Engine
+from ..api.engine import CheckedCall, Engine
 from ..api.namespaces import adversary_keyword
 from ..api.registry import ALGORITHMS
 from ..api.spec import AgreementSpec, RunConfig, require_int
@@ -275,11 +275,13 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(vector, (list, tuple)):
             raise InvalidParameterError('"/run" needs a "vector" array')
         state = self.state
-        entry = state._checked_entry(request, schedule=request.schedule)
+        entry, checked = state._checked_entry(
+            request, vectors=(vector,), seed=request.seed, schedule=request.schedule
+        )
         with state._admitted(request.tenant, 1):
             with entry.lock:
                 result = entry.engine.run(
-                    vector,
+                    checked.vectors[0],
                     request.schedule,
                     seed=request.seed,
                     **request.call_knobs(),
@@ -298,9 +300,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._stream_batch(request, vectors)
             return
         state = self.state
-        entry = state._checked_batch_entry(request)
+        entry, checked = state._checked_batch_entry(request, vectors)
         with state._admitted(request.tenant, len(vectors)):
-            results = state.execute_batch(request, vectors, entry)
+            results = state.execute_batch(request, checked.vectors, entry)
         store = state.tenant_store(request.tenant)
         if store is not None:
             store.extend(results)
@@ -318,7 +320,7 @@ class _Handler(BaseHTTPRequestHandler):
         connection, so this response closes it.
         """
         state = self.state
-        entry = state._checked_batch_entry(request)
+        entry, checked = state._checked_batch_entry(request, vectors)
         with state._admitted(request.tenant, len(vectors)):
             self.send_response(200)
             self.send_header("Content-Type", "application/x-ndjson")
@@ -330,7 +332,7 @@ class _Handler(BaseHTTPRequestHandler):
             with entry.lock:
                 try:
                     stream = entry.engine.iter_batch(
-                        vectors,
+                        checked.vectors,
                         request.schedule,
                         seeds=range(request.seed, request.seed + len(vectors)),
                         workers=request.workers,
@@ -366,7 +368,7 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             cell_count *= len(values)
         state = self.state
-        entry = state._checked_entry(
+        entry, _ = state._checked_entry(
             request, schedule=request.schedule, workers=request.workers, portable=True
         )
         with state._admitted(request.tenant, cell_count * runs_per_cell):
@@ -652,18 +654,24 @@ class ReproServer:
                 )
             return store
 
-    def _checked_entry(self, request: _ParsedRequest, **call: Any) -> EngineCacheEntry:
-        """The request's warm engine entry, once the engine accepted the
+    def _checked_entry(
+        self, request: _ParsedRequest, **call: Any
+    ) -> tuple[EngineCacheEntry, CheckedCall]:
+        """The request's warm engine entry and what its engine accepted: the
         request's run knobs and the *call* arguments it forwards (the
-        engine's own pre-check, ``Engine._checked_call``)."""
+        engine's own pre-check, ``Engine._checked_call``), with the
+        vectors normalised."""
         entry = self.cache.get(request.spec, request.algorithm, request.config)
-        entry.engine._checked_call(**call, **request.call_knobs())
-        return entry
+        return entry, entry.engine._checked_call(**call, **request.call_knobs())
 
-    def _checked_batch_entry(self, request: _ParsedRequest) -> EngineCacheEntry:
+    def _checked_batch_entry(
+        self, request: _ParsedRequest, vectors: list
+    ) -> tuple[EngineCacheEntry, CheckedCall]:
         """:meth:`_checked_entry` for a ``/batch`` request's arguments."""
         return self._checked_entry(
             request,
+            vectors=vectors,
+            seed=request.seed,
             schedule=request.schedule,
             chunk_size=request.chunk_size,
             workers=request.workers,

@@ -9,8 +9,7 @@ interned :class:`LaneStates`).  The scalar object runtime in
 everything here is an optimisation with a mandatory decode-back path.
 """
 
-from .evaluator import BatchSyncEvaluator, LaneStates
-from .packed import PackedBlock, count_exceeds, exact_counts, max_value_masks
+from .._lazy import lazy_exports
 
 __all__ = [
     "BatchSyncEvaluator",
@@ -20,3 +19,12 @@ __all__ = [
     "exact_counts",
     "max_value_masks",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".evaluator": ("BatchSyncEvaluator", "LaneStates"),
+        ".packed": ("PackedBlock", "count_exceeds", "exact_counts", "max_value_masks"),
+    },
+)

@@ -88,6 +88,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["BatchSyncEvaluator", "LaneStates"]
 
+#: The algorithm classes the round driver mirrors, by qualified name, and
+#: the mode each runs in.  Only the exact class is mirrored (a subclass,
+#: such as a mutant, takes the scalar path), and matching by name imports
+#: no algorithm module: a pool worker checking one algorithm loads no other.
+_PACKED_MODES = {
+    "repro.algorithms.condition_kset.ConditionBasedKSetAgreement": "condition",
+    "repro.algorithms.early_deciding_kset.EarlyDecidingKSetAgreement": "early",
+}
+
 #: The oracles the evaluator can translate into lane masks.  A request naming
 #: any other oracle falls back to the scalar checker.
 _SUPPORTED_ORACLES = frozenset(
@@ -243,17 +252,10 @@ class BatchSyncEvaluator:
         condition oracle that rejects the block (size or domain validation)
         also refuses — the scalar path then reproduces the exact error.
         """
-        # Deferred so that ``repro.vec`` never drags the algorithm layer (and
-        # through it the api layer) into import cycles.
-        from ..algorithms.condition_kset import ConditionBasedKSetAgreement
-        from ..algorithms.early_deciding_kset import EarlyDecidingKSetAgreement
-
         algorithm = engine.algorithm
-        if type(algorithm) is ConditionBasedKSetAgreement:
-            mode = "condition"
-        elif type(algorithm) is EarlyDecidingKSetAgreement:
-            mode = "early"
-        else:
+        kind = type(algorithm)
+        mode = _PACKED_MODES.get(f"{kind.__module__}.{kind.__qualname__}")
+        if mode is None:
             return None
         if engine.config.record_trace:
             return None

@@ -6,26 +6,7 @@ stories: one frozen :class:`Scenario` type, built by seven factories, runs,
 batches and model-checks a story on the backend of its check space.
 """
 
-from .scenarios import (
-    Scenario,
-    async_scenario,
-    condition_family_scenario,
-    degraded_path_scenario,
-    exhaustive_scenario,
-    fast_path_scenario,
-    net_scenario,
-    outside_condition_scenario,
-)
-from .vectors import (
-    boundary_vector,
-    random_vector,
-    skewed_vector,
-    unanimous_vector,
-    vector_in_condition,
-    vector_in_max_condition,
-    vector_outside_condition,
-    vector_outside_max_condition,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "Scenario",
@@ -45,3 +26,30 @@ __all__ = [
     "vector_outside_condition",
     "vector_outside_max_condition",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".scenarios": (
+            "Scenario",
+            "async_scenario",
+            "condition_family_scenario",
+            "degraded_path_scenario",
+            "exhaustive_scenario",
+            "fast_path_scenario",
+            "net_scenario",
+            "outside_condition_scenario",
+        ),
+        ".vectors": (
+            "boundary_vector",
+            "random_vector",
+            "skewed_vector",
+            "unanimous_vector",
+            "vector_in_condition",
+            "vector_in_max_condition",
+            "vector_outside_condition",
+            "vector_outside_max_condition",
+        ),
+    },
+)

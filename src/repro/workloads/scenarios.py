@@ -17,9 +17,9 @@ predicts, where it predicts one.  The factories build the stories:
 * :func:`exhaustive_scenario` — an input frontier over the complete crash
   schedule space.
 
-:mod:`repro.check` imports this package (its input frontier reuses the
-vector samplers), so this module imports :mod:`repro.check` and
-:mod:`repro.api` only inside the functions that use them.
+This module imports :mod:`repro.check` and :mod:`repro.api` only inside the
+functions that use them, and :mod:`repro.workloads` exports it lazily, so
+the checker's input frontier loads the vector samplers without it.
 """
 
 from __future__ import annotations

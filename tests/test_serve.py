@@ -545,6 +545,22 @@ class TestServerEndToEnd:
                 client.run_batch(SPEC, _vectors(2), workers=0)
             with pytest.raises(ServeError, match="unknown schedule 'no-such-schedule'"):
                 client.sweep(SPEC, {"k": [1]}, schedule="no-such-schedule")
+            # So do vector normalisation, the frontier's bound, the named
+            # schedule's factory and the spec's check of the schedule.
+            with pytest.raises(ServeError, match="expected 4 proposals, got 2"):
+                client.run(SPEC, [1, 2])
+            with pytest.raises(ServeError, match="expected 4 proposals, got 2"):
+                client.run_batch(SPEC, _vectors(1) + [[1, 2]])
+            with pytest.raises(ServeError, match="max_vectors must be >= 1"):
+                client.check(CHECK_SPEC, max_vectors=0)
+            with pytest.raises(ServeError, match="cannot crash 5 processes out of 4"):
+                client.run(SPEC, vector, schedule="round-one", crashes=5)
+            with pytest.raises(ServeError, match="AdversaryError"):
+                client.run_batch(SPEC, _vectors(2), schedule="round-one", crashes=3)
+            with pytest.raises(ServeError, match="takes no crash schedule"):
+                client.run(SPEC, vector, backend="net", schedule="round-one", crashes=1)
+            with pytest.raises(ServeError, match=r"crashed process 9 outside \[0, 4\)"):
+                client.run(SPEC, vector, backend="async", crash_steps={9: 1})
             assert "default" not in server.status()["tenants"]
             for seed in range(2):
                 assert client.run(SPEC, vector, seed=seed).terminated
@@ -552,7 +568,7 @@ class TestServerEndToEnd:
                 client.run(SPEC, vector)
             status = server.status()
             assert status["tenants"]["default"] == {"used": 2, "limit": 2}
-            assert status["requests"]["errors"]["bad-request"] == 13
+            assert status["requests"]["errors"]["bad-request"] == 20
 
     def test_tenant_quota_overrides(self):
         with ReproServer(
