@@ -44,6 +44,8 @@ class FloodMinKSetAgreement(SynchronousAlgorithm):
             raise InvalidParameterError(f"k must be >= 1, got {k}")
         self._t = t
         self._k = k
+        #: decision_round(), a subclass's override included, computed once.
+        self._deciding_round = self.decision_round()
 
     @property
     def t(self) -> int:
@@ -98,8 +100,7 @@ class FloodMinProcess(RoundBasedProcess):
         return self._estimate
 
     def receive_round(self, round_number: int, messages: Mapping[int, Any]) -> None:
-        values = list(messages.values())
-        values.append(self._estimate)
-        self._estimate = min(values)
-        if round_number == self._algorithm.decision_round():
+        # The inbox holds the process's own message, so it is never empty.
+        self._estimate = min(min(messages.values()), self._estimate)
+        if round_number == self._algorithm._deciding_round:
             self.decide(self._estimate, round_number)

@@ -393,6 +393,8 @@ class Engine:
             self._condition = MemoizedCondition(inner) if inner is not None else None
             self._sync_algorithm = algorithm
             self._degree = algorithm.agreement_degree() or spec.k
+        # Every result carries it: name it once, not once per execution.
+        self._condition_name = None if self._condition is None else self._condition.name
 
     # -- introspection -------------------------------------------------------
     @property
@@ -1284,10 +1286,11 @@ class Engine:
             schedule.validate(self._spec.n, self._spec.t)
             self._validated_schedules[key] = schedule
 
-    def _membership(self, vector: InputVector) -> bool | None:
-        if self._condition is None:
-            return None
-        return self._condition.contains(vector)
+    def _runtime(self, backend: str) -> "SynchronousSystem | NetSystem | AsyncExecutor":
+        """The engine's runtime of *backend*, built on first use."""
+        return {
+            "sync": self._sync_system, "net": self._net_system, "async": self._async_executor
+        }[backend]()
 
     def _sync_system(self) -> SynchronousSystem:
         if self._system is None:
@@ -1378,8 +1381,9 @@ class Engine:
         """One execution under already-checked *knobs* (see :meth:`_run_knobs`)."""
         backend = knobs.backend
         self._check_schedule(schedule, backend)
-        in_condition = self._membership(vector)
-        condition_name = self._condition.name if self._condition is not None else None
+        condition = self._condition
+        in_condition = None if condition is None else condition.contains(vector)
+        condition_name = self._condition_name
 
         if backend == "sync":
             result = self._sync_system().run(vector, schedule, validate_schedule=False)

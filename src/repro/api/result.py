@@ -17,6 +17,10 @@ caching layers — handle every backend through a single shape:
 * ``raw`` — the backend-native result, kept for drill-down (traces, step
   counts) so nothing the seed API exposed is lost.
 
+A normalized result holds the runtime's own ``decisions`` and decision-time
+dicts, not copies: every run builds fresh ones, and nothing changes them
+once the run returns.
+
 The record quacks enough like the backend-native results (``decisions``,
 ``decided_values``, ``correct_processes``, ``terminated``,
 ``max_decision_round_of_correct``) that the property checkers of
@@ -40,6 +44,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; the backends load on first 
     from ..net.runtime import NetExecutionResult
 
 __all__ = ["RunResult"]
+
+
+def _all_decided(n: int, crashed: frozenset[int], decisions: Mapping[int, Any]) -> bool:
+    """Termination in one pass: every process of ``range(n)`` crashed or decided."""
+    return crashed.union(decisions).issuperset(range(n))
 
 
 @dataclass
@@ -113,7 +122,7 @@ class RunResult:
 
     def all_correct_decided(self) -> bool:
         """Termination: did every correct process decide?"""
-        return all(pid in self.decisions for pid in self.correct_processes)
+        return _all_decided(self.n, self.crashed, self.decisions)
 
     def max_decision_time(self) -> int:
         """The latest decision time (0 when nobody decided)."""
@@ -126,12 +135,12 @@ class RunResult:
                 "decision rounds are only defined on the synchronous backend; "
                 f"this result is in {self.time_unit!r}"
             )
-        times = [
-            self.decision_times[pid]
-            for pid in self.correct_processes
-            if pid in self.decision_times
-        ]
-        return max(times, default=0)
+        crashed = self.crashed
+        latest = 0
+        for pid, time in self.decision_times.items():
+            if time > latest and pid not in crashed:
+                latest = time
+        return latest
 
     @property
     def rounds_executed(self) -> int:
@@ -236,18 +245,19 @@ class RunResult:
         condition: str | None = None,
     ) -> "RunResult":
         """Normalize a synchronous :class:`ExecutionResult`."""
+        crashed = result.faulty_processes
         return cls(
             algorithm=algorithm,
             backend="sync",
             n=result.n,
             t=result.t,
             input_vector=result.input_vector,
-            decisions=dict(result.decisions),
-            decision_times=dict(result.decision_rounds),
-            crashed=result.faulty_processes,
+            decisions=result.decisions,
+            decision_times=result.decision_rounds,
+            crashed=crashed,
             duration=result.rounds_executed,
             time_unit="rounds",
-            terminated=result.all_correct_decided(),
+            terminated=_all_decided(result.n, crashed, result.decisions),
             in_condition=in_condition,
             condition=condition,
             schedule=result.schedule,
@@ -273,8 +283,8 @@ class RunResult:
             n=result.n,
             t=t,
             input_vector=input_vector,
-            decisions=dict(result.decisions),
-            decision_times=dict(result.decision_steps),
+            decisions=result.decisions,
+            decision_times=result.decision_steps,
             crashed=result.crashed,
             duration=result.total_steps,
             time_unit="steps",
@@ -308,12 +318,12 @@ class RunResult:
             n=result.n,
             t=result.t,
             input_vector=result.input_vector,
-            decisions=dict(result.decisions),
-            decision_times=dict(result.decision_rounds),
+            decisions=result.decisions,
+            decision_times=result.decision_rounds,
             crashed=result.faulty,
             duration=result.rounds_executed,
             time_unit="rounds",
-            terminated=result.all_correct_decided(),
+            terminated=_all_decided(result.n, result.faulty, result.decisions),
             in_condition=in_condition,
             condition=condition,
             schedule=None,

@@ -52,7 +52,7 @@ from ..exceptions import (
 )
 from ..sync.adversary import CrashSchedule, count_schedules, enumerate_schedules
 from .frontier import DEFAULT_ALL_VECTORS_LIMIT, DEFAULT_MAX_VECTORS, input_frontier
-from .oracles import ORACLES, CheckContext, PropertyOracle
+from .oracles import ORACLES, CheckContext, PropertyOracle, _always
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.engine import Engine
@@ -541,33 +541,40 @@ def check_slice(
                 oracle_names,
                 max_counterexamples,
             )
-    oracles = [space.oracles[name] for name in oracle_names]
-    tallies = {name: OracleTally(name) for name in oracle_names}
+    tallies = [OracleTally(name) for name in oracle_names]
+    # Per oracle: its tally, its applicability (None when it always applies:
+    # that tally is counted once, below) and its check.
+    plan = [
+        (tally, None if oracle.applies is _always else oracle.applies, oracle.check)
+        for tally, oracle in zip(tallies, (space.oracles[name] for name in oracle_names))
+    ]
     counterexamples: list[Counterexample] = []
     enumerated = 0
-    executions = 0
     for point in space.points(engine.spec, start, stop):
         enumerated += 1
         schedule, knobs = space.run_args(point)
         for vector in vectors:
             result = engine._execute(vector, schedule, 0, knobs)
-            executions += 1
-            for oracle in oracles:
-                if not oracle.applies(context, result):
-                    continue
-                tally = tallies[oracle.name]
-                tally.checked += 1
-                detail = oracle.check(context, result)
+            for tally, applies, check in plan:
+                if applies is not None:
+                    if not applies(context, result):
+                        continue
+                    tally.checked += 1
+                detail = check(context, result)
                 if detail is None:
                     continue
                 tally.violations += 1
                 if len(counterexamples) < max_counterexamples:
                     counterexamples.append(
                         Counterexample.found(
-                            engine, space, oracle.name, detail, vector, point, result
+                            engine, space, tally.oracle, detail, vector, point, result
                         )
                     )
-    return enumerated, executions, [tallies[name] for name in oracle_names], counterexamples
+    executions = enumerated * len(vectors)
+    for tally, applies, _ in plan:
+        if applies is None:
+            tally.checked = executions
+    return enumerated, executions, tallies, counterexamples
 
 
 def _check_slice_batch(
@@ -777,6 +784,9 @@ def run_check(
             )
         from ..parallel import execute_check
 
+        # Workers fork from here: build the runtime first, so that its
+        # modules are imported once, not in every worker.
+        engine._runtime(space.backend)
         enumerated = 0
         executions = 0
         tallies = [OracleTally(name) for name in oracle_names]

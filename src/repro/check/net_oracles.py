@@ -55,12 +55,12 @@ def _applies_benign(context: CheckContext, result: "RunResult") -> bool:
 
 
 def _check_validity(context: CheckContext, result: "RunResult") -> str | None:
-    proposed = set(result.input_vector.entries)
-    for process_id in sorted(result.correct_processes):
-        if process_id not in result.decisions:
-            continue
-        value = result.decisions[process_id]
-        if value not in proposed:
+    proposed = result.input_vector.val()
+    if proposed.issuperset(result.decisions.values()):
+        return None
+    crashed = result.crashed
+    for process_id, value in sorted(result.decisions.items()):
+        if process_id not in crashed and value not in proposed:
             return (
                 f"non-faulty process {process_id} decided {value!r}, "
                 "which was never proposed"
@@ -69,11 +69,8 @@ def _check_validity(context: CheckContext, result: "RunResult") -> str | None:
 
 
 def _check_agreement(context: CheckContext, result: "RunResult") -> str | None:
-    decided = {
-        result.decisions[pid]
-        for pid in result.correct_processes
-        if pid in result.decisions
-    }
+    crashed = result.crashed
+    decided = {value for pid, value in result.decisions.items() if pid not in crashed}
     if len(decided) > context.degree:
         return (
             f"{len(decided)} distinct values decided by non-faulty processes "

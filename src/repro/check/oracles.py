@@ -115,7 +115,9 @@ class PropertyOracle:
     The one oracle type of all three spaces, in three registries:
     :data:`ORACLES` here, :data:`~repro.check.net_oracles.NET_ORACLES` and
     :data:`~repro.check.async_oracles.ASYNC_ORACLES`.  Both predicates take
-    the :class:`CheckContext` first and the execution second.
+    the :class:`CheckContext` first and the execution second.  A check runs
+    once per execution: it tests its claim with one cheap predicate first
+    and builds its message only on a violation.
     """
 
     name: str
@@ -129,7 +131,9 @@ def _always(context: CheckContext, result: "RunResult") -> bool:
 
 
 def _check_validity(context: CheckContext, result: "RunResult") -> str | None:
-    proposed = set(result.input_vector.entries)
+    proposed = result.input_vector.val()
+    if proposed.issuperset(result.decisions.values()):
+        return None
     for process_id, value in sorted(result.decisions.items()):
         if value not in proposed:
             return f"process {process_id} decided {value!r}, which was never proposed"
@@ -137,7 +141,7 @@ def _check_validity(context: CheckContext, result: "RunResult") -> str | None:
 
 
 def _check_agreement(context: CheckContext, result: "RunResult") -> str | None:
-    decided = result.decided_values()
+    decided = set(result.decisions.values())
     if len(decided) > context.degree:
         return (
             f"{len(decided)} distinct values decided "
@@ -148,10 +152,10 @@ def _check_agreement(context: CheckContext, result: "RunResult") -> str | None:
 
 
 def _check_termination(context: CheckContext, result: "RunResult") -> str | None:
+    if result.terminated:
+        return None
     undecided = sorted(result.correct_processes - set(result.decisions))
-    if undecided:
-        return f"correct process(es) {undecided} never decided"
-    return None
+    return f"correct process(es) {undecided} never decided"
 
 
 def _applies_in_condition(context: CheckContext, result: "RunResult") -> bool:

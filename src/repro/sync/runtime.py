@@ -276,14 +276,10 @@ class SynchronousSystem(RoundSystem):
         if validate_schedule:
             schedule.validate(self._n, self._t)
         processes = self._processes_for(input_vector)
-        result = ExecutionResult(
-            n=self._n,
-            t=self._t,
-            input_vector=input_vector,
-            schedule=schedule,
-            trace=ExecutionTrace() if self._record_trace else None,
-        )
-        decisions, decision_rounds = result.decisions, result.decision_rounds
+        trace = ExecutionTrace() if self._record_trace else None
+        decisions: dict[int, Any] = {}
+        decision_rounds: dict[int, int] = {}
+        crash_rounds: dict[int, int] = {}
         #: Crash events by round, then by process (one event per process).
         crash_table: dict[int, dict[int, CrashEvent]] = {}
         for event in schedule:
@@ -308,7 +304,7 @@ class SynchronousSystem(RoundSystem):
 
             # --- crashes take effect before the computation phase -----------
             for victim in crash_events:
-                result.crash_rounds[victim] = round_number
+                crash_rounds[victim] = round_number
 
             # --- receive + computation phases -------------------------------
             newly_decided: dict[int, Any] = {}
@@ -325,8 +321,8 @@ class SynchronousSystem(RoundSystem):
                 if not process.has_halted():
                     running.append(receiver_id)
 
-            if result.trace is not None:
-                result.trace.record(
+            if trace is not None:
+                trace.record(
                     RoundRecord(
                         round_number=round_number,
                         senders=tuple(live),
@@ -347,5 +343,8 @@ class SynchronousSystem(RoundSystem):
                 f"{self._algorithm.name} exceeded its round bound "
                 f"({round_limit} rounds) with processes {live} still running"
             )
-        result.rounds_executed = round_number
-        return result
+        # Positional, in field order: the result is built once per execution.
+        return ExecutionResult(
+            self._n, self._t, input_vector, decisions, decision_rounds, crash_rounds,
+            round_number, schedule, trace,
+        )

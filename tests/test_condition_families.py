@@ -108,15 +108,16 @@ class TestRegistry:
         assert "radios" in str(excinfo.value)
         assert "radius" in str(excinfo.value)  # the accepted names are listed
 
-    def test_custom_family_runs_end_to_end(self):
+    def test_custom_family_runs_end_to_end(self, monkeypatch):
         name = "test-two-values"
-        if name not in CONDITIONS:
+        # The family is registered for this test only.
+        monkeypatch.setattr(CONDITIONS, "_entries", dict(CONDITIONS._entries))
 
-            @register_condition(name, "vectors with exactly two distinct values")
-            def _build(spec, params):
-                from repro.core.generators import two_values_condition
+        @register_condition(name, "vectors with exactly two distinct values")
+        def _build(spec, params):
+            from repro.core.generators import two_values_condition
 
-                return two_values_condition(spec.n, spec.domain)
+            return two_values_condition(spec.n, spec.domain)
 
         spec = AgreementSpec(n=5, t=2, k=2, d=2, ell=2, domain=3, condition=name)
         engine = Engine(spec, "condition-kset")

@@ -653,7 +653,7 @@ class TestNetMutants:
         with pytest.raises(BackendError):
             Engine(TINY, MUTANT_SILENT_FLOODMIN).run([1, 2, 3], backend="sync")
 
-    def test_validity_oracle_bites_on_an_inventing_algorithm(self):
+    def test_validity_oracle_bites_on_an_inventing_algorithm(self, monkeypatch):
         # A throwaway mutant deciding a value nobody proposed pins the
         # net-validity oracle end to end.
         from repro.algorithms.classic_kset import FloodMinKSetAgreement, FloodMinProcess
@@ -669,20 +669,20 @@ class TestNetMutants:
                 return _InventingProcess(process_id, n, self.t, self)
 
         key = "mutant-inventing-floodmin-test"
-        if key not in ALGORITHMS:
-            ALGORITHMS.add(
-                key,
-                AlgorithmEntry(
-                    name=key,
-                    backends=frozenset({"net"}),
-                    build=lambda spec, condition: _InventingFloodMin(
-                        t=spec.t, k=spec.k
-                    ),
-                    agreement_degree=lambda spec: spec.k,
-                    summary="test-only validity mutant",
-                    uses_condition=False,
-                ),
-            )
+        # Registered for this test only: a later test that runs every
+        # registered algorithm must not meet it.
+        monkeypatch.setitem(
+            ALGORITHMS._entries,
+            key,
+            AlgorithmEntry(
+                name=key,
+                backends=frozenset({"net"}),
+                build=lambda spec, condition: _InventingFloodMin(t=spec.t, k=spec.k),
+                agreement_degree=lambda spec: spec.k,
+                summary="test-only validity mutant",
+                uses_condition=False,
+            ),
+        )
         report = Engine(TINY, key).check(backend="net", adversary="fault-free")
         assert not report.passed
         assert report.tally("net-validity").violations == report.executions

@@ -12,6 +12,12 @@ exactly.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.api import AgreementSpec, Engine, MemoizedCondition, RunConfig, RunResult
@@ -492,3 +498,53 @@ class TestCli:
             parse_grid(["d"])
         with pytest.raises(InvalidParameterError):
             parse_grid(["d=1", "d=2"])
+
+
+#: Starts an interpreter that runs one sharded check and prints, for each
+#: pool it opened, whether the module named was already imported.
+_POOL_PROGRAM = """
+import json, sys
+import repro.parallel
+from repro.api import AgreementSpec, Engine
+
+module, algorithm, spec, options = json.loads(sys.argv[1])
+imported = []
+
+class Pool(repro.parallel.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        imported.append(module in sys.modules)
+        super().__init__(*args, **kwargs)
+
+repro.parallel.ProcessPoolExecutor = Pool
+report = Engine(AgreementSpec(**spec), algorithm).check(workers=2, **options)
+print(json.dumps([imported, report.passed]))
+"""
+
+_NET_CHECK = ("floodmin", {"n": 3, "t": 1, "k": 1, "d": 1, "domain": 2},
+              {"backend": "net", "adversary": "send-omission"})
+_ASYNC_CHECK = ("async-condition", {"n": 3, "t": 1, "k": 1, "d": 0, "domain": 2},
+                {"backend": "async", "depth": 2})
+
+
+@pytest.mark.parametrize(
+    "module, cell",
+    [
+        ("repro.net.runtime", _NET_CHECK),
+        ("repro.asynchronous.executor", _ASYNC_CHECK),
+        ("repro.algorithms.async_condition_set_agreement", _ASYNC_CHECK),
+    ],
+)
+def test_a_sharded_check_imports_its_runtime_before_the_pool_forks(module, cell):
+    """Forked workers inherit the parent's modules, so a runtime the parent
+    imported is not imported again in every worker."""
+    root = Path(__file__).resolve().parent.parent
+    completed = subprocess.run(
+        [sys.executable, "-c", _POOL_PROGRAM, json.dumps([module, *cell])],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert json.loads(completed.stdout.splitlines()[-1]) == [[True], True]
