@@ -170,7 +170,6 @@ __getattr__, __dir__ = lazy_exports(
         ".check": (
             "CheckReport",
             "Counterexample",
-            "differential_check",
             "input_frontier",
             "register_mutants",
         ),

@@ -668,7 +668,9 @@ class Engine:
                 f"{self._algorithm_name!r}, which workers cannot rebuild"
             )
 
-        staged_chunks = self._staged_chunks(iter(vectors), pairing, chunk, seed_stream)
+        staged_chunks = self._staged_chunks(
+            iter(vectors), pairing, chunk, seed_stream, knobs.backend
+        )
         if worker_count == 1:
             return self._iter_serial(staged_chunks, knobs, store)
         from ..parallel import execute_batch
@@ -709,8 +711,10 @@ class Engine:
         pairing: Iterator[CrashSchedule | str | None],
         chunk: int,
         seed_stream: Iterator[int],
+        backend: str,
     ) -> Iterator[list[tuple[InputVector, CrashSchedule, int]]]:
-        """Normalise, pair, seed and validate the batch, one chunk at a time."""
+        """Normalise, pair, seed and check the batch for *backend*, one chunk
+        at a time: the runs execute unchecked."""
         exhausted = object()
         index = 0
         while True:
@@ -733,7 +737,7 @@ class Engine:
                     )
                 require_int("an explicit seed", seed)
                 crash_schedule = self._resolve_schedule(schedule, seed)
-                self._validate_once(crash_schedule)
+                self._check_schedule(crash_schedule, backend)
                 staged.append((self._normalise_vector(vector), crash_schedule, seed))
                 index += 1
             yield staged
@@ -883,6 +887,7 @@ class Engine:
         max_crashes: int | None = None,
         adversary: str | None = None,
         max_faults: int | None = None,
+        reference: str | None = None,
         vectors: Iterable[InputVector | Sequence[Any]] | None = None,
         oracles: Iterable[str] | None = None,
         workers: int | None = None,
@@ -924,11 +929,20 @@ class Engine:
           applicability-gated net oracles (validity and agreement claim
           nothing under ``byzantine-corrupt``; termination always applies).
 
+        *reference* (sync only) makes the check differential, the drift
+        detector: it names a registered algorithm that reruns on every
+        execution of the checked algorithm's frontier, and the space's one
+        oracle, ``reference-decisions``, counts each execution on which the
+        two decide differently, even where both satisfy every property.
+        Its counterexamples replay the checked algorithm, and their detail
+        names both decision maps.
+
         A backend takes exactly the bounds that are fields of its space
-        (*rounds* on sync and net, *depth* / *max_crashes* on async,
-        *adversary* / *max_faults* on net); any other bound raises.  Every
-        bound must be an ``int`` (not a ``bool``), as must
-        *max_counterexamples*, *max_vectors* and *all_vectors_limit*.
+        (*rounds* and *reference* on sync, *rounds* on net, *depth* /
+        *max_crashes* on async, *adversary* / *max_faults* on net); any
+        other bound raises.  Every bound but *adversary* and *reference*
+        must be an ``int`` (not a ``bool``), as must *max_counterexamples*,
+        *max_vectors* and *all_vectors_limit*.
 
         Either way the space's closed form is cross-validated against its
         generator on every run, each adversary is executed against a
@@ -963,6 +977,7 @@ class Engine:
             max_crashes=max_crashes,
             adversary=adversary,
             max_faults=max_faults,
+            reference=reference,
         )
         return run_check(
             self,
@@ -1189,6 +1204,7 @@ class Engine:
                 itertools.repeat(schedule),
                 self._config.chunk_size,
                 itertools.count(self._config.seed),
+                knobs.backend,
             )
             results = list(engine._iter_serial(staged, knobs))
         except ReproError as error:  # bad parameter combos report; bugs raise
@@ -1278,9 +1294,6 @@ class Engine:
                 "is the net adversary (crash-style omission is the "
                 "'send-omission' family)"
             )
-        self._validate_once(schedule)
-
-    def _validate_once(self, schedule: CrashSchedule) -> None:
         key = id(schedule)
         if self._validated_schedules.get(key) is not schedule:
             schedule.validate(self._spec.n, self._spec.t)
@@ -1378,9 +1391,10 @@ class Engine:
         seed: int,
         knobs: RunKnobs,
     ) -> RunResult:
-        """One execution under already-checked *knobs* (see :meth:`_run_knobs`)."""
+        """One execution under already-checked *knobs* (see :meth:`_run_knobs`)
+        and an already-checked *schedule* (see :meth:`_check_schedule`): each
+        call path checks a schedule once, where it enters."""
         backend = knobs.backend
-        self._check_schedule(schedule, backend)
         condition = self._condition
         in_condition = None if condition is None else condition.contains(vector)
         condition_name = self._condition_name

@@ -11,9 +11,8 @@ The pieces:
 
 * :mod:`repro.check.checker` — the one checker: :func:`run_check` (the
   engine behind :meth:`repro.api.Engine.check`, sharded over workers with
-  byte-identical reports), its :func:`check_slice` loop, the
-  :class:`CheckReport`, and :func:`differential_check` (two algorithms on
-  identical executions, decisions diffed);
+  byte-identical reports), its :func:`check_slice` loop and the
+  :class:`CheckReport`;
 * three adversary spaces, one per backend, each a small frozen
   :class:`CheckSpace` that supplies its closed-form count and point stream,
   its oracles, how one point executes, and the point's part of a
@@ -21,7 +20,9 @@ The pieces:
 
   - :class:`SyncSpace` — every crash schedule of the Section 6.2 model
     (:func:`repro.sync.adversary.enumerate_schedules`), with a packed batch
-    hook through :mod:`repro.vec`;
+    hook through :mod:`repro.vec`; given a *reference* algorithm it is a
+    differential check, two algorithms on identical executions with their
+    decisions compared;
   - :class:`AsyncSpace` (:mod:`repro.check.async_checker`) — every bounded
     interleaving prefix × every crash assignment of the shared-memory model,
     with a batch hook that runs each class of identical executions once;
@@ -31,7 +32,8 @@ The pieces:
 * the property oracles, one :class:`PropertyOracle` type in three
   registries: :mod:`repro.check.oracles` (validity, agreement, termination,
   the Theorem 10 round bounds in/out of the condition, the Section 8
-  early-deciding bound), :mod:`repro.check.async_oracles` (validity,
+  early-deciding bound, and the differential check's
+  ``reference-decisions``), :mod:`repro.check.async_oracles` (validity,
   ``l``-agreement, in-condition termination within budget, the per-process
   step budget) and :mod:`repro.check.net_oracles` (applicability-gated, so
   crash-only theorems are reported ``n/a`` under ``byzantine-corrupt``).
@@ -63,7 +65,7 @@ Entry points::
         backend="net", adversary="send-omission", workers=4
     )
 
-    diff = differential_check(spec, "condition-kset", "mutant-hasty-floodmin")
+    diff = Engine(spec, "mutant-hasty-floodmin").check(reference="floodmin")
 """
 
 from .._lazy import lazy_exports
@@ -75,8 +77,6 @@ __all__ = [
     "CheckReport",
     "CheckSpace",
     "Counterexample",
-    "DecisionDiff",
-    "DifferentialReport",
     "EcholessFloodMin",
     "HastyAsyncProcess",
     "HastyFloodMin",
@@ -93,7 +93,6 @@ __all__ = [
     "SyncSpace",
     "check_slice",
     "count_async_adversaries",
-    "differential_check",
     "enumerate_async_adversaries",
     "input_frontier",
     "packed_frontier",
@@ -115,12 +114,9 @@ __getattr__, __dir__ = lazy_exports(
             "CheckReport",
             "CheckSpace",
             "Counterexample",
-            "DecisionDiff",
-            "DifferentialReport",
             "OracleTally",
             "SyncSpace",
             "check_slice",
-            "differential_check",
             "run_check",
         ),
         ".frontier": ("input_frontier", "packed_frontier"),

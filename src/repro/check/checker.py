@@ -27,10 +27,12 @@ contiguous point-index ranges across the process pool of
 makes the parallel report **byte-identical** to the serial one
 (``report.to_record()`` compares equal).
 
-:func:`differential_check` is the second mode: two registered algorithms run
-on identical ``(vector, schedule)`` executions and every decision diff is
-reported — the tool that catches a mutant (or a refactor) drifting from the
-reference algorithm even where no absolute property is violated.
+A :class:`SyncSpace` with a *reference* algorithm is a differential check,
+the drift detector: its one oracle, ``reference-decisions``, reruns the
+reference on every checked execution and counts each one on which the two
+decide differently, which catches a mutant (or a refactor) drifting from
+the reference even where no absolute property is violated.  It runs in the
+same loop, shards and stores like any other check.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Mapping, Sequence
 
 from ..api.engine import RunKnobs
+from ..api.registry import ALGORITHMS
 from ..api.result import RunResult
 from ..api.spec import AgreementSpec, RunConfig, require_int
 from ..core.vectors import InputVector
@@ -52,7 +55,7 @@ from ..exceptions import (
 )
 from ..sync.adversary import CrashSchedule, count_schedules, enumerate_schedules
 from .frontier import DEFAULT_ALL_VECTORS_LIMIT, DEFAULT_MAX_VECTORS, input_frontier
-from .oracles import ORACLES, CheckContext, PropertyOracle, _always
+from .oracles import ORACLES, REFERENCE_ORACLES, CheckContext, PropertyOracle, _always
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.engine import Engine
@@ -64,13 +67,10 @@ __all__ = [
     "CheckSpace",
     "SyncSpace",
     "CheckReport",
-    "DecisionDiff",
-    "DifferentialReport",
     "run_check",
     "check_arguments",
     "check_slice",
     "space_from_bounds",
-    "differential_check",
 ]
 
 #: Default cap on the counterexamples a report materializes (violations are
@@ -291,6 +291,9 @@ class CheckSpace:
     record_keys: ClassVar[tuple[str, ...]]
     #: Whether the space's counterexample records carry a ``fingerprint``.
     fingerprinted: ClassVar[bool] = True
+    #: The registry key of the algorithm every execution is compared with
+    #: (only :class:`SyncSpace` takes one).
+    reference: ClassVar[str | None] = None
 
     def _require_backend(self, engine: "Engine", check: str) -> None:
         if self.backend not in engine.backends():
@@ -300,7 +303,8 @@ class CheckSpace:
             )
 
     def execute(self, engine: "Engine", vector: InputVector, point: Any) -> RunResult:
-        """One reference execution of *vector* under *point*."""
+        """One reference execution of *vector* under *point*, which the
+        space enumerated or rebuilt, so its schedule is already checked."""
         schedule, knobs = self.run_args(point)
         return engine._execute(vector, schedule, 0, knobs)
 
@@ -325,13 +329,16 @@ class SyncSpace(CheckSpace):
     """Every crash schedule whose crashes fall in rounds ``[1, rounds]``.
 
     *rounds* defaults to the unconditional deadline ``⌊t/k⌋ + 1``: later
-    crashes are unobservable.
+    crashes are unobservable.  *reference*, an algorithm registry key, makes
+    the check differential: its one oracle, ``reference-decisions``, takes
+    the place of :data:`~repro.check.oracles.ORACLES` and reruns the
+    reference on every execution.
     """
 
     rounds: int | None = None
+    reference: str | None = None
 
     backend: ClassVar[str] = "sync"
-    oracles: ClassVar[Mapping[str, PropertyOracle]] = ORACLES
     name_width: ClassVar[int] = 26
     record_keys: ClassVar[tuple[str, ...]] = ("schedule",)
     fingerprinted: ClassVar[bool] = False
@@ -339,11 +346,24 @@ class SyncSpace(CheckSpace):
     def __post_init__(self) -> None:
         if self.rounds is not None:
             require_int("rounds", self.rounds, 1)
+        if self.reference is not None and not isinstance(self.reference, str):
+            raise InvalidParameterError(
+                f"reference must be an algorithm registry key, got {self.reference!r}"
+            )
+
+    @property
+    def oracles(self) -> Mapping[str, PropertyOracle]:
+        return ORACLES if self.reference is None else REFERENCE_ORACLES
 
     def resolve(self, engine: "Engine") -> "SyncSpace":
         self._require_backend(engine, "exhaustive checking")
+        if self.reference is not None and not ALGORITHMS.get(self.reference).supports("sync"):
+            raise BackendError(
+                f"the reference algorithm {self.reference!r} does not run on the "
+                "sync backend"
+            )
         if self.rounds is None:
-            return SyncSpace(engine.spec.outside_condition_bound())
+            return SyncSpace(engine.spec.outside_condition_bound(), self.reference)
         return self
 
     def count(self, spec: AgreementSpec) -> int:
@@ -367,9 +387,14 @@ class SyncSpace(CheckSpace):
         return str(list(CrashSchedule.from_records(record["schedule"]).canonical()))
 
     def header(self, count: int) -> dict[str, Any]:
-        return {"rounds": self.rounds, "schedule_count": count}
+        header = {"rounds": self.rounds, "schedule_count": count}
+        if self.reference is not None:
+            header["reference"] = self.reference
+        return header
 
     def render_lines(self, algorithm: str, count: int) -> list[str]:
+        if self.reference is not None:
+            algorithm = f"{algorithm} vs {self.reference}"
         return [
             f"algorithm        : {algorithm}",
             f"schedule space   : {count} schedules "
@@ -553,6 +578,7 @@ def check_slice(
     for point in space.points(engine.spec, start, stop):
         enumerated += 1
         schedule, knobs = space.run_args(point)
+        engine._check_schedule(schedule, knobs.backend)
         for vector in vectors:
             result = engine._execute(vector, schedule, 0, knobs)
             for tally, applies, check in plan:
@@ -803,7 +829,13 @@ def run_check(
             counterexamples.extend(outcome.counterexamples)
         counterexamples = counterexamples[:max_counterexamples]
 
-    _cross_validate(space, spec, enumerated, expected)
+    # The generator/closed-form cross-validation, run on every check: a
+    # drift between the two would silently void the "exhaustive" claim.
+    if enumerated != expected:
+        raise SimulationError(
+            f"enumerating {space!r} produced {enumerated} adversaries but the "
+            f"closed form predicts {expected} for n={spec.n}, t={spec.t}"
+        )
     report = CheckReport(
         spec=spec,
         algorithm=engine.algorithm_name,
@@ -820,170 +852,3 @@ def run_check(
             store.append_counterexample(counterexample)
     return report
 
-
-def _cross_validate(
-    space: CheckSpace, spec: AgreementSpec, enumerated: int, expected: int
-) -> None:
-    """The generator/closed-form cross-validation, run on *every* check and
-    differential check: a drift between the two would silently void the
-    "exhaustive" claim."""
-    if enumerated != expected:
-        raise SimulationError(
-            f"enumerating {space!r} produced {enumerated} adversaries but the "
-            f"closed form predicts {expected} for n={spec.n}, t={spec.t}"
-        )
-
-
-# ----------------------------------------------------------------------
-# Differential mode
-# ----------------------------------------------------------------------
-@dataclass
-class DecisionDiff:
-    """One execution on which the two algorithms decided differently."""
-
-    vector: InputVector
-    schedule: CrashSchedule
-    decisions_a: dict[int, Any] = field(default_factory=dict)
-    decisions_b: dict[int, Any] = field(default_factory=dict)
-
-    def to_record(self) -> dict[str, Any]:
-        return {
-            "vector": list(self.vector.entries),
-            "schedule": self.schedule.to_records(),
-            "decisions_a": {str(pid): value for pid, value in self.decisions_a.items()},
-            "decisions_b": {str(pid): value for pid, value in self.decisions_b.items()},
-        }
-
-
-@dataclass
-class DifferentialReport:
-    """Outcome of running two algorithms over identical executions."""
-
-    spec: AgreementSpec
-    algorithm_a: str
-    algorithm_b: str
-    rounds: int
-    schedule_count: int
-    vector_count: int
-    executions: int
-    mismatches: int = 0
-    examples: list[DecisionDiff] = field(default_factory=list)
-    truncated: bool = False
-
-    @property
-    def identical(self) -> bool:
-        """Did the two algorithms decide identically on every execution?"""
-        return self.mismatches == 0
-
-    def __bool__(self) -> bool:
-        return self.identical
-
-    def to_record(self) -> dict[str, Any]:
-        import dataclasses
-
-        return {
-            "spec": dataclasses.asdict(self.spec),
-            "algorithms": [self.algorithm_a, self.algorithm_b],
-            "rounds": self.rounds,
-            "schedule_count": self.schedule_count,
-            "vector_count": self.vector_count,
-            "executions": self.executions,
-            "mismatches": self.mismatches,
-            "examples": [diff.to_record() for diff in self.examples],
-            "truncated": self.truncated,
-        }
-
-    def render(self) -> str:
-        lines = [
-            f"spec             : {self.spec.describe()}",
-            f"algorithms       : {self.algorithm_a} vs {self.algorithm_b}",
-            f"schedule space   : {self.schedule_count} schedules "
-            f"(crash rounds 1..{self.rounds})",
-            f"input frontier   : {self.vector_count} vectors",
-            f"executions       : {self.executions}",
-            f"decision diffs   : {self.mismatches}",
-        ]
-        for diff in self.examples[:5]:
-            lines.append(
-                f"  {list(diff.vector.entries)} under "
-                f"{list(diff.schedule.canonical())}: "
-                f"{dict(sorted(diff.decisions_a.items()))} vs "
-                f"{dict(sorted(diff.decisions_b.items()))}"
-            )
-        lines.append(f"verdict          : {'IDENTICAL' if self.identical else 'DIVERGED'}")
-        return "\n".join(lines)
-
-
-def differential_check(
-    spec: AgreementSpec,
-    algorithm_a: str,
-    algorithm_b: str,
-    *,
-    config: RunConfig | None = None,
-    rounds: int | None = None,
-    vectors: Iterable[InputVector | Sequence[Any]] | None = None,
-    max_examples: int = DEFAULT_MAX_COUNTEREXAMPLES,
-    max_vectors: int = DEFAULT_MAX_VECTORS,
-    all_vectors_limit: int = DEFAULT_ALL_VECTORS_LIMIT,
-) -> DifferentialReport:
-    """Run two registered algorithms on identical executions, diff decisions.
-
-    Both algorithms see exactly the same ``(vector, schedule)`` pairs — the
-    complete schedule space crossed with one shared frontier (drawn from
-    *algorithm_a*'s condition when it has one, from *algorithm_b*'s
-    otherwise).  A mismatch is an execution whose decision mappings differ
-    (different deciders or different values).  This is the drift detector:
-    a mutant, a refactor or an alternative implementation is compared
-    execution-by-execution against the reference, even where both still
-    satisfy every absolute property.
-    """
-    from ..api.engine import Engine
-
-    engine_a = Engine(spec, algorithm_a, config)
-    engine_b = Engine(spec, algorithm_b, config)
-    space = SyncSpace(rounds).resolve(engine_a).resolve(engine_b)
-    if vectors is not None:
-        frontier = tuple(engine_a._normalise_vector(vector) for vector in vectors)
-    else:
-        condition = engine_a.condition or engine_b.condition
-        frontier = input_frontier(
-            spec, condition, max_vectors=max_vectors, all_vectors_limit=all_vectors_limit
-        )
-    if not frontier:
-        raise InvalidParameterError("the input frontier is empty: nothing to check")
-
-    enumerated = 0
-    executions = 0
-    mismatches = 0
-    examples: list[DecisionDiff] = []
-    for schedule in space.points(spec, 0, None):
-        enumerated += 1
-        for vector in frontier:
-            result_a = engine_a._execute(vector, schedule, 0, SYNC_KNOBS)
-            result_b = engine_b._execute(vector, schedule, 0, SYNC_KNOBS)
-            executions += 1
-            if result_a.decisions != result_b.decisions:
-                mismatches += 1
-                if len(examples) < max_examples:
-                    examples.append(
-                        DecisionDiff(
-                            vector=vector,
-                            schedule=schedule,
-                            decisions_a=dict(result_a.decisions),
-                            decisions_b=dict(result_b.decisions),
-                        )
-                    )
-    schedule_count = space.count(spec)
-    _cross_validate(space, spec, enumerated, schedule_count)
-    return DifferentialReport(
-        spec=spec,
-        algorithm_a=algorithm_a,
-        algorithm_b=algorithm_b,
-        rounds=space.rounds,
-        schedule_count=schedule_count,
-        vector_count=len(frontier),
-        executions=executions,
-        mismatches=mismatches,
-        examples=examples,
-        truncated=mismatches > len(examples),
-    )

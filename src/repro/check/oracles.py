@@ -36,6 +36,11 @@ name                           claim (and when it applies)
                                algorithms exposing ``early_bound``
 =============================  =====================================================
 
+A differential check (a :class:`~repro.check.checker.SyncSpace` with a
+*reference*) evaluates :data:`REFERENCE_ORACLES` instead, whose one oracle,
+``reference-decisions``, claims that the reference algorithm decides the
+same values on the same execution (always applies).
+
 The refined round bounds (the 2-round fast path and the initial-crash
 tightening) are only asserted for the ``condition-kset`` algorithm, whose
 Theorem 10 proves them; other condition-based algorithms are held to the
@@ -47,14 +52,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+from ..api.engine import Engine
 from ..api.spec import AgreementSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..api.engine import Engine
     from ..api.result import RunResult
     from .checker import CheckSpace
 
-__all__ = ["CheckContext", "PropertyOracle", "ORACLES"]
+__all__ = ["CheckContext", "PropertyOracle", "ORACLES", "REFERENCE_ORACLES"]
 
 #: Algorithms whose Theorem 10 refinements (2-round fast path, initial-crash
 #: tightening) the round-bound oracles may assert.
@@ -90,9 +95,12 @@ class CheckContext:
     early_bound: Callable[[int], int] | None
     #: The per-process step budget of asynchronous executions.
     max_steps_per_process: int
+    #: The engine of the space's reference algorithm (same spec and config),
+    #: or ``None`` when the space names none.
+    reference: Engine | None = None
 
     @classmethod
-    def from_engine(cls, engine: "Engine", space: "CheckSpace") -> "CheckContext":
+    def from_engine(cls, engine: Engine, space: "CheckSpace") -> "CheckContext":
         """The context of *engine* checked over the resolved *space*."""
         spec = engine.spec
         return cls(
@@ -105,6 +113,11 @@ class CheckContext:
             theorem10=engine.algorithm_name in _THEOREM10_ALGORITHMS,
             early_bound=getattr(engine.algorithm, "early_bound", None),
             max_steps_per_process=engine.config.max_steps_per_process,
+            reference=(
+                None
+                if space.reference is None
+                else Engine(spec, space.reference, engine.config)
+            ),
         )
 
 
@@ -270,4 +283,26 @@ ORACLES: dict[str, PropertyOracle] = {
             _check_early_deciding_bound,
         ),
     )
+}
+
+
+def _check_reference_decisions(context: CheckContext, result: "RunResult") -> str | None:
+    reference = context.space.execute(context.reference, result.input_vector, result.schedule)
+    if reference.decisions == result.decisions:
+        return None
+    return (
+        f"decided {dict(sorted(result.decisions.items()))}, but "
+        f"{reference.algorithm} decided {dict(sorted(reference.decisions.items()))}"
+    )
+
+
+#: The registry of a differential check: the checked algorithm against the
+#: space's reference, execution by execution.
+REFERENCE_ORACLES: dict[str, PropertyOracle] = {
+    "reference-decisions": PropertyOracle(
+        "reference-decisions",
+        "the reference algorithm decides the same values on the same execution",
+        _always,
+        _check_reference_decisions,
+    ),
 }

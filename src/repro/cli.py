@@ -382,7 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--differential",
         default=None,
         metavar="ALGORITHM",
-        help="diff decisions against this second algorithm instead of checking oracles",
+        help=(
+            "check that every execution decides as this registered algorithm "
+            "does, in place of the property oracles (sync only)"
+        ),
     )
     check_parser.add_argument(
         "--no-vectorized",
@@ -807,42 +810,8 @@ def _command_check(arguments) -> int:
         "max_crashes": arguments.max_crashes,
         "adversary": arguments.adversary,
         "max_faults": arguments.max_faults,
+        "reference": arguments.differential,
     }
-    if arguments.differential is not None:
-        from .check.checker import differential_check, space_from_bounds
-
-        if arguments.backend != "sync":
-            raise InvalidParameterError(
-                "--differential drives the synchronous backend only"
-            )
-        space = space_from_bounds("sync", bounds)
-        if arguments.differential not in available_algorithms():
-            raise InvalidParameterError(
-                f"unknown algorithm {arguments.differential!r}; known: "
-                f"{', '.join(available_algorithms())}"
-            )
-        # differential_check runs serially and reports inline; refusing the
-        # flags beats silently dropping a requested store file or sharding.
-        if arguments.workers != 1:
-            raise InvalidParameterError(
-                "--differential does not support --workers (the diff runs serially)"
-            )
-        if arguments.store is not None:
-            raise InvalidParameterError(
-                "--differential does not support --store (diffs are reported inline)"
-            )
-        report = differential_check(
-            spec,
-            arguments.algorithm,
-            arguments.differential,
-            rounds=space.rounds,
-            max_examples=arguments.max_counterexamples,
-            max_vectors=arguments.max_vectors,
-            all_vectors_limit=arguments.all_vectors_limit,
-        )
-        print(report.render())
-        return 0 if report.identical else 1
-
     store = None
     if arguments.store is not None:
         from .store import (

@@ -218,10 +218,14 @@ def _execute_check_shard(shard: CheckShard) -> CheckOutcome:
     from .api.registry import ALGORITHMS
     from .check.checker import check_slice
 
-    if shard.algorithm not in ALGORITHMS:
+    if any(
+        name is not None and name not in ALGORITHMS
+        for name in (shard.algorithm, shard.space.reference)
+    ):
         # Mutants are registered at runtime (never at import), so a worker
-        # started via spawn/forkserver has a registry without them; re-run
-        # the idempotent registration instead of failing the shard.
+        # started via spawn/forkserver has a registry without them, whether
+        # one is checked or is the reference; re-run the idempotent
+        # registration instead of failing the shard.
         from .check.mutants import register_mutants
 
         register_mutants()

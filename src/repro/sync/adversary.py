@@ -209,9 +209,9 @@ class CrashSchedule:
     def to_records(self) -> list[dict]:
         """JSON-serializable event records, sorted by process id.
 
-        The single source of truth for how schedules serialize: run results,
-        counterexamples and decision diffs all embed this shape and restore
-        it with :meth:`from_records`.
+        The single source of truth for how schedules serialize: run results
+        and counterexamples embed this shape and restore it with
+        :meth:`from_records`.
         """
         return [
             {

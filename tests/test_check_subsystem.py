@@ -1,4 +1,4 @@
-"""The model checker: frontier, oracles, Engine.check, mutants, differential.
+"""The model checker: frontier, oracles, Engine.check, mutants, differential checks.
 
 The heart of the file is the acceptance triangle of the subsystem:
 
@@ -17,6 +17,7 @@ The heart of the file is the acceptance triangle of the subsystem:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -32,7 +33,6 @@ from repro.check import (
     NetSpace,
     SyncSpace,
     check_slice,
-    differential_check,
     input_frontier,
     register_mutants,
     run_check,
@@ -192,6 +192,52 @@ class TestEngineCheck:
         report = Engine(small_spec()).check()
         payload = json.dumps(report.to_record(), sort_keys=True)
         assert '"schedule_count": 37' in payload
+
+    @pytest.mark.parametrize(
+        "algorithm, vectorized, packed",
+        [
+            ("condition-kset", True, True),
+            ("condition-kset", False, False),
+            ("floodmin", True, False),
+        ],
+    )
+    def test_an_invalid_enumerated_schedule_is_refused(
+        self, monkeypatch, algorithm, vectorized, packed
+    ):
+        """Executions run unchecked, so each path checks a point's schedule
+        once as it enters: the packed hook and the scalar loop both refuse
+        a schedule the spec does not allow."""
+        import repro.check.checker as checker
+        from repro.exceptions import AdversaryError
+        from repro.sync.adversary import CrashEvent, CrashSchedule
+        from repro.vec import BatchSyncEvaluator
+
+        outside = CrashSchedule.from_events([CrashEvent.round_one_prefix(3, 0)])
+        enumerate_schedules = checker.enumerate_schedules
+        monkeypatch.setattr(
+            checker,
+            "enumerate_schedules",
+            lambda *args: itertools.chain([outside], enumerate_schedules(*args)),
+        )
+        checked, ran = [], []
+        check_schedule = BatchSyncEvaluator.check_schedule
+        monkeypatch.setattr(
+            BatchSyncEvaluator,
+            "check_schedule",
+            lambda self, schedule: checked.append(schedule) or check_schedule(self, schedule),
+        )
+        execute = Engine._execute
+        monkeypatch.setattr(
+            Engine, "_execute", lambda self, *args: ran.append(args) or execute(self, *args)
+        )
+        engine = Engine(small_spec(), algorithm)
+        with pytest.raises(AdversaryError, match="outside"):
+            engine.check(vectorized=vectorized)
+        assert checked == [] and ran == []
+        # The valid stream takes the same path.
+        monkeypatch.setattr(checker, "enumerate_schedules", enumerate_schedules)
+        engine.check(vectorized=vectorized)
+        assert bool(checked) is packed
 
 
 # ----------------------------------------------------------------------
@@ -656,24 +702,43 @@ class TestMutantDetection:
 # Differential mode
 # ----------------------------------------------------------------------
 class TestDifferentialMode:
+    """A differential check is an ordinary check of a :class:`SyncSpace`
+    with a *reference*: one ``reference-decisions`` tally, the same report,
+    loop, cross-validation and store as every other check."""
+
     def test_identical_algorithms_never_diverge(self):
-        report = differential_check(small_spec(), "condition-kset", "condition-kset")
-        assert report.identical and bool(report)
-        assert report.mismatches == 0 and report.examples == []
+        report = Engine(small_spec(), "condition-kset").check(reference="condition-kset")
+        assert report.passed and bool(report)
+        assert [tally.oracle for tally in report.tallies] == ["reference-decisions"]
+        assert report.tally("reference-decisions").checked == report.executions
+        assert report.counterexamples == []
         assert report.executions == report.schedule_count * report.vector_count
+        assert report.space == SyncSpace(2, "condition-kset")
+        assert report.to_record()["reference"] == "condition-kset"
+        assert "algorithm        : condition-kset vs condition-kset" in report.render()
 
     def test_mutant_diverges_from_its_reference(self):
         register_mutants()
-        report = differential_check(small_spec(), MUTANT_HASTY_FLOODMIN, "floodmin")
-        assert not report.identical
-        assert report.mismatches > 0
-        diff = report.examples[0]
-        assert diff.decisions_a != diff.decisions_b
-        assert "DIVERGED" in report.render()
+        report = Engine(small_spec(), MUTANT_HASTY_FLOODMIN).check(reference="floodmin")
+        assert not report.passed
+        assert report.tally("reference-decisions").violations == 196
+        assert report.executions == 296
+        counterexample = report.counterexamples[0]
+        assert counterexample.oracle == "reference-decisions"
+        assert counterexample.algorithm == MUTANT_HASTY_FLOODMIN
+        replayed = counterexample.replay()
+        assert replayed.decisions == counterexample.decisions
+        reference = Engine(small_spec(), "floodmin").run(counterexample.vector, replayed.schedule)
+        assert reference.decisions != replayed.decisions
+        assert counterexample.detail == (
+            f"decided {dict(sorted(replayed.decisions.items()))}, but floodmin decided "
+            f"{dict(sorted(reference.decisions.items()))}"
+        )
+        assert "verdict          : FAIL" in report.render()
         json.dumps(report.to_record())  # records must be serializable
 
     def test_cross_validation_detects_generator_drift(self, monkeypatch):
-        """The differential stream is cross-validated like the check's: a
+        """The differential stream is cross-validated like every check's: a
         drift in either direction raises instead of reporting."""
         import repro.check.checker as checker
         from repro.exceptions import SimulationError
@@ -684,7 +749,34 @@ class TestDifferentialMode:
                 checker, "count_schedules", lambda n, t, r, d=drift: count_schedules(n, t, r) + d
             )
             with pytest.raises(SimulationError):
-                differential_check(small_spec(), "condition-kset", "floodmin")
+                Engine(small_spec(), "condition-kset").check(reference="floodmin")
+
+    def test_the_reference_is_refused_before_anything_runs(self, monkeypatch):
+        import repro.check.checker as checker
+        from repro.exceptions import RegistryError
+
+        monkeypatch.setattr(
+            checker, "enumerate_schedules", lambda *args: pytest.fail("enumerated")
+        )
+        engine = Engine(small_spec(), "condition-kset")
+        with pytest.raises(RegistryError, match="unknown algorithm 'nope'"):
+            engine.check(reference="nope")
+        with pytest.raises(BackendError, match="'async-condition' does not run on the sync"):
+            engine.check(reference="async-condition")
+        with pytest.raises(InvalidParameterError, match="registry key"):
+            engine.check(reference=3)
+        for backend in ("net", "async"):
+            with pytest.raises(
+                InvalidParameterError, match=f"the {backend} check does not take reference"
+            ):
+                engine.check(backend=backend, reference="floodmin")
+
+    def test_the_oracles_follow_the_reference(self):
+        assert SyncSpace().oracles is ORACLES
+        assert tuple(SyncSpace(reference="floodmin").oracles) == ("reference-decisions",)
+        assert SyncSpace(2).header(37) == {"rounds": 2, "schedule_count": 37}
+        with pytest.raises(InvalidParameterError, match="unknown sync property oracle"):
+            Engine(small_spec()).check(reference="floodmin", oracles=["validity"])
 
 
 # ----------------------------------------------------------------------

@@ -149,7 +149,7 @@ class TestCheckCommand:
                 "--differential", "condition-kset",
             ]
         ) == 0
-        assert "IDENTICAL" in capsys.readouterr().out
+        assert "verdict          : PASS" in capsys.readouterr().out
 
     def test_check_differential_unknown_algorithm(self, capsys):
         assert main(
@@ -158,13 +158,44 @@ class TestCheckCommand:
         ) == 2
         assert "unknown algorithm" in capsys.readouterr().err
 
-    def test_check_differential_rejects_workers_and_store(self, capsys):
-        base = ["check", "--n", "3", "--t", "1", "--d", "1", "--k", "1",
-                "--differential", "floodmin"]
-        assert main(base + ["--workers", "2"]) == 2
-        assert "--workers" in capsys.readouterr().err
-        assert main(base + ["--store", "nope.jsonl"]) == 2
-        assert "--store" in capsys.readouterr().err
+    def test_check_differential_shards_like_the_serial_check(self, capsys):
+        from repro.check import MUTANT_HASTY_FLOODMIN, register_mutants
+
+        register_mutants()
+        base = ["check", "--n", "3", "--t", "1", "--d", "1", "--k", "1", "--m", "2",
+                "--algorithm", MUTANT_HASTY_FLOODMIN, "--differential", "floodmin"]
+        assert main(base) == 1
+        serial = capsys.readouterr().out
+        assert main(base + ["--workers", "2"]) == 1
+        assert capsys.readouterr().out == serial
+        assert "FAIL   reference-decisions" in serial
+        assert f"algorithm        : {MUTANT_HASTY_FLOODMIN} vs floodmin" in serial
+
+    def test_check_differential_stores_replayable_records(self, capsys, tmp_path):
+        from repro.check import MUTANT_HASTY_FLOODMIN, register_mutants
+        from repro.store import ResultStore
+
+        register_mutants()
+        store_path = tmp_path / "diff.jsonl"
+        assert main(
+            ["check", "--n", "3", "--t", "1", "--d", "1", "--k", "1", "--m", "2",
+             "--algorithm", MUTANT_HASTY_FLOODMIN, "--differential", "floodmin",
+             "--max-counterexamples", "3", "--store", str(store_path)]
+        ) == 1
+        assert "(3 counterexample records)" in capsys.readouterr().out
+        loaded = ResultStore(store_path).load_counterexamples()
+        assert [ce.oracle for ce in loaded] == ["reference-decisions"] * 3
+        for counterexample in loaded:
+            assert counterexample.replay().decisions == counterexample.decisions
+
+    def test_check_differential_refuses_the_net_backend(self, capsys):
+        assert main(
+            ["check", "--backend", "net", "--algorithm", "floodmin", "--n", "3",
+             "--t", "1", "--d", "1", "--k", "1", "--differential", "floodmin"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert "the net check does not take reference" in captured.err
 
     @pytest.mark.parametrize(
         "flag, value, bound",

@@ -490,6 +490,26 @@ class TestEngineNetBackend:
         with pytest.raises(InvalidParameterError):
             engine.run([1, 2, 3, 4], backend="net", async_adversary="random")
 
+    @pytest.mark.parametrize("schedule", ["round-one", "crash"])
+    def test_batches_and_sweeps_refuse_a_crash_schedule(self, schedule):
+        """Runs execute unchecked: a batch or sweep checks each schedule as
+        it stages it, so a crash reaches no net run, whether the schedule
+        is a name or an object, serial or sharded."""
+        from repro.sync.adversary import CrashEvent, CrashSchedule
+
+        if schedule == "crash":
+            schedule = CrashSchedule.from_events([CrashEvent.round_one_prefix(0, 1)])
+        engine = Engine(SPEC, "floodmin", RunConfig(crashes=1))
+        vectors = [[1, 2, 3, 4], [4, 3, 2, 1]]
+        for workers in (1, 2):
+            with pytest.raises(InvalidParameterError, match="takes no crash schedule"):
+                engine.run_batch(vectors, schedule, backend="net", workers=workers)
+        stream = engine.iter_batch(vectors, [CrashSchedule(), schedule], backend="net")
+        with pytest.raises(InvalidParameterError, match="takes no crash schedule"):
+            next(stream)
+        (cell,) = engine.sweep({"k": (1,)}, 2, schedule=schedule, backend="net")
+        assert "takes no crash schedule" in cell.error and not cell.results
+
     def test_other_backends_reject_the_net_adversary(self):
         engine = Engine(SPEC, "floodmin")
         with pytest.raises(InvalidParameterError):

@@ -2,8 +2,9 @@
 
 The golden check digests pin the messages of the agreement and round-bound
 oracles only, on the cells that happen to fail.  Here every oracle of the
-three registries gets a hand-built violating result, and its detail string
-is compared byte for byte.
+three registries, and the differential check's ``reference-decisions``,
+gets a hand-built violating result, and its detail string is compared byte
+for byte.
 
 Each oracle first tests its claim cheaply and writes a message only on a
 violation.  The property below holds it to the full scan that writes the
@@ -27,7 +28,7 @@ from repro.check.async_oracles import ASYNC_ORACLES
 from repro.check.checker import SyncSpace
 from repro.check.net_checker import NetSpace
 from repro.check.net_oracles import NET_ORACLES
-from repro.check.oracles import ORACLES, CheckContext
+from repro.check.oracles import ORACLES, REFERENCE_ORACLES, CheckContext
 from repro.core.vectors import InputVector
 from repro.sync.adversary import CrashEvent, CrashSchedule
 
@@ -47,6 +48,8 @@ def _context(spec: AgreementSpec, algorithm: str, space) -> CheckContext:
 #: Theorem 10 applies to condition-kset; early-deciding has an early bound.
 KSET = _context(SPEC, "condition-kset", SyncSpace())
 EARLY = _context(SPEC, "early-deciding", SyncSpace())
+#: condition-kset against floodmin, which reruns on every execution.
+DIFF = _context(SPEC, "condition-kset", SyncSpace(reference="floodmin"))
 NET = _context(SPEC, "floodmin", NetSpace("send-omission"))
 ASYNC = _context(ASYNC_SPEC, "async-condition", AsyncSpace(depth=2))
 BUDGET = ASYNC.max_steps_per_process
@@ -162,6 +165,12 @@ CASES = [
         _async_result({0: 3, 1: 2}, {0: 2}),
         "process 0 took 3 steps past its crash point of 2",
     ),
+    (
+        # floodmin decides the smallest surviving proposal, 2, everywhere.
+        REFERENCE_ORACLES, "reference-decisions", DIFF,
+        _result(decisions={3: 2, 2: 3}, schedule=INITIAL_CRASHES),
+        "decided {2: 3, 3: 2}, but floodmin decided {2: 2, 3: 2}",
+    ),
 ]
 
 
@@ -178,7 +187,7 @@ def test_every_oracle_writes_its_exact_message(registry, name, context, result, 
 
 def test_every_oracle_has_a_message_case():
     covered = {(id(case[0]), case[1]) for case in CASES}
-    for registry in (ORACLES, NET_ORACLES, ASYNC_ORACLES):
+    for registry in (ORACLES, NET_ORACLES, ASYNC_ORACLES, REFERENCE_ORACLES):
         assert {(id(registry), name) for name in registry} <= covered
 
 

@@ -242,8 +242,9 @@ class TestViolationParity:
 # ----------------------------------------------------------------------
 # Checker: parity on random slices of the schedule stream
 # ----------------------------------------------------------------------
-#: Condition families whose default parameters fit every drawn spec.
-_FAMILIES = ("max-legal", "min-legal", "frequency-gap", "hamming-ball", "all-vectors")
+#: Every registered condition family: the first five with their default
+#: parameters, ``explicit`` with drawn member vectors.
+_FAMILIES = ("max-legal", "min-legal", "frequency-gap", "hamming-ball", "all-vectors", "explicit")
 
 
 @st.composite
@@ -257,14 +258,23 @@ def _schedule_slices(draw):
     """
     algorithm = draw(st.sampled_from(["condition-kset", "early-deciding"]))
     condition = draw(st.sampled_from(_FAMILIES))
-    n = draw(st.integers(2, 5))
+    n = draw(st.integers(2, 6))
     t = draw(st.integers(1, n - 1))
     d = draw(st.integers(0, t - 1))
     k = draw(st.integers(1, t))
     # The plurality recognizer of frequency-gap has degree 1.
     ell = 1 if condition == "frequency-gap" else draw(st.integers(1, min(k, t - d)))
+    domain = draw(st.integers(2, 3))
+    params = {}
+    if condition == "explicit":
+        members = st.tuples(*[st.integers(1, domain)] * n)
+        params = {
+            "vectors": tuple(draw(st.lists(members, min_size=1, max_size=6, unique=True))),
+            "recognizer": draw(st.sampled_from(["max", "min"])),
+        }
     spec = AgreementSpec(
-        n=n, t=t, k=k, d=d, ell=ell, domain=draw(st.integers(2, 3)), condition=condition
+        n=n, t=t, k=k, d=d, ell=ell, domain=domain, condition=condition,
+        condition_params=params,
     )
     rounds = spec.outside_condition_bound()
     count = count_schedules(n, t, rounds)
