@@ -316,7 +316,7 @@ def experiment_rounds_in_condition(random_runs: int = 10, seed: int = 7) -> Expe
         schedules = adversarial_schedules(
             n, t, k, spec.outside_condition_bound(), rng=rng, random_runs=random_runs
         )
-        measurement = measure_worst_rounds(engine, n, t, vector, schedules, k)
+        measurement = measure_worst_rounds(engine, vector, schedules, k)
         all_within &= measurement.worst_round <= bound
 
         # Fast path: at most t − d crashes during round 1 → two rounds.
@@ -367,7 +367,7 @@ def experiment_rounds_outside_condition(random_runs: int = 10, seed: int = 11) -
         schedules = adversarial_schedules(
             n, t, k, spec.outside_condition_bound(), rng=rng, random_runs=random_runs
         )
-        measurement = measure_worst_rounds(engine, n, t, vector, schedules, k)
+        measurement = measure_worst_rounds(engine, vector, schedules, k)
         all_within &= measurement.worst_round <= bound
 
         # When more than t − d processes crash initially, the tmf branch bounds
@@ -480,7 +480,7 @@ def experiment_special_cases(seed: int = 17) -> ExperimentOutput:
         schedules = adversarial_schedules(
             n, t, 1, spec.outside_condition_bound(), rng=rng, random_runs=8
         )
-        measurement = measure_worst_rounds(consensus_engine, n, t, vector_in, schedules, 1)
+        measurement = measure_worst_rounds(consensus_engine, vector_in, schedules, 1)
         bound_in = max(2, d + 1)
         checks_ok &= measurement.worst_round <= bound_in
         row = {
@@ -493,7 +493,7 @@ def experiment_special_cases(seed: int = 17) -> ExperimentOutput:
         output.rows.append(row)
 
         vector_out = vector_outside_max_condition(n, m, x, 1, rng)
-        measurement_out = measure_worst_rounds(consensus_engine, n, t, vector_out, schedules, 1)
+        measurement_out = measure_worst_rounds(consensus_engine, vector_out, schedules, 1)
         checks_ok &= measurement_out.worst_round <= t + 1
         output.rows.append(
             {
@@ -515,7 +515,7 @@ def experiment_special_cases(seed: int = 17) -> ExperimentOutput:
     schedules = adversarial_schedules(
         n, t, k, degenerate_spec.outside_condition_bound(), rng=rng, random_runs=8
     )
-    measurement = measure_worst_rounds(classical_like, n, t, vector, schedules, k)
+    measurement = measure_worst_rounds(classical_like, vector, schedules, k)
     classical_bound = rounds_outside_condition(t, k)
     checks_ok &= measurement.worst_round <= classical_bound
     output.rows.append(

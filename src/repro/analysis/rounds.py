@@ -15,7 +15,6 @@ from typing import Any, Iterable, Sequence
 from ..api.engine import Engine
 from ..api.result import RunResult
 from ..core.vectors import InputVector
-from ..exceptions import InvalidParameterError
 from ..sync.adversary import (
     CrashSchedule,
     crashes_in_round_one,
@@ -23,7 +22,6 @@ from ..sync.adversary import (
     random_schedule,
     staggered_schedule,
 )
-from ..sync.process import SynchronousAlgorithm
 from .properties import assert_execution_correct
 
 __all__ = ["RoundMeasurement", "measure_worst_rounds", "adversarial_schedules"]
@@ -85,39 +83,20 @@ def adversarial_schedules(
 
 
 def measure_worst_rounds(
-    algorithm: SynchronousAlgorithm | Engine,
-    n: int,
-    t: int,
+    engine: Engine,
     input_vector: InputVector | Sequence[Any],
     schedules: Iterable[CrashSchedule],
     k: int,
     verify: bool = True,
 ) -> RoundMeasurement:
-    """Run *algorithm* on every schedule and report the worst decision round.
+    """Run *engine* on every schedule and report the worst decision round.
 
-    *algorithm* may be a bare :class:`SynchronousAlgorithm` (wrapped through
-    :meth:`Engine.for_algorithm`) or an already configured
-    :class:`~repro.api.Engine`; either way every execution goes through the
-    unified engine.  With a registry-built engine the algorithm shares the
-    engine's memoized condition oracle, so queries repeated across the
-    schedule family are answered from its cache; a bare algorithm instance
-    keeps its own oracle (only the membership annotation is memoized).
-
-    When *verify* is true every execution is also checked for termination,
+    The runs share the engine's memoized condition oracle, so queries
+    repeated across the schedule family are answered from its cache.  When
+    *verify* is true every execution is also checked for termination,
     validity and k-agreement (so a measurement cannot silently come from a
     broken run).
     """
-    if isinstance(algorithm, Engine):
-        engine = algorithm
-        if engine.spec.n != n or engine.spec.t != t:
-            raise InvalidParameterError(
-                f"measure_worst_rounds was told n={n}, t={t} but the engine is "
-                f"bound to n={engine.spec.n}, t={engine.spec.t}"
-            )
-    else:
-        # The caller's (n, t) take precedence, exactly as they did when this
-        # helper built a SynchronousSystem directly.
-        engine = Engine.for_algorithm(algorithm, n, t)
     worst_round = 0
     worst_agreement = 0
     worst_index = -1

@@ -1,8 +1,8 @@
 """The :class:`Engine` façade: one call path for every algorithm and backend.
 
 The engine binds an :class:`~repro.api.spec.AgreementSpec` to an algorithm
-(usually by registry key) and executes input vectors through a single
-dispatch path, whatever the backend::
+registry key and executes input vectors through a single dispatch path,
+whatever the backend::
 
     >>> from repro.api import AgreementSpec, Engine
     >>> spec = AgreementSpec(n=8, t=4, k=2, d=2, ell=1, domain=10)
@@ -11,7 +11,7 @@ dispatch path, whatever the backend::
     >>> result.decided_values()
     frozenset({7})
 
-Three levels of execution are offered:
+Four levels of execution are offered:
 
 * :meth:`Engine.run` — one vector, one schedule, one :class:`RunResult`;
 * :meth:`Engine.run_batch` — many vectors in chunks, sharing memoized
@@ -54,7 +54,7 @@ from random import Random
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..core.conditions import ConditionOracle
-from ..core.vectors import InputVector, View
+from ..core.vectors import InputVector, View, normalise_proposals
 from ..exceptions import BackendError, InvalidParameterError, ReproError
 from ..sync.adversary import CrashSchedule
 from ..sync.process import SynchronousAlgorithm
@@ -337,10 +337,11 @@ class Engine:
     spec:
         The agreement instance to solve.
     algorithm:
-        A registry key (``"condition-kset"``, ``"floodmin"``, ...) or a
-        pre-built :class:`~repro.sync.process.SynchronousAlgorithm` instance
-        (the escape hatch used by the measurement helpers to wrap legacy
-        constructions).
+        A registry key (``"condition-kset"``, ``"floodmin"``, ...): every
+        result, counterexample and store record names the algorithm by it,
+        so each of them replays.  Anything else raises
+        :class:`~repro.exceptions.RegistryError`; to run an algorithm of
+        your own, register it (:func:`~repro.api.register_algorithm`).
     config:
         Execution defaults; ``None`` means ``RunConfig()``.
     """
@@ -348,7 +349,7 @@ class Engine:
     def __init__(
         self,
         spec: AgreementSpec,
-        algorithm: str | SynchronousAlgorithm = "condition-kset",
+        algorithm: str = "condition-kset",
         config: RunConfig | None = None,
     ) -> None:
         self._spec = spec
@@ -366,33 +367,20 @@ class Engine:
             weakref.WeakValueDictionary()
         )
 
-        if isinstance(algorithm, str):
-            self._entry: AlgorithmEntry | None = ALGORITHMS.get(algorithm)
-            self._algorithm_name = algorithm
-            self._condition: MemoizedCondition | None = (
-                MemoizedCondition(spec.condition_oracle())
-                if self._entry.uses_condition
-                else None
-            )
-            # The net backend drives the same round-based process objects as
-            # sync, so net-only entries (e.g. never-terminating mutants that
-            # the sync watchdog would reject) still get a built algorithm.
-            self._sync_algorithm = (
-                self._entry.build(spec, self._condition)
-                if self._entry.supports("sync") or self._entry.supports("net")
-                else None
-            )
-            self._degree = self._entry.agreement_degree(spec)
-        else:
-            # Escape hatch: wrap an already-built synchronous algorithm.  The
-            # engine still memoizes membership when the instance carries a
-            # condition, but the instance keeps its own oracle for decoding.
-            self._entry = None
-            self._algorithm_name = algorithm.name
-            inner = getattr(algorithm, "condition", None)
-            self._condition = MemoizedCondition(inner) if inner is not None else None
-            self._sync_algorithm = algorithm
-            self._degree = algorithm.agreement_degree() or spec.k
+        self._entry: AlgorithmEntry = ALGORITHMS.get(algorithm)
+        self._algorithm_name = algorithm
+        self._condition: MemoizedCondition | None = (
+            MemoizedCondition(spec.condition_oracle()) if self._entry.uses_condition else None
+        )
+        # The net backend drives the same round-based process objects as
+        # sync, so net-only entries (e.g. never-terminating mutants that the
+        # sync watchdog would reject) still get a built algorithm.
+        self._sync_algorithm = (
+            self._entry.build(spec, self._condition)
+            if self._entry.supports("sync") or self._entry.supports("net")
+            else None
+        )
+        self._degree = self._entry.agreement_degree(spec)
         # Every result carries it: name it once, not once per execution.
         self._condition_name = None if self._condition is None else self._condition.name
 
@@ -409,7 +397,7 @@ class Engine:
 
     @property
     def algorithm_name(self) -> str:
-        """Registry key (or display name) of the bound algorithm."""
+        """Registry key of the bound algorithm."""
         return self._algorithm_name
 
     @property
@@ -436,9 +424,7 @@ class Engine:
 
     def backends(self) -> tuple[str, ...]:
         """The backends the bound algorithm supports."""
-        if self._entry is not None:
-            return tuple(sorted(self._entry.backends))
-        return ("sync", "async") if self._condition is not None else ("sync",)
+        return tuple(sorted(self._entry.backends))
 
     def cache_stats(self) -> dict[str, CacheStats]:
         """Hit/miss counters of the memoized condition queries."""
@@ -661,13 +647,6 @@ class Engine:
         else:
             seed_stream = self._paired(seeds, vectors, "explicit seeds")
 
-        if worker_count > 1 and self._entry is None:
-            raise InvalidParameterError(
-                "parallel batches need an engine built from a registry key; "
-                f"this engine wraps the pre-built instance "
-                f"{self._algorithm_name!r}, which workers cannot rebuild"
-            )
-
         staged_chunks = self._staged_chunks(
             iter(vectors), pairing, chunk, seed_stream, knobs.backend
         )
@@ -738,7 +717,9 @@ class Engine:
                 require_int("an explicit seed", seed)
                 crash_schedule = self._resolve_schedule(schedule, seed)
                 self._check_schedule(crash_schedule, backend)
-                staged.append((self._normalise_vector(vector), crash_schedule, seed))
+                staged.append(
+                    (normalise_proposals(vector, self._spec.n), crash_schedule, seed)
+                )
                 index += 1
             yield staged
 
@@ -778,7 +759,7 @@ class Engine:
         run_knobs = self._run_knobs(
             backend, portable=portable or worker_count > 1, **knobs
         )
-        normalised = [self._normalise_vector(vector) for vector in vectors]
+        normalised = [normalise_proposals(vector, self._spec.n) for vector in vectors]
         crash_schedule = None
         if seed is not None:
             require_int("seed", seed)
@@ -1078,12 +1059,6 @@ class Engine:
                 crash_steps=crash_steps,
                 net_adversary=net_adversary,
             )
-        if self._entry is None:
-            raise InvalidParameterError(
-                "sweep needs an engine built from a registry key; this engine "
-                f"wraps the pre-built instance {self._algorithm_name!r}, which "
-                "cannot be rebuilt for derived specs"
-            )
         if vectors not in ("in", "out", "random"):
             raise InvalidParameterError(
                 f"vectors must be 'in', 'out' or 'random', got {vectors!r}"
@@ -1225,57 +1200,7 @@ class Engine:
         except ReproError:
             return self._spec
 
-    # -- legacy bridge -------------------------------------------------------
-    @classmethod
-    def for_algorithm(
-        cls,
-        algorithm: SynchronousAlgorithm,
-        n: int,
-        t: int | None = None,
-        config: RunConfig | None = None,
-    ) -> "Engine":
-        """Wrap a pre-built synchronous algorithm instance.
-
-        The spec is reconstructed from what the instance exposes (``t``,
-        ``k``/``agreement_degree``, and ``d``/``ell``/``condition`` when
-        present); an explicit *t* overrides the introspection, which also
-        supports algorithms that expose no ``t`` attribute at all.  This is
-        the bridge the measurement helpers use so that legacy
-        ``SynchronousSystem`` call sites run through the engine.
-        """
-        if t is None:
-            t = getattr(algorithm, "t", 0)
-        k = algorithm.agreement_degree() or 1
-        d = min(getattr(algorithm, "d", t), t)
-        ell = getattr(algorithm, "ell", 1)
-        condition = getattr(algorithm, "condition", None)
-        domain = 2
-        if condition is not None and hasattr(condition, "domain"):
-            domain = condition.domain.size
-        spec = AgreementSpec(n=n, t=t, k=k, d=d, ell=ell, domain=domain)
-        return cls(spec, algorithm, config)
-
     # -- internals -----------------------------------------------------------
-    def _normalise_vector(
-        self, vector: InputVector | Sequence[Any] | Mapping[int, Any]
-    ) -> InputVector:
-        if isinstance(vector, InputVector):
-            candidate = vector
-        elif isinstance(vector, Mapping):
-            try:
-                candidate = InputVector(vector[pid] for pid in range(self._spec.n))
-            except KeyError as missing:
-                raise InvalidParameterError(
-                    f"no proposal for process {missing.args[0]}"
-                ) from None
-        else:
-            candidate = InputVector(vector)
-        if len(candidate) != self._spec.n:
-            raise InvalidParameterError(
-                f"expected {self._spec.n} proposals, got {len(candidate)}"
-            )
-        return candidate
-
     def _resolve_schedule(
         self, schedule: CrashSchedule | str | None, seed: int
     ) -> CrashSchedule:
@@ -1342,7 +1267,7 @@ class Engine:
             )
             from ..asynchronous.executor import AsyncExecutor
 
-            factory_builder = self._entry.async_factory if self._entry else None
+            factory_builder = self._entry.async_factory
             if factory_builder is not None:
                 factory = factory_builder(self._spec, self._condition)
             else:

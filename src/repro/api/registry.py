@@ -73,7 +73,7 @@ class Registry:
         """Look *name* up, raising :class:`RegistryError` with the known names."""
         try:
             return self._entries[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             known = ", ".join(sorted(self._entries)) or "<none>"
             raise RegistryError(
                 f"unknown {self._kind} {name!r}; known {self._kind}s: {known}"

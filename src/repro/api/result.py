@@ -1,17 +1,19 @@
 """The unified execution record returned by the engine.
 
 The synchronous runtime returns :class:`~repro.sync.runtime.ExecutionResult`
-(rounds, crash rounds, traces) and the asynchronous scheduler returns
+(rounds, crash rounds, traces), the message-passing runtime returns
+:class:`~repro.net.runtime.NetExecutionResult` (rounds, fault events) and
+the asynchronous scheduler returns
 :class:`~repro.asynchronous.scheduler.AsyncExecutionResult` (step counts,
-step budgets).  :class:`RunResult` normalizes both into one record so that
-callers — the CLI, the experiment harness, the property checkers, future
+step budgets).  :class:`RunResult` normalizes all three into one record so
+that callers — the CLI, the experiment harness, the property checkers, future
 caching layers — handle every backend through a single shape:
 
 * ``decisions`` / ``decision_times`` — who decided what, and *when* in the
   backend's native time unit (``"rounds"`` or ``"steps"``);
 * ``duration`` — total rounds executed or total steps granted;
 * ``crashed`` / ``terminated`` — the failure picture, identical semantics on
-  both backends ("every correct process decided");
+  every backend ("every correct process decided");
 * ``in_condition`` — whether the input vector belongs to the condition the
   algorithm was instantiated with (``None`` for unconditioned baselines);
 * ``raw`` — the backend-native result, kept for drill-down (traces, step
@@ -55,7 +57,7 @@ def _all_decided(n: int, crashed: frozenset[int], decisions: Mapping[int, Any]) 
 class RunResult:
     """One execution, normalized across backends."""
 
-    #: Registry key (or display name) of the algorithm that ran.
+    #: Registry key of the algorithm that ran.
     algorithm: str
     #: ``"sync"``, ``"async"`` or ``"net"``.
     backend: str
@@ -330,33 +332,4 @@ class RunResult:
             fingerprint=deferred(result),
             trace=None,
             raw=result,
-        )
-
-    @classmethod
-    def normalize(
-        cls,
-        result: "RunResult | ExecutionResult | AsyncExecutionResult",
-        input_vector: InputVector | None = None,
-        algorithm: str = "unknown",
-        t: int = 0,
-        in_condition: bool | None = None,
-    ) -> "RunResult":
-        """Coerce any backend result into a :class:`RunResult` (idempotent)."""
-        if isinstance(result, cls):
-            return result
-        if isinstance(result, ExecutionResult):
-            return cls.from_sync(result, algorithm, in_condition)
-        from ..asynchronous.scheduler import AsyncExecutionResult
-        from ..net.runtime import NetExecutionResult
-
-        if isinstance(result, NetExecutionResult):
-            return cls.from_net(result, algorithm, in_condition)
-        if isinstance(result, AsyncExecutionResult):
-            if input_vector is None:
-                raise InvalidParameterError(
-                    "normalizing an AsyncExecutionResult needs the input vector"
-                )
-            return cls.from_async(result, input_vector, algorithm, t, in_condition)
-        raise InvalidParameterError(
-            f"cannot normalize {type(result).__name__} into a RunResult"
         )

@@ -11,9 +11,9 @@ needs to run an agreement instance:
   (``condition_params``).  The ``d`` / ``ell`` / ``domain`` knobs are sugar
   that every family reads through the derived ``x = t − d``; the default
   family resolves to exactly the seed's ``max_l`` oracle.
-* :class:`RunConfig` — the *execution*: which backend (synchronous rounds or
-  asynchronous shared memory), the default adversary schedule, seeds, step
-  budgets and batching knobs.
+* :class:`RunConfig` — the *execution*: which backend (synchronous rounds,
+  asynchronous shared memory or message-passing rounds), the default
+  adversary schedule, seeds, step budgets and batching knobs.
 
 Both are hashable, so they can key caches; :meth:`AgreementSpec.condition_oracle`
 resolves the named family through the condition registry and is memoized per
@@ -194,7 +194,10 @@ class RunConfig:
     ----------
     backend:
         ``"sync"`` — the round-based message-passing simulator of Section 6.2;
-        ``"async"`` — the shared-memory snapshot model of Section 4.
+        ``"async"`` — the shared-memory snapshot model of Section 4;
+        ``"net"`` — the same rounds over an explicit message matrix, with a
+        message-level failure model (:attr:`net_adversary`) in place of the
+        crash schedule.
     schedule:
         Name of the default adversary schedule in the schedule registry
         (resolved lazily per run; an explicit

@@ -43,11 +43,10 @@ from importlib import import_module
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Mapping, Sequence
 
-from ..api.engine import RunKnobs
-from ..api.registry import ALGORITHMS
+from ..api.engine import Engine, RunKnobs
 from ..api.result import RunResult
 from ..api.spec import AgreementSpec, RunConfig, require_int
-from ..core.vectors import InputVector
+from ..core.vectors import InputVector, normalise_proposals
 from ..exceptions import (
     BackendError,
     InvalidParameterError,
@@ -58,7 +57,6 @@ from .frontier import DEFAULT_ALL_VECTORS_LIMIT, DEFAULT_MAX_VECTORS, input_fron
 from .oracles import ORACLES, REFERENCE_ORACLES, CheckContext, PropertyOracle, _always
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..api.engine import Engine
     from ..store import ResultStore
 
 __all__ = [
@@ -207,13 +205,11 @@ class Counterexample:
         requires the mutant to be registered (see
         :func:`repro.check.mutants.register_mutants`).
         """
-        from ..api.engine import Engine
-
         engine = Engine(self.spec, self.algorithm, config)
         space = self.space
         space._require_backend(engine, "replaying a counterexample")
         point = space.point(self.spec, self.adversary)
-        return space.execute(engine, engine._normalise_vector(self.vector), point)
+        return space.execute(engine, normalise_proposals(self.vector, self.spec.n), point)
 
     def summary(self) -> str:
         """One line for CLI output and logs."""
@@ -357,7 +353,11 @@ class SyncSpace(CheckSpace):
 
     def resolve(self, engine: "Engine") -> "SyncSpace":
         self._require_backend(engine, "exhaustive checking")
-        if self.reference is not None and not ALGORITHMS.get(self.reference).supports("sync"):
+        # Build the reference as the slice's context will: a reference whose
+        # builder refuses the spec is refused here, before anything runs.
+        if self.reference is not None and "sync" not in Engine(
+            engine.spec, self.reference, engine.config
+        ).backends():
             raise BackendError(
                 f"the reference algorithm {self.reference!r} does not run on the "
                 "sync backend"
@@ -727,7 +727,7 @@ def _resolve_frontier(
     all_vectors_limit: int,
 ) -> tuple[InputVector, ...]:
     if vectors is not None:
-        return tuple(engine._normalise_vector(vector) for vector in vectors)
+        return tuple(normalise_proposals(vector, engine.spec.n) for vector in vectors)
     return input_frontier(
         engine.spec,
         engine.condition,
@@ -802,12 +802,6 @@ def run_check(
             vectorized=vectorized,
         )
     else:
-        if engine._entry is None:
-            raise InvalidParameterError(
-                "parallel checking needs an engine built from a registry key; "
-                f"this engine wraps the pre-built instance "
-                f"{engine.algorithm_name!r}, which workers cannot rebuild"
-            )
         from ..parallel import execute_check
 
         # Workers fork from here: build the runtime first, so that its

@@ -22,15 +22,16 @@ freely between processes of the simulator without defensive copies.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import Any
 
-from ..exceptions import InvalidVectorError
+from ..exceptions import InvalidParameterError, InvalidVectorError
 from .values import BOTTOM, is_bottom
 
 __all__ = [
     "View",
     "InputVector",
+    "normalise_proposals",
     "hamming_distance",
     "generalized_distance",
     "intersecting_entries",
@@ -315,6 +316,32 @@ class InputVector(View):
     def value_multiset(self) -> dict[Any, int]:
         """Mapping value -> number of occurrences, for every value of the vector."""
         return dict(self._occurrence_counts())
+
+
+def normalise_proposals(
+    proposals: InputVector | Mapping[int, Any] | Iterable[Any], n: int
+) -> InputVector:
+    """*proposals* as the input vector of an ``n``-process run.
+
+    *proposals* may be an :class:`InputVector` (returned as is), a mapping
+    process id -> value or an iterable of values in process order; a missing
+    process or a length other than *n* raises
+    :class:`~repro.exceptions.InvalidParameterError`.
+    """
+    if isinstance(proposals, InputVector):
+        vector = proposals
+    elif isinstance(proposals, Mapping):
+        try:
+            vector = InputVector(proposals[pid] for pid in range(n))
+        except KeyError as missing:
+            raise InvalidParameterError(
+                f"no proposal for process {missing.args[0]}"
+            ) from None
+    else:
+        vector = InputVector(proposals)
+    if len(vector) != n:
+        raise InvalidParameterError(f"expected {n} proposals, got {len(vector)}")
+    return vector
 
 
 # ----------------------------------------------------------------------

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Any, Mapping
 
-from ..core.vectors import InputVector
+from ..core.vectors import InputVector, normalise_proposals
 from ..deferred import DeferredField, deferred
 from ..exceptions import SimulationError
 from ..sync.runtime import RoundSystem
@@ -278,7 +278,7 @@ class NetSystem(RoundSystem):
         models are deterministic functions of it; the enumerated models
         ignore it.
         """
-        input_vector = self._normalise_proposals(proposals)
+        input_vector = normalise_proposals(proposals, self._n)
         adversary = resolve_net_adversary(adversary, self._n, self._t, seed)
         adversary.begin_run(self._n, seed)
         processes = self._processes_for(input_vector)

@@ -31,10 +31,6 @@ the work of :meth:`repro.api.Engine.run_batch` / :meth:`~repro.api.Engine.sweep`
   ``2 × workers`` outstanding tasks, so a lazily generated million-vector
   workload is never materialized, and :func:`execute_batch` yields each
   chunk's results (in batch order) as soon as its worker finishes.
-
-Only engines built from a registry key can go parallel: an engine wrapping a
-pre-built algorithm instance cannot be reconstructed inside a worker, and
-:meth:`~repro.api.Engine.iter_batch` rejects it up front.
 """
 
 from __future__ import annotations

@@ -21,8 +21,9 @@ factories of :mod:`repro.sync.adversary`, which take explicit seeds.
 A run builds its crash table once and keeps a list of the live (neither
 crashed nor halted) processes, so a round touches only those and its own
 crashes.  :class:`RoundSystem` holds what this engine shares with
-:class:`~repro.net.runtime.NetSystem`: the parameter checks, proposal
-normalisation, the processes and the round limit.
+:class:`~repro.net.runtime.NetSystem`: the parameter checks, the processes
+and the round limit; both normalise their proposals with
+:func:`~repro.core.vectors.normalise_proposals`.
 
 A system builds and type-checks its ``n`` processes for its first run.
 When every one of them declares
@@ -37,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from ..core.vectors import InputVector
+from ..core.vectors import InputVector, normalise_proposals
 from ..exceptions import InvalidParameterError, SimulationError, require_int
 from .adversary import CrashEvent, CrashSchedule, no_crashes
 from .process import RoundBasedProcess, SynchronousAlgorithm
@@ -183,26 +184,6 @@ class RoundSystem:
             return self._max_rounds
         return self._algorithm.max_rounds(self._n, self._t)
 
-    def _normalise_proposals(
-        self, proposals: InputVector | Mapping[int, Any] | list[Any]
-    ) -> InputVector:
-        if isinstance(proposals, InputVector):
-            vector = proposals
-        elif isinstance(proposals, Mapping):
-            try:
-                vector = InputVector(proposals[pid] for pid in range(self._n))
-            except KeyError as missing:
-                raise InvalidParameterError(
-                    f"no proposal for process {missing.args[0]}"
-                ) from None
-        else:
-            vector = InputVector(proposals)
-        if len(vector) != self._n:
-            raise InvalidParameterError(
-                f"expected {self._n} proposals, got {len(vector)}"
-            )
-        return vector
-
     def _processes_for(self, input_vector: InputVector) -> list[RoundBasedProcess]:
         """The run's processes, indexed by id, each initialised with its
         proposal: the kept ones reset, or fresh ones from the algorithm."""
@@ -271,7 +252,7 @@ class SynchronousSystem(RoundSystem):
         batch engine does this to validate each distinct schedule once instead
         of once per run.
         """
-        input_vector = self._normalise_proposals(proposals)
+        input_vector = normalise_proposals(proposals, self._n)
         schedule = schedule if schedule is not None else no_crashes()
         if validate_schedule:
             schedule.validate(self._n, self._t)

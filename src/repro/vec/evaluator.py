@@ -220,7 +220,9 @@ class BatchSyncEvaluator:
         self._last = algorithm.last_round()
         if mode == "condition":
             self._x = algorithm.x
-            self._cond = engine.condition or algorithm.condition
+            # The oracle the reference runtime decodes with: for a registered
+            # Figure 2 entry, the engine's memoized condition.
+            self._cond = algorithm.condition
             self._cr = algorithm.condition_decision_round()
             # Every process starts with (v_cond, v_tmf, v_out) = (⊥, ⊥, ⊥);
             # its proposal is what round 1 floods, read from the block.
@@ -266,8 +268,6 @@ class BatchSyncEvaluator:
             return None
         block = PackedBlock.try_pack(vectors, spec.domain)
         if block is None or block.n != spec.n:
-            return None
-        if mode == "condition" and engine.condition is None and algorithm.condition is None:
             return None
         in_mask: int | None = None
         if engine.condition is not None:

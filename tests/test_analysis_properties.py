@@ -15,7 +15,7 @@ from repro.analysis.properties import (
 )
 from repro.analysis.rounds import RoundMeasurement, adversarial_schedules, measure_worst_rounds
 from repro.analysis.tables import format_check, format_table
-from repro.algorithms.classic_kset import FloodMinKSetAgreement
+from repro.api import AgreementSpec, Engine
 from repro.asynchronous.scheduler import AsyncExecutionResult
 from repro.core.vectors import InputVector
 from repro.exceptions import AgreementViolationError
@@ -100,16 +100,16 @@ class TestRoundMeasurement:
             schedule.validate(n=6, t=3)
 
     def test_measure_worst_rounds(self):
-        algorithm = FloodMinKSetAgreement(t=3, k=1)
+        engine = Engine(AgreementSpec(n=6, t=3, k=1, domain=6), "floodmin")
         schedules = adversarial_schedules(n=6, t=3, k=1, last_round=4, rng=1, random_runs=5)
         vector = InputVector([6, 5, 4, 3, 2, 1])
-        measurement = measure_worst_rounds(algorithm, 6, 3, vector, schedules, k=1)
+        measurement = measure_worst_rounds(engine, vector, schedules, k=1)
         assert isinstance(measurement, RoundMeasurement)
         assert measurement.runs == len(schedules)
-        assert measurement.worst_round == algorithm.decision_round()
+        assert measurement.worst_round == engine.algorithm.decision_round() == 4
         assert measurement.worst_agreement == 1
-        assert measurement.within(algorithm.decision_round())
-        assert not measurement.within(algorithm.decision_round() - 1)
+        assert measurement.within(engine.algorithm.decision_round())
+        assert not measurement.within(engine.algorithm.decision_round() - 1)
 
 
 class TestTables:

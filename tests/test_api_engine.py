@@ -31,7 +31,8 @@ from repro.check.mutants import (
 )
 from repro.core import InputVector
 from repro.exceptions import BackendError, InvalidParameterError, RegistryError
-from repro.sync import CrashSchedule, crashes_in_round_one, initial_crashes
+from repro.net import NetSystem
+from repro.sync import CrashSchedule, SynchronousSystem, crashes_in_round_one, initial_crashes
 from repro.workloads import vector_in_max_condition
 
 
@@ -90,6 +91,22 @@ class TestRegistry:
         message = str(excinfo.value)
         assert "raft" in message and "condition-kset" in message
 
+    def test_engine_is_built_from_a_registry_key_only(self):
+        """An algorithm instance is not a key: the engine refuses it and
+        names the keys it knows, so no result carries a name that fails to
+        replay."""
+        spec = AgreementSpec(n=6, t=2, k=2, d=1, ell=1, domain=6)
+        with pytest.raises(RegistryError) as excinfo:
+            Engine(spec, FloodMinKSetAgreement(t=2, k=2))
+        assert "known algorithms: " + ", ".join(ALGORITHMS.names()) in str(excinfo.value)
+
+    @pytest.mark.parametrize("name", [["floodmin"], {"algorithm": "floodmin"}])
+    def test_an_unhashable_name_is_a_registry_error(self, name):
+        """A JSON list or object where a key belongs is an unknown key, not
+        a ``TypeError`` from the dictionary lookup."""
+        with pytest.raises(RegistryError, match="known algorithms: "):
+            Engine(SPEC, name)
+
     def test_unknown_schedule_error(self):
         with pytest.raises(RegistryError):
             SCHEDULES.get("byzantine")
@@ -125,6 +142,26 @@ class TestRegistry:
 
 
 class TestEngineRun:
+    @pytest.mark.parametrize("runner", ["engine", "sync", "net"])
+    def test_every_runner_refuses_bad_proposals_with_one_message(self, runner):
+        """The engine and both round runtimes normalise through
+        ``normalise_proposals``: the same refusals, word for word."""
+        algorithm = FloodMinKSetAgreement(t=1, k=1)
+        if runner == "engine":
+            run = Engine(AgreementSpec(n=3, t=1, k=1, domain=3), "floodmin").run
+        elif runner == "sync":
+            run = SynchronousSystem(3, 1, algorithm).run
+        else:
+            system = NetSystem(3, 1, algorithm)
+
+            def run(proposals):
+                return system.run(proposals, "fault-free")
+
+        with pytest.raises(InvalidParameterError, match=r"^expected 3 proposals, got 2$"):
+            run([1, 2])
+        with pytest.raises(InvalidParameterError, match=r"^no proposal for process 1$"):
+            run({0: 1, 2: 3})
+
     def test_every_registered_algorithm_runs_through_one_call_path(self):
         consensus_spec = AgreementSpec(n=8, t=4, k=1, d=2, ell=1, domain=10)
         # The checker's mutants are broken on purpose (one never decides), and
@@ -261,12 +298,6 @@ class TestRunResultNormalization:
         assert sync_result.crashed == frozenset({6, 7})
         assert async_result.crashed == frozenset({6, 7})
         assert sync_result.correct_processes == async_result.correct_processes
-
-    def test_normalize_is_idempotent(self):
-        result = Engine(SPEC, "condition-kset").run(VECTOR)
-        assert RunResult.normalize(result) is result
-        renormalized = RunResult.normalize(result.raw, algorithm="condition-kset")
-        assert renormalized.decisions == result.decisions
 
 
 class TestRunBatch:
@@ -476,26 +507,6 @@ class TestIntegerRunParameters:
 
 
 class TestLegacyBridge:
-    def test_for_algorithm_wraps_existing_instances(self):
-        baseline = FloodMinKSetAgreement(t=4, k=2)
-        engine = Engine.for_algorithm(baseline, n=8)
-        result = engine.run(VECTOR)
-        assert result.backend == "sync"
-        assert result.in_condition is None  # FloodMin consults no condition
-        assert result.distinct_decision_count() <= 2
-
-    def test_sweep_rejected_on_instance_engines(self):
-        engine = Engine.for_algorithm(FloodMinKSetAgreement(t=4, k=2), n=8)
-        with pytest.raises(InvalidParameterError):
-            engine.sweep({"d": (1, 2)})
-
-    def test_measure_worst_rounds_rejects_mismatched_engine(self):
-        from repro.analysis.rounds import measure_worst_rounds
-
-        engine = Engine(SPEC, "condition-kset")
-        with pytest.raises(InvalidParameterError):
-            measure_worst_rounds(engine, SPEC.n, SPEC.t + 1, VECTOR, [], SPEC.k)
-
     def test_schedule_revalidated_after_garbage_collection(self):
         """A recycled id() must not let an invalid schedule skip validation."""
         from repro.exceptions import AdversaryError

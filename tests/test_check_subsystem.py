@@ -435,13 +435,6 @@ class TestWorkerParity:
         assert serial == parallel
         assert json.loads(serial)["counterexamples"]
 
-    def test_parallel_check_requires_registry_engine(self):
-        from repro.algorithms.classic_kset import FloodMinKSetAgreement
-
-        engine = Engine.for_algorithm(FloodMinKSetAgreement(t=1, k=1), n=3)
-        with pytest.raises(InvalidParameterError):
-            run_check(engine, SyncSpace(), workers=2)
-
     def test_cross_validation_detects_generator_drift(self, monkeypatch):
         """If the closed form and the generator ever disagree — in either
         direction — the check must refuse to report, not silently truncate."""

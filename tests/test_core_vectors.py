@@ -12,8 +12,9 @@ from repro.core.vectors import (
     hamming_distance,
     intersecting_entries,
     intersecting_values,
+    normalise_proposals,
 )
-from repro.exceptions import InvalidVectorError
+from repro.exceptions import InvalidParameterError, InvalidVectorError
 
 
 class TestViewBasics:
@@ -150,6 +151,26 @@ class TestInputVector:
     def test_value_multiset(self):
         vector = InputVector([2, 2, 3])
         assert vector.value_multiset() == {2: 2, 3: 1}
+
+
+class TestNormaliseProposals:
+    def test_every_form_gives_the_same_vector(self):
+        vector = InputVector(["a", "b", "c"])
+        assert normalise_proposals(vector, 3) is vector
+        assert normalise_proposals(["a", "b", "c"], 3) == vector
+        assert normalise_proposals(("a", "b", "c"), 3) == vector
+        assert normalise_proposals(iter("abc"), 3) == vector
+        assert normalise_proposals({2: "c", 0: "a", 1: "b"}, 3) == vector
+
+    def test_a_missing_process_is_named(self):
+        with pytest.raises(InvalidParameterError, match=r"^no proposal for process 1$"):
+            normalise_proposals({0: "a", 2: "c"}, 3)
+
+    def test_a_wrong_count_is_refused(self):
+        with pytest.raises(InvalidParameterError, match=r"^expected 3 proposals, got 2$"):
+            normalise_proposals(["a", "b"], 3)
+        with pytest.raises(InvalidParameterError, match=r"^expected 3 proposals, got 4$"):
+            normalise_proposals(InputVector(["a", "b", "c", "d"]), 3)
 
 
 class TestDistances:

@@ -12,6 +12,7 @@ path (``vectorized=False``), a pool worker and the store.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,7 @@ from repro.check import (
     register_mutants,
 )
 from repro.check.oracles import REFERENCE_ORACLES
+from repro.exceptions import InvalidParameterError
 from repro.store import ResultStore
 from repro.sync.adversary import count_schedules, enumerate_schedules
 
@@ -158,3 +160,24 @@ def test_a_worker_without_mutants_resolves_a_mutant_reference(monkeypatch):
     ]
     assert expected[2][0].violations == 196
 
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_reference_that_refuses_the_spec_is_refused_before_any_pool(monkeypatch, workers):
+    """The space builds its reference on the checked spec and config as it
+    resolves, so the reference builder's refusal comes before anything is
+    enumerated, serial or sharded: no pool opens."""
+    pools = []
+
+    class Spy(parallel.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", Spy)
+    engine = Engine(AgreementSpec(n=4, t=2, k=2, d=1, domain=2), "floodmin")
+    with pytest.raises(
+        InvalidParameterError,
+        match=r"^condition-consensus solves consensus \(k = 1\), the spec asks for k=2$",
+    ):
+        engine.check(reference="condition-consensus", workers=workers)
+    assert pools == []

@@ -138,13 +138,6 @@ class TestWorkersValidation:
         with pytest.raises(InvalidParameterError, match="workers"):
             engine.run_batch(_vectors(2), workers=bad)
 
-    def test_prebuilt_instance_cannot_go_parallel(self):
-        from repro.algorithms import FloodMinKSetAgreement
-
-        engine = Engine.for_algorithm(FloodMinKSetAgreement(t=2, k=2), n=6)
-        with pytest.raises(InvalidParameterError, match="registry key"):
-            engine.run_batch([[1, 2, 3, 1, 2, 3]], workers=2)
-
 
 class TestParallelDeterminism:
     """workers=4 returns the byte-identical result sequence of the serial path."""

@@ -688,6 +688,7 @@ class TestServerEndToEnd:
             ("/batch", {"vectors": [[1, 1, 1]], "workers": True}),
             ("/batch", {"vectors": [[1, 1, 1]], "chunk_size": [2]}),
             ("/sweep", {"grid": {"k": [1]}, "runs_per_cell": True}),
+            ("/run", {"vector": [1, 1, 1], "algorithm": ["floodmin"]}),
         ],
     )
     def test_malformed_run_parameters_are_400s(self, client, path, fields):

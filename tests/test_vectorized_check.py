@@ -39,8 +39,9 @@ from hypothesis import strategies as st
 
 from strategies import vector_batches, vectors
 
+from repro.algorithms.condition_kset import ConditionBasedKSetAgreement
 from repro.algorithms.early_deciding_kset import EarlyDecidingKSetAgreement
-from repro.api import AgreementSpec, Engine, RunConfig
+from repro.api import ALGORITHMS, AgreementSpec, AlgorithmEntry, Engine, RunConfig
 from repro.check import MUTANT_HASTY_FLOODMIN, SyncSpace, check_slice, checker, register_mutants
 from repro.check.frontier import input_frontier, packed_frontier
 from repro.check.oracles import ORACLES, CheckContext, PropertyOracle
@@ -349,6 +350,33 @@ class TestBatchGuards:
     def test_registry_algorithms_build(self):
         assert _build(Engine(N4T2, "condition-kset")) is not None
         assert _build(Engine(N4T2, "early-deciding")) is not None
+
+    def test_an_entry_with_its_own_condition_runs_packed(self, monkeypatch):
+        """A Figure 2 entry registered with ``uses_condition=False`` builds
+        its own condition, so the engine holds none: the evaluator decodes
+        with the algorithm's, as the reference runtime does."""
+        key = "own-condition-kset-test"
+        monkeypatch.setitem(
+            ALGORITHMS._entries,
+            key,
+            AlgorithmEntry(
+                name=key,
+                backends=frozenset({"sync"}),
+                build=lambda spec, condition: ConditionBasedKSetAgreement(
+                    spec.condition_oracle(), spec.t, spec.d, spec.k
+                ),
+                agreement_degree=lambda spec: spec.k,
+                summary="test-only Figure 2 entry with its own condition",
+                uses_condition=False,
+            ),
+        )
+        spec = small_spec(t=2, k=2)
+        engine = Engine(spec, key)
+        assert engine.condition is None
+        assert _build(engine) is not None
+        packed = engine.check(vectorized=True)
+        assert packed.to_record() == Engine(spec, key).check(vectorized=False).to_record()
+        assert packed.passed and packed.executions
 
     def test_mutant_subclass_falls_back_to_scalar(self):
         register_mutants()
