@@ -651,10 +651,13 @@ class Engine:
             iter(vectors), pairing, chunk, seed_stream, knobs.backend
         )
         if worker_count == 1:
-            return self._iter_serial(staged_chunks, knobs, store)
-        from ..parallel import execute_batch
+            results = self._iter_serial(staged_chunks, knobs)
+        else:
+            from ..parallel import BatchChunk, fan_out
 
-        return execute_batch(self, staged_chunks, knobs, worker_count, store=store)
+            chunks = (BatchChunk(tuple(staged), knobs) for staged in staged_chunks)
+            results = itertools.chain.from_iterable(fan_out(self, chunks, worker_count))
+        return results if store is None else self._stored(results, store)
 
     @staticmethod
     def _paired(stream: Iterable[Any], vectors: Iterable[Any], what: str) -> Iterator[Any]:
@@ -675,14 +678,17 @@ class Engine:
         self,
         staged_chunks: Iterator[list[tuple[InputVector, CrashSchedule, int]]],
         knobs: RunKnobs,
-        store: "ResultStore | None" = None,
     ) -> Iterator[RunResult]:
         for staged in staged_chunks:
             for normalised, crash_schedule, seed in staged:
-                result = self._execute(normalised, crash_schedule, seed, knobs)
-                if store is not None:
-                    store.append(result)
-                yield result
+                yield self._execute(normalised, crash_schedule, seed, knobs)
+
+    @staticmethod
+    def _stored(results: Iterator[RunResult], store: "ResultStore") -> Iterator[RunResult]:
+        """*results*, each appended to *store* before it is handed over."""
+        for result in results:
+            store.append(result)
+            yield result
 
     def _staged_chunks(
         self,
@@ -943,16 +949,14 @@ class Engine:
         space's batch hook whenever it covers the algorithm and oracles,
         transparently falling back to the reference object runtime
         otherwise: on sync, the packed batch evaluator of :mod:`repro.vec`;
-        on async, a memo that runs each class of identical executions once.
-        ``vectorized=False`` forces the reference path, every adversary
-        executed; the net check has no hook and refuses it.  Either way the
-        report is byte-identical.
+        on async, a memo that runs each class of identical executions once;
+        net has no hook.  ``vectorized=False`` forces the reference path,
+        every adversary executed.  Either way the report is byte-identical.
         """
         from ..check.checker import run_check
 
         space = self._check_space(
             backend,
-            vectorized,
             rounds=rounds,
             depth=depth,
             max_crashes=max_crashes,
@@ -973,23 +977,16 @@ class Engine:
             vectorized=vectorized,
         )
 
-    def _check_space(
-        self, backend: str | None, vectorized: bool = True, **bounds: Any
-    ) -> "CheckSpace":
+    def _check_space(self, backend: str | None, **bounds: Any) -> "CheckSpace":
         """The unresolved space :meth:`check` enumerates for *backend*
-        (``None``: sync) and *bounds*, after refusing an unknown backend, a
-        bound the backend does not take and ``vectorized=False`` on net."""
+        (``None``: sync) and *bounds*, after refusing an unknown backend and
+        a bound the backend does not take."""
         from ..check.checker import space_from_bounds
 
         backend = backend or "sync"
         if backend not in BACKENDS:
             raise BackendError(
                 f"unknown backend {backend!r}; expected 'sync', 'async' or 'net'"
-            )
-        if backend == "net" and not vectorized:
-            raise InvalidParameterError(
-                "vectorized=False forces the reference path; the net check "
-                "has no batch hook to disable"
             )
         return space_from_bounds(backend, bounds)
 
@@ -1084,17 +1081,19 @@ class Engine:
             dict(zip(names, combo))
             for combo in itertools.product(*(grid[name] for name in names))
         ]
-        if worker_count > 1:
-            from ..parallel import execute_sweep
-
-            cell_stream = execute_sweep(
-                self, combos, runs_per_cell, vectors, schedule, knobs, worker_count
-            )
-        else:
+        if worker_count == 1:
             cell_stream = (
                 self._sweep_cell(overrides, index, runs_per_cell, vectors, schedule, knobs)
                 for index, overrides in enumerate(combos)
             )
+        else:
+            from ..parallel import CellTask, fan_out
+
+            tasks = (
+                CellTask(index, tuple(overrides.items()), runs_per_cell, vectors, schedule, knobs)
+                for index, overrides in enumerate(combos)
+            )
+            cell_stream = fan_out(self, tasks, worker_count)
         # Persist each cell the moment it exists: an interrupted sweep must
         # keep its finished cells, not lose them to a final bulk write.
         cells: list[SweepCell] = []

@@ -23,7 +23,8 @@ Determinism is the load-bearing property: points are enumerated in a fixed
 order, the frontier is a fixed tuple, and oracles run in registry order — so
 the report is a pure function of its inputs.  ``workers > 1`` shards
 contiguous point-index ranges across the process pool of
-:mod:`repro.parallel` and merges the shard outcomes in index order, which
+:mod:`repro.parallel`, and :func:`run_check` merges the shard outcomes in
+index order in the loop that merges the serial path's one slice, which
 makes the parallel report **byte-identical** to the serial one
 (``report.to_record()`` compares equal).
 
@@ -797,31 +798,36 @@ def run_check(
     expected = space.count(spec)
 
     if worker_count == 1:
-        enumerated, executions, tallies, counterexamples = check_slice(
-            engine, space, 0, None, frontier, oracle_names, max_counterexamples,
-            vectorized=vectorized,
-        )
+        outcomes: Iterable[tuple[int, int, list[OracleTally], list[Counterexample]]] = [
+            check_slice(
+                engine, space, 0, None, frontier, oracle_names, max_counterexamples,
+                vectorized=vectorized,
+            )
+        ]
     else:
         from ..parallel import execute_check
 
         # Workers fork from here: build the runtime first, so that its
         # modules are imported once, not in every worker.
         engine._runtime(space.backend)
-        enumerated = 0
-        executions = 0
-        tallies = [OracleTally(name) for name in oracle_names]
-        counterexamples = []
-        for outcome in execute_check(
+        outcomes = execute_check(
             engine, space, expected, frontier, oracle_names, worker_count,
             max_counterexamples, vectorized=vectorized,
-        ):
-            enumerated += outcome.enumerated
-            executions += outcome.executions
-            for merged, partial in zip(tallies, outcome.tallies):
-                merged.checked += partial.checked
-                merged.violations += partial.violations
-            counterexamples.extend(outcome.counterexamples)
-        counterexamples = counterexamples[:max_counterexamples]
+        )
+    # Slice outcomes merge in stream order: tallies sum and counterexample
+    # lists concatenate into the serial list, cut at the global cap.
+    enumerated = 0
+    executions = 0
+    tallies = [OracleTally(name) for name in oracle_names]
+    counterexamples: list[Counterexample] = []
+    for slice_enumerated, slice_executions, slice_tallies, slice_counterexamples in outcomes:
+        enumerated += slice_enumerated
+        executions += slice_executions
+        for merged, partial in zip(tallies, slice_tallies):
+            merged.checked += partial.checked
+            merged.violations += partial.violations
+        counterexamples.extend(slice_counterexamples)
+    del counterexamples[max_counterexamples:]
 
     # The generator/closed-form cross-validation, run on every check: a
     # drift between the two would silently void the "exhaustive" claim.

@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "force the reference runtime on every adversary instead of the "
             "batch hook: the packed evaluator on sync, the class memo on "
-            "async (not net; the report is identical either way)"
+            "async (the report is identical either way)"
         ),
     )
 

@@ -1,14 +1,16 @@
 """Parallel-safety rules: worker envelopes stay frozen and picklable.
 
-The process-pool executors ship work to workers as envelope dataclasses —
-``BatchChunk``, ``CellTask``, ``CheckShard`` and friends.  Envelopes cross a
-pickle boundary and are hashed into chunk fingerprints, so two properties
-are load-bearing: they must be **frozen** (a worker mutating its envelope
-would silently diverge from the parent's copy and from the replayed serial
-run), and their fields must be **statically picklable** (a ``list`` field
-pickles, but lets a worker accumulate state that never returns; a callable
-or lock may not pickle at all — and fails only on the platforms that spawn
-rather than fork).
+The process pool of :mod:`repro.parallel` ships work to workers as
+envelope dataclasses: a ``BatchChunk``, ``CellTask`` or ``CheckShard``,
+inside the ``WorkerTask`` that carries the engine recipe to the one worker
+entry.  Envelopes cross a pickle boundary, and a worker keys its engine
+cache by the hashed recipe, so two properties are load-bearing: they must
+be **frozen** (a worker mutating its envelope would silently diverge from
+the parent's copy and from the replayed serial run), and their fields
+must be **statically picklable** (a ``list`` field pickles, but lets a
+worker accumulate state that never returns; a callable or lock may not
+pickle at all — and fails only on the platforms that spawn rather than
+fork).
 
 ``envelope-frozen``
     Classes named ``*Chunk`` / ``*Shard`` / ``*Task`` must be decorated
@@ -120,7 +122,7 @@ def _envelope_findings(module: ModuleFile) -> Iterator[tuple[str, int, str]]:
                 node.lineno,
                 f"envelope {node.name} must be @dataclass(frozen=True); a "
                 "worker mutating its envelope diverges from the parent's "
-                "copy and breaks chunk fingerprinting",
+                "copy and from the serial run it replays",
             )
         for statement in node.body:
             if not (

@@ -12,7 +12,9 @@ test starts such an interpreter:
   ``repro.core`` and nothing else outside the standard library;
 * a sync ``Engine`` and its packed frontier load no other backend, no
   analysis, serving or lint module and nothing of ``repro.check`` but the
-  frontier; a sync check loads no other backend either;
+  frontier; a sync check loads no other backend either, and serial checks,
+  batches and sweeps load neither :mod:`repro.parallel` nor
+  :mod:`multiprocessing`;
 * every name a lazy package exports resolves, is listed by ``dir()`` and is
   bound by a star import;
 * a net check, an async check and a counterexample reload each run when
@@ -117,6 +119,8 @@ packed_frontier(engine.spec, engine.condition)
 setup = sorted(sys.modules)
 reports = [engine.check(), Engine(spec, "floodmin").check()]
 assert all(report.passed for report in reports)
+assert len(engine.run_batch([[1, 1, 1, 2]] * 3, workers=1)) == 3
+assert len(engine.sweep({"d": (1, 2)}, runs_per_cell=2, workers=1)) == 2
 print(json.dumps([setup, sorted(sys.modules)]))
 """
 
@@ -130,6 +134,8 @@ def test_a_sync_engine_loads_no_other_backend():
     # The packed path (condition-kset) and the scalar path (floodmin).
     assert {"repro.check.checker", "repro.vec.evaluator"} <= set(checked)
     assert under(checked, "repro.net", "repro.asynchronous") == []
+    # Serial checks, batches and sweeps never reach the process pool.
+    assert under(checked, "repro.parallel", "multiprocessing") == []
 
 
 _SURFACE_PROGRAM = """

@@ -12,12 +12,15 @@ path (``vectorized=False``), a pool worker and the store.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import parallel
-from repro.api import AgreementSpec, Engine
+from repro.api import AgreementSpec, Engine, RunConfig
+from repro.api.engine import RunKnobs, SweepCell
 from repro.api.registry import ALGORITHMS
 from repro.check import (
     MUTANT_ECHOLESS_FLOODMIN,
@@ -130,35 +133,79 @@ def test_store_records_reload_and_replay(tmp_path):
         assert reference.decisions != replayed.decisions
 
 
-def test_a_worker_without_mutants_resolves_a_mutant_reference(monkeypatch):
-    """A worker started by spawn or forkserver has a registry without the
-    mutants, which are registered at runtime; a shard whose reference is one
-    registers them as it does for a checked mutant."""
-    spec = AgreementSpec(n=3, t=1, k=1, d=1, ell=1, domain=2)
+def _shard_records(outcome):
+    enumerated, executions, tallies, counterexamples = outcome
+    return (
+        enumerated,
+        executions,
+        [tally.to_record() for tally in tallies],
+        [ce.to_record() for ce in counterexamples],
+    )
+
+
+def _batch_records(results):
+    return [result.to_record() for result in results]
+
+
+def _check_shard(spec):
+    """floodmin checked against the mutant as its reference."""
     engine = Engine(spec, "floodmin")
     space = SyncSpace(2, MUTANT_HASTY_FLOODMIN)
     vectors = input_frontier(spec, engine.condition)
-    shard = parallel.CheckShard(
-        spec=spec, algorithm="floodmin", config=engine.config, space=space, start=0,
-        stop=None, vectors=vectors, oracle_names=tuple(REFERENCE_ORACLES),
-        max_counterexamples=3, index=0,
+    oracle_names = tuple(REFERENCE_ORACLES)
+    serial = check_slice(engine, space, 0, None, vectors, oracle_names, 3)
+    assert serial[2][0].violations == 196
+    shard = parallel.CheckShard(space, 0, None, vectors, oracle_names, 3, False)
+    return "floodmin", shard, _shard_records(serial), _shard_records
+
+
+def _batch_chunk(spec):
+    """The mutant on every frontier vector under four schedules."""
+    engine = Engine(spec, MUTANT_HASTY_FLOODMIN)
+    runs = tuple(
+        (vector, schedule, seed)
+        for seed, (vector, schedule) in enumerate(
+            itertools.product(
+                input_frontier(spec, engine.condition),
+                itertools.islice(enumerate_schedules(spec.n, spec.t, 2), 4),
+            )
+        )
     )
-    expected = check_slice(engine, space, 0, None, vectors, tuple(REFERENCE_ORACLES), 3)
+    serial = engine.run_batch(
+        [run[0] for run in runs], [run[1] for run in runs], seeds=[run[2] for run in runs]
+    )
+    chunk = parallel.BatchChunk(runs, RunKnobs("sync"))
+    return MUTANT_HASTY_FLOODMIN, chunk, _batch_records(serial), _batch_records
+
+
+def _cell_task(spec):
+    """One sweep cell of the mutant."""
+    [serial] = Engine(spec, MUTANT_HASTY_FLOODMIN).sweep(
+        {"domain": (3,)}, runs_per_cell=4, vectors="random"
+    )
+    task = parallel.CellTask(0, (("domain", 3),), 4, "random", None, RunKnobs("sync"))
+    return MUTANT_HASTY_FLOODMIN, task, serial.to_record(), SweepCell.to_record
+
+
+@pytest.mark.parametrize(
+    "envelope", [_check_shard, _batch_chunk, _cell_task], ids=lambda case: case.__name__[1:]
+)
+def test_a_worker_without_mutants_resolves_a_mutant_reference(monkeypatch, envelope):
+    """A worker started by spawn or forkserver has a registry without the
+    mutants, which are registered at runtime; the one worker entry registers
+    them for every envelope whose algorithm, or whose check's reference, is
+    one, and its output is the serial one."""
+    register_mutants()
+    spec = AgreementSpec(n=3, t=1, k=1, d=1, ell=1, domain=2)
+    algorithm, task, expected, records = envelope(spec)
     monkeypatch.setattr(
         ALGORITHMS, "_entries",
         {name: entry for name, entry in ALGORITHMS._entries.items() if "mutant" not in name},
     )
     monkeypatch.setattr(parallel, "_WORKER_ENGINES", {})
-    outcome = parallel._execute_check_shard(shard)
+    output, _ = parallel._run_task(parallel.WorkerTask(spec, algorithm, RunConfig(), task))
     assert MUTANT_HASTY_FLOODMIN in ALGORITHMS
-    assert (outcome.enumerated, outcome.executions) == expected[:2]
-    assert [tally.to_record() for tally in outcome.tallies] == [
-        tally.to_record() for tally in expected[2]
-    ]
-    assert [ce.to_record() for ce in outcome.counterexamples] == [
-        ce.to_record() for ce in expected[3]
-    ]
-    assert expected[2][0].violations == 196
+    assert records(output) == expected
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -5,7 +5,8 @@ engine's :class:`~repro.api.MemoizedCondition` oracle, and
 ``run_batch(chunk_size=...)`` rejects values below 1 loudly — plus the
 parallel subsystem's contract: ``workers=4`` produces the exact
 :class:`~repro.api.RunResult` sequence of the serial path on both backends,
-worker cache statistics merge back into the parent engine, and
+also under the ``spawn`` and ``forkserver`` start methods, worker cache
+statistics merge back into the parent engine, and
 :class:`~repro.store.ResultStore` round-trips results and sweep cells
 exactly.
 """
@@ -541,3 +542,23 @@ def test_a_sharded_check_imports_its_runtime_before_the_pool_forks(module, cell)
     )
     assert completed.returncode == 0, completed.stderr
     assert json.loads(completed.stdout.splitlines()[-1]) == [[True], True]
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_sharded_mutant_runs_match_serial_under_a_fresh_start_method(method):
+    """Workers that import ``repro`` afresh start without the mutants; the
+    one worker entry registers them for every task kind, so a sharded
+    batch, sweep and check of one give the serial records
+    (``start_method_parity.py``, which CI also runs on the installed
+    package)."""
+    root = Path(__file__).resolve().parent.parent
+    completed = subprocess.run(
+        [sys.executable, str(root / "tests" / "start_method_parity.py"), method],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.startswith(f"{method}: ")

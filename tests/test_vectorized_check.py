@@ -20,8 +20,7 @@ exhaustive check and nothing else:
 
 The guard tests pin the refusal surface: anything the batch model cannot
 mirror faithfully (mutant subclasses, trace recording, foreign oracles)
-falls back to the scalar path, and ``vectorized=False`` is refused on the
-net backend, which has no batch hook to disable.  The cache tests pin
+falls back to the scalar path.  The cache tests pin
 that the round driver's caches stay small and belong to one evaluator, that
 the class memo serves every schedule what a fresh evaluator computes, and
 that an overrunning class raises for each of its members.
@@ -54,7 +53,7 @@ from repro.core.families import (
 )
 from repro.core.values import BOTTOM
 from repro.core.vectors import InputVector, View
-from repro.exceptions import InvalidParameterError, ReproError, SimulationError
+from repro.exceptions import ReproError, SimulationError
 from repro.sync.adversary import (
     CrashEvent,
     CrashSchedule,
@@ -400,11 +399,15 @@ class TestBatchGuards:
         assert block is not None
         assert block.unpack() == frontier
 
-    def test_no_vectorized_refused_on_net_and_taken_on_async(self):
-        """The net check has no batch hook to disable; the async one does
-        (its class memo), and ``vectorized=False`` is its reference path."""
-        with pytest.raises(InvalidParameterError, match="net check has no batch hook"):
-            Engine(small_spec(), "floodmin").check(backend="net", vectorized=False)
+    def test_no_vectorized_is_the_default_on_net_and_taken_on_async(self):
+        """The net check has no batch hook, so ``vectorized=False`` gives the
+        reference report it gives by default; the async check has one (its
+        class memo), and ``vectorized=False`` is its reference path."""
+        net = Engine(small_spec(), "floodmin")
+        assert (
+            net.check(backend="net", vectorized=False).to_record()
+            == net.check(backend="net").to_record()
+        )
         engine = Engine(small_spec(), "condition-kset")
         reference = engine.check(backend="async", depth=2, vectorized=False)
         assert engine._async_executor().runs_executed == reference.executions
