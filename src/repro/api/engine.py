@@ -51,7 +51,7 @@ import weakref
 from dataclasses import dataclass, field
 from functools import cache
 from random import Random
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..core.conditions import ConditionOracle
 from ..core.vectors import InputVector, View, normalise_proposals
@@ -86,16 +86,17 @@ BACKEND_KNOBS: dict[str, tuple[str, ...]] = {
 
 
 @cache
-def _adversary_type(knob: str) -> type:
+def _adversary_registry(knob: str) -> tuple[type, Callable[[str], Any]]:
     """The class an adversary object passed as run knob *knob* must be an
-    instance of; its backend is imported on the first such object."""
+    instance of, and the registry lookup that refuses an unknown name; its
+    backend is imported on the first such knob."""
     if knob == "net_adversary":
-        from ..net.adversary import NetAdversary
+        from ..net.adversary import NetAdversary, net_adversary_family
 
-        return NetAdversary
-    from ..asynchronous.adversary import AsyncAdversary
+        return NetAdversary, net_adversary_family
+    from ..asynchronous.adversary import AsyncAdversary, async_adversary_factory
 
-    return AsyncAdversary
+    return AsyncAdversary, async_adversary_factory
 
 
 @dataclass(frozen=True)
@@ -798,9 +799,11 @@ class Engine:
         """Check one call's knobs (the :class:`RunKnobs` fields) against
         :data:`BACKEND_KNOBS`, once.
 
-        *backend* ``None`` is the config's backend.  A *portable* call (a
-        parallel batch, any sweep) needs its adversaries as registry names:
-        strategy and failure-model objects do not travel to workers.
+        *backend* ``None`` is the config's backend.  An adversary name is
+        looked up in its registry here, so an unknown one raises what a run
+        would, before anything runs.  A *portable* call (a parallel batch,
+        any sweep) needs its adversaries as registry names: strategy and
+        failure-model objects do not travel to workers.
         """
         backend = backend or self._config.backend
         if backend not in BACKENDS:
@@ -822,9 +825,12 @@ class Engine:
             )
         for name in ("async_adversary", "net_adversary"):
             value = given.get(name)
-            if value is None or isinstance(value, str):
+            if value is None:
                 continue
-            kind = _adversary_type(name)
+            kind, lookup = _adversary_registry(name)
+            if isinstance(value, str):
+                lookup(value)
+                continue
             if not isinstance(value, kind):
                 raise InvalidParameterError(
                     f"{name} must be a registry name or a {kind.__name__}, got {value!r}"
@@ -1020,7 +1026,8 @@ class Engine:
         combinations — e.g. ``d > t`` or an unsatisfiable outside-vector
         request — yield a cell with :attr:`SweepCell.error` set instead of
         raising, so a grid may safely cross parameter ranges.  An unknown
-        grid field or *schedule* name raises before any cell runs.
+        grid field, *schedule* name or adversary name raises before any
+        cell runs.
 
         *workers* (default: the config's ``workers``) shards whole cells
         across a process pool when greater than 1; every cell derives its
@@ -1032,38 +1039,22 @@ class Engine:
         run of every cell, same contract as :meth:`run`; which backend takes
         which is :data:`BACKEND_KNOBS`, checked once before any cell runs,
         and both adversaries must be registry names (cells stay picklable).
-        *seed* overrides
-        the config's base seed for the whole sweep (cell *i* keeps deriving
-        ``seed + i``), byte-identical to sweeping an engine whose config
-        carries that seed — which is how :mod:`repro.serve` serves
-        per-request seeds from one cached engine.
+        *seed* overrides the config's base seed for the whole sweep (cell
+        *i* keeps deriving ``seed + i``), byte-identical to sweeping an
+        engine whose config carries that seed — which is how
+        :mod:`repro.serve` serves per-request seeds from one cached engine.
         """
-        if seed is not None:
-            require_int("seed", seed)
-        if seed is not None and seed != self._config.seed:
-            sibling = Engine(
-                self._spec, self._algorithm_name, self._config.replace(seed=seed)
-            )
-            return sibling.sweep(
-                grid,
-                runs_per_cell,
-                vectors=vectors,
-                schedule=schedule,
-                backend=backend,
-                workers=workers,
-                store=store,
-                async_adversary=async_adversary,
-                crash_steps=crash_steps,
-                net_adversary=net_adversary,
-            )
+        if seed is None:
+            seed = self._config.seed
+        require_int("seed", seed)
         if vectors not in ("in", "out", "random"):
             raise InvalidParameterError(
                 f"vectors must be 'in', 'out' or 'random', got {vectors!r}"
             )
         require_int("runs_per_cell", runs_per_cell)
-        # A typo'd grid key or schedule name is a programming error, not a
-        # bad cell: fail the whole sweep up front rather than returning
-        # all-error cells.
+        # A typo'd grid key, schedule or adversary name is a programming
+        # error, not a bad cell: fail the whole sweep up front rather than
+        # returning all-error cells.
         knobs, _, worker_count, _, _ = self._checked_call(
             schedule, backend=backend, workers=workers, portable=True,
             async_adversary=async_adversary, crash_steps=crash_steps,
@@ -1083,14 +1074,16 @@ class Engine:
         ]
         if worker_count == 1:
             cell_stream = (
-                self._sweep_cell(overrides, index, runs_per_cell, vectors, schedule, knobs)
+                self._sweep_cell(overrides, index, runs_per_cell, vectors, schedule, knobs, seed)
                 for index, overrides in enumerate(combos)
             )
         else:
             from ..parallel import CellTask, fan_out
 
             tasks = (
-                CellTask(index, tuple(overrides.items()), runs_per_cell, vectors, schedule, knobs)
+                CellTask(
+                    index, tuple(overrides.items()), runs_per_cell, vectors, schedule, knobs, seed
+                )
                 for index, overrides in enumerate(combos)
             )
             cell_stream = fan_out(self, tasks, worker_count)
@@ -1111,8 +1104,11 @@ class Engine:
         vectors: str,
         schedule: CrashSchedule | str | None,
         knobs: RunKnobs,
+        seed: int,
     ) -> SweepCell:
-        """Execute one sweep cell (shared by the serial and parallel paths)."""
+        """Execute one sweep cell (shared by the serial and parallel paths):
+        its vectors draw from ``seed + index`` and its runs seed from
+        *seed* on."""
         from ..workloads.vectors import (
             random_vector,
             vector_in_condition,
@@ -1137,7 +1133,7 @@ class Engine:
                 cell_overrides["condition_params"] = ()
             cell_spec = self._spec.replace(**cell_overrides)
             engine = Engine(cell_spec, self._algorithm_name, self._config)
-            rng = Random(self._config.seed + index)
+            rng = Random(seed + index)
             default_family = cell_spec.condition == "max-legal"
             cell_oracle = None if default_family else cell_spec.condition_oracle()
             batch: list[InputVector] = []
@@ -1177,7 +1173,7 @@ class Engine:
                 iter(batch),
                 itertools.repeat(schedule),
                 self._config.chunk_size,
-                itertools.count(self._config.seed),
+                itertools.count(seed),
                 knobs.backend,
             )
             results = list(engine._iter_serial(staged, knobs))

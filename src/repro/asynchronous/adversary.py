@@ -45,6 +45,7 @@ __all__ = [
     "EnumeratedAdversary",
     "ASYNC_ADVERSARIES",
     "register_async_adversary",
+    "async_adversary_factory",
     "available_async_adversaries",
     "resolve_async_adversary",
     "enumerate_interleavings",
@@ -347,6 +348,17 @@ def available_async_adversaries() -> tuple[str, ...]:
     return tuple(sorted(ASYNC_ADVERSARIES))
 
 
+def async_adversary_factory(name: str) -> Callable[[Random | int | None], AsyncAdversary]:
+    """The factory registered as *name*; an unknown name raises :class:`AdversaryError`."""
+    try:
+        return ASYNC_ADVERSARIES[name]
+    except KeyError:
+        known = ", ".join(available_async_adversaries()) or "<none>"
+        raise AdversaryError(
+            f"unknown async adversary {name!r}; known strategies: {known}"
+        ) from None
+
+
 def resolve_async_adversary(
     adversary: "AsyncAdversary | str | None",
     seed: Random | int | None = None,
@@ -361,14 +373,7 @@ def resolve_async_adversary(
     if adversary is None:
         return RoundRobinAdversary() if seed is None else SeededRandomAdversary(seed)
     if isinstance(adversary, str):
-        try:
-            factory = ASYNC_ADVERSARIES[adversary]
-        except KeyError:
-            known = ", ".join(available_async_adversaries()) or "<none>"
-            raise AdversaryError(
-                f"unknown async adversary {adversary!r}; known strategies: {known}"
-            ) from None
-        return factory(seed)
+        return async_adversary_factory(adversary)(seed)
     raise InvalidParameterError(
         f"adversary must be an AsyncAdversary, a registry name or None, "
         f"got {adversary!r}"

@@ -44,23 +44,12 @@ import argparse
 import ast
 import sys
 from random import Random
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .exceptions import InvalidParameterError, ReproError
-from .api import (
-    ALGORITHMS,
-    CONDITIONS,
-    SCHEDULES,
-    AgreementSpec,
-    Engine,
-    RunConfig,
-    available_algorithms,
-    available_conditions,
-)
-from .api.namespaces import adversary_keyword
-from .asynchronous.adversary import available_async_adversaries
-from .net.adversary import available_net_adversaries
-from .workloads.vectors import vector_in_condition, vector_in_max_condition
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; each command imports what it runs
+    from .api import AgreementSpec
 
 __all__ = ["main", "build_parser"]
 
@@ -87,13 +76,79 @@ def parse_condition_params(pairs: Sequence[str]) -> dict:
     return params
 
 
+def _spec_options(n: int, t: int, d: int | None, k: int, m: int) -> argparse.ArgumentParser:
+    """A parent parser of the :class:`~repro.api.AgreementSpec` options,
+    with one command's defaults (``--ell`` is 1 everywhere)."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag, default in (("--n", n), ("--t", t), ("--d", d), ("--ell", 1), ("--k", k)):
+        parent.add_argument(flag, type=int, default=default)
+    parent.add_argument("--m", type=int, default=m, help="number of proposable values")
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser of the CLI (exposed for testing)."""
+    """The argument parser of the CLI (exposed for testing).
+
+    Names are not listed here: the algorithm, condition, schedule and
+    adversary registries (and the engine, for backends) refuse an unknown
+    one with the names they know, and ``main`` turns that into exit 2.
+    """
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Condition-based k-set agreement (Bonnet & Raynal, ICDCS 2008) reproduction",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+
+    # Parent parsers: each option shared by commands is declared once.
+    condition = argparse.ArgumentParser(add_help=False)
+    condition.add_argument(
+        "--condition",
+        default="max-legal",
+        help="condition family (default max-legal; 'repro conditions' lists them)",
+    )
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument(
+        "--param",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="condition-family parameter, repeatable (e.g. --param radius=2)",
+    )
+    runs = argparse.ArgumentParser(add_help=False)
+    runs.add_argument(
+        "--crashes",
+        type=int,
+        default=0,
+        help="crash budget: round-1 crashes (demo) or the --schedule's budget (sweep)",
+    )
+    runs.add_argument("--seed", type=int, default=0)
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument(
+        "--algorithm",
+        default="condition-kset",
+        help="algorithm registry key (default condition-kset; 'repro algorithms' lists them)",
+    )
+    engine.add_argument(
+        "--backend", default="sync", help="execution backend: sync, async or net (default sync)"
+    )
+    engine.add_argument(
+        "--adversary",
+        default=None,
+        help=(
+            "async scheduling strategy or net failure model, matched to the "
+            "backend (run defaults: random / fault-free; check enumerates "
+            "send-omission, net only)"
+        ),
+    )
+    engine.add_argument(
+        "--workers", type=int, default=1, help="worker processes (default 1: serial)"
+    )
+    engine.add_argument(
+        "--store",
+        default=None,
+        metavar="PATH",
+        help="append every result, sweep cell or counterexample to this JSONL result store",
+    )
 
     subparsers.add_parser("list", help="list the available experiments")
 
@@ -111,7 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     conditions_parser = subparsers.add_parser(
-        "conditions", help="list, describe or legality-check the condition families"
+        "conditions",
+        parents=[_spec_options(n=6, t=2, d=None, k=2, m=4), params],
+        help="list, describe or legality-check the condition families",
     )
     conditions_parser.add_argument(
         "action",
@@ -122,19 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     conditions_parser.add_argument(
         "family", nargs="?", help="family name for describe/check"
-    )
-    conditions_parser.add_argument("--n", type=int, default=6)
-    conditions_parser.add_argument("--t", type=int, default=2)
-    conditions_parser.add_argument("--d", type=int, default=None)
-    conditions_parser.add_argument("--ell", type=int, default=1)
-    conditions_parser.add_argument("--k", type=int, default=2)
-    conditions_parser.add_argument("--m", type=int, default=4, help="domain size")
-    conditions_parser.add_argument(
-        "--param",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="family parameter, repeatable (e.g. --param radius=2)",
     )
     conditions_parser.add_argument(
         "--subset",
@@ -149,48 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="enumeration budget for the legality check (default 100000)",
     )
 
-    demo_parser = subparsers.add_parser("demo", help="run one execution end to end")
-    demo_parser.add_argument("--n", type=int, default=8)
-    demo_parser.add_argument("--t", type=int, default=4)
-    demo_parser.add_argument("--d", type=int, default=2)
-    demo_parser.add_argument("--ell", type=int, default=1)
-    demo_parser.add_argument("--k", type=int, default=2)
-    demo_parser.add_argument("--m", type=int, default=10, help="number of proposable values")
-    demo_parser.add_argument("--crashes", type=int, default=0, help="round-1 crashes")
-    demo_parser.add_argument("--seed", type=int, default=0)
-    demo_parser.add_argument(
-        "--algorithm",
-        default="condition-kset",
-        choices=available_algorithms(),
-        help="registry key of the algorithm to run (default condition-kset)",
-    )
-    demo_parser.add_argument(
-        "--backend",
-        default="sync",
-        choices=("sync", "async", "net"),
-        help="execution backend (default sync)",
-    )
-    demo_parser.add_argument(
-        "--adversary",
-        default=None,
-        choices=available_async_adversaries() + available_net_adversaries(),
-        help=(
-            "async scheduling strategy or net failure model, matched to the "
-            "backend (defaults: random / fault-free)"
-        ),
-    )
-    demo_parser.add_argument(
-        "--condition",
-        default="max-legal",
-        choices=available_conditions(),
-        help="condition family to run against (default max-legal)",
-    )
-    demo_parser.add_argument(
-        "--param",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="condition-family parameter, repeatable",
+    demo_parser = subparsers.add_parser(
+        "demo",
+        parents=[_spec_options(n=8, t=4, d=2, k=2, m=10), condition, params, engine, runs],
+        help="run one execution end to end",
     )
     demo_parser.add_argument(
         "--runs",
@@ -198,28 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="number of batch runs (default 1: a single annotated execution)",
     )
-    demo_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the batch (default 1: serial)",
-    )
-    demo_parser.add_argument(
-        "--store",
-        default=None,
-        metavar="PATH",
-        help="append every result to this JSONL result store",
-    )
 
     sweep_parser = subparsers.add_parser(
-        "sweep", help="run a parameter grid through the engine"
+        "sweep",
+        parents=[_spec_options(n=8, t=4, d=2, k=2, m=10), engine, runs],
+        help="run a parameter grid through the engine",
     )
-    sweep_parser.add_argument("--n", type=int, default=8)
-    sweep_parser.add_argument("--t", type=int, default=4)
-    sweep_parser.add_argument("--d", type=int, default=2)
-    sweep_parser.add_argument("--ell", type=int, default=1)
-    sweep_parser.add_argument("--k", type=int, default=2)
-    sweep_parser.add_argument("--m", type=int, default=10, help="number of proposable values")
     sweep_parser.add_argument(
         "--grid",
         action="append",
@@ -233,87 +223,24 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--vectors",
         default="in",
-        choices=("in", "out", "random"),
-        help="draw cell vectors inside/outside the condition or uniformly (default in)",
-    )
-    sweep_parser.add_argument(
-        "--algorithm",
-        default="condition-kset",
-        choices=available_algorithms(),
-        help="registry key of the algorithm to sweep (default condition-kset)",
-    )
-    sweep_parser.add_argument(
-        "--backend",
-        default="sync",
-        choices=("sync", "async", "net"),
-        help="execution backend (default sync)",
-    )
-    sweep_parser.add_argument(
-        "--adversary",
-        default=None,
-        choices=available_async_adversaries() + available_net_adversaries(),
-        help=(
-            "async scheduling strategy or net failure model, matched to the "
-            "backend (defaults: random / fault-free)"
-        ),
+        help="draw cell vectors inside/outside the condition (in, out) or uniformly "
+        "(random; default in)",
     )
     sweep_parser.add_argument(
         "--schedule",
         default="none",
         help="adversary schedule name applied to every run (default none)",
     )
-    sweep_parser.add_argument("--crashes", type=int, default=0, help="schedule crash budget")
-    sweep_parser.add_argument("--seed", type=int, default=0)
-    sweep_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes sharding the sweep cells (default 1: serial)",
-    )
-    sweep_parser.add_argument(
-        "--store",
-        default=None,
-        metavar="PATH",
-        help="append every completed cell to this JSONL result store",
-    )
 
     check_parser = subparsers.add_parser(
-        "check", help="exhaustively verify an algorithm over every crash schedule"
-    )
-    check_parser.add_argument(
-        "--backend",
-        default="sync",
-        choices=("sync", "async", "net"),
-        help=(
-            "which adversary space to enumerate: sync crash schedules, "
-            "async bounded interleavings, or net message-fault assignments "
-            "(default sync)"
+        "check",
+        parents=[_spec_options(n=4, t=1, d=1, k=1, m=3), condition, params, engine],
+        help="exhaustively verify an algorithm over every crash schedule",
+        description=(
+            "The backend names the adversary space to enumerate: sync crash "
+            "schedules, async bounded interleavings, or net message-fault "
+            "assignments."
         ),
-    )
-    check_parser.add_argument("--n", type=int, default=4)
-    check_parser.add_argument("--t", type=int, default=1)
-    check_parser.add_argument("--d", type=int, default=1)
-    check_parser.add_argument("--ell", type=int, default=1)
-    check_parser.add_argument("--k", type=int, default=1)
-    check_parser.add_argument("--m", type=int, default=3, help="number of proposable values")
-    check_parser.add_argument(
-        "--algorithm",
-        default="condition-kset",
-        choices=available_algorithms(),
-        help="registry key of the algorithm to verify (default condition-kset)",
-    )
-    check_parser.add_argument(
-        "--condition",
-        default="max-legal",
-        choices=available_conditions(),
-        help="condition family to verify against (default max-legal)",
-    )
-    check_parser.add_argument(
-        "--param",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="condition-family parameter, repeatable",
     )
     check_parser.add_argument(
         "--rounds",
@@ -337,28 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest enumerated faulty-set size (async only; default x = t − d)",
     )
     check_parser.add_argument(
-        "--adversary",
-        default=None,
-        choices=available_net_adversaries(),
-        help="failure-model family to enumerate (net only; default send-omission)",
-    )
-    check_parser.add_argument(
         "--max-faults",
         type=int,
         default=None,
         help="largest enumerated fault budget (net only; default t)",
-    )
-    check_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes sharding the schedule space (default 1: serial)",
-    )
-    check_parser.add_argument(
-        "--store",
-        default=None,
-        metavar="PATH",
-        help="append every counterexample to this JSONL result store",
     )
     check_parser.add_argument(
         "--max-vectors",
@@ -524,7 +433,7 @@ def parse_grid(items: Sequence[str]) -> dict:
     return grid
 
 
-def _command_list() -> int:
+def _command_list(arguments) -> int:
     from .analysis.experiments import list_experiments
 
     for experiment_id, title in list_experiments():
@@ -532,9 +441,10 @@ def _command_list() -> int:
     return 0
 
 
-def _command_run(experiment: str) -> int:
+def _command_run(arguments) -> int:
     from .analysis.experiments import EXPERIMENTS, run_experiment
 
+    experiment = arguments.experiment
     ids = list(EXPERIMENTS) if experiment.lower() == "all" else [experiment]
     status = 0
     for experiment_id in ids:
@@ -546,15 +456,17 @@ def _command_run(experiment: str) -> int:
     return status
 
 
-def _command_lattice(n: int, dot: bool) -> int:
+def _command_lattice(arguments) -> int:
     from .core.lattice import ConditionLattice
 
-    lattice = ConditionLattice(n)
-    print(lattice.to_dot() if dot else lattice.ascii_matrix())
+    lattice = ConditionLattice(arguments.n)
+    print(lattice.to_dot() if arguments.dot else lattice.ascii_matrix())
     return 0
 
 
-def _command_algorithms() -> int:
+def _command_algorithms(arguments) -> int:
+    from .api import ALGORITHMS, CONDITIONS, SCHEDULES
+
     print("algorithms:")
     for name, entry in ALGORITHMS.items():
         backends = "+".join(sorted(entry.backends))
@@ -571,20 +483,32 @@ def _command_algorithms() -> int:
     return 0
 
 
-def _conditions_spec(arguments) -> AgreementSpec:
+def _spec(
+    arguments, condition: str = "max-legal", params: Sequence[str] = ()
+) -> "AgreementSpec":
+    """The spec of a command's spec options, over the *condition* family
+    with its ``--param`` pairs *params*."""
+    from .api import AgreementSpec
+
     return AgreementSpec(
-        n=arguments.n,
-        t=arguments.t,
-        k=arguments.k,
-        d=arguments.d,
-        ell=arguments.ell,
-        domain=arguments.m,
-        condition=arguments.family,
-        condition_params=parse_condition_params(arguments.param),
+        n=arguments.n, t=arguments.t, k=arguments.k, d=arguments.d, ell=arguments.ell,
+        domain=arguments.m, condition=condition,
+        condition_params=parse_condition_params(params),
     )
 
 
+def _store(arguments):
+    """The result store ``--store`` names, or ``None``."""
+    if arguments.store is None:
+        return None
+    from .store import ResultStore
+
+    return ResultStore(arguments.store)
+
+
 def _command_conditions(arguments) -> int:
+    from .api import CONDITIONS, available_conditions
+
     action = "check" if arguments.action == "legality-check" else arguments.action
     if action == "list":
         print("condition families:")
@@ -599,11 +523,12 @@ def _command_conditions(arguments) -> int:
             f"families: {', '.join(available_conditions())}"
         )
     family = CONDITIONS.get(arguments.family)
-    spec = _conditions_spec(arguments)
+    spec = _spec(arguments, arguments.family, arguments.param)
     oracle = spec.condition_oracle()
 
     if action == "describe":
         from .core.algebra import known_size
+        from .workloads.vectors import vector_in_condition
 
         print(f"family     : {family.name}")
         print(f"summary    : {family.summary}")
@@ -639,26 +564,15 @@ def _command_conditions(arguments) -> int:
     return 0 if report.legal else 1
 
 
-def _demo_vector(engine: Engine, spec: AgreementSpec, seed: int):
-    if spec.condition != "max-legal" and engine.condition is not None:
-        return vector_in_condition(engine.condition, spec.n, spec.domain, Random(seed))
-    return vector_in_max_condition(spec.n, spec.domain, spec.x, spec.ell, Random(seed))
-
-
 def _command_demo(arguments) -> int:
-    n, m, crashes, seed = arguments.n, arguments.m, arguments.crashes, arguments.seed
+    from .api import Engine, RunConfig
+    from .api.namespaces import adversary_keyword
+    from .workloads.vectors import vector_in_condition, vector_in_max_condition
+
+    crashes, seed = arguments.crashes, arguments.seed
     algorithm, backend = arguments.algorithm, arguments.backend
     runs, workers = arguments.runs, arguments.workers
-    spec = AgreementSpec(
-        n=n,
-        t=arguments.t,
-        k=arguments.k,
-        d=arguments.d,
-        ell=arguments.ell,
-        domain=m,
-        condition=arguments.condition,
-        condition_params=parse_condition_params(arguments.param),
-    )
+    spec = _spec(arguments, arguments.condition, arguments.param)
     knobs = adversary_keyword(backend, arguments.adversary)
     if backend == "net" and crashes > 0:
         raise InvalidParameterError(
@@ -674,22 +588,24 @@ def _command_demo(arguments) -> int:
         workers=workers,
     )
     engine = Engine(spec, algorithm, config)
-    store = None
-    if arguments.store is not None:
-        from .store import ResultStore
-
-        store = ResultStore(arguments.store)
+    store = _store(arguments)
     if runs < 1:
         raise InvalidParameterError(f"--runs must be >= 1, got {runs}")
 
+    def demo_vector(vector_seed: int):
+        rng = Random(vector_seed)
+        if spec.condition != "max-legal" and engine.condition is not None:
+            return vector_in_condition(engine.condition, spec.n, spec.domain, rng)
+        return vector_in_max_condition(spec.n, spec.domain, spec.x, spec.ell, rng)
+
     if runs == 1 and workers == 1:
-        vector = _demo_vector(engine, spec, seed)
+        vector = demo_vector(seed)
         result = engine.run(vector, **knobs)
         if store is not None:
             store.append(result)
         results = [result]
     else:
-        vectors = [_demo_vector(engine, spec, seed + index) for index in range(runs)]
+        vectors = [demo_vector(seed + index) for index in range(runs)]
         results = engine.run_batch(vectors, store=store, **knobs)
         result, vector = results[0], results[0].input_vector
 
@@ -728,19 +644,15 @@ def _command_demo(arguments) -> int:
 
 
 def _command_sweep(arguments) -> int:
+    from .api import Engine, RunConfig
+    from .api.namespaces import adversary_keyword
+
     grid = parse_grid(arguments.grid)
     if not grid:
         raise InvalidParameterError(
             "sweep needs at least one --grid axis, e.g. --grid d=1,2,3"
         )
-    spec = AgreementSpec(
-        n=arguments.n,
-        t=arguments.t,
-        k=arguments.k,
-        d=arguments.d,
-        ell=arguments.ell,
-        domain=arguments.m,
-    )
+    spec = _spec(arguments)
     if arguments.backend == "net" and (
         arguments.crashes > 0 or arguments.schedule != "none"
     ):
@@ -756,11 +668,7 @@ def _command_sweep(arguments) -> int:
         workers=arguments.workers,
     )
     engine = Engine(spec, arguments.algorithm, config)
-    store = None
-    if arguments.store is not None:
-        from .store import ResultStore
-
-        store = ResultStore(arguments.store)
+    store = _store(arguments)
     cells = engine.sweep(
         grid,
         arguments.runs_per_cell,
@@ -793,39 +701,19 @@ def _command_sweep(arguments) -> int:
 
 
 def _command_check(arguments) -> int:
-    spec = AgreementSpec(
-        n=arguments.n,
-        t=arguments.t,
-        k=arguments.k,
-        d=arguments.d,
-        ell=arguments.ell,
-        domain=arguments.m,
-        condition=arguments.condition,
-        condition_params=parse_condition_params(arguments.param),
-    )
+    from .api import Engine, RunConfig
 
-    bounds = {
-        "rounds": arguments.rounds,
-        "depth": arguments.depth,
-        "max_crashes": arguments.max_crashes,
-        "adversary": arguments.adversary,
-        "max_faults": arguments.max_faults,
-        "reference": arguments.differential,
-    }
-    store = None
-    if arguments.store is not None:
-        from .store import (
-            ASYNC_COUNTEREXAMPLE_KIND,
-            COUNTEREXAMPLE_KIND,
-            NET_COUNTEREXAMPLE_KIND,
-            ResultStore,
-        )
-
-        store = ResultStore(arguments.store)
+    spec = _spec(arguments, arguments.condition, arguments.param)
+    store = _store(arguments)
     engine = Engine(spec, arguments.algorithm, RunConfig(workers=arguments.workers))
     report = engine.check(
         backend=arguments.backend,
-        **bounds,
+        rounds=arguments.rounds,
+        depth=arguments.depth,
+        max_crashes=arguments.max_crashes,
+        adversary=arguments.adversary,
+        max_faults=arguments.max_faults,
+        reference=arguments.differential,
         store=store,
         max_counterexamples=arguments.max_counterexamples,
         max_vectors=arguments.max_vectors,
@@ -834,6 +722,12 @@ def _command_check(arguments) -> int:
     )
     print(report.render())
     if store is not None:
+        from .store import (
+            ASYNC_COUNTEREXAMPLE_KIND,
+            COUNTEREXAMPLE_KIND,
+            NET_COUNTEREXAMPLE_KIND,
+        )
+
         counts = store.counts()
         kind = {
             "async": ASYNC_COUNTEREXAMPLE_KIND,
@@ -932,38 +826,32 @@ def _command_lint(arguments) -> int:
     return 0
 
 
+#: Each command's handler, called with the parsed arguments.
+_COMMANDS = {
+    "list": _command_list,
+    "run": _command_run,
+    "lattice": _command_lattice,
+    "algorithms": _command_algorithms,
+    "conditions": _command_conditions,
+    "demo": _command_demo,
+    "sweep": _command_sweep,
+    "check": _command_check,
+    "serve": _command_serve,
+    "lint": _command_lint,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point of the ``repro`` / ``repro-setagreement`` executables."""
-    parser = build_parser()
-    arguments = parser.parse_args(argv)
+    arguments = build_parser().parse_args(argv)
     try:
-        if arguments.command == "list":
-            return _command_list()
-        if arguments.command == "run":
-            return _command_run(arguments.experiment)
-        if arguments.command == "lattice":
-            return _command_lattice(arguments.n, arguments.dot)
-        if arguments.command == "algorithms":
-            return _command_algorithms()
-        if arguments.command == "conditions":
-            return _command_conditions(arguments)
-        if arguments.command == "demo":
-            return _command_demo(arguments)
-        if arguments.command == "sweep":
-            return _command_sweep(arguments)
-        if arguments.command == "check":
-            return _command_check(arguments)
-        if arguments.command == "serve":
-            return _command_serve(arguments)
-        if arguments.command == "lint":
-            return _command_lint(arguments)
+        return _COMMANDS[arguments.command](arguments)
     except ReproError as error:
         # Bad parameter combinations (t >= n, k mismatching the algorithm,
-        # backend unsupported, ...) are user errors, not crashes.
+        # backend unsupported, ...) and unknown names are user errors, not
+        # crashes.
         print(f"error: {error}", file=sys.stderr)
         return 2
-    parser.error(f"unknown command {arguments.command!r}")
-    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

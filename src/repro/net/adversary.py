@@ -74,6 +74,7 @@ __all__ = [
     "available_net_adversaries",
     "count_faults",
     "enumerate_faults",
+    "net_adversary_family",
     "register_net_adversary",
     "resolve_net_adversary",
 ]
@@ -524,20 +525,25 @@ def available_net_adversaries() -> tuple[str, ...]:
     return tuple(sorted(NET_ADVERSARIES))
 
 
+def net_adversary_family(name: str) -> NetAdversaryFamily:
+    """The failure model registered as *name*; an unknown name raises
+    :class:`RegistryError`."""
+    try:
+        return NET_ADVERSARIES[name]
+    except KeyError:
+        known = ", ".join(available_net_adversaries())
+        raise RegistryError(
+            f"unknown net adversary {name!r}; known failure models: {known}"
+        ) from None
+
+
 def resolve_net_adversary(
     adversary: "str | NetAdversary", n: int, t: int, seed: int
 ) -> NetAdversary:
     """A concrete :class:`NetAdversary` from a family name or an instance."""
     if isinstance(adversary, NetAdversary):
         return adversary
-    try:
-        family = NET_ADVERSARIES[adversary]
-    except KeyError:
-        known = ", ".join(available_net_adversaries())
-        raise RegistryError(
-            f"unknown net adversary {adversary!r}; known failure models: {known}"
-        ) from None
-    return family.build(n, t, seed)
+    return net_adversary_family(adversary).build(n, t, seed)
 
 
 def _other_processes(n: int, pid: int) -> list[int]:

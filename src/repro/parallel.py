@@ -104,6 +104,8 @@ class CellTask:
     vectors: str
     schedule: CrashSchedule | str | None
     knobs: "RunKnobs"
+    #: The sweep's base seed, which may differ from the engine config's.
+    seed: int
 
     def __call__(self, engine: "Engine") -> "SweepCell":
         return engine._sweep_cell(
@@ -113,6 +115,7 @@ class CellTask:
             self.vectors,
             self.schedule,
             self.knobs,
+            self.seed,
         )
 
 

@@ -30,7 +30,7 @@ from repro.check.mutants import (
     MUTANT_SILENT_FLOODMIN,
 )
 from repro.core import InputVector
-from repro.exceptions import BackendError, InvalidParameterError, RegistryError
+from repro.exceptions import BackendError, InvalidParameterError, RegistryError, ReproError
 from repro.net import NetSystem
 from repro.sync import CrashSchedule, SynchronousSystem, crashes_in_round_one, initial_crashes
 from repro.workloads import vector_in_max_condition
@@ -433,6 +433,49 @@ class TestSweep:
 
 class TestRunKnobs:
     """One table decides which backend takes which knob, checked once per call."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "knob, message",
+        [
+            ("net_adversary", "unknown net adversary 'no-such'"),
+            ("async_adversary", "unknown async adversary 'no-such'"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda engine, **knobs: engine.sweep({"k": (1, 2)}, 1, **knobs),
+            lambda engine, **knobs: engine.run_batch([VECTOR] * 4, **knobs),
+        ],
+        ids=["sweep", "run_batch"],
+    )
+    def test_an_unknown_adversary_name_is_refused_before_any_run(
+        self, monkeypatch, call, knob, message, workers
+    ):
+        """The registry lookup a run would make comes with the knob checks:
+        no sweep cell runs and no pool opens."""
+        import repro.parallel
+
+        pools, cells = [], []
+
+        class Spy(repro.parallel.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        original = Engine._sweep_cell
+
+        def counting(self, overrides, index, *args, **kwargs):
+            cells.append(index)
+            return original(self, overrides, index, *args, **kwargs)
+
+        monkeypatch.setattr(repro.parallel, "ProcessPoolExecutor", Spy)
+        monkeypatch.setattr(Engine, "_sweep_cell", counting)
+        engine = Engine(SPEC, "condition-kset", RunConfig(backend=knob.split("_")[0]))
+        with pytest.raises(ReproError, match=f"^{message}"):
+            call(engine, workers=workers, **{knob: "no-such"})
+        assert (pools, cells) == ([], [])
 
     @pytest.mark.parametrize(
         "backend, knobs",

@@ -33,6 +33,40 @@ class TestParser:
         assert check.n == 4 and check.workers == 2 and check.differential is None
 
 
+#: Each command's parsed defaults for the options it shares with others.
+_SPEC_DEFAULTS = {
+    "conditions": {"n": 6, "t": 2, "d": None, "ell": 1, "k": 2, "m": 4},
+    "demo": {"n": 8, "t": 4, "d": 2, "ell": 1, "k": 2, "m": 10},
+    "sweep": {"n": 8, "t": 4, "d": 2, "ell": 1, "k": 2, "m": 10},
+    "check": {"n": 4, "t": 1, "d": 1, "ell": 1, "k": 1, "m": 3},
+}
+_CONDITION_DEFAULTS = {"condition": "max-legal", "param": []}
+_ENGINE_DEFAULTS = {
+    "algorithm": "condition-kset", "backend": "sync", "adversary": None,
+    "workers": 1, "store": None,
+}
+_RUN_DEFAULTS = {"crashes": 0, "seed": 0}
+
+
+@pytest.mark.parametrize(
+    "command, shared",
+    [
+        ("conditions", {**_SPEC_DEFAULTS["conditions"], "param": []}),
+        ("demo", {**_SPEC_DEFAULTS["demo"], **_CONDITION_DEFAULTS, **_ENGINE_DEFAULTS,
+                  **_RUN_DEFAULTS}),
+        ("sweep", {**_SPEC_DEFAULTS["sweep"], **_ENGINE_DEFAULTS, **_RUN_DEFAULTS}),
+        ("check", {**_SPEC_DEFAULTS["check"], **_CONDITION_DEFAULTS, **_ENGINE_DEFAULTS}),
+    ],
+)
+def test_each_command_keeps_its_shared_option_defaults(command, shared):
+    """The shared option declarations leave every command its own defaults,
+    and give no command an option it did not take."""
+    parsed = vars(build_parser().parse_args([command]))
+    assert {name: parsed[name] for name in shared} == shared
+    others = {*_CONDITION_DEFAULTS, *_ENGINE_DEFAULTS, *_RUN_DEFAULTS} - set(shared)
+    assert others & set(parsed) == set()
+
+
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -279,3 +313,41 @@ class TestAdversaryFlag:
         assert main(argv) == 2
         error = capsys.readouterr().err
         assert "sync backend" in error and "async_adversary" in error
+
+
+#: A net run of floodmin, whose adversary is a net failure model.
+NET = ["--backend", "net", "--algorithm", "floodmin"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["demo", "--algorithm", "no-such"], "unknown algorithm 'no-such'"),
+        (["sweep", "--grid", "k=1", "--algorithm", "no-such"], "unknown algorithm 'no-such'"),
+        (["check", "--algorithm", "no-such"], "unknown algorithm 'no-such'"),
+        (["demo", "--condition", "no-such"], "unknown condition 'no-such'"),
+        (["check", "--condition", "no-such"], "unknown condition 'no-such'"),
+        (["demo", "--backend", "no-such"], "unknown backend 'no-such'"),
+        (["sweep", "--grid", "k=1", "--backend", "no-such"], "unknown backend 'no-such'"),
+        (["check", "--backend", "no-such"], "unknown backend 'no-such'"),
+        (["demo", *NET, "--adversary", "no-such"], "unknown net adversary 'no-such'"),
+        (["demo", "--backend", "async", "--adversary", "no-such"],
+         "unknown async adversary 'no-such'"),
+        (["demo", "--backend", "async", "--adversary", "no-such", "--runs", "2",
+          "--workers", "2"], "unknown async adversary 'no-such'"),
+        (["sweep", "--grid", "k=1", *NET, "--adversary", "no-such"],
+         "unknown net adversary 'no-such'"),
+        (["sweep", "--grid", "k=1", "--backend", "async", "--adversary", "no-such"],
+         "unknown async adversary 'no-such'"),
+        (["check", *NET, "--adversary", "no-such"], "unknown net adversary 'no-such'"),
+        (["sweep", "--grid", "k=1", "--vectors", "no-such"],
+         "vectors must be 'in', 'out' or 'random', got 'no-such'"),
+    ],
+)
+def test_an_unknown_name_is_refused_by_its_registry(capsys, argv, message):
+    """The parser lists no names: the registry or the engine refuses an
+    unknown one before anything runs, and main exits 2 with its message."""
+    assert main([*argv[:1], *SMALL, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")

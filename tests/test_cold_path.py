@@ -20,7 +20,8 @@ test starts such an interpreter:
 * a net check, an async check and a counterexample reload each run when
   their own module is the first ``repro`` module imported;
 * the CLI, the model checker and the daemon import;
-* ``python -m repro lattice --n 5 --dot`` prints Figure 1.
+* ``repro lattice`` loads no engine, backend or workload module, and
+  ``python -m repro lattice --n 5 --dot`` prints Figure 1.
 """
 
 from __future__ import annotations
@@ -259,6 +260,22 @@ def test_counterexamples_reload_through_the_store_first(tmp_path):
 def test_cli_checker_and_daemon_import():
     completed = run_bare("-c", "import repro.cli, repro.check, repro.serve")
     assert completed.returncode == 0, completed.stderr
+
+
+def test_lattice_command_loads_only_figure_1():
+    """The CLI imports each command's modules where the command runs, so
+    Figure 1 loads no engine, backend or workload module."""
+    modules = bare_json(
+        "import contextlib, io, json, sys\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['lattice', '--n', '5']) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    assert "repro.core.lattice" in modules
+    assert under(
+        modules, "repro.api", "repro.sync", "repro.net", "repro.asynchronous", "repro.workloads"
+    ) == []
 
 
 def test_lattice_command_prints_figure_1():

@@ -183,7 +183,7 @@ def _cell_task(spec):
     [serial] = Engine(spec, MUTANT_HASTY_FLOODMIN).sweep(
         {"domain": (3,)}, runs_per_cell=4, vectors="random"
     )
-    task = parallel.CellTask(0, (("domain", 3),), 4, "random", None, RunKnobs("sync"))
+    task = parallel.CellTask(0, (("domain", 3),), 4, "random", None, RunKnobs("sync"), 0)
     return MUTANT_HASTY_FLOODMIN, task, serial.to_record(), SweepCell.to_record
 
 

@@ -174,10 +174,11 @@ class TestExplicitSeeds:
                 _vectors(3), seeds=iter([1, 2])
             )
 
-    def test_sweep_seed_override_matches_sibling(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_seed_override_matches_sibling(self, workers):
         grid = {"d": (1, 2)}
         direct = Engine(SPEC, "condition-kset", RunConfig(seed=5)).sweep(grid, 2)
-        shared = Engine(SPEC, "condition-kset").sweep(grid, 2, seed=5)
+        shared = Engine(SPEC, "condition-kset").sweep(grid, 2, seed=5, workers=workers)
         assert [
             _canon(cell.results) for cell in shared
         ] == [_canon(cell.results) for cell in direct]
@@ -561,6 +562,13 @@ class TestServerEndToEnd:
                 client.run(SPEC, vector, backend="net", schedule="round-one", crashes=1)
             with pytest.raises(ServeError, match=r"crashed process 9 outside \[0, 4\)"):
                 client.run(SPEC, vector, backend="async", crash_steps={9: 1})
+            # And so does each adversary name's registry.
+            with pytest.raises(ServeError, match="unknown net adversary 'no-such'"):
+                client.run(SPEC, vector, backend="net", adversary="no-such")
+            with pytest.raises(ServeError, match="unknown async adversary 'no-such'"):
+                client.run_batch(SPEC, _vectors(3), backend="async", adversary="no-such")
+            with pytest.raises(ServeError, match="unknown net adversary 'no-such'"):
+                client.sweep(SPEC, {"k": [1, 2]}, backend="net", adversary="no-such")
             assert "default" not in server.status()["tenants"]
             for seed in range(2):
                 assert client.run(SPEC, vector, seed=seed).terminated
@@ -568,7 +576,7 @@ class TestServerEndToEnd:
                 client.run(SPEC, vector)
             status = server.status()
             assert status["tenants"]["default"] == {"used": 2, "limit": 2}
-            assert status["requests"]["errors"]["bad-request"] == 20
+            assert status["requests"]["errors"]["bad-request"] == 23
 
     def test_tenant_quota_overrides(self):
         with ReproServer(
