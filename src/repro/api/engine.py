@@ -47,26 +47,27 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cache
 from random import Random
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..core.conditions import ConditionOracle
 from ..core.vectors import InputVector, View, normalise_proposals
 from ..exceptions import BackendError, InvalidParameterError, ReproError
+from ..registry import Registry
 from ..sync.adversary import CrashSchedule
 from ..sync.process import SynchronousAlgorithm
 from ..sync.runtime import SynchronousSystem
 from .registry import ALGORITHMS, SCHEDULES, AlgorithmEntry
 from .result import RunResult
-from .spec import BACKENDS, AgreementSpec, RunConfig, require_int
+from .spec import AgreementSpec, RunConfig, require_backend, require_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; the backends load on first use
     from ..asynchronous.adversary import AsyncAdversary
     from ..asynchronous.executor import AsyncExecutor
-    from ..check.checker import CheckSpace
     from ..net.adversary import NetAdversary
     from ..net.runtime import NetSystem
     from ..store import ResultStore
@@ -86,17 +87,17 @@ BACKEND_KNOBS: dict[str, tuple[str, ...]] = {
 
 
 @cache
-def _adversary_registry(knob: str) -> tuple[type, Callable[[str], Any]]:
+def _adversary_registry(knob: str) -> tuple[type, Registry]:
     """The class an adversary object passed as run knob *knob* must be an
-    instance of, and the registry lookup that refuses an unknown name; its
-    backend is imported on the first such knob."""
+    instance of, and the registry that refuses an unknown name; its backend
+    is imported on the first such knob."""
     if knob == "net_adversary":
-        from ..net.adversary import NetAdversary, net_adversary_family
+        from ..net.adversary import NET_ADVERSARIES, NetAdversary
 
-        return NetAdversary, net_adversary_family
-    from ..asynchronous.adversary import AsyncAdversary, async_adversary_factory
+        return NetAdversary, NET_ADVERSARIES
+    from ..asynchronous.adversary import ASYNC_ADVERSARIES, AsyncAdversary
 
-    return AsyncAdversary, async_adversary_factory
+    return AsyncAdversary, ASYNC_ADVERSARIES
 
 
 @dataclass(frozen=True)
@@ -781,6 +782,56 @@ class Engine:
             SCHEDULES.get(self._config.schedule if schedule is None else schedule)
         return CheckedCall(run_knobs, chunk, worker_count, normalised, crash_schedule)
 
+    def _checked_sweep(
+        self,
+        grid: Mapping[str, Iterable[Any]],
+        runs_per_cell: int,
+        *,
+        vectors: str,
+        seed: int | None,
+        schedule: CrashSchedule | str | None,
+        **call: Any,
+    ) -> tuple[CheckedCall, dict[str, tuple[Any, ...]], int]:
+        """The checks :meth:`sweep` makes before any cell runs: what
+        :meth:`_checked_call` accepted of *schedule* and the *call* knobs,
+        the grid's axes as tuples, and the number of cells (the product of
+        the axis lengths; no cell is built here).
+
+        A typo'd grid key, schedule or adversary name is a programming
+        error, not a bad cell: the whole sweep fails up front rather than
+        returning all-error cells.  ``repro serve`` makes the same call
+        before it charges a ``/sweep`` request.
+        """
+        if seed is not None:
+            require_int("seed", seed)
+        if vectors not in ("in", "out", "random"):
+            raise InvalidParameterError(
+                f"vectors must be 'in', 'out' or 'random', got {vectors!r}"
+            )
+        require_int("runs_per_cell", runs_per_cell, 0)
+        checked = self._checked_call(schedule, portable=True, **call)
+        if not isinstance(grid, Mapping) or not grid:
+            raise InvalidParameterError(
+                f"a sweep needs a non-empty mapping of spec fields to values, got {grid!r}"
+            )
+        spec_fields = {f.name for f in dataclasses.fields(AgreementSpec)}
+        unknown = sorted(set(grid) - spec_fields)
+        if unknown:
+            raise InvalidParameterError(
+                f"unknown grid field(s) {', '.join(map(repr, unknown))}; "
+                f"AgreementSpec fields are: {', '.join(sorted(spec_fields))}"
+            )
+        axes = {}
+        for name, values in grid.items():
+            # A string would sweep its characters, a mapping its keys.
+            iterable = isinstance(values, Iterable) and not isinstance(values, (str, Mapping))
+            axes[name] = tuple(values) if iterable else ()
+            if not axes[name]:
+                raise InvalidParameterError(
+                    f"grid axis {name!r} needs a non-empty collection of values, got {values!r}"
+                )
+        return checked, axes, math.prod(map(len, axes.values()))
+
     def _resolve_chunk_size(self, chunk_size: int | None) -> int:
         if chunk_size is None:
             return self._config.chunk_size
@@ -806,10 +857,7 @@ class Engine:
         failure-model objects do not travel to workers.
         """
         backend = backend or self._config.backend
-        if backend not in BACKENDS:
-            raise BackendError(
-                f"unknown backend {backend!r}; expected 'sync', 'async' or 'net'"
-            )
+        require_backend(backend)
         if backend not in self.backends():
             raise BackendError(
                 f"algorithm {self._algorithm_name!r} does not run on the {backend!r} "
@@ -827,9 +875,9 @@ class Engine:
             value = given.get(name)
             if value is None:
                 continue
-            kind, lookup = _adversary_registry(name)
+            kind, registry = _adversary_registry(name)
             if isinstance(value, str):
-                lookup(value)
+                registry.get(value)
                 continue
             if not isinstance(value, kind):
                 raise InvalidParameterError(
@@ -959,9 +1007,9 @@ class Engine:
         net has no hook.  ``vectorized=False`` forces the reference path,
         every adversary executed.  Either way the report is byte-identical.
         """
-        from ..check.checker import run_check
+        from ..check.checker import run_check, space_from_bounds
 
-        space = self._check_space(
+        space = space_from_bounds(
             backend,
             rounds=rounds,
             depth=depth,
@@ -983,23 +1031,10 @@ class Engine:
             vectorized=vectorized,
         )
 
-    def _check_space(self, backend: str | None, **bounds: Any) -> "CheckSpace":
-        """The unresolved space :meth:`check` enumerates for *backend*
-        (``None``: sync) and *bounds*, after refusing an unknown backend and
-        a bound the backend does not take."""
-        from ..check.checker import space_from_bounds
-
-        backend = backend or "sync"
-        if backend not in BACKENDS:
-            raise BackendError(
-                f"unknown backend {backend!r}; expected 'sync', 'async' or 'net'"
-            )
-        return space_from_bounds(backend, bounds)
-
     # -- parameter sweeps ----------------------------------------------------
     def sweep(
         self,
-        grid: Mapping[str, Sequence[Any]],
+        grid: Mapping[str, Iterable[Any]],
         runs_per_cell: int = 4,
         *,
         vectors: str = "in",
@@ -1025,9 +1060,10 @@ class Engine:
         condition samplers of :mod:`repro.workloads.vectors`.  Invalid
         combinations — e.g. ``d > t`` or an unsatisfiable outside-vector
         request — yield a cell with :attr:`SweepCell.error` set instead of
-        raising, so a grid may safely cross parameter ranges.  An unknown
-        grid field, *schedule* name or adversary name raises before any
-        cell runs.
+        raising, so a grid may safely cross parameter ranges.  An empty grid,
+        an axis that is empty, a string or a mapping, an unknown grid field,
+        *vectors* mode, *schedule* or adversary name, or a negative
+        *runs_per_cell* raises before any cell runs.
 
         *workers* (default: the config's ``workers``) shards whole cells
         across a process pool when greater than 1; every cell derives its
@@ -1044,34 +1080,14 @@ class Engine:
         engine whose config carries that seed — which is how
         :mod:`repro.serve` serves per-request seeds from one cached engine.
         """
+        (knobs, _, worker_count, _, _), axes, _ = self._checked_sweep(
+            grid, runs_per_cell, vectors=vectors, seed=seed, schedule=schedule,
+            backend=backend, workers=workers, async_adversary=async_adversary,
+            crash_steps=crash_steps, net_adversary=net_adversary,
+        )
         if seed is None:
             seed = self._config.seed
-        require_int("seed", seed)
-        if vectors not in ("in", "out", "random"):
-            raise InvalidParameterError(
-                f"vectors must be 'in', 'out' or 'random', got {vectors!r}"
-            )
-        require_int("runs_per_cell", runs_per_cell)
-        # A typo'd grid key, schedule or adversary name is a programming
-        # error, not a bad cell: fail the whole sweep up front rather than
-        # returning all-error cells.
-        knobs, _, worker_count, _, _ = self._checked_call(
-            schedule, backend=backend, workers=workers, portable=True,
-            async_adversary=async_adversary, crash_steps=crash_steps,
-            net_adversary=net_adversary,
-        )
-        spec_fields = {f.name for f in dataclasses.fields(AgreementSpec)}
-        unknown = sorted(set(grid) - spec_fields)
-        if unknown:
-            raise InvalidParameterError(
-                f"unknown grid field(s) {', '.join(map(repr, unknown))}; "
-                f"AgreementSpec fields are: {', '.join(sorted(spec_fields))}"
-            )
-        names = list(grid)
-        combos = [
-            dict(zip(names, combo))
-            for combo in itertools.product(*(grid[name] for name in names))
-        ]
+        combos = (dict(zip(axes, combo)) for combo in itertools.product(*axes.values()))
         if worker_count == 1:
             cell_stream = (
                 self._sweep_cell(overrides, index, runs_per_cell, vectors, schedule, knobs, seed)

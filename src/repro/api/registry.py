@@ -12,18 +12,20 @@ harness, the examples and future backends all resolve names through here.
 * :data:`SCHEDULES` maps a name (``"none"``, ``"round-one"``, ``"staggered"``,
   ...) to a factory ``(spec, crashes, seed) -> CrashSchedule``.
 
-Unknown names raise :class:`~repro.exceptions.RegistryError` listing the known
-names; duplicate registrations raise too (shadowing an algorithm silently is a
-deployment hazard, not a convenience).
+Both are :class:`~repro.registry.Registry` tables (re-exported here): an
+unknown name raises :class:`~repro.exceptions.RegistryError` listing the
+known names, and so does a duplicate registration (shadowing an algorithm
+silently is a deployment hazard, not a convenience).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from dataclasses import dataclass
+from typing import Callable
 
 from ..core.conditions import ConditionOracle
-from ..exceptions import InvalidParameterError, RegistryError
+from ..exceptions import InvalidParameterError
+from ..registry import Registry
 from ..sync.adversary import (
     CrashSchedule,
     crashes_in_round_one,
@@ -44,57 +46,6 @@ __all__ = [
     "available_algorithms",
     "available_schedules",
 ]
-
-
-class Registry:
-    """A named map from string keys to entries, with helpful failure modes."""
-
-    def __init__(self, kind: str) -> None:
-        self._kind = kind
-        self._entries: dict[str, Any] = {}
-
-    @property
-    def kind(self) -> str:
-        """What the registry holds (``"algorithm"``, ``"schedule"``, ...)."""
-        return self._kind
-
-    def add(self, name: str, entry: Any) -> None:
-        """Register *entry* under *name*; duplicate names are rejected."""
-        if not name or not isinstance(name, str):
-            raise RegistryError(f"{self._kind} names must be non-empty strings, got {name!r}")
-        if name in self._entries:
-            raise RegistryError(
-                f"{self._kind} {name!r} is already registered; "
-                "pick a new name instead of shadowing an existing entry"
-            )
-        self._entries[name] = entry
-
-    def get(self, name: str) -> Any:
-        """Look *name* up, raising :class:`RegistryError` with the known names."""
-        try:
-            return self._entries[name]
-        except (KeyError, TypeError):  # TypeError: an unhashable name
-            known = ", ".join(sorted(self._entries)) or "<none>"
-            raise RegistryError(
-                f"unknown {self._kind} {name!r}; known {self._kind}s: {known}"
-            ) from None
-
-    def names(self) -> tuple[str, ...]:
-        """The registered names, sorted."""
-        return tuple(sorted(self._entries))
-
-    def items(self) -> list[tuple[str, Any]]:
-        """(name, entry) pairs, sorted by name."""
-        return [(name, self._entries[name]) for name in self.names()]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names())
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 @dataclass(frozen=True)

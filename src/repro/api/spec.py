@@ -29,12 +29,18 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..core.hierarchy import rounds_in_condition, rounds_outside_condition
-from ..exceptions import InvalidParameterError, require_int
+from ..exceptions import BackendError, InvalidParameterError, require_int
 
-__all__ = ["AgreementSpec", "RunConfig", "require_int"]
+__all__ = ["AgreementSpec", "RunConfig", "require_backend", "require_int"]
 
 #: Backends understood by the engine.
 BACKENDS = ("sync", "async", "net")
+
+
+def require_backend(backend: str) -> None:
+    """Refuse a backend name that is not one of :data:`BACKENDS`."""
+    if backend not in BACKENDS:
+        raise BackendError(f"unknown backend {backend!r}; known backends: {', '.join(BACKENDS)}")
 
 
 def _freeze(value: Any) -> Any:
@@ -251,33 +257,22 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise InvalidParameterError(
-                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
-            )
+        require_backend(self.backend)
         require_int("crashes", self.crashes, 0)
         require_int("seed", self.seed)
         require_int("max_steps_per_process", self.max_steps_per_process, 1)
         require_int("chunk_size", self.chunk_size, 1)
         require_int("workers", self.workers, 1)
-        # Unknown strategy names fail at construction, not at the first run;
+        # Unknown adversary names fail at construction, not at the first run;
         # a default name is built in, so its backend is not imported here.
         if self.async_adversary != RunConfig.async_adversary:
             from ..asynchronous.adversary import ASYNC_ADVERSARIES
 
-            if self.async_adversary not in ASYNC_ADVERSARIES:
-                raise InvalidParameterError(
-                    f"unknown async adversary {self.async_adversary!r}; registered "
-                    f"strategies: {', '.join(sorted(ASYNC_ADVERSARIES))}"
-                )
+            ASYNC_ADVERSARIES.get(self.async_adversary)
         if self.net_adversary != RunConfig.net_adversary:
             from ..net.adversary import NET_ADVERSARIES
 
-            if self.net_adversary not in NET_ADVERSARIES:
-                raise InvalidParameterError(
-                    f"unknown net adversary {self.net_adversary!r}; registered "
-                    f"failure models: {', '.join(sorted(NET_ADVERSARIES))}"
-                )
+            NET_ADVERSARIES.get(self.net_adversary)
 
     def replace(self, **changes) -> "RunConfig":
         """A copy of the config with *changes* applied."""

@@ -35,6 +35,7 @@ from random import Random
 from typing import Callable, Iterator, Mapping, Sequence
 
 from ..exceptions import AdversaryError, InvalidParameterError
+from ..registry import Registry
 
 __all__ = [
     "AsyncAdversary",
@@ -45,7 +46,6 @@ __all__ = [
     "EnumeratedAdversary",
     "ASYNC_ADVERSARIES",
     "register_async_adversary",
-    "async_adversary_factory",
     "available_async_adversaries",
     "resolve_async_adversary",
     "enumerate_interleavings",
@@ -325,19 +325,15 @@ def _validate_interleaving_parameters(n: int, depth: int) -> None:
 # ----------------------------------------------------------------------
 #: Name -> factory ``(seed) -> AsyncAdversary``; the seed is the run's seed
 #: and only the seeded strategies consume it.
-ASYNC_ADVERSARIES: dict[str, Callable[[Random | int | None], AsyncAdversary]] = {}
+ASYNC_ADVERSARIES = Registry("async adversary")
 
 
 def register_async_adversary(name: str, summary: str):
     """Decorator registering a ``(seed) -> AsyncAdversary`` factory by name."""
 
-    def decorator(factory):
-        if not name or not isinstance(name, str):
-            raise AdversaryError(f"adversary names must be non-empty strings, got {name!r}")
-        if name in ASYNC_ADVERSARIES:
-            raise AdversaryError(f"async adversary {name!r} is already registered")
+    def decorator(factory: Callable[[Random | int | None], AsyncAdversary]):
         factory.summary = summary
-        ASYNC_ADVERSARIES[name] = factory
+        ASYNC_ADVERSARIES.add(name, factory)
         return factory
 
     return decorator
@@ -345,18 +341,7 @@ def register_async_adversary(name: str, summary: str):
 
 def available_async_adversaries() -> tuple[str, ...]:
     """The registered strategy names, sorted."""
-    return tuple(sorted(ASYNC_ADVERSARIES))
-
-
-def async_adversary_factory(name: str) -> Callable[[Random | int | None], AsyncAdversary]:
-    """The factory registered as *name*; an unknown name raises :class:`AdversaryError`."""
-    try:
-        return ASYNC_ADVERSARIES[name]
-    except KeyError:
-        known = ", ".join(available_async_adversaries()) or "<none>"
-        raise AdversaryError(
-            f"unknown async adversary {name!r}; known strategies: {known}"
-        ) from None
+    return ASYNC_ADVERSARIES.names()
 
 
 def resolve_async_adversary(
@@ -373,7 +358,7 @@ def resolve_async_adversary(
     if adversary is None:
         return RoundRobinAdversary() if seed is None else SeededRandomAdversary(seed)
     if isinstance(adversary, str):
-        return async_adversary_factory(adversary)(seed)
+        return ASYNC_ADVERSARIES.get(adversary)(seed)
     raise InvalidParameterError(
         f"adversary must be an AsyncAdversary, a registry name or None, "
         f"got {adversary!r}"

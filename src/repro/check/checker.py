@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Mapping, Se
 
 from ..api.engine import Engine, RunKnobs
 from ..api.result import RunResult
-from ..api.spec import AgreementSpec, RunConfig, require_int
+from ..api.spec import AgreementSpec, RunConfig, require_backend, require_int
 from ..core.vectors import InputVector, normalise_proposals
 from ..exceptions import (
     BackendError,
@@ -236,12 +236,16 @@ def _space(backend: str) -> "CheckSpace":
     return getattr(import_module(module, __package__), name)()
 
 
-def space_from_bounds(backend: str, bounds: Mapping[str, Any]) -> "CheckSpace":
-    """The space of *backend* with the *bounds* given (``None``: not given).
+def space_from_bounds(backend: str | None, **bounds: Any) -> "CheckSpace":
+    """The unresolved space of *backend* (``None``: sync) with the *bounds*
+    given (``None``: not given): what :meth:`Engine.check` and ``/check``
+    enumerate.
 
-    A backend takes exactly the bounds that are fields of its space; any
-    other bound given is refused, so no caller drops one silently.
+    An unknown backend is refused, and so is any bound given that is not a
+    field of the backend's space, so no caller drops one silently.
     """
+    backend = backend or "sync"
+    require_backend(backend)
     space_type = type(_space(backend))
     taken = [bound.name for bound in fields(space_type)]
     refused = [name for name, value in bounds.items() if value is not None and name not in taken]

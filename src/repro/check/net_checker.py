@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Any, ClassVar, Iterable, Mapping
 
 from ..api.engine import RunKnobs
 from ..api.spec import AgreementSpec, require_int
-from ..exceptions import InvalidParameterError
 from ..net.adversary import (
     NET_ADVERSARIES,
     NetAdversary,
@@ -74,13 +73,8 @@ class NetSpace(CheckSpace):
     record_keys: ClassVar[tuple[str, ...]] = ("adversary", "faults")
 
     def __post_init__(self) -> None:
-        if self.adversary is not None and (
-            not isinstance(self.adversary, str) or self.adversary not in NET_ADVERSARIES
-        ):
-            raise InvalidParameterError(
-                f"unknown net adversary {self.adversary!r}; registered failure "
-                f"models: {', '.join(sorted(NET_ADVERSARIES))}"
-            )
+        if self.adversary is not None:
+            NET_ADVERSARIES.get(self.adversary)
         if self.rounds is not None:
             require_int("rounds", self.rounds, 1)
         if self.max_faults is not None:

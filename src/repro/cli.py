@@ -412,6 +412,8 @@ def parse_grid(items: Sequence[str]) -> dict:
     ints); what does not parse stays a string, which is how condition-family
     names are swept (``condition=max-legal,min-legal``).
     """
+    if not items:
+        raise InvalidParameterError("sweep needs at least one --grid axis, e.g. --grid d=1,2,3")
     grid: dict = {}
     for item in items:
         field, separator, text = item.partition("=")
@@ -648,10 +650,6 @@ def _command_sweep(arguments) -> int:
     from .api.namespaces import adversary_keyword
 
     grid = parse_grid(arguments.grid)
-    if not grid:
-        raise InvalidParameterError(
-            "sweep needs at least one --grid axis, e.g. --grid d=1,2,3"
-        )
     spec = _spec(arguments)
     if arguments.backend == "net" and (
         arguments.crashes > 0 or arguments.schedule != "none"

@@ -69,7 +69,12 @@ class SimulationError(ReproError):
 
 
 class AdversaryError(ReproError):
-    """A crash schedule is infeasible (too many crashes, unknown process, ...)."""
+    """An adversary is infeasible: a crash schedule with too many crashes or
+    an unknown process, a negative crash step or interleaving choice, ...
+
+    An unknown strategy or failure-model name, or a name registered twice,
+    raises :class:`RegistryError` instead.
+    """
 
 
 class AgreementViolationError(ReproError):
@@ -80,21 +85,25 @@ class AgreementViolationError(ReproError):
     """
 
 
-class RegistryError(ReproError):
+class RegistryError(InvalidParameterError):
     """A registry lookup or registration failed.
 
-    Raised by the :mod:`repro.api` registries when an unknown algorithm or
-    schedule name is requested, or when a name is registered twice.  The
-    message always lists the known names so typos are easy to fix.
+    Raised by every :class:`~repro.registry.Registry` (algorithms,
+    schedules, conditions, lint rules, net failure models and asynchronous
+    strategies) when an unknown name is requested, or when a name is
+    registered twice.  An unknown name is an invalid parameter, hence the
+    base class.  The message always lists the known names so typos are easy
+    to fix.
     """
 
 
-class BackendError(ReproError):
-    """An algorithm was asked to run on a backend it does not support.
+class BackendError(InvalidParameterError):
+    """A backend name is unknown, or an algorithm does not support it.
 
-    Raised by :class:`repro.api.Engine` when, for example, a purely
-    synchronous algorithm such as FloodMin is dispatched to the asynchronous
-    shared-memory backend.
+    Raised by :func:`repro.api.spec.require_backend` for a name other than
+    ``sync``, ``async`` and ``net``, and by :class:`repro.api.Engine` when,
+    for example, a purely synchronous algorithm such as FloodMin is
+    dispatched to the asynchronous shared-memory backend.
     """
 
 

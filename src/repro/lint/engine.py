@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
-from ..api.registry import Registry
 from ..exceptions import RegistryError
+from ..registry import Registry
 from .baseline import Baseline
 from .findings import SEVERITIES, Finding
 from .index import ModuleIndex

@@ -33,13 +33,14 @@ import ast
 from typing import Iterator
 
 from ...api.namespaces import ADVERSARY_REGISTRARS
+from ...api.spec import BACKENDS
 from ..engine import register_rule
 from ..index import ModuleIndex
 
 __all__ = ["KNOWN_BACKENDS"]
 
 #: The execution backends an algorithm entry may declare.
-KNOWN_BACKENDS = frozenset({"sync", "async", "net"})
+KNOWN_BACKENDS = frozenset(BACKENDS)
 
 
 def _registrar_calls(index: ModuleIndex) -> Iterator[tuple[str, str, ast.Call]]:

@@ -53,7 +53,8 @@ from math import comb
 from random import Random
 from typing import Any, Callable, ClassVar, Iterable, Iterator, Mapping
 
-from ..exceptions import InvalidParameterError, RegistryError
+from ..exceptions import InvalidParameterError
+from ..registry import Registry
 
 __all__ = [
     "NET_ADVERSARIES",
@@ -74,7 +75,6 @@ __all__ = [
     "available_net_adversaries",
     "count_faults",
     "enumerate_faults",
-    "net_adversary_family",
     "register_net_adversary",
     "resolve_net_adversary",
 ]
@@ -483,9 +483,6 @@ class EnumeratedCorruption(NetAdversary):
         return f"byzantine-corrupt(channels={sorted(self._corruptions.items())})"
 
 
-# ----------------------------------------------------------------------
-# Registry (mirrors repro.asynchronous.adversary's strategy registry)
-# ----------------------------------------------------------------------
 class NetAdversaryFamily:
     """A named failure model: a seeded builder plus a one-line summary."""
 
@@ -504,17 +501,15 @@ class NetAdversaryFamily:
         return self._build(n, t, seed)
 
 
-#: The registered failure models, keyed by family name.
-NET_ADVERSARIES: dict[str, NetAdversaryFamily] = {}
+#: The failure models, keyed by family name.
+NET_ADVERSARIES = Registry("net adversary")
 
 
 def register_net_adversary(name: str, summary: str):
     """Register a seeded builder ``(n, t, seed) -> NetAdversary`` under *name*."""
 
     def decorator(build: Callable[[int, int, int], NetAdversary]):
-        if name in NET_ADVERSARIES:
-            raise RegistryError(f"net adversary {name!r} is already registered")
-        NET_ADVERSARIES[name] = NetAdversaryFamily(name, summary, build)
+        NET_ADVERSARIES.add(name, NetAdversaryFamily(name, summary, build))
         return build
 
     return decorator
@@ -522,19 +517,7 @@ def register_net_adversary(name: str, summary: str):
 
 def available_net_adversaries() -> tuple[str, ...]:
     """The registered failure-model names, sorted."""
-    return tuple(sorted(NET_ADVERSARIES))
-
-
-def net_adversary_family(name: str) -> NetAdversaryFamily:
-    """The failure model registered as *name*; an unknown name raises
-    :class:`RegistryError`."""
-    try:
-        return NET_ADVERSARIES[name]
-    except KeyError:
-        known = ", ".join(available_net_adversaries())
-        raise RegistryError(
-            f"unknown net adversary {name!r}; known failure models: {known}"
-        ) from None
+    return NET_ADVERSARIES.names()
 
 
 def resolve_net_adversary(
@@ -543,7 +526,7 @@ def resolve_net_adversary(
     """A concrete :class:`NetAdversary` from a family name or an instance."""
     if isinstance(adversary, NetAdversary):
         return adversary
-    return net_adversary_family(adversary).build(n, t, seed)
+    return NET_ADVERSARIES.get(adversary).build(n, t, seed)
 
 
 def _other_processes(n: int, pid: int) -> list[int]:
@@ -640,18 +623,15 @@ def adversary_from_record(record: Mapping[str, Any]) -> NetAdversary:
             )
     except (KeyError, TypeError, ValueError) as error:
         raise InvalidParameterError(f"malformed fault record: {error!r}") from error
-    raise InvalidParameterError(f"unknown failure-model family {family!r}")
+    NET_ADVERSARIES.get(family)
+    raise InvalidParameterError(f"failure model {family!r} has no fault record reader")
 
 
 # ----------------------------------------------------------------------
 # Exhaustive fault enumeration (mirrors sync enumerate/count_schedules)
 # ----------------------------------------------------------------------
 def _validate_fault_parameters(family: str, n: int, rounds: int, max_faults: int) -> None:
-    if family not in NET_ADVERSARIES:
-        known = ", ".join(available_net_adversaries())
-        raise InvalidParameterError(
-            f"unknown failure-model family {family!r}; known: {known}"
-        )
+    NET_ADVERSARIES.get(family)
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
     if rounds < 1:

@@ -398,9 +398,14 @@ class ServeClient:
         Each record has the persisted cell shape: ``overrides``, ``error``,
         ``spec`` and ``results`` (run records).
         """
+        # ``list`` would split a string or mapping axis the daemon refuses.
+        axes = {
+            name: values if isinstance(values, (str, Mapping)) else list(values)
+            for name, values in grid.items()
+        }
         payload = self._request_payload(
             spec,
-            grid={name: list(values) for name, values in grid.items()},
+            grid=axes,
             runs_per_cell=runs_per_cell,
             algorithm=algorithm,
             backend=backend,

@@ -68,7 +68,7 @@ from ..api.engine import CheckedCall, Engine
 from ..api.namespaces import adversary_keyword
 from ..api.registry import ALGORITHMS
 from ..api.spec import AgreementSpec, RunConfig, require_int
-from ..check.checker import check_arguments
+from ..check.checker import check_arguments, space_from_bounds
 from ..exceptions import (
     AdmissionError,
     InvalidParameterError,
@@ -355,33 +355,22 @@ class _Handler(BaseHTTPRequestHandler):
             state._count_runs(served)
 
     def _handle_sweep(self, request: _ParsedRequest, payload: Mapping[str, Any]) -> None:
-        grid = payload.get("grid")
-        if not isinstance(grid, Mapping) or not grid:
-            raise InvalidParameterError('"/sweep" needs a non-empty "grid" object')
-        runs_per_cell = payload.get("runs_per_cell", 4)
-        require_int("runs_per_cell", runs_per_cell, 1)
-        cell_count = 1
-        for values in grid.values():
-            if not isinstance(values, (list, tuple)) or not values:
-                raise InvalidParameterError(
-                    "every grid axis needs a non-empty array of values"
-                )
-            cell_count *= len(values)
         state = self.state
-        entry, _ = state._checked_entry(
-            request, schedule=request.schedule, workers=request.workers, portable=True
-        )
-        with state._admitted(request.tenant, cell_count * runs_per_cell):
+        entry = state.cache.get(request.spec, request.algorithm, request.config)
+        sweep = {
+            "grid": payload.get("grid"),
+            "runs_per_cell": payload.get("runs_per_cell", 4),
+            "vectors": payload.get("vectors_mode", "in"),
+            "schedule": request.schedule,
+            "workers": request.workers,
+            "seed": request.seed,
+            **request.call_knobs(),
+        }
+        _, _, cell_count = entry.engine._checked_sweep(**sweep)
+        # A cell builds a spec and an engine even with no runs: one unit.
+        with state._admitted(request.tenant, cell_count * max(sweep["runs_per_cell"], 1)):
             with entry.lock:
-                cells = entry.engine.sweep(
-                    grid,
-                    runs_per_cell,
-                    vectors=payload.get("vectors_mode", "in"),
-                    schedule=request.schedule,
-                    workers=request.workers,
-                    seed=request.seed,
-                    **request.call_knobs(),
-                )
+                cells = entry.engine.sweep(**sweep)
         store = state.tenant_store(request.tenant)
         executed = 0
         for cell in cells:
@@ -411,9 +400,7 @@ class _Handler(BaseHTTPRequestHandler):
         entry = state.cache.get(request.spec, request.algorithm, request.config)
         # What the engine refuses costs nothing: the space and run_check's
         # parameters are checked first.
-        check_arguments(
-            entry.engine, entry.engine._check_space(request.backend, **bounds), **arguments
-        )
+        check_arguments(entry.engine, space_from_bounds(request.backend, **bounds), **arguments)
         # A check's execution count is only known once the space is
         # enumerated; it is charged as one quota unit (admission still
         # bounds how many run concurrently).
@@ -627,9 +614,9 @@ class ReproServer:
         slot; a request that admission control turns away runs nothing and
         gets its charge back.  A request reaches this point only after the
         engine's own checks accepted its arguments (:meth:`_checked_entry`,
-        :func:`~repro.check.checker.check_arguments`), so a refused request
-        is never charged; one that fails once its work has started keeps its
-        charge.
+        ``Engine._checked_sweep``, :func:`~repro.check.checker.check_arguments`),
+        so a refused request is never charged; one that fails once its work
+        has started keeps its charge.
         """
         self.quotas.charge(tenant, runs)
         try:

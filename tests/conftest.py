@@ -8,6 +8,7 @@ import pytest
 
 from repro.api.conditions import CONDITIONS
 from repro.api.registry import ALGORITHMS, SCHEDULES
+from repro.asynchronous.adversary import ASYNC_ADVERSARIES
 from repro.check import (
     MUTANT_ECHOLESS_FLOODMIN,
     MUTANT_HASTY_ASYNC,
@@ -15,9 +16,10 @@ from repro.check import (
     MUTANT_SILENT_FLOODMIN,
 )
 from repro.core import InputVector, MaxLegalCondition, MaxValues, table1_condition
+from repro.net.adversary import NET_ADVERSARIES
 
 #: The registries every test shares through the process.
-_REGISTRIES = (ALGORITHMS, SCHEDULES, CONDITIONS)
+_REGISTRIES = (ALGORITHMS, SCHEDULES, CONDITIONS, NET_ADVERSARIES, ASYNC_ADVERSARIES)
 #: What register_mutants() adds; it is idempotent, so its keys may stay.
 _MUTANT_KEYS = frozenset(
     {MUTANT_HASTY_FLOODMIN, MUTANT_ECHOLESS_FLOODMIN, MUTANT_SILENT_FLOODMIN, MUTANT_HASTY_ASYNC}

@@ -23,6 +23,7 @@ from repro.api import (
 )
 from repro.algorithms import FloodMinKSetAgreement
 from repro.analysis import check_execution
+from repro.asynchronous import resolve_async_adversary
 from repro.check.mutants import (
     MUTANT_ECHOLESS_FLOODMIN,
     MUTANT_HASTY_ASYNC,
@@ -31,7 +32,7 @@ from repro.check.mutants import (
 )
 from repro.core import InputVector
 from repro.exceptions import BackendError, InvalidParameterError, RegistryError, ReproError
-from repro.net import NetSystem
+from repro.net import NetSystem, count_faults, enumerate_faults, resolve_net_adversary
 from repro.sync import CrashSchedule, SynchronousSystem, crashes_in_round_one, initial_crashes
 from repro.workloads import vector_in_max_condition
 
@@ -476,6 +477,61 @@ class TestRunKnobs:
         with pytest.raises(ReproError, match=f"^{message}"):
             call(engine, workers=workers, **{knob: "no-such"})
         assert (pools, cells) == ([], [])
+
+    @pytest.mark.parametrize(
+        "error, calls",
+        [
+            (
+                RegistryError,
+                [
+                    lambda: RunConfig(net_adversary="no-such"),
+                    lambda: Engine(SPEC, "floodmin").run(
+                        VECTOR, backend="net", net_adversary="no-such"
+                    ),
+                    lambda: Engine(SPEC, "floodmin").run_batch(
+                        [VECTOR], backend="net", net_adversary="no-such"
+                    ),
+                    lambda: Engine(SPEC, "floodmin").check(backend="net", adversary="no-such"),
+                    lambda: next(enumerate_faults("no-such", 3, 2, 1)),
+                    lambda: count_faults("no-such", 3, 2, 1),
+                    lambda: resolve_net_adversary("no-such", 3, 1, 0),
+                ],
+            ),
+            (
+                RegistryError,
+                [
+                    lambda: RunConfig(async_adversary="no-such"),
+                    lambda: Engine(SPEC, "condition-kset").run(
+                        VECTOR, backend="async", async_adversary="no-such"
+                    ),
+                    lambda: Engine(SPEC, "condition-kset").run_batch(
+                        [VECTOR], backend="async", async_adversary="no-such"
+                    ),
+                    lambda: resolve_async_adversary("no-such", 0),
+                ],
+            ),
+            (
+                BackendError,
+                [
+                    lambda: RunConfig(backend="no-such"),
+                    lambda: Engine(SPEC, "floodmin").run(VECTOR, backend="no-such"),
+                    lambda: Engine(SPEC, "floodmin").check(backend="no-such"),
+                ],
+            ),
+        ],
+        ids=["net adversary", "async adversary", "backend"],
+    )
+    def test_each_unknown_name_is_refused_by_one_table(self, error, calls):
+        """Every entry point refuses an unknown name with its table's one
+        exception type and one message."""
+        messages = set()
+        for call in calls:
+            with pytest.raises(ReproError) as refused:
+                call()
+            assert type(refused.value) is error
+            messages.add(str(refused.value))
+        assert len(messages) == 1, messages
+        assert messages.pop().startswith("unknown ")
 
     @pytest.mark.parametrize(
         "backend, knobs",

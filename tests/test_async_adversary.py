@@ -51,7 +51,7 @@ from repro.check.oracles import CheckContext
 from repro.core.conditions import MaxLegalCondition
 from repro.core.values import is_bottom
 from repro.core.vectors import InputVector
-from repro.exceptions import AdversaryError, InvalidParameterError
+from repro.exceptions import AdversaryError, InvalidParameterError, RegistryError
 from repro.store import ResultStore
 from repro.workloads.scenarios import async_scenario
 from repro.workloads.vectors import vector_in_max_condition
@@ -177,7 +177,7 @@ class TestAdversaries:
         assert isinstance(resolve_async_adversary(None, 3), SeededRandomAdversary)
         skew = LatencySkewAdversary()
         assert resolve_async_adversary(skew, 3) is skew
-        with pytest.raises(AdversaryError):
+        with pytest.raises(RegistryError):
             resolve_async_adversary("no-such-strategy", 0)
 
     def test_name_and_instance_agree(self):

@@ -20,6 +20,7 @@ test starts such an interpreter:
 * a net check, an async check and a counterexample reload each run when
   their own module is the first ``repro`` module imported;
 * the CLI, the model checker and the daemon import;
+* the net and async adversary registries load no :mod:`repro.api` module;
 * ``repro lattice`` loads no engine, backend or workload module, and
   ``python -m repro lattice --n 5 --dot`` prints Figure 1.
 """
@@ -276,6 +277,18 @@ def test_lattice_command_loads_only_figure_1():
     assert under(
         modules, "repro.api", "repro.sync", "repro.net", "repro.asynchronous", "repro.workloads"
     ) == []
+
+
+def test_adversary_registries_load_no_api():
+    """The net and async adversary tables register their names without
+    loading :mod:`repro.api`."""
+    modules = bare_json(
+        "import json, sys\n"
+        "import repro.net.adversary, repro.asynchronous.adversary\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    assert {"repro.net.adversary", "repro.asynchronous.adversary"} <= set(modules)
+    assert under(modules, "repro.api") == []
 
 
 def test_lattice_command_prints_figure_1():

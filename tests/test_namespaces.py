@@ -29,15 +29,12 @@ class TestTable:
     def test_shipped_namespaces_are_disjoint(self):
         assert adversary_namespace_overlaps() == {}
 
-    def test_overlap_detection(self):
+    def test_overlap_detection(self, monkeypatch):
         # Collide the async name "random" into the net namespace and check
-        # the table notices; NET_ADVERSARIES is a plain dict, so the probe
-        # entry is removed again even on assertion failure.
-        NET_ADVERSARIES["random"] = object()
-        try:
-            overlaps = adversary_namespace_overlaps()
-            assert overlaps == {"random": ("async", "net")}
-        finally:
-            del NET_ADVERSARIES["random"]
+        # the table notices; monkeypatch removes the probe entry again even
+        # on assertion failure.
+        monkeypatch.setitem(NET_ADVERSARIES._entries, "random", object())
+        assert adversary_namespace_overlaps() == {"random": ("async", "net")}
+        monkeypatch.undo()
         assert adversary_namespace_overlaps() == {}
 

@@ -205,6 +205,18 @@ class TestParallelDeterminism:
         assert [c.error for c in serial] == [c.error for c in parallel]
         assert serial[1].error is not None
 
+    def test_sweep_takes_any_iterable_axis_and_refuses_a_malformed_grid(self):
+        engine = Engine(SMALL, "condition-kset")
+        expected = engine.sweep({"d": (1, 2), "k": (1, 2)}, runs_per_cell=1)
+        lazy = engine.sweep({"d": (d for d in (1, 2)), "k": range(1, 3)}, runs_per_cell=1)
+        assert [cell.overrides for cell in lazy] == [cell.overrides for cell in expected]
+        malformed = [{}, {"d": ()}, {"d": "12"}, {"d": {1: "a"}}, {"d": 1}]
+        for grid in malformed:
+            with pytest.raises(InvalidParameterError):
+                engine.sweep(grid, runs_per_cell=1)
+        with pytest.raises(InvalidParameterError, match="runs_per_cell must be >= 0"):
+            engine.sweep({"d": (1,)}, runs_per_cell=-1)
+
     def test_scenario_batch_parity(self):
         scenario = fast_path_scenario(n=8, m=10, t=4, d=2, ell=1, k=2)
         assert _records(scenario.batch(5)) == _records(scenario.batch(5, workers=2))

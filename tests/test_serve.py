@@ -26,6 +26,7 @@ server:
 
 from __future__ import annotations
 
+import itertools
 import json
 import socket
 import threading
@@ -569,6 +570,11 @@ class TestServerEndToEnd:
                 client.run_batch(SPEC, _vectors(3), backend="async", adversary="no-such")
             with pytest.raises(ServeError, match="unknown net adversary 'no-such'"):
                 client.sweep(SPEC, {"k": [1, 2]}, backend="net", adversary="no-such")
+            # And so do the sweep's own checks of its vectors mode and grid.
+            with pytest.raises(ServeError, match="vectors must be 'in', 'out' or 'random'"):
+                client.sweep(SPEC, {"k": [1, 2]}, vectors_mode="nope")
+            with pytest.raises(ServeError, match="unknown grid field"):
+                client.sweep(SPEC, {"nope": [1, 2]})
             assert "default" not in server.status()["tenants"]
             for seed in range(2):
                 assert client.run(SPEC, vector, seed=seed).terminated
@@ -576,7 +582,29 @@ class TestServerEndToEnd:
                 client.run(SPEC, vector)
             status = server.status()
             assert status["tenants"]["default"] == {"used": 2, "limit": 2}
-            assert status["requests"]["errors"]["bad-request"] == 23
+            assert status["requests"]["errors"]["bad-request"] == 25
+
+    def test_a_sweep_is_checked_and_charged_from_its_axes(self, monkeypatch):
+        def no_cells(*axes):
+            raise AssertionError("a sweep cell was built")
+
+        # A body of a few KB whose axes multiply out to about 7e14 cells.
+        grid = {field: list(range(300)) for field in ("n", "t", "k", "d", "ell", "domain")}
+        with ReproServer(port=0, default_quota=2) as server:
+            client = ServeClient(*server.address)
+            with monkeypatch.context() as patch:
+                patch.setattr(itertools, "product", no_cells)
+                with pytest.raises(QuotaExceededError, match=f"{300 ** 6 * 4} requested"):
+                    client.sweep(SPEC, grid)
+            with pytest.raises(ServeError, match="grid axis 'k' needs a non-empty"):
+                client.sweep(SPEC, {"k": "12"})
+            # A sweep of no runs still costs a unit per cell, so a tenant
+            # whose quota is spent cannot sweep for free.
+            for seed in range(2):
+                assert client.run(SPEC, _vectors(1)[0], seed=seed).terminated
+            with pytest.raises(QuotaExceededError, match="2 used \\+ 2 requested"):
+                client.sweep(SPEC, {"k": [1, 2]}, runs_per_cell=0)
+            assert server.status()["tenants"]["default"] == {"used": 2, "limit": 2}
 
     def test_tenant_quota_overrides(self):
         with ReproServer(
