@@ -239,9 +239,11 @@ class EnumeratedAdversary(RoundRobinAdversary):
 
     The adversary records the width (``len(runnable)``) it read at each
     prefix step of the last execution, :attr:`widths`: two prefixes whose
-    choices agree modulo those widths realize the same steps.  The record
-    lives here, not in a subclass, because the scheduler fast-forwards only
-    this exact class.
+    choices agree modulo those widths realize the same steps.  Its
+    :attr:`observer`, when set, is called before each prefix step and
+    before the first step after the prefix, and may end the execution by
+    raising.  Both live here, not in a subclass, because the scheduler
+    fast-forwards only this exact class.
     """
 
     def __init__(self, prefix: Sequence[int]) -> None:
@@ -254,6 +256,11 @@ class EnumeratedAdversary(RoundRobinAdversary):
         super().__init__()
         self._prefix = choices
         self._widths: list[int] = []
+        #: ``observer(runnable, step_index)``, called before the choice of
+        #: each step whose *step_index* is at most ``len(prefix)``; ``None``
+        #: (the default) observes nothing.  The class memo of
+        #: :mod:`repro.check.async_checker` sets it around one run.
+        self.observer: Callable[[tuple[int, ...], int], None] | None = None
 
     @property
     def prefix(self) -> tuple[int, ...]:
@@ -279,10 +286,13 @@ class EnumeratedAdversary(RoundRobinAdversary):
         self._widths = []
 
     def choose(self, runnable: Sequence[int], step_index: int) -> int:
-        if step_index < len(self._prefix):
+        prefix = self._prefix
+        if step_index <= len(prefix) and self.observer is not None:
+            self.observer(runnable, step_index)
+        if step_index < len(prefix):
             width = len(runnable)
             self._widths.append(width)
-            return runnable[self._prefix[step_index] % width]
+            return runnable[prefix[step_index] % width]
         return super().choose(runnable, step_index)
 
 

@@ -78,6 +78,12 @@ class AsyncExecutor:
         return self._memory
 
     @property
+    def processes(self) -> tuple[AsynchronousProcess, ...]:
+        """The process pool, in id order: read it, never step it (:meth:`run`
+        resets every process before it starts)."""
+        return tuple(self._processes)
+
+    @property
     def runs_executed(self) -> int:
         """How many executions this substrate has served."""
         return self._runs

@@ -128,6 +128,11 @@ class SharedMemory:
             self._decision_view = View(self._decisions)
         return self._decision_view
 
+    def registers(self) -> tuple[Any, ...]:
+        """Every register as it stands, ``PROP[0..n-1]`` then ``DEC[0..n-1]``
+        (no snapshot counted, no view built)."""
+        return (*self._proposals, *self._decisions)
+
     def announced_decisions(self) -> frozenset[Any]:
         """The set of decisions currently visible on the board (no step counted)."""
         return frozenset(value for value in self._decisions if not is_bottom(value))

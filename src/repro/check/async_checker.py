@@ -24,8 +24,10 @@ of :mod:`repro.check.async_oracles`; violations become replayable
 ``crash_steps`` keys carry the adversary.
 
 Many adversaries realize the same execution, and :meth:`AsyncSpace.batch`
-runs each class of identical executions once (see :class:`_ClassMemo`); the
-reference path (``vectorized=False``) executes every adversary.
+runs each class of identical executions at most once, stopping a run at the
+first configuration an earlier run already explored (see
+:class:`_ClassMemo`); the reference path (``vectorized=False``) executes
+every adversary.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ __all__ = [
     "enumerate_async_adversaries",
 ]
 
-#: The oracles whose outcome both class rules of :class:`_ClassMemo` keep:
+#: The oracles whose outcome the class rules of :class:`_ClassMemo` keep:
 #: the four registered at import.  They read decisions, the vector,
 #: ``crashed``, ``terminated``, ``in_condition`` and step counts.
 _MEMO_ORACLES = frozenset(ASYNC_ORACLES)
@@ -210,9 +212,16 @@ class AsyncSpace(CheckSpace):
         ]
 
     def batch(self, engine, context, vectors, oracle_names):
-        """A :class:`_ClassMemo`'s lane masks, one reference run per class of
-        identical executions, or ``None`` when an oracle outside the four
-        the class rules keep is asked for."""
+        """A :class:`_ClassMemo`'s lane masks, or ``None`` when an oracle
+        outside the four the class rules keep is asked for.
+
+        The memo starts at most one reference run per class of identical
+        executions, and stops it at the first configuration whose outcome
+        an earlier run already gave.  Its rules keep every field the four
+        oracles read (decisions, decision steps, steps per process,
+        ``crashed`` and ``terminated``), but not the step sequence or its
+        fingerprint, which no oracle reads; counterexamples are re-run on
+        the reference path."""
         if not set(oracle_names) <= _MEMO_ORACLES:
             return None
         return _ClassMemo(self, engine, context, vectors, oracle_names).masks
@@ -223,12 +232,26 @@ Assignment = tuple[tuple[int, int], ...]
 #: One execution's oracle outcome, ``((applies, violated), ...)`` in oracle
 #: order, and each process's decision step (``None``: undecided).
 Outcome = tuple[tuple[tuple[bool, bool], ...], tuple[int | None, ...]]
+#: A run's record, which every configuration it passed with its remaining
+#: choices maps to: the outcome, the width read at each prefix step and the
+#: configuration id before each step (``None`` where none was recorded).
+#: From a configuration met before step ``s`` on, the run read
+#: ``widths[s:]`` and met ``identities[s:]``.
+Entry = tuple[Outcome, tuple[int, ...], tuple[int | None, ...]]
+
+
+class _Known(Exception):
+    """Ends a reference run at a configuration whose entry is kept."""
+
+    def __init__(self, entry: Entry) -> None:
+        super().__init__()
+        self.entry = entry
 
 
 class _ClassMemo:
     """One check slice's memo of asynchronous executions, one per class.
 
-    A class is keyed per crash assignment and frontier lane, and two exact
+    A class is keyed per crash assignment and frontier lane, and three exact
     rules put two adversaries in one class:
 
     1. **Prefix aliasing.**  The enumerated adversary picks
@@ -242,15 +265,37 @@ class _ClassMemo:
        ``p`` decides within its first ``s`` steps, the two runs are the same
        step for step: ``p`` never reaches its crash point.  The enumeration
        goes by crash count, so that run's entry was filled one tier earlier.
+    3. **Equal configurations.**  Before step ``s`` with
+       ``2 <= s <= depth`` (step ``depth`` is the first after the prefix),
+       the configuration and the choices still to come, ``prefix[s:]``, fix
+       the rest of the run: prefix steps do not move the rotation cursor,
+       and the cycle skipper samples nothing before the prefix ends.  The
+       configuration is the runnable tuple, each process's
+       ``local_state()``, ``steps_taken``, ``has_decided()`` and
+       ``decision``, and both register arrays.  The adversary's observer
+       reports each run's configurations, each interned to an int, and the
+       block keeps every (configuration, remaining choices) its runs passed
+       with the run's :data:`Entry`.  A run that reaches a kept pair stops
+       there and takes its outcome, and a point is served before any run
+       when the deepest trie node its prefix reaches recorded a
+       configuration whose pair with the point's own remaining choices is
+       kept.  Either way the kept widths complete the point's trie path: an
+       outcome at the shorter key would also serve later prefixes that
+       differ after it.  Before step 1 the configuration is fixed by the
+       residue of step 0, so rule 1 already serves any pair kept there.
+       The rule is off for a run in which any process's ``local_state()``
+       is ``None``, as the cycle skipper is.
 
-    Both rules keep the decisions, decision and per-process step counts,
+    Every rule keeps the decisions, decision and per-process step counts,
     ``crashed`` and ``terminated``; the vector and ``in_condition`` are the
     lane's, and the step-budget oracle's crash-point clause still holds
-    because ``p`` took at most ``s`` steps.  The first run of a class is a
-    reference execution (:meth:`AsyncSpace.execute`) whose oracles run as on
-    the scalar path.  An assignment's trie is kept while its own block or
-    the next crash-count tier can read it, and equal outcomes are one
-    object.
+    because ``p`` took at most ``s`` steps.  Rule 3 does not keep the step
+    sequence or its fingerprint, which no oracle reads; a counterexample is
+    re-run on the reference path.  The first run of a class is a reference
+    execution (:meth:`AsyncSpace.execute`) whose oracles run as on the
+    scalar path.  An assignment's trie is kept while its own block or the
+    next crash-count tier can read it, its configurations only while its own
+    block runs, and equal outcomes are one object.
     """
 
     def __init__(
@@ -271,6 +316,16 @@ class _ClassMemo:
         self._assignment: Assignment | None = None
         self._trie: dict[tuple[int, ...], int | Outcome] = {}
         self._outcomes: dict[Outcome, Outcome] = {}
+        # Rule 3, for the current assignment only: one process's state ->
+        # its id, configuration (lane, runnable tuple, process state ids,
+        # registers) -> its id, ``id * n + pid`` -> the id after ``pid``
+        # steps there, (id, remaining choices) -> entry, and trie node -> the
+        # id of the configuration before that node's prefix step.
+        self._process_states: dict[tuple, int] = {}
+        self._configurations: dict[tuple, int] = {}
+        self._moves: dict[int, int] = {}
+        self._entries: dict[tuple[int, tuple[int, ...]], Entry] = {}
+        self._nodes: dict[tuple[int, ...], int] = {}
         #: The current point's ``(schedule, knobs)``, or ``None`` until
         #: one of its lanes runs.
         self._run_args: tuple[CrashSchedule, RunKnobs] | None = None
@@ -286,9 +341,11 @@ class _ClassMemo:
         violations = [0] * len(self._oracles)
         self._run_args = None  # built by the point's first reference run
         for lane, vector in enumerate(self._vectors):
-            outcome = _find(self._trie, lane, prefix)[0]
+            outcome, key = _find(self._trie, lane, prefix)
             if outcome is None:
                 outcome = self._reuse(assignment, lane, prefix)
+            if outcome is None:
+                outcome = self._recall(prefix, key)
             if outcome is None:
                 outcome = self._run(lane, vector, point)
             bit = 1 << lane
@@ -300,7 +357,8 @@ class _ClassMemo:
         return tuple(zip(applies, violations))
 
     def _enter(self, assignment: Assignment) -> None:
-        """Start *assignment*'s block: drop every trie no later block reads."""
+        """Start *assignment*'s block: drop every trie no later block reads,
+        and every configuration."""
         tier = len(assignment)
         last = self._space.max_crashes
         self._tries = {
@@ -310,6 +368,11 @@ class _ClassMemo:
         }
         self._trie = self._tries[assignment] = {}
         self._assignment = assignment
+        self._process_states = {}
+        self._configurations = {}
+        self._moves = {}
+        self._entries = {}
+        self._nodes = {}
 
     def _reuse(self, assignment: Assignment, lane: int, prefix: tuple[int, ...]) -> Outcome | None:
         """Rule 2: the entry of a run that never reaches one crash point."""
@@ -331,30 +394,142 @@ class _ClassMemo:
                 return outcome
         return None
 
+    def _recall(self, prefix: tuple[int, ...], key: tuple[int, ...]) -> Outcome | None:
+        """Rule 3 before any run: the entry of the configuration recorded at
+        the deepest trie node *prefix* reaches (*key* is the first node it
+        misses), with *prefix*'s own remaining choices."""
+        node = key[:-1]
+        identity = self._nodes.get(node)
+        if identity is None:
+            return None
+        step = len(node) - 1
+        entry = self._entries.get((identity, prefix[step:]))
+        if entry is None:
+            return None
+        outcome, widths, identities = entry
+        self._plant(node, prefix, widths[step:], identities[step:], outcome)
+        return outcome
+
     def _run(self, lane: int, vector: InputVector, point: AsyncPoint) -> Outcome:
-        """The reference execution of a new class, its oracles and its entry.
+        """The reference execution of a new class, its oracles and its entries.
 
         It is :meth:`AsyncSpace.execute`, with the point's run arguments
-        built once for all its lanes."""
+        built once for all its lanes, and it stops at the first prefix step
+        whose configuration and remaining choices are kept (rule 3)."""
         if self._run_args is None:
             self._run_args = self._space.run_args(point)
         schedule, knobs = self._run_args
-        result = self._engine._execute(vector, schedule, 0, knobs)
-        context = self._context
-        checks = []
-        for oracle in self._oracles:
-            applied = oracle.applies(context, result)
-            checks.append((applied, applied and oracle.check(context, result) is not None))
-        steps = tuple(result.decision_times.get(pid) for pid in range(self._n))
-        outcome = (tuple(checks), steps)
-        outcome = self._outcomes.setdefault(outcome, outcome)
         adversary = point[1]
-        key = (lane,)
-        for choice, width in zip(adversary.prefix, adversary.widths):
-            self._trie[key] = width
-            key += (choice % width,)
-        self._trie[key] = outcome
+        prefix = adversary.prefix
+        # The configuration id before each step the observer saw, kept from
+        # step 2 on; emptied when rule 3 is off for the run.
+        identities: list[int | None] = [None, None]
+        adversary.observer = self._observer(lane, adversary, identities)
+        try:
+            result = self._engine._execute(vector, schedule, 0, knobs)
+        except _Known as known:
+            outcome, widths, later = known.entry
+            passed = len(identities)
+            widths = adversary.widths + widths[passed:]
+            identities += later[passed:]
+        else:
+            context = self._context
+            checks = []
+            for oracle in self._oracles:
+                applied = oracle.applies(context, result)
+                checks.append((applied, applied and oracle.check(context, result) is not None))
+            steps = tuple(result.decision_times.get(pid) for pid in range(self._n))
+            outcome = (tuple(checks), steps)
+            outcome = self._outcomes.setdefault(outcome, outcome)
+            widths = adversary.widths
+            passed = len(identities)
+            if not passed:
+                identities = [None] * len(widths)
+        finally:
+            adversary.observer = None
+        identities = tuple(identities)
+        self._plant((lane,), prefix, widths, identities, outcome)
+        entry = (outcome, widths, identities)
+        for step in range(2, passed):
+            self._entries[identities[step], prefix[step:]] = entry
         return outcome
+
+    def _observer(
+        self, lane: int, adversary: EnumeratedAdversary, identities: list[int | None]
+    ):
+        """The run's observer: before each step from 2 to ``depth``, it stops
+        the run if the configuration's pair with the remaining choices is
+        kept, and appends the configuration's id to *identities* if not.
+
+        A step is a function of the configuration and of the process that
+        takes it, so each ``(configuration, process)`` move is built and
+        interned once per block, and then looked up."""
+        executor = self._engine._async_executor()  # the one the run uses
+        processes = executor.processes
+        registers = executor.memory.registers
+        configurations = self._configurations
+        moves = self._moves
+        entries = self._entries
+        process_states = self._process_states
+        prefix = adversary.prefix
+        n = self._n
+        # The configuration before the latest step (the lane's initial one
+        # is named by the lane alone) and the processes runnable there.
+        latest: list = [configurations.setdefault((lane,), len(configurations)), ()]
+
+        def observe(runnable: tuple[int, ...], step: int) -> None:
+            if step:
+                identity, before = latest
+                move = identity * n + before[prefix[step - 1] % len(before)]
+                identity = moves.get(move)
+                if identity is None:
+                    configuration = [lane, runnable]
+                    for process in processes:
+                        state = process.local_state()
+                        if state is None:  # rule 3 is off for this run
+                            adversary.observer = None
+                            identities.clear()
+                            return
+                        state = (
+                            state, process.steps_taken, process.has_decided(), process.decision
+                        )
+                        configuration.append(process_states.setdefault(state, len(process_states)))
+                    configuration = (*configuration, *registers())
+                    identity = moves[move] = configurations.setdefault(
+                        configuration, len(configurations)
+                    )
+                latest[0] = identity
+                if step > 1:
+                    entry = entries.get((identity, prefix[step:]))
+                    if entry is not None:
+                        raise _Known(entry)
+                    identities.append(identity)
+            latest[1] = runnable
+
+        return observe
+
+    def _plant(
+        self,
+        key: tuple[int, ...],
+        prefix: tuple[int, ...],
+        widths: Sequence[int],
+        identities: Sequence[int | None],
+        outcome: Outcome,
+    ) -> None:
+        """Write *widths* and *identities*, from the prefix step of node
+        *key* on, along *prefix*'s path, and *outcome* at its end.
+
+        *identities* holds an id or ``None`` for each width, and may end with
+        one more: the id before the first step after the prefix, whose node
+        is the leaf."""
+        trie = self._trie
+        nodes = self._nodes
+        for width, identity in zip(widths, identities):
+            trie[key] = width
+            if identity is not None:
+                nodes[key] = identity
+            key += (prefix[len(key) - 1] % width,)
+        trie[key] = outcome
 
 
 def _find(

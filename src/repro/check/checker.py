@@ -375,7 +375,8 @@ class SyncSpace(CheckSpace):
         return count_schedules(spec.n, spec.t, self.rounds)
 
     def points(self, spec: AgreementSpec, start: int, stop: int | None) -> Iterable[CrashSchedule]:
-        return islice(enumerate_schedules(spec.n, spec.t, self.rounds), start, stop)
+        stream = enumerate_schedules(spec.n, spec.t, self.rounds, start=start)
+        return stream if stop is None else islice(stream, max(stop - start, 0))
 
     def run_args(self, schedule: CrashSchedule) -> tuple[CrashSchedule, RunKnobs]:
         return schedule, SYNC_KNOBS
@@ -811,9 +812,12 @@ def run_check(
     else:
         from ..parallel import execute_check
 
-        # Workers fork from here: build the runtime first, so that its
+        # Workers fork from here: build the runtime first, and import the
+        # packed evaluator the sync batch hook reaches for, so that their
         # modules are imported once, not in every worker.
         engine._runtime(space.backend)
+        if vectorized and space.backend == "sync":
+            from ..vec import evaluator  # noqa: F401
         outcomes = execute_check(
             engine, space, expected, frontier, oracle_names, worker_count,
             max_counterexamples, vectorized=vectorized,

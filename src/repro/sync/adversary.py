@@ -406,7 +406,7 @@ def count_schedules(n: int, t: int, rounds: int, max_crashes: int | None = None)
 
 
 def enumerate_schedules(
-    n: int, t: int, rounds: int, max_crashes: int | None = None
+    n: int, t: int, rounds: int, max_crashes: int | None = None, *, start: int = 0
 ) -> Iterator[CrashSchedule]:
     """Yield **every** legal crash schedule of the ``(n, t, rounds)`` system.
 
@@ -432,20 +432,37 @@ def enumerate_schedules(
     The events are built once, one frozen :class:`CrashEvent` per (process,
     choice), and every yielded schedule holds the shared instances; each
     schedule's own event table is new.
+
+    *start* skips the first schedules of the stream without building them:
+    whole crash-count tiers and faulty sets are skipped by the terms of
+    :func:`count_schedules`, so only the events of the one faulty set that
+    holds schedule *start* are stepped over.
     """
     _validate_enumeration_parameters(n, t, rounds)
     budget = t if max_crashes is None else min(max_crashes, t)
     if budget < 0:
         raise AdversaryError(f"max_crashes must be >= 0, got {max_crashes}")
+    if type(start) is not int or start < 0:
+        raise AdversaryError(f"start must be an integer >= 0, got {start!r}")
     choices = _event_choices(n, rounds)
     events = [
         [CrashEvent(pid, round_number, delivered) for round_number, delivered in choices]
         for pid in range(n)
     ]
     for crash_count in range(budget + 1):
-        for victims in itertools.combinations(range(n), crash_count):
+        # Schedules per faulty set of this size, and in the whole tier.
+        block = len(choices) ** crash_count
+        tier = math.comb(n, crash_count) * block
+        if start >= tier:
+            start -= tier
+            continue
+        skipped, start = divmod(start, block)
+        faulty_sets = itertools.combinations(range(n), crash_count)
+        for victims in itertools.islice(faulty_sets, skipped, None):
             per_victim = [events[victim] for victim in victims]
-            for assignment in itertools.product(*per_victim):
+            assignments = itertools.islice(itertools.product(*per_victim), start, None)
+            start = 0
+            for assignment in assignments:
                 yield CrashSchedule(dict(zip(victims, assignment)))
 
 

@@ -386,6 +386,51 @@ class TestAsyncExecutor:
         engine.run_batch([VECTOR] * 5)
         assert engine._async_executor().runs_executed == 5
 
+    def test_an_observer_sees_the_prefix_and_may_end_the_run(self):
+        """The enumerated adversary's observer runs before steps 0 to
+        ``len(prefix)``, reading the executor's processes and registers; one
+        that raises ends the run, and the next run is not affected."""
+        executor = AsyncExecutor(SPEC.n, self._factory())
+        adversary = EnumeratedAdversary((1, 1, 0))
+        expected = executor.run(list(VECTOR), adversary=adversary)
+        snapshots = executor.memory.snapshot_count
+        seen = []
+
+        def observe(runnable, step):
+            steps = tuple(process.steps_taken for process in executor.processes)
+            seen.append((step, runnable, steps, executor.memory.registers()))
+
+        adversary.observer = observe
+        observed = executor.run(list(VECTOR), adversary=adversary)
+        assert observed.step_sequence == expected.step_sequence
+        assert executor.memory.snapshot_count == snapshots  # reading counts nothing
+        assert [(step, sum(steps)) for step, _, steps, _ in seen] == [
+            (0, 0), (1, 1), (2, 2), (3, 3)
+        ]
+        assert seen[0][1] == tuple(range(SPEC.n))
+        # Before step 1, only the process of step 0 has written its proposal.
+        first = expected.step_sequence[0]
+        registers = seen[1][3]
+        assert len(registers) == 2 * SPEC.n and registers[first] == VECTOR[first]
+        assert sum(not is_bottom(value) for value in registers) == 1
+
+        class Stop(Exception):
+            pass
+
+        def stop(runnable, step):
+            if step == 2:
+                raise Stop
+
+        adversary.observer = stop
+        with pytest.raises(Stop):
+            executor.run(list(VECTOR), adversary=adversary)
+        assert adversary.widths == (SPEC.n, SPEC.n)
+        adversary.observer = None
+        again = executor.run(list(VECTOR), adversary=adversary)
+        assert again.step_sequence == expected.step_sequence
+        assert again.steps_by_process == expected.steps_by_process
+        assert executor.runs_executed == 4
+
 
 # ----------------------------------------------------------------------
 # The scheduler's cycle fast-forward

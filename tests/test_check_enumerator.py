@@ -20,6 +20,9 @@ the reference runtime, for every frontier vector, under ``condition-kset``,
 
 from __future__ import annotations
 
+import math
+from itertools import accumulate, islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +30,7 @@ from hypothesis import strategies as st
 from strategies import crash_schedules
 
 from repro.api import AgreementSpec, Engine
+from repro.check import SyncSpace
 from repro.check.frontier import input_frontier
 from repro.exceptions import AdversaryError
 from repro.sync.adversary import (
@@ -90,6 +94,72 @@ class TestCountCrossValidation:
             count_schedules(3, 1, 0)
         with pytest.raises(AdversaryError):
             list(enumerate_schedules(3, 1, 1, max_crashes=-1))
+
+
+def _window(n, t, rounds, start, size, max_crashes=None):
+    """The canonical forms of *size* schedules from *start* on, sought."""
+    stream = enumerate_schedules(n, t, rounds, max_crashes, start=start)
+    return [schedule.canonical() for schedule in islice(stream, size)]
+
+
+def _boundaries(n, t, rounds):
+    """Every tier and faulty-set boundary of the stream, and its neighbours."""
+    events = (n + 1) + (rounds - 1) * 2**n
+    blocks = [events**f for f in range(t + 1) for _ in range(math.comb(n, f))]
+    return {
+        edge + offset
+        for edge in accumulate(blocks, initial=0)
+        for offset in (-1, 0, 1)
+        if edge + offset >= 0
+    }
+
+
+class TestSeek:
+    """``start=`` yields exactly the stream's ``[start:]``: whole tiers and
+    faulty sets are skipped by the terms of the closed form, and only the
+    events of one faulty set are stepped over."""
+
+    @pytest.mark.parametrize("n,t,rounds", [(2, 1, 1), (3, 1, 2), (3, 2, 2), (4, 1, 3)])
+    def test_every_start_of_a_small_system(self, n, t, rounds):
+        full = [schedule.canonical() for schedule in enumerate_schedules(n, t, rounds)]
+        for start in range(len(full) + 3):
+            assert _window(n, t, rounds, start, 4) == full[start:start + 4]
+        tail = enumerate_schedules(n, t, rounds, start=len(full) // 2)
+        assert [schedule.canonical() for schedule in tail] == full[len(full) // 2:]
+
+    @pytest.mark.parametrize("n,t,rounds", [(5, 2, 2), (4, 2, 3)])
+    def test_boundaries_count_and_starts_past_it(self, n, t, rounds):
+        full = [schedule.canonical() for schedule in enumerate_schedules(n, t, rounds)]
+        count = count_schedules(n, t, rounds)
+        starts = _boundaries(n, t, rounds) | {count - 1, count, count + 1, 10 * count}
+        assert count in starts and len(starts) > 3 * (t + 1)
+        for start in sorted(starts):
+            assert _window(n, t, rounds, start, 3) == full[start:start + 3]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_drawn_starts_and_budgets(self, data):
+        n, t, rounds = data.draw(st.sampled_from([(4, 2, 2), (5, 2, 2), (4, 3, 2), (5, 1, 3)]))
+        max_crashes = data.draw(st.one_of(st.none(), st.integers(0, t)))
+        count = count_schedules(n, t, rounds, max_crashes)
+        start = data.draw(st.integers(0, count + 5))
+        size = data.draw(st.integers(1, 40))
+        stream = enumerate_schedules(n, t, rounds, max_crashes)
+        expected = [schedule.canonical() for schedule in islice(stream, start, start + size)]
+        assert _window(n, t, rounds, start, size, max_crashes) == expected
+
+    def test_the_sync_space_slices_by_seeking(self):
+        spec = AgreementSpec(n=4, t=2, k=1, d=1, ell=1, domain=2)
+        space = SyncSpace(2)
+        full = [schedule.canonical() for schedule in enumerate_schedules(4, 2, 2)]
+        for start, stop in [(0, 5), (700, 1400), (2729, None), (2731, None), (5, 3)]:
+            sliced = [schedule.canonical() for schedule in space.points(spec, start, stop)]
+            assert sliced == full[start:stop]
+
+    @pytest.mark.parametrize("start", [-1, 1.0, True, "3"])
+    def test_start_must_be_a_natural_number(self, start):
+        with pytest.raises(AdversaryError, match="start"):
+            next(enumerate_schedules(3, 1, 1, start=start))
 
 
 class TestRandomScheduleInsideTheSpace:

@@ -217,7 +217,9 @@ class TestEngineCheck:
         monkeypatch.setattr(
             checker,
             "enumerate_schedules",
-            lambda *args: itertools.chain([outside], enumerate_schedules(*args)),
+            lambda *args, **kwargs: itertools.chain(
+                [outside], enumerate_schedules(*args, **kwargs)
+            ),
         )
         checked, ran = [], []
         check_schedule = BatchSyncEvaluator.check_schedule

@@ -530,6 +530,7 @@ _NET_CHECK = ("floodmin", {"n": 3, "t": 1, "k": 1, "d": 1, "domain": 2},
               {"backend": "net", "adversary": "send-omission"})
 _ASYNC_CHECK = ("async-condition", {"n": 3, "t": 1, "k": 1, "d": 0, "domain": 2},
                 {"backend": "async", "depth": 2})
+_SYNC_CHECK = ("condition-kset", {"n": 3, "t": 1, "k": 1, "d": 1, "domain": 2}, {})
 
 
 @pytest.mark.parametrize(
@@ -538,11 +539,13 @@ _ASYNC_CHECK = ("async-condition", {"n": 3, "t": 1, "k": 1, "d": 0, "domain": 2}
         ("repro.net.runtime", _NET_CHECK),
         ("repro.asynchronous.executor", _ASYNC_CHECK),
         ("repro.algorithms.async_condition_set_agreement", _ASYNC_CHECK),
+        ("repro.vec.evaluator", _SYNC_CHECK),
     ],
 )
 def test_a_sharded_check_imports_its_runtime_before_the_pool_forks(module, cell):
-    """Forked workers inherit the parent's modules, so a runtime the parent
-    imported is not imported again in every worker."""
+    """Forked workers inherit the parent's modules, so a runtime (or the
+    packed evaluator of a vectorized sync check) the parent imported is not
+    imported again in every worker."""
     root = Path(__file__).resolve().parent.parent
     completed = subprocess.run(
         [sys.executable, "-c", _POOL_PROGRAM, json.dumps([module, *cell])],
